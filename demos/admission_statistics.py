@@ -10,6 +10,7 @@ this script prints the same numbers.
 from acdroute import (
     AdmissionController,
     QualityInput,
+    RouteGroup,
     billing_route,
     compute_rejection,
 )
@@ -18,16 +19,17 @@ target = compute_rejection(QualityInput((8.67, 0.6), (9, 8), 0.1))
 print(f"targets from the quality pair: {target.reject_pct}  (exact "
       f"{target.reject_pct_exact[0]:.6f} on the preferred clone)")
 
-controller = AdmissionController(vendors=(55, 62), seed=202)
+group = RouteGroup(vendors=(55, 62), prefs=(9, 8))
+controller = AdmissionController(group, seed=202)
 controller.refresh_targets(target)
 
 # 100k first attempts on the preferred clone: the empirical rate converges on
-# the exact target, not the 2-decimal presentation value.
+# the exact target, not the 2-decimal presentation value. Each decision is
+# counted by the controller as it is made.
 n = 100_000
 rejected = 0
 for i in range(n):
     decision = controller.decide(f"c{i}", 55, now=float(i))
-    controller.record_decision(55, decision)
     if not decision.accepted:
         rejected += 1
 print(f"{n} arrivals on clone 55 -> {rejected} rejected "
@@ -40,7 +42,7 @@ print(f"counters (received counts authorized calls only): "
 # At-most-once in action: a rejected call retries via billing failover and
 # must pass, wherever it lands.
 prefs = {55: 9, 62: 8}
-fresh = AdmissionController(vendors=(55, 62), seed=7)
+fresh = AdmissionController(group, seed=7)
 fresh.refresh_targets(target)
 shown = 0
 for i in range(400):

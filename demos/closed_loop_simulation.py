@@ -9,6 +9,7 @@ problem) and once with it (the fix).
 """
 
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 from acdroute import ScenarioConfig, run_scenario
@@ -20,9 +21,7 @@ scenarios = Path(__file__).resolve().parent / "scenarios"
 # every call is "answered" within seconds and the honest route never sees a
 # single attempt.
 control = ScenarioConfig.load(scenarios / "pure_fas_control.json")
-control_data = control.to_dict()
-control_data["admission_enabled"] = False
-neg = run_scenario(ScenarioConfig.from_dict(control_data))
+neg = run_scenario(replace(control, admission_enabled=False))
 
 by_vendor = Counter(r.vendor for r in neg.cdrs)
 print("without admission control:")

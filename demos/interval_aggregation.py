@@ -16,6 +16,7 @@ from acdroute import (
     CdrStore,
     DisconnectCause,
     IntervalAggregator,
+    RouteGroup,
     render_interval_table,
 )
 
@@ -51,7 +52,7 @@ while t < 3 * 3600:
 print(f"{i} CDRs over 3 hours")
 
 agg = IntervalAggregator(
-    vendors=(55, 62), prefs=(9, 8), cdr_store=store, opened_at=start,
+    RouteGroup(vendors=(55, 62), prefs=(9, 8)), cdr_store=store, opened_at=start,
     dest_prefix="37410",
 )
 

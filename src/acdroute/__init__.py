@@ -12,17 +12,18 @@ from .admission import REJECTION_CODE, AdmissionController, Decision
 from .aggregate import (
     ClosedInterval,
     IntervalAggregator,
-    IntervalState,
     TickDecision,
     VendorIntervalStats,
     replay_cdrs,
     tick_decision,
     vendor_stats,
 )
+from .codec import decode, encode
 from .domain import (
     CallRecord,
     DisconnectCause,
     ResponseClass,
+    RouteGroup,
     classify_response,
     triggers_failover,
 )
@@ -59,11 +60,11 @@ __all__ = [
     "DisconnectCause",
     "DurationSpec",
     "IntervalAggregator",
-    "IntervalState",
     "QualityInput",
     "REJECTION_CODE",
     "RejectionResult",
     "ResponseClass",
+    "RouteGroup",
     "ScenarioConfig",
     "ScenarioResult",
     "TickDecision",
@@ -73,6 +74,8 @@ __all__ = [
     "billing_route",
     "classify_response",
     "compute_rejection",
+    "decode",
+    "encode",
     "max_acd",
     "read_cdr_csv",
     "render_calc_breakdown",

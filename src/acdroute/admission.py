@@ -14,12 +14,13 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .domain import classify_response, triggers_failover
+from .domain import RouteGroup, classify_response, triggers_failover
 from .rejection import RejectionResult
 
 # 5xx so billing treats the clone as a failed route and tries the next one
 REJECTION_CODE = 503
-DEFAULT_SEEN_TTL_S = 3600.0
+# how long a rejected call id is remembered, so its retry is never rejected
+SEEN_TTL_S = 3600.0
 
 _SEEN_PRUNE_SIZE = 16384
 
@@ -38,47 +39,42 @@ class Decision:
 
     @classmethod
     def accept(cls) -> "Decision":
-        return cls(accepted=True)
+        return _ACCEPT
 
     @classmethod
-    def reject(cls, code: int = REJECTION_CODE) -> "Decision":
-        return cls(accepted=False, code=code)
+    def reject(cls) -> "Decision":
+        return _REJECT
+
+
+_ACCEPT = Decision(accepted=True)
+_REJECT = Decision(accepted=False, code=REJECTION_CODE)
 
 
 class AdmissionController:
-    """Holds the current rejection targets and the at-most-once ledger.
+    """Holds the current rejection targets, the at-most-once ledger and the
+    per-interval decision counters.
 
-    Thread-safe: decisions, counter updates and target refreshes may come from
-    concurrent call-handling contexts; a decision never observes a torn target
-    pair. Targets start absent (cold start) and every call is accepted until
-    the first interval closes.
+    Thread-safe: decisions, counter snapshots and target refreshes may come
+    from concurrent call-handling contexts; a decision never observes a torn
+    target pair, and is counted under the same lock that made it, so an
+    interval snapshot never splits a decision from its count. Targets start
+    absent (cold start) and every call is accepted until the first interval
+    closes.
     """
 
-    def __init__(
-        self,
-        vendors: Tuple[int, int],
-        seed: int = 0,
-        seen_ttl_s: float = DEFAULT_SEEN_TTL_S,
-        reject_code: int = REJECTION_CODE,
-    ):
-        if len(set(vendors)) != 2:
-            raise ValueError("a routing group holds exactly two distinct vendors")
-        if seen_ttl_s <= 0:
-            raise ValueError("seen_ttl_s must be positive")
-        if not triggers_failover(classify_response(reject_code)):
-            raise ValueError(f"reject code {reject_code} would not trigger failover")
-        self.vendors = tuple(vendors)
-        self.seen_ttl_s = seen_ttl_s
-        self.reject_code = reject_code
+    def __init__(self, group: RouteGroup, seed: int = 0):
+        self.vendors = group.vendors
         self._lock = threading.Lock()
         self._rng = random.Random(seed)
-        self._targets: Dict[int, Optional[float]] = {v: None for v in vendors}
+        self._targets: Dict[int, Optional[float]] = {v: None for v in self.vendors}
         self._seen: Dict[str, float] = {}
-        self._received: Dict[int, int] = {v: 0 for v in vendors}
-        self._rejected: Dict[int, int] = {v: 0 for v in vendors}
+        self._received: Dict[int, int] = {v: 0 for v in self.vendors}
+        self._rejected: Dict[int, int] = {v: 0 for v in self.vendors}
 
     def decide(self, call_id: str, vendor: int, now: Optional[float] = None) -> Decision:
-        """Accept or reject one call attempt on a clone interface.
+        """Accept or reject one call attempt on a clone interface, and count
+        it: authorized and rejected calls are counted separately (received
+        does not include rejected).
 
         ``now`` is seconds on whatever clock drives the system (simulated or
         wall); it defaults to wall time and only matters for the rejection
@@ -90,30 +86,21 @@ class AdmissionController:
             if vendor not in self._targets:
                 raise ValueError(f"vendor {vendor} is not one of the configured clones")
             expiry = self._seen.get(call_id)
-            if expiry is not None:
-                if expiry > now:
-                    # already rejected once: the retry must pass
-                    return Decision.accept()
+            if expiry is not None and expiry <= now:
                 del self._seen[call_id]
+                expiry = None
+            decision = _ACCEPT
             target = self._targets[vendor]
-            if target is not None and target > 0.0:
+            # a call still in the ledger was rejected once: its retry must pass
+            if expiry is None and target is not None and target > 0.0:
                 if self._rng.random() < target / 100.0:
-                    self._seen[call_id] = now + self.seen_ttl_s
+                    self._seen[call_id] = now + SEEN_TTL_S
                     if len(self._seen) > _SEEN_PRUNE_SIZE:
                         self._prune(now)
-                    return Decision.reject(self.reject_code)
-            return Decision.accept()
-
-    def record_decision(self, vendor: int, decision: Decision) -> None:
-        """Update the interval counters: authorized and rejected calls are
-        counted separately (received does not include rejected)."""
-        with self._lock:
-            if vendor not in self._targets:
-                raise ValueError(f"vendor {vendor} is not one of the configured clones")
-            if decision.accepted:
-                self._received[vendor] += 1
-            else:
-                self._rejected[vendor] += 1
+                    decision = _REJECT
+            counts = self._received if decision.accepted else self._rejected
+            counts[vendor] += 1
+            return decision
 
     def refresh_targets(self, result: RejectionResult) -> None:
         """Swap in a just-closed interval's targets atomically.

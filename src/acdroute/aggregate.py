@@ -16,7 +16,7 @@ from datetime import datetime, timedelta
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .domain import CallRecord, format_ts, parse_ts, validate_preference, validate_vendor_id
+from .domain import CallRecord, RouteGroup
 from .rejection import QualityInput, RejectionResult, compute_rejection
 from .store import AcdVendorsTable, CdrStore
 
@@ -70,22 +70,6 @@ class VendorIntervalStats:
     total_minutes: float
     acd_min: Optional[float]
 
-    def to_dict(self) -> dict:
-        return {
-            "vendor": self.vendor,
-            "bucket_zero": self.bucket_zero,
-            "bucket_0_5": self.bucket_0_5,
-            "bucket_5_30": self.bucket_5_30,
-            "bucket_over_30": self.bucket_over_30,
-            "calls": self.calls,
-            "total_minutes": self.total_minutes,
-            "acd_min": self.acd_min,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VendorIntervalStats":
-        return cls(**data)
-
 
 def vendor_stats(cdrs: Sequence[CallRecord], vendor: int) -> VendorIntervalStats:
     """Bucket one vendor's calls by duration; router-rejected attempts are
@@ -123,13 +107,6 @@ def vendor_stats(cdrs: Sequence[CallRecord], vendor: int) -> VendorIntervalStats
 
 
 @dataclass
-class IntervalState:
-    """The currently open measurement window."""
-
-    opened_at: datetime
-
-
-@dataclass
 class ClosedInterval:
     """Everything produced by closing one interval."""
 
@@ -141,44 +118,6 @@ class ClosedInterval:
     result: RejectionResult
     received: Dict[int, int] = field(default_factory=dict)
     rejected: Dict[int, int] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "opened_at": format_ts(self.opened_at),
-            "closed_at": format_ts(self.closed_at),
-            "vendors": list(self.vendors),
-            "prefs": list(self.prefs),
-            "stats": [s.to_dict() for s in self.stats],
-            "result": {
-                "max_idx": self.result.max_idx,
-                "rank": list(self.result.rank),
-                "load": list(self.result.load),
-                "reject_pct": list(self.result.reject_pct),
-                "reject_pct_exact": list(self.result.reject_pct_exact),
-            },
-            "received": {str(v): n for v, n in sorted(self.received.items())},
-            "rejected": {str(v): n for v, n in sorted(self.rejected.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClosedInterval":
-        result = RejectionResult(
-            max_idx=data["result"]["max_idx"],
-            rank=tuple(data["result"]["rank"]),
-            load=tuple(data["result"]["load"]),
-            reject_pct=tuple(data["result"]["reject_pct"]),
-            reject_pct_exact=tuple(data["result"]["reject_pct_exact"]),
-        )
-        return cls(
-            opened_at=parse_ts(data["opened_at"]),
-            closed_at=parse_ts(data["closed_at"]),
-            vendors=tuple(data["vendors"]),
-            prefs=tuple(data["prefs"]),
-            stats=tuple(VendorIntervalStats.from_dict(s) for s in data["stats"]),
-            result=result,
-            received={int(v): n for v, n in data["received"].items()},
-            rejected={int(v): n for v, n in data["rejected"].items()},
-        )
 
 
 class IntervalAggregator:
@@ -192,36 +131,24 @@ class IntervalAggregator:
 
     def __init__(
         self,
-        vendors: Tuple[int, int],
-        prefs: Tuple[int, int],
+        group: RouteGroup,
         cdr_store: CdrStore,
         opened_at: datetime,
         acd_table: Optional[AcdVendorsTable] = None,
-        load_min: float = 0.1,
         tick_period_s: int = TICK_PERIOD_S,
         min_age_s: int = MIN_INTERVAL_AGE_S,
         min_calls: int = MIN_INTERVAL_CALLS,
         dest_prefix: str = "",
         counter_source: Optional[Callable[[], CounterSnapshot]] = None,
     ):
-        if len(set(vendors)) != 2:
-            raise ValueError("a routing group holds exactly two distinct vendors")
-        for v in vendors:
-            validate_vendor_id(v)
-        for p in prefs:
-            validate_preference(p)
-        if prefs[0] == prefs[1]:
-            raise ValueError("the two routes must have distinct billing preferences")
         if tick_period_s <= 0:
             raise ValueError("tick period must be positive")
-        self.vendors = tuple(vendors)
-        self.prefs = tuple(prefs)
-        self.load_min = load_min
+        self.group = group
         self.tick_period_s = tick_period_s
         self.min_age_s = min_age_s
         self.min_calls = min_calls
         self.dest_prefix = dest_prefix
-        self.state = IntervalState(opened_at=opened_at)
+        self.opened_at = opened_at
         self.history: List[ClosedInterval] = []
         self._cdr_store = cdr_store
         self.acd_table = acd_table if acd_table is not None else AcdVendorsTable()
@@ -234,7 +161,7 @@ class IntervalAggregator:
         when persistence failed, which keeps the interval open for a retry
         on the next tick).
         """
-        opened_at = self.state.opened_at
+        opened_at = self.opened_at
         offset_s = (now - opened_at).total_seconds()
         if offset_s < 0:
             raise ValueError(f"tick time {now} precedes interval start {opened_at}")
@@ -243,7 +170,8 @@ class IntervalAggregator:
                 f"tick at {now} is not aligned to the {self.tick_period_s}s schedule"
             )
         in_range = self._cdr_store.query_cdrs(time_range=(opened_at, now))
-        records = [r for r in in_range if r.vendor in self.vendors]
+        vendors = self.group.vendors
+        records = [r for r in in_range if r.vendor in vendors]
         ended = [r for r in records if not r.rejected_by_router]
         decision = tick_decision(
             now, opened_at, len(ended), self.min_age_s, self.min_calls
@@ -258,18 +186,19 @@ class IntervalAggregator:
         records: Sequence[CallRecord],
         ended: Sequence[CallRecord],
     ) -> Optional[ClosedInterval]:
-        stats = tuple(vendor_stats(ended, v) for v in self.vendors)
+        group = self.group
+        stats = tuple(vendor_stats(ended, v) for v in group.vendors)
         result = compute_rejection(
             QualityInput(
                 acd_min=(stats[0].acd_min, stats[1].acd_min),
-                prefs=self.prefs,
-                load_min=self.load_min,
+                prefs=group.prefs,
+                load_min=group.load_min,
             )
         )
         try:
             self.acd_table.insert_acd_rows(
-                (self.vendors[0], now, stats[0].acd_min, result.reject_pct[0], self.dest_prefix),
-                (self.vendors[1], now, stats[1].acd_min, result.reject_pct[1], self.dest_prefix),
+                (group.vendors[0], now, stats[0].acd_min, result.reject_pct[0], self.dest_prefix),
+                (group.vendors[1], now, stats[1].acd_min, result.reject_pct[1], self.dest_prefix),
             )
         except OSError as exc:
             logger.warning("interval stays open, row persistence failed: %s", exc)
@@ -279,32 +208,30 @@ class IntervalAggregator:
             received, rejected = self._counter_source()
         else:
             received = {
-                v: sum(1 for r in ended if r.vendor == v) for v in self.vendors
+                v: sum(1 for r in ended if r.vendor == v) for v in group.vendors
             }
             rejected = {
                 v: sum(1 for r in records if r.rejected_by_router and r.vendor == v)
-                for v in self.vendors
+                for v in group.vendors
             }
         closed = ClosedInterval(
-            opened_at=self.state.opened_at,
+            opened_at=self.opened_at,
             closed_at=now,
-            vendors=self.vendors,
-            prefs=self.prefs,
+            vendors=group.vendors,
+            prefs=group.prefs,
             stats=stats,
             result=result,
             received=received,
             rejected=rejected,
         )
         self.history.append(closed)
-        self.state = IntervalState(opened_at=now)
+        self.opened_at = now
         return closed
 
 
 def replay_cdrs(
     records: Sequence[CallRecord],
-    vendors: Tuple[int, int],
-    prefs: Tuple[int, int],
-    load_min: float = 0.1,
+    group: RouteGroup,
     tick_period_s: int = TICK_PERIOD_S,
     min_age_s: int = MIN_INTERVAL_AGE_S,
     min_calls: int = MIN_INTERVAL_CALLS,
@@ -318,7 +245,7 @@ def replay_cdrs(
     ignored.
     """
     ordered = sorted(
-        (r for r in records if r.vendor in vendors),
+        (r for r in records if r.vendor in group.vendors),
         key=lambda r: (r.disconnect_time, r.connect_time, r.call_id),
     )
     if not ordered:
@@ -330,11 +257,9 @@ def replay_cdrs(
     for record in ordered:
         cdr_store.append_cdr(record)
     agg = IntervalAggregator(
-        vendors=vendors,
-        prefs=prefs,
+        group,
         cdr_store=cdr_store,
         opened_at=start,
-        load_min=load_min,
         tick_period_s=tick_period_s,
         min_age_s=min_age_s,
         min_calls=min_calls,
@@ -344,11 +269,8 @@ def replay_cdrs(
     # count is frozen and the age condition has been evaluated at least once,
     # so any still-open interval can never close
     horizon = last_end + timedelta(seconds=min_age_s + tick_period_s)
-    k = 1
-    while True:
-        now = start + timedelta(seconds=k * tick_period_s)
-        if now > horizon:
-            break
+    now = start + timedelta(seconds=tick_period_s)
+    while now <= horizon:
         agg.tick(now)
-        k += 1
+        now += timedelta(seconds=tick_period_s)
     return agg.history, agg.acd_table

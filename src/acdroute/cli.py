@@ -9,8 +9,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -23,10 +22,12 @@ from .aggregate import (
     ClosedInterval,
     replay_cdrs,
 )
+from .codec import decode, encode
+from .domain import RouteGroup, whole_seconds
 from .rejection import QualityInput, compute_rejection
 from .report import TABLE_FORMATS, render_calc_breakdown, render_interval_table
 from .sim import ScenarioConfig, ScenarioResult, run_scenario
-from .store import AcdVendorsTable, read_cdr_csv, write_cdr_csv
+from .store import AcdVendorsTable, read_cdr_csv, write_cdr_csv, write_csv
 
 
 def _pair(text: str, kind, name: str) -> Tuple:
@@ -66,8 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="minimum load share of the weaker route (default 0.1)")
     p_compute.add_argument("--out", type=Path, default=None,
                            help="directory for calc.txt and calc.html (optional)")
-    p_compute.add_argument("--seed", type=int, default=0,
-                           help="accepted for interface uniformity; unused here")
     p_compute.set_defaults(func=cmd_compute)
 
     p_agg = sub.add_parser(
@@ -88,8 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="minimum ended calls per interval (default 20)")
     p_agg.add_argument("--prefix", default="", help="destination prefix for rows")
     p_agg.add_argument("--out", type=Path, required=True, help="output directory")
-    p_agg.add_argument("--seed", type=int, default=0,
-                       help="accepted for interface uniformity; unused here")
     p_agg.set_defaults(func=cmd_aggregate)
 
     p_sim = sub.add_parser("simulate", help="run a scenario end to end")
@@ -108,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--out", type=Path, required=True, help="output directory")
     p_rep.add_argument("--formats", default="html,csv,json",
                        help="comma-separated subset of html,csv,json")
-    p_rep.add_argument("--seed", type=int, default=0,
-                       help="accepted for interface uniformity; unused here")
     p_rep.set_defaults(func=cmd_report)
 
     return parser
@@ -132,33 +127,33 @@ def cmd_compute(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_history_files(out_dir: Path, history: List[ClosedInterval]) -> None:
-    payload = [interval.to_dict() for interval in history]
-    (out_dir / "interval_history.json").write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
-    for fmt in TABLE_FORMATS:
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+def _write_tables(out_dir: Path, history: List[ClosedInterval], formats=TABLE_FORMATS) -> None:
+    for fmt in formats:
         (out_dir / f"interval_table.{fmt}").write_text(
             render_interval_table(history, fmt), encoding="utf-8"
         )
 
 
+def _write_history_files(out_dir: Path, history: List[ClosedInterval]) -> None:
+    _write_json(out_dir / "interval_history.json", encode(history))
+    _write_tables(out_dir, history)
+
+
 def cmd_aggregate(args: argparse.Namespace) -> int:
+    tick_period_s = whole_seconds(args.tick_min)
+    min_age_s = whole_seconds(args.min_age_min)
     records, errors = read_cdr_csv(args.cdr)
     if errors:
         for lineno, message in errors:
             print(f"{args.cdr}:{lineno}: {message}", file=sys.stderr)
         return 1
-    vendors = args.vendors
-    if vendors is None:
-        seen = sorted({r.vendor for r in records})
-        if records and len(seen) != 2:
-            print(
-                f"error: file holds {len(seen)} vendor id(s); pass --vendors V,W",
-                file=sys.stderr,
-            )
-            return 2
-        vendors = tuple(seen) if records else None
+    vendors = args.vendors or tuple(sorted({r.vendor for r in records}))
+    if records and len(vendors) != 2:
+        raise ValueError(f"file holds {len(vendors)} vendor id(s); pass --vendors V,W")
     args.out.mkdir(parents=True, exist_ok=True)
     if not records:
         # nothing to replay: emit empty artifacts
@@ -168,11 +163,9 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         return 0
     history, table = replay_cdrs(
         records,
-        vendors=vendors,
-        prefs=args.prefs,
-        load_min=args.load_min,
-        tick_period_s=int(args.tick_min * 60),
-        min_age_s=int(args.min_age_min * 60),
+        RouteGroup(vendors, args.prefs, args.load_min),
+        tick_period_s=tick_period_s,
+        min_age_s=min_age_s,
         min_calls=args.min_calls,
         dest_prefix=args.prefix,
     )
@@ -189,11 +182,10 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def _write_decision_log(out_dir: Path, result: ScenarioResult) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["seq", "time_s", "call_id", "vendor", "accepted", "code"])
-    for record in result.decision_log:
-        writer.writerow(
+    write_csv(
+        out_dir / "decisions.csv",
+        ["seq", "time_s", "call_id", "vendor", "accepted", "code"],
+        (
             [
                 record.seq,
                 f"{record.time_s:.3f}",
@@ -202,12 +194,13 @@ def _write_decision_log(out_dir: Path, result: ScenarioResult) -> None:
                 "1" if record.accepted else "0",
                 "" if record.code is None else record.code,
             ]
-        )
-    (out_dir / "decisions.csv").write_text(buffer.getvalue(), encoding="utf-8")
+            for record in result.decision_log
+        ),
+    )
 
 
 def _write_summary(out_dir: Path, result: ScenarioResult) -> None:
-    vendors = [spec.vendor for spec in result.config.vendors]
+    vendors = result.config.group.vendors
     answered = {v: 0 for v in vendors}
     answered_minutes = {v: 0.0 for v in vendors}
     for record in result.cdrs:
@@ -228,9 +221,7 @@ def _write_summary(out_dir: Path, result: ScenarioResult) -> None:
             for v, share in sorted(result.answered_minutes_share().items())
         },
     }
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "summary.json", summary)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -240,10 +231,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         overrides["seed"] = args.seed
     if args.disable_admission:
         overrides["admission_enabled"] = False
-    if overrides:
-        data = config.to_dict()
-        data.update(overrides)
-        config = ScenarioConfig.from_dict(data)
+    config = dataclasses.replace(config, **overrides)
     result = run_scenario(config)
     args.out.mkdir(parents=True, exist_ok=True)
     write_cdr_csv(args.out / "cdrs.csv", result.cdrs)
@@ -267,12 +255,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         if fmt not in TABLE_FORMATS:
             raise ValueError(f"unknown format {fmt!r}, want a subset of {TABLE_FORMATS}")
     payload = json.loads(args.history.read_text(encoding="utf-8"))
-    history = [ClosedInterval.from_dict(item) for item in payload]
+    history = decode(List[ClosedInterval], payload)
     args.out.mkdir(parents=True, exist_ok=True)
-    for fmt in formats:
-        (args.out / f"interval_table.{fmt}").write_text(
-            render_interval_table(history, fmt), encoding="utf-8"
-        )
+    _write_tables(args.out, history, formats)
     print(f"rendered {len(history)} interval(s) as {', '.join(formats)}")
     return 0
 

@@ -1,14 +1,18 @@
-"""Shared vocabulary: vendors, signaling response classes, call records, time."""
+"""Shared vocabulary: vendors, route groups, signaling response classes, call records, time."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
+from typing import Tuple
 
 VendorId = int
 
 TS_FORMAT = "%Y-%m-%d %H:%M:%S"
+
+DEFAULT_LOAD_MIN = 0.1
 
 
 def format_ts(ts: datetime) -> str:
@@ -73,6 +77,45 @@ def validate_preference(pref: int) -> int:
     if not isinstance(pref, int) or isinstance(pref, bool) or not 1 <= pref <= 9:
         raise ValueError(f"preference must be an integer in 1..9, got {pref!r}")
     return pref
+
+
+def validate_prefs_and_floor(prefs: Tuple[int, int], load_min: float) -> None:
+    """The route-pair rules that need no vendor ids: two distinct billing
+    preferences, and a weak-route floor in [0, 0.5)."""
+    if len(prefs) != 2:
+        raise ValueError("exactly two routes participate in a routing group")
+    for pref in prefs:
+        validate_preference(pref)
+    if prefs[0] == prefs[1]:
+        raise ValueError("the two routes must have distinct billing preferences")
+    if not 0.0 <= load_min < 0.5:
+        raise ValueError(f"load_min must lie in [0, 0.5), got {load_min}")
+
+
+@dataclass(frozen=True)
+class RouteGroup:
+    """The two routes of one destination: vendor ids, their billing
+    preferences (same order) and the weak route's minimum load share."""
+
+    vendors: Tuple[VendorId, VendorId]
+    prefs: Tuple[int, int]
+    load_min: float = DEFAULT_LOAD_MIN
+
+    def __post_init__(self) -> None:
+        if len(self.vendors) != 2 or self.vendors[0] == self.vendors[1]:
+            raise ValueError("a routing group holds exactly two distinct vendors")
+        for vendor in self.vendors:
+            validate_vendor_id(vendor)
+        validate_prefs_and_floor(self.prefs, self.load_min)
+
+
+def whole_seconds(minutes: float) -> int:
+    """A period given in minutes as whole seconds; fractions of a second,
+    beyond float rounding, are an error rather than silently truncated."""
+    seconds = minutes * 60
+    if not math.isfinite(seconds) or abs(seconds - round(seconds)) > 1e-6:
+        raise ValueError(f"{minutes} min is not a whole number of seconds")
+    return round(seconds)
 
 
 @dataclass(frozen=True)

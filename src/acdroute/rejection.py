@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Optional, Tuple
 
-from .domain import validate_preference
-
-DEFAULT_LOAD_MIN = 0.1
+from .domain import DEFAULT_LOAD_MIN, validate_prefs_and_floor
 
 
 def round_half_up(value: float, places: int = 2) -> float:
@@ -39,14 +37,9 @@ class QualityInput:
     load_min: float = DEFAULT_LOAD_MIN
 
     def __post_init__(self) -> None:
-        if len(self.acd_min) != 2 or len(self.prefs) != 2:
-            raise ValueError("exactly two vendors participate in a routing group")
-        for pref in self.prefs:
-            validate_preference(pref)
-        if self.prefs[0] == self.prefs[1]:
-            raise ValueError("the two routes must have distinct billing preferences")
-        if not 0.0 <= self.load_min < 0.5:
-            raise ValueError(f"load_min must lie in [0, 0.5), got {self.load_min}")
+        if len(self.acd_min) != 2:
+            raise ValueError("exactly two routes participate in a routing group")
+        validate_prefs_and_floor(self.prefs, self.load_min)
         for acd in self.acd_min:
             if acd is not None and acd < 0:
                 raise ValueError(f"ACD must be non-negative, got {acd}")

@@ -9,9 +9,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from html import escape
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .aggregate import ClosedInterval
 from .domain import format_ts
@@ -19,59 +18,23 @@ from .rejection import QualityInput, RejectionResult, round_half_up
 
 TABLE_FORMATS = ("html", "csv", "json")
 
-INTERVAL_COLUMNS = [
-    "date_time",
-    "vendor",
-    "priority",
-    "calls_zero",
-    "calls_0_5s",
-    "calls_5_30s",
-    "calls_over_30s",
-    "calls",
-    "total_minutes",
-    "acd_min",
-    "target_balance_pct",
-    "received",
-    "rejected",
-]
-
-_INTERVAL_HEADINGS = [
-    "Date and time",
-    "Vendor",
-    "Priority",
-    "=0s",
-    "0-5s",
-    "5-30s",
-    ">30s",
-    "Calls",
-    "Total minutes",
-    "ACD (min)",
-    "Target balance",
-    "Received",
-    "Rejected",
-]
-
-
-@dataclass(frozen=True)
-class IntervalReportRow:
-    """One vendor's formatted line of the interval table."""
-
-    date_time: str
-    vendor: str
-    priority: str
-    calls_zero: str
-    calls_0_5s: str
-    calls_5_30s: str
-    calls_over_30s: str
-    calls: str
-    total_minutes: str
-    acd_min: str
-    target_balance_pct: str
-    received: str
-    rejected: str
-
-    def as_list(self) -> List[str]:
-        return [getattr(self, column) for column in INTERVAL_COLUMNS]
+# column name -> html heading, in table order
+_HEADINGS = {
+    "date_time": "Date and time",
+    "vendor": "Vendor",
+    "priority": "Priority",
+    "calls_zero": "=0s",
+    "calls_0_5s": "0-5s",
+    "calls_5_30s": "5-30s",
+    "calls_over_30s": ">30s",
+    "calls": "Calls",
+    "total_minutes": "Total minutes",
+    "acd_min": "ACD (min)",
+    "target_balance_pct": "Target balance",
+    "received": "Received",
+    "rejected": "Rejected",
+}
+INTERVAL_COLUMNS = list(_HEADINGS)
 
 
 def _balance_percents(interval: ClosedInterval) -> List[Optional[int]]:
@@ -83,35 +46,32 @@ def _balance_percents(interval: ClosedInterval) -> List[Optional[int]]:
     return [first, 100 - first]
 
 
-def build_interval_rows(history: Sequence[ClosedInterval]) -> List[IntervalReportRow]:
-    """Two rows per closed interval, newest interval first."""
-    rows: List[IntervalReportRow] = []
+def build_interval_rows(history: Sequence[ClosedInterval]) -> List[Dict[str, str]]:
+    """Two rows per closed interval, newest interval first; each row maps
+    every column of ``INTERVAL_COLUMNS`` to its cell text."""
+    rows: List[Dict[str, str]] = []
     ordered = sorted(history, key=lambda iv: iv.closed_at, reverse=True)
     for interval in ordered:
         balance = _balance_percents(interval)
         for idx, stats in enumerate(interval.stats):
             vendor = interval.vendors[idx]
-            rows.append(
-                IntervalReportRow(
-                    date_time=format_ts(interval.closed_at),
-                    vendor=str(vendor),
-                    priority=str(interval.prefs[idx]),
-                    calls_zero=str(stats.bucket_zero),
-                    calls_0_5s=str(stats.bucket_0_5),
-                    calls_5_30s=str(stats.bucket_5_30),
-                    calls_over_30s=str(stats.bucket_over_30),
-                    calls=str(stats.calls),
-                    total_minutes=f"{round_half_up(stats.total_minutes, 1):.1f}",
-                    acd_min=""
-                    if stats.acd_min is None
-                    else f"{round_half_up(stats.acd_min, 2):.2f}",
-                    target_balance_pct=""
-                    if balance[idx] is None
-                    else str(balance[idx]),
-                    received=str(interval.received.get(vendor, 0)),
-                    rejected=str(interval.rejected.get(vendor, 0)),
-                )
-            )
+            rows.append({
+                "date_time": format_ts(interval.closed_at),
+                "vendor": str(vendor),
+                "priority": str(interval.prefs[idx]),
+                "calls_zero": str(stats.bucket_zero),
+                "calls_0_5s": str(stats.bucket_0_5),
+                "calls_5_30s": str(stats.bucket_5_30),
+                "calls_over_30s": str(stats.bucket_over_30),
+                "calls": str(stats.calls),
+                "total_minutes": f"{round_half_up(stats.total_minutes, 1):.1f}",
+                "acd_min": ""
+                if stats.acd_min is None
+                else f"{round_half_up(stats.acd_min, 2):.2f}",
+                "target_balance_pct": "" if balance[idx] is None else str(balance[idx]),
+                "received": str(interval.received.get(vendor, 0)),
+                "rejected": str(interval.rejected.get(vendor, 0)),
+            })
     return rows
 
 
@@ -122,16 +82,12 @@ def render_interval_table(history: Sequence[ClosedInterval], format: str) -> str
     rows = build_interval_rows(history)
     if format == "csv":
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(INTERVAL_COLUMNS)
-        for row in rows:
-            writer.writerow(row.as_list())
+        writer = csv.DictWriter(buffer, INTERVAL_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
         return buffer.getvalue()
     if format == "json":
-        payload = {
-            "columns": INTERVAL_COLUMNS,
-            "rows": [dict(zip(INTERVAL_COLUMNS, row.as_list())) for row in rows],
-        }
+        payload = {"columns": INTERVAL_COLUMNS, "rows": rows}
         return json.dumps(payload, indent=2) + "\n"
     return _interval_html(rows, history)
 
@@ -146,30 +102,39 @@ _HTML_STYLE = (
 )
 
 
-def _interval_html(rows: Sequence[IntervalReportRow], history: Sequence[ClosedInterval]) -> str:
-    as_of = ""
-    if history:
-        latest = max(iv.closed_at for iv in history)
-        as_of = f" (as of {escape(format_ts(latest))})"
+def _html_table(title: str, caption: str, headings: Sequence[str],
+                rows: Sequence[Sequence[str]]) -> str:
+    """A self-contained page holding one table; every cell is escaped."""
     lines = [
         "<!DOCTYPE html>",
         "<html><head><meta charset='utf-8'>",
-        "<title>Traffic balance with quality routing</title>",
+        f"<title>{title}</title>",
         f"<style>{_HTML_STYLE}</style>",
         "</head><body>",
         "<table>",
-        f"<caption>Traffic balance with quality routing{as_of}</caption>",
-        "<tr>" + "".join(f"<th>{escape(h)}</th>" for h in _INTERVAL_HEADINGS) + "</tr>",
+        f"<caption>{caption}</caption>",
+        "<tr>" + "".join(f"<th>{escape(h)}</th>" for h in headings) + "</tr>",
     ]
-    for row in rows:
-        cells = []
-        for column, value in zip(INTERVAL_COLUMNS, row.as_list()):
-            if column == "target_balance_pct" and value != "":
-                value = f"{value} %"
-            cells.append(f"<td>{escape(value)}</td>")
-        lines.append("<tr>" + "".join(cells) + "</tr>")
+    for cells in rows:
+        lines.append("<tr>" + "".join(f"<td>{escape(c)}</td>" for c in cells) + "</tr>")
     lines += ["</table>", "</body></html>", ""]
     return "\n".join(lines)
+
+
+def _interval_html(rows: Sequence[Dict[str, str]], history: Sequence[ClosedInterval]) -> str:
+    title = "Traffic balance with quality routing"
+    caption = title
+    if history:
+        latest = max(iv.closed_at for iv in history)
+        caption += f" (as of {escape(format_ts(latest))})"
+    cells = [
+        [
+            f"{row[column]} %" if column == "target_balance_pct" and row[column] else row[column]
+            for column in INTERVAL_COLUMNS
+        ]
+        for row in rows
+    ]
+    return _html_table(title, caption, list(_HEADINGS.values()), cells)
 
 
 CALC_FORMATS = ("txt", "html")
@@ -217,19 +182,7 @@ def render_calc_breakdown(
         for label, (a, b) in zip(_CALC_LABELS, cells):
             lines.append(f"{label:<{label_width}}  {a:>12} {b:>12}")
         return "\n".join(lines) + "\n"
-    lines = [
-        "<!DOCTYPE html>",
-        "<html><head><meta charset='utf-8'>",
-        "<title>Rejection calculator</title>",
-        f"<style>{_HTML_STYLE}</style>",
-        "</head><body>",
-        "<table>",
-        "<caption>Rejection calculator</caption>",
-        "<tr><th></th><th>Route A</th><th>Route B</th></tr>",
-    ]
-    for label, (a, b) in zip(_CALC_LABELS, cells):
-        lines.append(
-            f"<tr><td>{escape(label)}</td><td>{escape(a)}</td><td>{escape(b)}</td></tr>"
-        )
-    lines += ["</table>", "</body></html>", ""]
-    return "\n".join(lines)
+    rows = [[label, a, b] for label, (a, b) in zip(_CALC_LABELS, cells)]
+    return _html_table(
+        "Rejection calculator", "Rejection calculator", ["", "Route A", "Route B"], rows
+    )

@@ -10,8 +10,10 @@ same scenario are identical event for event.
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -25,16 +27,16 @@ from .aggregate import (
     ClosedInterval,
     IntervalAggregator,
 )
+from .codec import decode
 from .domain import (
+    DEFAULT_LOAD_MIN,
     CallRecord,
     DisconnectCause,
     ResponseClass,
+    RouteGroup,
     classify_response,
-    format_ts,
-    parse_ts,
     triggers_failover,
-    validate_preference,
-    validate_vendor_id,
+    whole_seconds,
 )
 from .store import AcdVendorsTable, CdrStore
 
@@ -68,32 +70,15 @@ class DurationSpec:
             return rng.uniform(self.low_s, self.high_s)
         return self.value_s
 
-    def to_dict(self) -> dict:
-        if self.family == "exponential":
-            return {"family": self.family, "mean_s": self.mean_s}
-        if self.family == "uniform":
-            return {"family": self.family, "low_s": self.low_s, "high_s": self.high_s}
-        return {"family": self.family, "value_s": self.value_s}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "DurationSpec":
-        family = data.get("family", "exponential")
-        params = dict(data)
-        params.pop("family", None)
+    @staticmethod
+    def _decode_defaults(data: dict, path: str) -> dict:
+        data.setdefault("family", "exponential")
         # minute-denominated aliases, converted on the way in
-        for minute_key, second_key in (
-            ("mean_min", "mean_s"),
-            ("low_min", "low_s"),
-            ("high_min", "high_s"),
-            ("value_min", "value_s"),
-        ):
-            if minute_key in params:
-                params[second_key] = float(params.pop(minute_key)) * 60.0
-        known = {"mean_s", "low_s", "high_s", "value_s"}
-        unknown = set(params) - known
-        if unknown:
-            raise ValueError(f"unknown duration parameters: {sorted(unknown)}")
-        return cls(family=family, **{k: float(v) for k, v in params.items()})
+        for name in ("mean", "low", "high", "value"):
+            if f"{name}_min" in data:
+                minutes = decode(float, data.pop(f"{name}_min"), f"{path}.{name}_min")
+                data[f"{name}_s"] = minutes * 60.0
+        return data
 
 
 HONEST = "honest"
@@ -129,27 +114,14 @@ class VendorModel:
         if not triggers_failover(classify_response(self.failure_code)):
             raise ValueError(f"failure code {self.failure_code} would not trigger failover")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "answer_prob": self.answer_prob,
-            "duration": self.duration.to_dict(),
-            "failure_code": self.failure_code,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "VendorModel":
-        kind = data.get("kind")
-        duration_data = data.get("duration", data.get("hold"))
-        if duration_data is None:
-            raise ValueError("vendor model needs a duration (or hold) distribution")
-        default_failure = 408 if kind == FALSE_ANSWER else 480
-        return cls(
-            kind=kind,
-            answer_prob=float(data.get("answer_prob", 1.0 if kind == FALSE_ANSWER else 0.7)),
-            duration=DurationSpec.from_dict(duration_data),
-            failure_code=int(data.get("failure_code", default_failure)),
-        )
+    @staticmethod
+    def _decode_defaults(data: dict, path: str) -> dict:
+        if "hold" in data and "duration" not in data:
+            data["duration"] = data.pop("hold")
+        fraud = data.get("kind") == FALSE_ANSWER
+        data.setdefault("answer_prob", 1.0 if fraud else 0.7)
+        data.setdefault("failure_code", 408 if fraud else 480)
+        return data
 
 
 def vendor_leg(model: VendorModel, rng: random.Random) -> Tuple[int, int]:
@@ -170,17 +142,6 @@ class VendorSpec:
     pref: int
     model: VendorModel
 
-    def to_dict(self) -> dict:
-        return {"vendor": self.vendor, "pref": self.pref, "model": self.model.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "VendorSpec":
-        return cls(
-            vendor=int(data["vendor"]),
-            pref=int(data["pref"]),
-            model=VendorModel.from_dict(data["model"]),
-        )
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -190,7 +151,7 @@ class ScenarioConfig:
     arrival_rate_per_min: float
     duration_min: float
     vendors: Tuple[VendorSpec, VendorSpec]
-    load_min: float = 0.1
+    load_min: float = DEFAULT_LOAD_MIN
     tick_period_min: float = TICK_PERIOD_S / 60
     min_interval_min: float = MIN_INTERVAL_AGE_S / 60
     min_calls: int = MIN_INTERVAL_CALLS
@@ -201,83 +162,33 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if len(self.vendors) != 2:
             raise ValueError("a scenario routes between exactly two vendors")
-        ids = [spec.vendor for spec in self.vendors]
-        if len(set(ids)) != 2:
-            raise ValueError("vendor ids must be distinct")
-        for v in ids:
-            validate_vendor_id(v)
-        prefs = [spec.pref for spec in self.vendors]
-        for p in prefs:
-            validate_preference(p)
-        if prefs[0] == prefs[1]:
-            raise ValueError("the two routes must have distinct billing preferences")
+        self.group  # validates the route pair
         if self.arrival_rate_per_min <= 0:
             raise ValueError("arrival rate must be positive")
         if self.duration_min <= 0:
             raise ValueError("scenario duration must be positive")
-        if not 0.0 <= self.load_min < 0.5:
-            raise ValueError(f"load_min must lie in [0, 0.5), got {self.load_min}")
-        if self.tick_period_min <= 0 or self.min_interval_min <= 0 or self.min_calls < 1:
+        if self.tick_period_s <= 0 or self.min_age_s <= 0 or self.min_calls < 1:
             raise ValueError("interval parameters must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "start_time": format_ts(self.start_time),
-            "arrival_rate_per_min": self.arrival_rate_per_min,
-            "duration_min": self.duration_min,
-            "load_min": self.load_min,
-            "tick_period_min": self.tick_period_min,
-            "min_interval_min": self.min_interval_min,
-            "min_calls": self.min_calls,
-            "admission_enabled": self.admission_enabled,
-            "dest_prefix": self.dest_prefix,
-            "vendors": [spec.to_dict() for spec in self.vendors],
-        }
+    @property
+    def group(self) -> RouteGroup:
+        return RouteGroup(
+            vendors=(self.vendors[0].vendor, self.vendors[1].vendor),
+            prefs=(self.vendors[0].pref, self.vendors[1].pref),
+            load_min=self.load_min,
+        )
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ScenarioConfig":
-        known = {
-            "seed",
-            "start_time",
-            "arrival_rate_per_min",
-            "duration_min",
-            "load_min",
-            "tick_period_min",
-            "min_interval_min",
-            "min_calls",
-            "admission_enabled",
-            "dest_prefix",
-            "vendors",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
-        try:
-            vendors = tuple(VendorSpec.from_dict(v) for v in data["vendors"])
-            return cls(
-                seed=int(data["seed"]),
-                arrival_rate_per_min=float(data["arrival_rate_per_min"]),
-                duration_min=float(data["duration_min"]),
-                vendors=vendors,
-                load_min=float(data.get("load_min", 0.1)),
-                tick_period_min=float(data.get("tick_period_min", TICK_PERIOD_S / 60)),
-                min_interval_min=float(data.get("min_interval_min", MIN_INTERVAL_AGE_S / 60)),
-                min_calls=int(data.get("min_calls", MIN_INTERVAL_CALLS)),
-                admission_enabled=bool(data.get("admission_enabled", True)),
-                start_time=parse_ts(data["start_time"]) if "start_time" in data else DEFAULT_START,
-                dest_prefix=str(data.get("dest_prefix", "")),
-            )
-        except KeyError as exc:
-            raise ValueError(f"scenario config is missing {exc.args[0]!r}") from None
+    @property
+    def tick_period_s(self) -> int:
+        return whole_seconds(self.tick_period_min)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioConfig":
-        return cls.from_dict(json.loads(text))
+    @property
+    def min_age_s(self) -> int:
+        return whole_seconds(self.min_interval_min)
 
     @classmethod
     def load(cls, path: Path) -> "ScenarioConfig":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        return decode(cls, json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def billing_route(
@@ -326,51 +237,38 @@ class ScenarioResult:
 
     def final_targets(self) -> Dict[int, float]:
         """Targets in force at the end of the run (zero before any close)."""
-        vendors = [spec.vendor for spec in self.config.vendors]
-        if not self.interval_history:
-            return {v: 0.0 for v in vendors}
-        last = self.interval_history[-1]
-        return {
-            vendors[0]: last.result.reject_pct_exact[0],
-            vendors[1]: last.result.reject_pct_exact[1],
-        }
+        history = self.interval_history
+        exact = history[-1].result.reject_pct_exact if history else (0.0, 0.0)
+        return dict(zip(self.config.group.vendors, exact))
 
     def traffic_share(self) -> List[Dict[int, float]]:
         """Per-interval share of answered minutes per vendor."""
-        shares = []
-        for interval in self.interval_history:
-            total = sum(s.total_minutes for s in interval.stats)
-            if total > 0:
-                shares.append(
-                    {s.vendor: s.total_minutes / total for s in interval.stats}
-                )
-            else:
-                shares.append({s.vendor: 0.0 for s in interval.stats})
-        return shares
+        return [
+            _shares({s.vendor: s.total_minutes for s in interval.stats})
+            for interval in self.interval_history
+        ]
 
     def answered_minutes_share(self, from_interval: int = 0) -> Dict[int, float]:
         """Share of answered minutes per vendor, summed over intervals
         ``from_interval`` onward."""
-        totals: Dict[int, float] = {}
+        totals: Counter = Counter()
         for interval in self.interval_history[from_interval:]:
-            for s in interval.stats:
-                totals[s.vendor] = totals.get(s.vendor, 0.0) + s.total_minutes
-        grand = sum(totals.values())
-        if grand == 0:
-            return {v: 0.0 for v in totals}
-        return {v: minutes / grand for v, minutes in totals.items()}
+            totals.update({s.vendor: s.total_minutes for s in interval.stats})
+        return _shares(totals)
 
     def routed_share(self, from_interval: int = 0) -> Dict[int, float]:
         """Share of admitted (passed-through) calls per vendor over closed
         intervals ``from_interval`` onward, from the router counters."""
-        totals: Dict[int, int] = {}
+        totals: Counter = Counter()
         for interval in self.interval_history[from_interval:]:
-            for vendor, count in interval.received.items():
-                totals[vendor] = totals.get(vendor, 0) + count
-        grand = sum(totals.values())
-        if grand == 0:
-            return {v: 0.0 for v in totals}
-        return {v: count / grand for v, count in totals.items()}
+            totals.update(interval.received)
+        return _shares(totals)
+
+
+def _shares(totals: Mapping[int, float]) -> Dict[int, float]:
+    """Each vendor's fraction of the total; all zero when the total is."""
+    grand = sum(totals.values())
+    return {v: amount / grand if grand else 0.0 for v, amount in totals.items()}
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
@@ -383,25 +281,26 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     flight then simply never get aggregated.
     """
     traffic_rng = random.Random(config.seed)
-    vendors = tuple(spec.vendor for spec in config.vendors)
+    group = config.group
     prefs_map = {spec.vendor: spec.pref for spec in config.vendors}
     models = {spec.vendor: spec.model for spec in config.vendors}
 
-    controller = AdmissionController(vendors=vendors, seed=config.seed + 1)
+    controller = AdmissionController(group, seed=config.seed + 1)
     cdr_store = CdrStore()
+    tick_period_s = config.tick_period_s
     aggregator = IntervalAggregator(
-        vendors=vendors,
-        prefs=tuple(spec.pref for spec in config.vendors),
+        group,
         cdr_store=cdr_store,
         opened_at=config.start_time,
-        load_min=config.load_min,
-        tick_period_s=int(config.tick_period_min * 60),
-        min_age_s=int(config.min_interval_min * 60),
+        tick_period_s=tick_period_s,
+        min_age_s=config.min_age_s,
         min_calls=config.min_calls,
         dest_prefix=config.dest_prefix,
         counter_source=controller.snapshot_and_reset_counters,
     )
 
+    # every arrival is drawn before the first call is handled: vendor legs
+    # draw from the same generator, so the order of draws fixes the traffic
     duration_s = config.duration_min * 60.0
     rate_per_s = config.arrival_rate_per_min / 60.0
     arrivals: List[float] = []
@@ -412,46 +311,30 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     decision_log: List[DecisionRecord] = []
     abandoned = 0
-    seq = 0
 
     def handle_call(t_s: float, call_id: str) -> bool:
         """Returns True when the call was answered somewhere."""
-        nonlocal seq
         connect = config.start_time + timedelta(seconds=int(t_s))
         history: List[Tuple[int, int]] = []
         while True:
             vendor = billing_route(prefs_map, history)
             if vendor is None:
-                answered = bool(history) and classify_response(
-                    history[-1][1]
-                ) is ResponseClass.SUCCESS
-                return answered
+                return bool(history) and classify_response(history[-1][1]) is ResponseClass.SUCCESS
             decision = controller.decide(call_id, vendor, now=t_s)
-            controller.record_decision(vendor, decision)
             decision_log.append(
-                DecisionRecord(seq, t_s, call_id, vendor, decision.accepted, decision.code)
-            )
-            seq += 1
-            if not decision.accepted:
-                cdr_store.append_cdr(
-                    CallRecord(
-                        call_id=call_id,
-                        vendor=vendor,
-                        connect_time=connect,
-                        disconnect_time=connect,
-                        duration_s=0,
-                        cause=DisconnectCause.OTHER,
-                        rejected_by_router=True,
-                    )
+                DecisionRecord(
+                    len(decision_log), t_s, call_id, vendor, decision.accepted, decision.code
                 )
-                history.append((vendor, decision.code))
-                continue
-            code, leg_duration = vendor_leg(models[vendor], traffic_rng)
-            cause = (
-                DisconnectCause.NORMAL_CLEARING
-                if classify_response(code) is ResponseClass.SUCCESS
-                else DisconnectCause.NO_USER_RESPONDING
             )
+            if decision.accepted:
+                code, leg_duration = vendor_leg(models[vendor], traffic_rng)
+                cause = (
+                    DisconnectCause.NORMAL_CLEARING
+                    if classify_response(code) is ResponseClass.SUCCESS
+                    else DisconnectCause.NO_USER_RESPONDING
+                )
+            else:
+                code, leg_duration, cause = decision.code, 0, DisconnectCause.OTHER
             cdr_store.append_cdr(
                 CallRecord(
                     call_id=call_id,
@@ -460,34 +343,22 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                     disconnect_time=connect + timedelta(seconds=leg_duration),
                     duration_s=leg_duration,
                     cause=cause,
-                    rejected_by_router=False,
+                    rejected_by_router=not decision.accepted,
                 )
             )
             history.append((vendor, code))
 
-    tick_period_s = int(config.tick_period_min * 60)
+    # one event loop over (time, arrival index) pairs; a tick carries index -1,
+    # so it sorts before an arrival at the same time
     num_ticks = int(duration_s // tick_period_s)
-
-    next_arrival = 0
-    for tick_idx in range(1, num_ticks + 1):
-        tick_s = tick_idx * tick_period_s
-        # arrivals strictly before the tick; the tick wins exact ties so a
-        # call arriving on the boundary already sees the refreshed targets
-        while next_arrival < len(arrivals) and arrivals[next_arrival] < tick_s:
-            t_s = arrivals[next_arrival]
-            call_id = f"c{next_arrival + 1:06d}"
-            if not handle_call(t_s, call_id):
-                abandoned += 1
-            next_arrival += 1
-        closed = aggregator.tick(config.start_time + timedelta(seconds=tick_s))
-        if closed is not None and config.admission_enabled:
-            controller.refresh_targets(closed.result)
-    while next_arrival < len(arrivals):
-        t_s = arrivals[next_arrival]
-        call_id = f"c{next_arrival + 1:06d}"
-        if not handle_call(t_s, call_id):
+    ticks = ((k * tick_period_s, -1) for k in range(1, num_ticks + 1))
+    for t_s, idx in heapq.merge(ticks, ((t, i) for i, t in enumerate(arrivals))):
+        if idx < 0:
+            closed = aggregator.tick(config.start_time + timedelta(seconds=t_s))
+            if closed is not None and config.admission_enabled:
+                controller.refresh_targets(closed.result)
+        elif not handle_call(t_s, f"c{idx + 1:06d}"):
             abandoned += 1
-        next_arrival += 1
 
     return ScenarioResult(
         config=config,

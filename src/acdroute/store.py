@@ -13,7 +13,7 @@ import threading
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from .domain import CallRecord, DisconnectCause, format_ts, parse_ts
 
@@ -29,6 +29,8 @@ CDR_CSV_HEADER = [
 
 ACD_CSV_HEADER = ["id", "vendor", "date", "acd_min", "reject_pct", "prefix"]
 
+T = TypeVar("T")
+
 
 def _cdr_fields(record: CallRecord) -> List[str]:
     return [
@@ -42,23 +44,24 @@ def _cdr_fields(record: CallRecord) -> List[str]:
     ]
 
 
+def _int_field(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"bad {what} {text!r}") from None
+
+
 def _parse_cdr_fields(fields: List[str]) -> CallRecord:
     if len(fields) != len(CDR_CSV_HEADER):
         raise ValueError(f"expected {len(CDR_CSV_HEADER)} fields, got {len(fields)}")
     call_id, vendor_s, connect_s, disconnect_s, duration_s, cause_s, rejected_s = fields
-    try:
-        vendor = int(vendor_s)
-    except ValueError:
-        raise ValueError(f"bad vendor id {vendor_s!r}") from None
+    vendor = _int_field(vendor_s, "vendor id")
     try:
         connect = parse_ts(connect_s)
         disconnect = parse_ts(disconnect_s)
     except ValueError:
         raise ValueError("bad timestamp (want YYYY-MM-DD HH:MM:SS)") from None
-    try:
-        duration = int(duration_s)
-    except ValueError:
-        raise ValueError(f"bad duration {duration_s!r}") from None
+    duration = _int_field(duration_s, "duration")
     try:
         cause = DisconnectCause(cause_s)
     except ValueError:
@@ -76,69 +79,109 @@ def _parse_cdr_fields(fields: List[str]) -> CallRecord:
     )
 
 
-def write_cdr_csv(path: Path, records: List[CallRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CDR_CSV_HEADER)
-        for record in records:
-            writer.writerow(_cdr_fields(record))
+def _csv_text(rows: Iterable[List[str]]) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
-def read_cdr_csv(path: Path) -> Tuple[List[CallRecord], List[Tuple[int, str]]]:
-    """Parse a CDR CSV file.
-
-    Returns (records, errors) where errors are (line_number, message) pairs;
-    well-formed rows are kept even when other rows are malformed.
-    """
-    records: List[CallRecord] = []
+def _read_csv(
+    path: Path, header: List[str], parse: Callable[[List[str]], T]
+) -> Tuple[List[T], List[Tuple[int, str]]]:
+    """Parse a headed CSV file into (records, errors), where errors are
+    (line_number, message) pairs; well-formed rows are kept even when other
+    rows are malformed."""
+    records: List[T] = []
     errors: List[Tuple[int, str]] = []
     with open(path, "r", newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        for lineno, row in enumerate(reader, start=1):
+        for lineno, row in enumerate(csv.reader(handle), start=1):
             if not row:
                 continue
             if lineno == 1:
-                if row != CDR_CSV_HEADER:
-                    errors.append((1, f"bad header, want {','.join(CDR_CSV_HEADER)}"))
+                if row != header:
+                    errors.append((1, f"bad header, want {','.join(header)}"))
                 continue
             try:
-                records.append(_parse_cdr_fields(row))
+                records.append(parse(row))
             except ValueError as exc:
                 errors.append((lineno, str(exc)))
     return records, errors
+
+
+def _read_strict(path: Path, header: List[str], parse: Callable[[List[str]], T]) -> List[T]:
+    """Like ``_read_csv``, but the first malformed line is an error."""
+    records, errors = _read_csv(path, header, parse)
+    if errors:
+        lineno, message = errors[0]
+        raise ValueError(f"{path}: line {lineno}: {message}")
+    return records
+
+
+class _CsvLog:
+    """The append-only record list behind both stores, mirrored to a CSV file
+    when given a path: an existing file is read back (its first malformed line
+    is an error), a new one gets the header, and each ``append`` is one write
+    plus a flush before the records become visible, so a failed write changes
+    nothing. Callers hold ``lock`` around ``append`` and every read of ``records``.
+    """
+
+    def __init__(self, path: Optional[Path], header: List[str], parse: Callable, fields: Callable):
+        self.lock = threading.Lock()
+        self.records: List[T] = []
+        self._fields = fields
+        self._handle: Optional[io.TextIOWrapper] = None
+        if path is not None:
+            path = Path(path)
+            new_file = not path.exists() or path.stat().st_size == 0
+            if not new_file:
+                self.records = _read_strict(path, header, parse)
+            self._handle = open(path, "a", newline="", encoding="utf-8")
+            if new_file:
+                self._write([header])
+
+    def append(self, records: Sequence[T]) -> None:
+        if self._handle is not None:
+            self._write([self._fields(record) for record in records])
+        self.records.extend(records)
+
+    def _write(self, rows: List[List[str]]) -> None:
+        self._handle.write(_csv_text(rows))
+        self._handle.flush()
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+
+def write_csv(path: Path, header: List[str], rows: Iterable[Sequence[object]]) -> None:
+    """Write a headed CSV file, one row at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_cdr_csv(path: Path, records: List[CallRecord]) -> None:
+    write_csv(path, CDR_CSV_HEADER, map(_cdr_fields, records))
+
+
+def read_cdr_csv(path: Path) -> Tuple[List[CallRecord], List[Tuple[int, str]]]:
+    """Parse a CDR CSV file into (records, errors); see ``_read_csv``."""
+    return _read_csv(path, CDR_CSV_HEADER, _parse_cdr_fields)
 
 
 class CdrStore:
     """Append-only CDR log with range queries over disconnect time."""
 
     def __init__(self, path: Optional[Path] = None):
-        self._lock = threading.Lock()
-        self._records: List[CallRecord] = []
-        self._path = Path(path) if path is not None else None
-        self._handle: Optional[io.TextIOWrapper] = None
-        if self._path is not None:
-            new_file = not self._path.exists() or self._path.stat().st_size == 0
-            if not new_file:
-                records, errors = read_cdr_csv(self._path)
-                if errors:
-                    lineno, message = errors[0]
-                    raise ValueError(f"{self._path}: line {lineno}: {message}")
-                self._records = records
-            self._handle = open(self._path, "a", newline="", encoding="utf-8")
-            if new_file:
-                writer = csv.writer(self._handle, lineterminator="\n")
-                writer.writerow(CDR_CSV_HEADER)
-                self._handle.flush()
+        self._log = _CsvLog(path, CDR_CSV_HEADER, _parse_cdr_fields, _cdr_fields)
 
     def append_cdr(self, record: CallRecord) -> int:
         """Durably append one record; returns its monotonically increasing id."""
-        with self._lock:
-            self._records.append(record)
-            if self._handle is not None:
-                writer = csv.writer(self._handle, lineterminator="\n")
-                writer.writerow(_cdr_fields(record))
-                self._handle.flush()
-            return len(self._records)
+        with self._log.lock:
+            self._log.append((record,))
+            return len(self._log.records)
 
     def query_cdrs(
         self,
@@ -151,8 +194,8 @@ class CdrStore:
             start, end = time_range
             if end < start:
                 raise ValueError(f"inverted time range: {start} .. {end}")
-        with self._lock:
-            indexed = list(enumerate(self._records))
+        with self._log.lock:
+            indexed = list(enumerate(self._log.records))
         out = []
         for idx, record in indexed:
             if vendor is not None and record.vendor != vendor:
@@ -164,13 +207,11 @@ class CdrStore:
         return [record for _, _, record in out]
 
     def all_records(self) -> List[CallRecord]:
-        with self._lock:
-            return list(self._records)
+        with self._log.lock:
+            return list(self._log.records)
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._log.close()
 
 
 @dataclass(frozen=True)
@@ -205,8 +246,8 @@ def _parse_acd_fields(fields: List[str]) -> AcdRow:
         raise ValueError(f"expected {len(ACD_CSV_HEADER)} fields, got {len(fields)}")
     id_s, vendor_s, date_s, acd_s, reject_s, prefix = fields
     return AcdRow(
-        id=int(id_s),
-        vendor=int(vendor_s),
+        id=_int_field(id_s, "row id"),
+        vendor=_int_field(vendor_s, "vendor id"),
         date=parse_ts(date_s),
         acd_min=None if acd_s == "" else float(acd_s),
         reject_pct=float(reject_s),
@@ -218,19 +259,7 @@ class AcdVendorsTable:
     """Closed-interval rows, two per interval, inserted atomically as a pair."""
 
     def __init__(self, path: Optional[Path] = None):
-        self._lock = threading.Lock()
-        self._rows: List[AcdRow] = []
-        self._path = Path(path) if path is not None else None
-        if self._path is not None and self._path.exists() and self._path.stat().st_size:
-            self._rows = read_acd_csv(self._path)
-        self._handle: Optional[io.TextIOWrapper] = None
-        if self._path is not None:
-            new_file = not self._path.exists() or self._path.stat().st_size == 0
-            self._handle = open(self._path, "a", newline="", encoding="utf-8")
-            if new_file:
-                writer = csv.writer(self._handle, lineterminator="\n")
-                writer.writerow(ACD_CSV_HEADER)
-                self._handle.flush()
+        self._log = _CsvLog(path, ACD_CSV_HEADER, _parse_acd_fields, _acd_fields)
 
     def insert_acd_rows(
         self,
@@ -243,64 +272,34 @@ class AcdVendorsTable:
         becomes visible atomically: a reader never sees one row without the
         other, and latest_pair always reflects the highest-id pair.
         """
-        with self._lock:
-            next_id = len(self._rows) + 1
+        with self._log.lock:
+            next_id = len(self._log.records) + 1
             rows = (
                 AcdRow(next_id, *first),
                 AcdRow(next_id + 1, *second),
             )
-            if self._handle is not None:
-                buffer = io.StringIO()
-                writer = csv.writer(buffer, lineterminator="\n")
-                writer.writerow(_acd_fields(rows[0]))
-                writer.writerow(_acd_fields(rows[1]))
-                # single write + flush so a crash cannot split the pair
-                self._handle.write(buffer.getvalue())
-                self._handle.flush()
-            self._rows.extend(rows)
+            self._log.append(rows)
             return rows[0].id, rows[1].id
 
     def latest_pair(self) -> Optional[Tuple[AcdRow, AcdRow]]:
-        with self._lock:
-            if not self._rows:
+        with self._log.lock:
+            if not self._log.records:
                 return None
-            return self._rows[-2], self._rows[-1]
+            return self._log.records[-2], self._log.records[-1]
 
     def rows(self) -> List[AcdRow]:
-        with self._lock:
-            return list(self._rows)
+        with self._log.lock:
+            return list(self._log.records)
 
     def to_csv_text(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(ACD_CSV_HEADER)
-        for row in self.rows():
-            writer.writerow(_acd_fields(row))
-        return buffer.getvalue()
+        return _csv_text([ACD_CSV_HEADER] + [_acd_fields(row) for row in self.rows()])
 
     def export_csv(self, path: Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            handle.write(self.to_csv_text())
+        write_csv(path, ACD_CSV_HEADER, map(_acd_fields, self.rows()))
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._log.close()
 
 
 def read_acd_csv(path: Path) -> List[AcdRow]:
-    rows: List[AcdRow] = []
-    with open(path, "r", newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        for lineno, fields in enumerate(reader, start=1):
-            if not fields:
-                continue
-            if lineno == 1:
-                if fields != ACD_CSV_HEADER:
-                    raise ValueError(f"{path}: bad header on line 1")
-                continue
-            try:
-                rows.append(_parse_acd_fields(fields))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return rows
+    return _read_strict(path, ACD_CSV_HEADER, _parse_acd_fields)

@@ -15,6 +15,7 @@ import pytest
 from acdroute.admission import AdmissionController
 from acdroute.aggregate import IntervalAggregator, vendor_stats
 from acdroute.cli import main
+from acdroute.domain import RouteGroup
 from acdroute.rejection import QualityInput, compute_rejection, round_half_up
 from acdroute.sim import (
     DurationSpec,
@@ -90,7 +91,7 @@ def test_criterion_4_interval_property_suite():
         store = CdrStore()
         for record in cdrs:
             store.append_cdr(record)
-        agg = IntervalAggregator(vendors=(55, 62), prefs=(9, 8),
+        agg = IntervalAggregator(RouteGroup((55, 62), (9, 8)),
                                  cdr_store=store, opened_at=T0)
         last_end = max(r.disconnect_time for r in cdrs)
         k = 1
@@ -116,7 +117,7 @@ def test_criterion_4_interval_property_suite():
 
 def test_criterion_5_admission_statistics():
     started = time.monotonic()
-    controller = AdmissionController(vendors=(55, 62), seed=202)
+    controller = AdmissionController(RouteGroup((55, 62), (9, 8)), seed=202)
     controller.refresh_targets(compute_rejection(QualityInput((8.67, 0.6), (9, 8), 0.1)))
     n = 100_000
     rejected_ids = []

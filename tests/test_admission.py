@@ -1,18 +1,18 @@
 import random
+import sys
 import threading
 
 import pytest
 
-from acdroute.admission import REJECTION_CODE, AdmissionController, Decision
-from acdroute.domain import classify_response, triggers_failover
+from acdroute.admission import REJECTION_CODE, SEEN_TTL_S, AdmissionController, Decision
+from acdroute.domain import RouteGroup, classify_response, triggers_failover
 from acdroute.rejection import QualityInput, compute_rejection
 
 GOLDEN = compute_rejection(QualityInput((8.67, 0.6), (9, 8), 0.1))  # 12.77 on 55
 
 
-def controller(seed=0, **kwargs):
-    c = AdmissionController(vendors=(55, 62), seed=seed, **kwargs)
-    return c
+def controller(seed=0):
+    return AdmissionController(RouteGroup((55, 62), (9, 8)), seed=seed)
 
 
 class TestDecision:
@@ -43,8 +43,7 @@ class TestDecide:
         c = controller()
         with pytest.raises(ValueError):
             c.decide("c1", 99, now=0.0)
-        with pytest.raises(ValueError):
-            c.record_decision(99, Decision.accept())
+        assert c.counters == ({55: 0, 62: 0}, {55: 0, 62: 0})
 
     def test_at_most_once_per_call(self):
         c = controller(seed=3)
@@ -82,7 +81,7 @@ class TestDecide:
         assert saw_reject
 
     def test_ledger_entry_expires_after_ttl(self):
-        c = controller(seed=2, seen_ttl_s=10.0)
+        c = controller(seed=2)
         half = compute_rejection(QualityInput((5.0, 5.0), (8, 9), 0.1))
         assert half.reject_pct_exact[1] == 50.0
         c.refresh_targets(half)
@@ -92,8 +91,8 @@ class TestDecide:
         while c.decide(call_id, 62, now=t).accepted:
             t += 1.0
         # within TTL the retry passes, after TTL it may be rejected again
-        assert c.decide(call_id, 62, now=t + 5.0).accepted
-        later = t + 11.0
+        assert c.decide(call_id, 62, now=t + SEEN_TTL_S - 1.0).accepted
+        later = t + SEEN_TTL_S + 1.0
         outcomes = {c.decide(call_id, 62, now=later + i).accepted for i in range(200)}
         assert False in outcomes
 
@@ -112,14 +111,13 @@ class TestDecide:
 
 class TestCounters:
     def test_accepts_and_rejects_counted_separately(self):
-        c = controller()
-        for _ in range(5):
-            c.record_decision(55, Decision.accept())
-        for _ in range(2):
-            c.record_decision(55, Decision.reject())
+        c = controller(seed=4)
+        c.refresh_targets(compute_rejection(QualityInput((5.0, 5.0), (9, 8), 0.1)))
+        outcomes = [c.decide(f"c{i}", 55, now=float(i)).accepted for i in range(40)]
         received, rejected = c.counters
-        assert received == {55: 5, 62: 0}
-        assert rejected == {55: 2, 62: 0}
+        assert 0 < outcomes.count(False) < 40
+        assert received == {55: outcomes.count(True), 62: 0}
+        assert rejected == {55: outcomes.count(False), 62: 0}
 
     def test_zero_traffic(self):
         received, rejected = controller().counters
@@ -128,7 +126,7 @@ class TestCounters:
 
     def test_snapshot_resets(self):
         c = controller()
-        c.record_decision(62, Decision.accept())
+        assert c.decide("c1", 62, now=0.0).accepted
         snap = c.snapshot_and_reset_counters()
         assert snap == ({55: 0, 62: 1}, {55: 0, 62: 0})
         received, rejected = c.counters
@@ -142,7 +140,6 @@ class TestCounters:
         for i in range(10_000):
             vendor = rng.choice((55, 62))
             decision = c.decide(f"c{i}", vendor, now=float(i))
-            c.record_decision(vendor, decision)
             log.append((vendor, decision.accepted))
         received, rejected = c.counters
         # independent recount of the log
@@ -162,7 +159,7 @@ class TestCounters:
         for i in range(5000):
             vendor = rng.choice((55, 62))
             arrivals[vendor] += 1
-            c.record_decision(vendor, c.decide(f"c{i}", vendor, now=float(i)))
+            c.decide(f"c{i}", vendor, now=float(i))
         received, rejected = c.counters
         for vendor in (55, 62):
             assert arrivals[vendor] == received[vendor] + rejected[vendor]
@@ -200,8 +197,7 @@ class TestConcurrency:
             try:
                 for i in range(per_thread):
                     vendor = 55 if i % 2 == 0 else 62
-                    decision = c.decide(f"w{worker_id}-{i}", vendor, now=float(i))
-                    c.record_decision(vendor, decision)
+                    c.decide(f"w{worker_id}-{i}", vendor, now=float(i))
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -228,3 +224,39 @@ class TestConcurrency:
         assert total == per_thread * n_threads
         # targets are never torn: always exactly one nonzero, on vendor 55
         assert c.targets[62] == 0.0
+
+    def test_concurrent_snapshots_count_every_decision_once(self):
+        # decisions and interval snapshots race; every decision lands in
+        # exactly one snapshot (or the final counters), counted once
+        c = controller(seed=10)
+        c.refresh_targets(GOLDEN)
+        per_thread, n_threads = 3000, 6
+        snapshots = []
+        stop = threading.Event()
+
+        def worker(worker_id):
+            for i in range(per_thread):
+                c.decide(f"w{worker_id}-{i}", 55 if i % 3 else 62, now=float(i))
+
+        def snapshotter():
+            while not stop.is_set():
+                snapshots.append(c.snapshot_and_reset_counters())
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(w,)) for w in range(n_threads)]
+            snap_thread = threading.Thread(target=snapshotter)
+            snap_thread.start()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            stop.set()
+            snap_thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads) and not snap_thread.is_alive()
+        snapshots.append(c.counters)
+        counted = sum(sum(rec.values()) + sum(rej.values()) for rec, rej in snapshots)
+        assert counted == per_thread * n_threads

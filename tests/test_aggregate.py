@@ -1,3 +1,4 @@
+import json
 import random
 from datetime import timedelta
 
@@ -11,8 +12,12 @@ from acdroute.aggregate import (
     tick_decision,
     vendor_stats,
 )
+from acdroute.codec import decode, encode
+from acdroute.domain import RouteGroup
 from acdroute.store import AcdVendorsTable, CdrStore
 from conftest import T0, make_cdr, spread_cdrs
+
+GROUP = RouteGroup((55, 62), (9, 8))
 
 # duration multisets reproducing the documented bucket/total/ACD combinations
 STRONG_ROW = [0] * 17 + [25] + [851] * 9 + [854]          # 28 calls, 142.3 min
@@ -117,8 +122,7 @@ def _aggregator(cdrs, acd_table=None, **kwargs):
     for record in cdrs:
         store.append_cdr(record)
     return IntervalAggregator(
-        vendors=(55, 62),
-        prefs=(9, 8),
+        GROUP,
         cdr_store=store,
         opened_at=T0,
         acd_table=acd_table,
@@ -149,7 +153,7 @@ class TestCloseInterval:
         assert rows[1].vendor == 62 and rows[1].reject_pct == 0.0
         assert rows[0].prefix == "37410"
         # next interval opens exactly where this one closed
-        assert agg.state.opened_at == closed.closed_at
+        assert agg.opened_at == closed.closed_at
 
     def test_vendor_without_calls_gets_null_row(self):
         cdrs = spread_cdrs(55, [77] * 25)
@@ -187,7 +191,7 @@ class TestCloseInterval:
         cdrs = spread_cdrs(55, GOLDEN_V55) + spread_cdrs(62, GOLDEN_V62)
         agg = _aggregator(cdrs, acd_table=table)
         assert agg.tick(T0 + timedelta(minutes=20)) is None
-        assert agg.state.opened_at == T0  # still open
+        assert agg.opened_at == T0  # still open
         table.fail = False
         closed = agg.tick(T0 + timedelta(minutes=30))  # retried on a later tick
         assert closed is not None
@@ -251,9 +255,7 @@ class TestIntervalScheduleProperties:
             store = CdrStore()
             for record in cdrs:
                 store.append_cdr(record)
-            agg = IntervalAggregator(
-                vendors=(55, 62), prefs=(9, 8), cdr_store=store, opened_at=T0
-            )
+            agg = IntervalAggregator(GROUP, cdr_store=store, opened_at=T0)
             last_end = max(r.disconnect_time for r in cdrs)
             k = 1
             while True:
@@ -284,15 +286,15 @@ class TestReplay:
     def test_shuffle_invariance(self):
         rng = random.Random(77)
         cdrs = _random_stream(rng)
-        history_a, table_a = replay_cdrs(cdrs, vendors=(55, 62), prefs=(9, 8))
+        history_a, table_a = replay_cdrs(cdrs, GROUP)
         shuffled = list(cdrs)
         rng.shuffle(shuffled)
-        history_b, table_b = replay_cdrs(shuffled, vendors=(55, 62), prefs=(9, 8))
+        history_b, table_b = replay_cdrs(shuffled, GROUP)
         assert table_a.to_csv_text() == table_b.to_csv_text()
-        assert [iv.to_dict() for iv in history_a] == [iv.to_dict() for iv in history_b]
+        assert encode(history_a) == encode(history_b)
 
     def test_empty_input(self):
-        history, table = replay_cdrs([], vendors=(55, 62), prefs=(9, 8))
+        history, table = replay_cdrs([], GROUP)
         assert history == []
         assert table.rows() == []
 
@@ -300,7 +302,7 @@ class TestReplay:
         # 25 calls inside the first 5 minutes: the age condition is met only
         # by ticks well past the last record
         cdrs = spread_cdrs(55, [30] * 25, window_s=300)
-        history, _ = replay_cdrs(cdrs, vendors=(55, 62), prefs=(9, 8))
+        history, _ = replay_cdrs(cdrs, GROUP)
         assert len(history) == 1
         assert history[0].closed_at - history[0].opened_at >= timedelta(minutes=20)
 
@@ -309,10 +311,10 @@ class TestReplay:
         cdrs = _random_stream(rng)
         noisy = cdrs + spread_cdrs(99, [0] * 30 + [120] * 30, tag="noise")
         rng.shuffle(noisy)
-        history_a, table_a = replay_cdrs(cdrs, vendors=(55, 62), prefs=(9, 8))
-        history_b, table_b = replay_cdrs(noisy, vendors=(55, 62), prefs=(9, 8))
+        history_a, table_a = replay_cdrs(cdrs, GROUP)
+        history_b, table_b = replay_cdrs(noisy, GROUP)
         assert table_a.to_csv_text() == table_b.to_csv_text()
-        assert [iv.to_dict() for iv in history_a] == [iv.to_dict() for iv in history_b]
+        assert encode(history_a) == encode(history_b)
 
 
 class TestClosedIntervalSerialization:
@@ -320,8 +322,8 @@ class TestClosedIntervalSerialization:
         cdrs = spread_cdrs(55, GOLDEN_V55) + spread_cdrs(62, GOLDEN_V62)
         agg = _aggregator(cdrs)
         closed = agg.tick(T0 + timedelta(minutes=20))
-        data = closed.to_dict()
-        rebuilt = ClosedInterval.from_dict(data)
-        assert rebuilt.to_dict() == data
+        data = encode(closed)
+        rebuilt = decode(ClosedInterval, json.loads(json.dumps(data)))
+        assert encode(rebuilt) == data
         assert rebuilt.result == closed.result
         assert rebuilt.stats == closed.stats

@@ -221,3 +221,70 @@ class TestReport:
         assert main(["report", "--history", str(run_dir / "interval_history.json"),
                      "--out", str(tmp_path / "x"), "--formats", "pdf"]) == 2
         capsys.readouterr()
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestMalformedInput:
+    """Wrong-typed or unrepresentable input ends with exit 2 and one line."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("admission_enabled", "false"),   # bool("false") would be True
+        ("vendors", "x"),
+        ("seed", "7"),
+        ("tick_period_min", 10.004),      # not a whole number of seconds
+        ("min_interval_min", 20.0001),
+    ])
+    def test_bad_scenario_field(self, tmp_path, capsys, field, value):
+        config = json.loads((SCENARIOS / "honest_vs_fas.json").read_text())
+        config[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["simulate", "--scenario", str(bad),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert_one_line_error(capsys)
+
+    def test_misspelt_vendor_model_key(self, tmp_path, capsys):
+        config = json.loads((SCENARIOS / "honest_vs_fas.json").read_text())
+        config["vendors"][1]["model"]["anser_prob"] = 0.5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["simulate", "--scenario", str(bad),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("mangle", [
+        lambda history: [{k: v for k, v in history[0].items() if k != "result"}],
+        lambda history: history[0],
+        lambda history: [dict(history[0], closed_at=17)],
+    ], ids=["entry-without-result", "object-not-list", "number-for-timestamp"])
+    def test_bad_history(self, tmp_path, capsys, mangle):
+        run_dir = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(SCENARIOS / "pure_fas_control.json"),
+                     "--out", str(run_dir)]) == 0
+        history = json.loads((run_dir / "interval_history.json").read_text())
+        bad = tmp_path / "bad_history.json"
+        bad.write_text(json.dumps(mangle(history)), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--history", str(bad), "--out", str(tmp_path / "rep")]) == 2
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("flag, value", [("--tick-min", "10.004"),
+                                             ("--min-age-min", "20.001")])
+    def test_fractional_second_periods_on_aggregate(self, tmp_path, capsys, flag, value):
+        cdr_csv = tmp_path / "cdrs.csv"
+        _write_interval_csv(cdr_csv)
+        assert main(["aggregate", "--cdr", str(cdr_csv), "--prefs", "9,8", flag, value,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert_one_line_error(capsys)
+
+    def test_tenth_of_a_minute_is_six_seconds(self, tmp_path, capsys):
+        cdr_csv = tmp_path / "cdrs.csv"
+        _write_interval_csv(cdr_csv)
+        assert main(["aggregate", "--cdr", str(cdr_csv), "--prefs", "9,8",
+                     "--tick-min", "0.1", "--min-age-min", "0.1",
+                     "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()

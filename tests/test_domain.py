@@ -6,11 +6,13 @@ from acdroute.domain import (
     CallRecord,
     DisconnectCause,
     ResponseClass,
+    RouteGroup,
     classify_response,
     format_ts,
     parse_ts,
     triggers_failover,
     validate_preference,
+    whole_seconds,
 )
 
 
@@ -101,3 +103,30 @@ class TestCallRecord:
         start = datetime(2020, 1, 1, 12, 0, 0)
         with pytest.raises(ValueError):
             CallRecord("a1", -3, start, start, 0, DisconnectCause.OTHER)
+
+
+class TestRouteGroup:
+    def test_valid_group(self):
+        group = RouteGroup((55, 62), (9, 8))
+        assert group.load_min == 0.1
+
+    @pytest.mark.parametrize("vendors, prefs, load_min", [
+        ((55, 55), (9, 8), 0.1),       # one vendor twice
+        ((55,), (9, 8), 0.1),
+        ((55, -1), (9, 8), 0.1),
+        ((55, 62), (9, 9), 0.1),       # equal preferences
+        ((55, 62), (9, 10), 0.1),
+        ((55, 62), (9, 8), 0.5),
+        ((55, 62), (9, 8), -0.01),
+    ])
+    def test_invalid_groups(self, vendors, prefs, load_min):
+        with pytest.raises(ValueError):
+            RouteGroup(vendors, prefs, load_min)
+
+
+def test_whole_seconds():
+    assert whole_seconds(10) == 600
+    assert whole_seconds(0.1) == 6  # 6.000000000000001 s in floats
+    for bad in (10.004, 1 / 7, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            whole_seconds(bad)

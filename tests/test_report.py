@@ -62,11 +62,11 @@ class TestIntervalTable:
     def test_target_balance_columns(self):
         rows = build_interval_rows(sample_history())
         # newest first: the collapsed interval leads
-        assert [r.target_balance_pct for r in rows] == ["19", "81", "70", "30"]
-        assert rows[0].acd_min == "0.17"
-        assert rows[1].acd_min == "0.79"
-        assert rows[2].acd_min == "36.06"
-        assert rows[2].received == "13" and rows[2].rejected == "4"
+        assert [r["target_balance_pct"] for r in rows] == ["19", "81", "70", "30"]
+        assert rows[0]["acd_min"] == "0.17"
+        assert rows[1]["acd_min"] == "0.79"
+        assert rows[2]["acd_min"] == "36.06"
+        assert rows[2]["received"] == "13" and rows[2]["rejected"] == "4"
 
     def test_balance_always_sums_to_100(self):
         rng = random.Random(31)
@@ -78,7 +78,7 @@ class TestIntervalTable:
                 received=(0, 0), rejected=(0, 0),
             )
             rows = build_interval_rows([interval])
-            assert int(rows[0].target_balance_pct) + int(rows[1].target_balance_pct) == 100
+            assert int(rows[0]["target_balance_pct"]) + int(rows[1]["target_balance_pct"]) == 100
 
     def test_absent_acd_renders_blank(self):
         interval = make_interval(
@@ -87,8 +87,8 @@ class TestIntervalTable:
             received=(3, 0), rejected=(0, 0),
         )
         rows = build_interval_rows([interval])
-        assert rows[1].acd_min == ""
-        assert rows[0].target_balance_pct == "" and rows[1].target_balance_pct == ""
+        assert rows[1]["acd_min"] == ""
+        assert rows[0]["target_balance_pct"] == "" and rows[1]["target_balance_pct"] == ""
 
     def test_empty_history_renders_header_only(self):
         text = render_interval_table([], "csv")

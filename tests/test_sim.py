@@ -1,9 +1,11 @@
+import json
 import random
 from collections import Counter, defaultdict
 
 import pytest
 
 from acdroute.admission import AdmissionController
+from acdroute.codec import decode, encode
 from acdroute.sim import (
     DurationSpec,
     ScenarioConfig,
@@ -124,18 +126,18 @@ class TestModelValidation:
 class TestScenarioConfig:
     def test_json_round_trip(self):
         config = fas_preferred_config()
-        rebuilt = ScenarioConfig.from_dict(config.to_dict())
+        rebuilt = decode(ScenarioConfig, json.loads(json.dumps(encode(config))))
         assert rebuilt == config
 
     def test_minute_denominated_duration_params(self):
-        spec = DurationSpec.from_dict({"family": "exponential", "mean_min": 8.67})
+        spec = decode(DurationSpec, {"family": "exponential", "mean_min": 8.67})
         assert spec.mean_s == pytest.approx(520.2)
 
     def test_unknown_fields_rejected(self):
-        data = fas_preferred_config().to_dict()
+        data = encode(fas_preferred_config())
         data["typo_field"] = 1
         with pytest.raises(ValueError):
-            ScenarioConfig.from_dict(data)
+            decode(ScenarioConfig, data)
 
     def test_equal_preferences_rejected(self):
         with pytest.raises(ValueError):
@@ -245,7 +247,7 @@ class TestTraceInvariants:
 
     def test_replaying_decision_log_reproduces_outcomes(self):
         result = run_scenario(fas_preferred_config(duration=120.0))
-        fresh = AdmissionController(vendors=(71, 72), seed=result.config.seed + 1)
+        fresh = AdmissionController(result.config.group, seed=result.config.seed + 1)
         refreshes = [
             ((iv.closed_at - result.config.start_time).total_seconds(), iv.result)
             for iv in result.interval_history
@@ -265,9 +267,7 @@ class TestTraceInvariants:
         b = run_scenario(fas_preferred_config(duration=90.0))
         assert a.cdrs == b.cdrs
         assert a.decision_log == b.decision_log
-        assert [iv.to_dict() for iv in a.interval_history] == [
-            iv.to_dict() for iv in b.interval_history
-        ]
+        assert encode(a.interval_history) == encode(b.interval_history)
 
     def test_different_seed_differs(self):
         a = run_scenario(fas_preferred_config(seed=7, duration=90.0))
