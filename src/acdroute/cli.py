@@ -23,7 +23,7 @@ from .aggregate import (
     replay_cdrs,
 )
 from .codec import decode, encode
-from .domain import RouteGroup, whole_seconds
+from .domain import RouteGroup, validate_prefs_and_floor, whole_seconds
 from .rejection import QualityInput, compute_rejection
 from .report import TABLE_FORMATS, render_calc_breakdown, render_interval_table
 from .sim import ScenarioConfig, ScenarioResult, run_scenario
@@ -146,6 +146,7 @@ def _write_history_files(out_dir: Path, history: List[ClosedInterval]) -> None:
 def cmd_aggregate(args: argparse.Namespace) -> int:
     tick_period_s = whole_seconds(args.tick_min)
     min_age_s = whole_seconds(args.min_age_min)
+    validate_prefs_and_floor(args.prefs, args.load_min)
     records, errors = read_cdr_csv(args.cdr)
     if errors:
         for lineno, message in errors:

@@ -1,8 +1,10 @@
 """Flat-file persistence: the append-only CDR log and the acd_vendors table.
 
-Both stores keep an in-memory index and optionally mirror every append to a
-newline-delimited CSV file, so the artifact needs no database. Readers are
-cheap copies; writers are serialized by a lock.
+Both stores keep their records in memory and optionally mirror every append
+to a newline-delimited CSV file, so the artifact needs no database. The CDR
+log also keeps the records ordered by disconnect time, so a range query
+bisects and slices instead of scanning the log. Reads return copies, taken
+under the same lock that serializes writes.
 """
 
 from __future__ import annotations
@@ -10,8 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
@@ -172,15 +176,30 @@ def read_cdr_csv(path: Path) -> Tuple[List[CallRecord], List[Tuple[int, str]]]:
 
 
 class CdrStore:
-    """Append-only CDR log with range queries over disconnect time."""
+    """Append-only CDR log with range queries over disconnect time.
+
+    Besides the log in insertion order, the store keeps an index: the same
+    records ordered by disconnect time (insertion order on ties) and a
+    parallel list of their disconnect times. ``query_cdrs`` bisects the times
+    and slices, so its cost is O(log n + k) for k records in range, not a scan
+    of the whole log. The index is built when a file is opened and updated
+    after each successful write, under the log's lock.
+    """
 
     def __init__(self, path: Optional[Path] = None):
         self._log = _CsvLog(path, CDR_CSV_HEADER, _parse_cdr_fields, _cdr_fields)
+        # a stable sort keeps file order, which is insertion order, on ties
+        self._by_disconnect = sorted(self._log.records, key=attrgetter("disconnect_time"))
+        self._disconnect_times = [record.disconnect_time for record in self._by_disconnect]
 
     def append_cdr(self, record: CallRecord) -> int:
         """Durably append one record; returns its monotonically increasing id."""
         with self._log.lock:
             self._log.append((record,))
+            # after the write: a failed write leaves the index unchanged too
+            at = bisect_right(self._disconnect_times, record.disconnect_time)
+            self._disconnect_times.insert(at, record.disconnect_time)
+            self._by_disconnect.insert(at, record)
             return len(self._log.records)
 
     def query_cdrs(
@@ -195,16 +214,15 @@ class CdrStore:
             if end < start:
                 raise ValueError(f"inverted time range: {start} .. {end}")
         with self._log.lock:
-            indexed = list(enumerate(self._log.records))
-        out = []
-        for idx, record in indexed:
-            if vendor is not None and record.vendor != vendor:
-                continue
-            if time_range is not None and not (start <= record.disconnect_time < end):
-                continue
-            out.append((record.disconnect_time, idx, record))
-        out.sort(key=lambda item: (item[0], item[1]))
-        return [record for _, _, record in out]
+            if time_range is None:
+                hits = self._by_disconnect[:]
+            else:
+                lo = bisect_left(self._disconnect_times, start)
+                hi = bisect_left(self._disconnect_times, end, lo)
+                hits = self._by_disconnect[lo:hi]
+        if vendor is None:
+            return hits
+        return [record for record in hits if record.vendor == vendor]
 
     def all_records(self) -> List[CallRecord]:
         with self._log.lock:

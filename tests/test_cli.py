@@ -281,6 +281,16 @@ class TestMalformedInput:
                      "--out", str(tmp_path / "out")]) == 2
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("flags", [["--prefs", "9,9"],
+                                       ["--prefs", "9,8", "--load-min", "0.7"]],
+                             ids=["equal-prefs", "floor-above-half"])
+    def test_bad_route_flags_on_header_only_csv(self, tmp_path, capsys, flags):
+        cdr_csv = tmp_path / "empty.csv"
+        write_cdr_csv(cdr_csv, [])
+        assert main(["aggregate", "--cdr", str(cdr_csv), *flags,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert_one_line_error(capsys)
+
     def test_tenth_of_a_minute_is_six_seconds(self, tmp_path, capsys):
         cdr_csv = tmp_path / "cdrs.csv"
         _write_interval_csv(cdr_csv)

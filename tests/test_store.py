@@ -9,6 +9,7 @@ from acdroute.store import (
     AcdVendorsTable,
     CDR_CSV_HEADER,
     CdrStore,
+    _CsvLog,
     read_acd_csv,
     read_cdr_csv,
     write_cdr_csv,
@@ -60,29 +61,76 @@ class TestCdrStore:
     def test_empty_store_queries_empty(self):
         assert CdrStore().query_cdrs(time_range=(T0, T0 + timedelta(days=1))) == []
 
-    def test_random_queries_match_linear_scan(self):
+    @pytest.mark.parametrize("grid_s, reopen_after", [
+        (1, None),
+        # the first 200 records go to a CSV file in draw order, which is not
+        # disconnect order, so reopening it must rebuild the index
+        (1, 200),
+        # 13 distinct disconnect times: ties must keep insertion order
+        (600, None),
+        (600, 200),
+    ], ids=["appended", "reopened", "ties", "ties-reopened"])
+    def test_random_queries_match_linear_scan(self, tmp_path, grid_s, reopen_after):
         rng = random.Random(314)
-        store = CdrStore()
         records = []
         for i in range(400):
             vendor = rng.choice((55, 62))
             duration = rng.randint(0, 300)
-            at = T0 + timedelta(seconds=rng.randint(0, 7200))
-            record = make_cdr(f"q{i}", vendor, at, duration)
-            records.append(record)
+            at = T0 + timedelta(seconds=rng.randint(0, 7200 // grid_s) * grid_s)
+            records.append(make_cdr(f"q{i}", vendor, at, duration))
+        if reopen_after is None:
+            store = CdrStore()
+            appended = records
+        else:
+            path = tmp_path / "cdrs.csv"
+            written = records[:reopen_after]
+            assert written != sorted(written, key=lambda r: r.disconnect_time)
+            write_cdr_csv(path, written)
+            store = CdrStore(path)
+            appended = records[reopen_after:]
+        for record in appended:
             store.append_cdr(record)
+        queries = []
         for _ in range(50):
-            a = T0 + timedelta(seconds=rng.randint(0, 7200))
-            b = a + timedelta(seconds=rng.randint(0, 3600))
-            vendor = rng.choice((None, 55, 62))
-            got = store.query_cdrs(vendor=vendor, time_range=(a, b))
+            a = T0 + timedelta(seconds=rng.randint(0, 7200 // grid_s) * grid_s)
+            b = a + timedelta(seconds=rng.randint(0, 3600 // grid_s) * grid_s)
+            queries.append((rng.choice((None, 55, 62)), (a, b)))
+        queries += [(vendor, None) for vendor in (None, 55, 62)]
+        for vendor, time_range in queries:
+            got = store.query_cdrs(vendor=vendor, time_range=time_range)
             want = [
                 r for r in records
-                if (vendor is None or r.vendor == vendor) and a <= r.disconnect_time < b
+                if (vendor is None or r.vendor == vendor)
+                and (time_range is None or time_range[0] <= r.disconnect_time < time_range[1])
             ]
             # stable sort keeps insertion order for equal disconnect times,
             # which is exactly the store's ordering contract
             assert got == sorted(want, key=lambda r: r.disconnect_time)
+        store.close()
+
+    def test_failed_write_changes_nothing(self, tmp_path, monkeypatch):
+        store = CdrStore(tmp_path / "live.csv")
+        for record in spread_cdrs(55, [10, 0, 77]) + spread_cdrs(62, [5, 9], tag="y"):
+            store.append_cdr(record)
+        queries = [
+            (vendor, time_range)
+            for vendor in (None, 55, 62)
+            for time_range in (None, (T0, T0 + timedelta(seconds=600)),
+                               (T0, T0 + timedelta(seconds=1200)))
+        ]
+        records_before = store.all_records()
+        answers_before = [store.query_cdrs(vendor=v, time_range=r) for v, r in queries]
+
+        def failing_write(self, rows):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(_CsvLog, "_write", failing_write)
+        # ends mid-log, where an index updated before the write would show it
+        with pytest.raises(OSError):
+            store.append_cdr(make_cdr("lost", 55, T0 + timedelta(seconds=500), 30))
+        assert store.all_records() == records_before
+        assert [store.query_cdrs(vendor=v, time_range=r) for v, r in queries] == answers_before
+        store.close()
 
 
 class TestCdrCsv:
@@ -197,6 +245,7 @@ class TestAcdVendorsTable:
         reloaded = AcdVendorsTable(first)
         second = tmp_path / "b.csv"
         reloaded.export_csv(second)
+        reloaded.close()
         assert first.read_bytes() == second.read_bytes()
 
     def test_reject_pct_bounds(self):
