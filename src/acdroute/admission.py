@@ -4,6 +4,11 @@ Each vendor is impersonated by a clone interface; billing still routes by
 static preference, but the clone may refuse the call with a failover-class
 code so billing retries on the other route. A call is only ever refused once:
 its retry must go through, otherwise the caller would lose the call entirely.
+
+The at-most-once ledger maps each refused call id to its expiry; an id is
+live iff its expiry is greater than ``now``. Entries share one TTL, and expired
+ones are popped from the oldest end before an entry is added; a backward step
+of ``now`` only delays that purge (a popped entry stays forgotten).
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import random
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -21,8 +27,6 @@ from .rejection import RejectionResult
 REJECTION_CODE = 503
 # how long a rejected call id is remembered, so its retry is never rejected
 SEEN_TTL_S = 3600.0
-
-_SEEN_PRUNE_SIZE = 16384
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,7 @@ class AdmissionController:
         self._lock = threading.Lock()
         self._rng = random.Random(seed)
         self._targets: Dict[int, Optional[float]] = {v: None for v in self.vendors}
-        self._seen: Dict[str, float] = {}
+        self._seen: "OrderedDict[str, float]" = OrderedDict()
         self._received: Dict[int, int] = {v: 0 for v in self.vendors}
         self._rejected: Dict[int, int] = {v: 0 for v in self.vendors}
 
@@ -85,18 +89,16 @@ class AdmissionController:
         with self._lock:
             if vendor not in self._targets:
                 raise ValueError(f"vendor {vendor} is not one of the configured clones")
-            expiry = self._seen.get(call_id)
-            if expiry is not None and expiry <= now:
-                del self._seen[call_id]
-                expiry = None
+            seen = self._seen
             decision = _ACCEPT
             target = self._targets[vendor]
-            # a call still in the ledger was rejected once: its retry must pass
-            if expiry is None and target is not None and target > 0.0:
+            # a call live in the ledger (expiry > now) was rejected once: its retry must pass
+            if seen.get(call_id, now) <= now and target is not None and target > 0.0:
                 if self._rng.random() < target / 100.0:
-                    self._seen[call_id] = now + SEEN_TTL_S
-                    if len(self._seen) > _SEEN_PRUNE_SIZE:
-                        self._prune(now)
+                    while seen and next(iter(seen.values())) <= now:
+                        seen.popitem(last=False)
+                    seen.pop(call_id, None)  # so a re-rejected id moves to the newest end
+                    seen[call_id] = now + SEEN_TTL_S
                     decision = _REJECT
             counts = self._received if decision.accepted else self._rejected
             counts[vendor] += 1
@@ -130,7 +132,3 @@ class AdmissionController:
             self._received = {v: 0 for v in self.vendors}
             self._rejected = {v: 0 for v in self.vendors}
             return snapshot
-
-    def _prune(self, now: float) -> None:
-        # caller holds the lock
-        self._seen = {cid: exp for cid, exp in self._seen.items() if exp > now}

@@ -35,6 +35,16 @@ class TickDecision(Enum):
     CLOSE = "close"
 
 
+def validate_schedule(tick_period_s: int, min_age_s: int, min_calls: int) -> None:
+    """The interval schedule rule: a positive tick period and minimum age,
+    and at least one ended call per interval."""
+    if tick_period_s <= 0 or min_age_s <= 0 or min_calls < 1:
+        raise ValueError(
+            "interval schedule needs tick period > 0, minimum age > 0 and "
+            f"minimum calls >= 1, got {tick_period_s} s, {min_age_s} s, {min_calls}"
+        )
+
+
 def tick_decision(
     now: datetime,
     opened_at: datetime,
@@ -141,8 +151,7 @@ class IntervalAggregator:
         dest_prefix: str = "",
         counter_source: Optional[Callable[[], CounterSnapshot]] = None,
     ):
-        if tick_period_s <= 0:
-            raise ValueError("tick period must be positive")
+        validate_schedule(tick_period_s, min_age_s, min_calls)
         self.group = group
         self.tick_period_s = tick_period_s
         self.min_age_s = min_age_s

@@ -21,6 +21,7 @@ from .aggregate import (
     TICK_PERIOD_S,
     ClosedInterval,
     replay_cdrs,
+    validate_schedule,
 )
 from .codec import decode, encode
 from .domain import RouteGroup, validate_prefs_and_floor, whole_seconds
@@ -146,6 +147,7 @@ def _write_history_files(out_dir: Path, history: List[ClosedInterval]) -> None:
 def cmd_aggregate(args: argparse.Namespace) -> int:
     tick_period_s = whole_seconds(args.tick_min)
     min_age_s = whole_seconds(args.min_age_min)
+    validate_schedule(tick_period_s, min_age_s, args.min_calls)
     validate_prefs_and_floor(args.prefs, args.load_min)
     records, errors = read_cdr_csv(args.cdr)
     if errors:
@@ -252,6 +254,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     formats = [fmt.strip() for fmt in args.formats.split(",") if fmt.strip()]
+    if not formats:
+        raise ValueError(f"--formats names no format, want a subset of {TABLE_FORMATS}")
     for fmt in formats:
         if fmt not in TABLE_FORMATS:
             raise ValueError(f"unknown format {fmt!r}, want a subset of {TABLE_FORMATS}")

@@ -26,6 +26,7 @@ from .aggregate import (
     TICK_PERIOD_S,
     ClosedInterval,
     IntervalAggregator,
+    validate_schedule,
 )
 from .codec import decode
 from .domain import (
@@ -42,6 +43,13 @@ from .store import AcdVendorsTable, CdrStore
 
 DEFAULT_START = datetime(2020, 1, 1, 0, 0, 0)
 
+# the parameters each duration family reads; the others must stay 0
+_DURATION_PARAMS = {
+    "exponential": ("mean_s",),
+    "uniform": ("low_s", "high_s"),
+    "fixed": ("value_s",),
+}
+
 
 @dataclass(frozen=True)
 class DurationSpec:
@@ -54,8 +62,11 @@ class DurationSpec:
     value_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.family not in ("exponential", "uniform", "fixed"):
+        if self.family not in _DURATION_PARAMS:
             raise ValueError(f"unknown duration family {self.family!r}")
+        for name in ("mean_s", "low_s", "high_s", "value_s"):
+            if name not in _DURATION_PARAMS[self.family] and getattr(self, name) != 0:
+                raise ValueError(f"{self.family} durations do not use {name} / {name[:-2]}_min")
         if self.family == "exponential" and self.mean_s <= 0:
             raise ValueError("exponential durations need a positive mean_s")
         if self.family == "uniform" and not 0 <= self.low_s <= self.high_s:
@@ -167,8 +178,7 @@ class ScenarioConfig:
             raise ValueError("arrival rate must be positive")
         if self.duration_min <= 0:
             raise ValueError("scenario duration must be positive")
-        if self.tick_period_s <= 0 or self.min_age_s <= 0 or self.min_calls < 1:
-            raise ValueError("interval parameters must be positive")
+        validate_schedule(self.tick_period_s, self.min_age_s, self.min_calls)
 
     @property
     def group(self) -> RouteGroup:

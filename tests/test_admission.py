@@ -1,3 +1,4 @@
+import bisect
 import random
 import sys
 import threading
@@ -95,6 +96,56 @@ class TestDecide:
         later = t + SEEN_TTL_S + 1.0
         outcomes = {c.decide(call_id, 62, now=later + i).accepted for i in range(200)}
         assert False in outcomes
+
+    def test_ledger_matches_reference_across_expiries(self):
+        """Decisions equal a plain-dict reference ("live iff expiry > now",
+        same seed) over > 3 TTLs with retries and ids that recur after they
+        expire, across backward steps of ``now``; once ``now`` is a TTL past
+        every step, the ledger holds exactly the live entries after each
+        rejection.
+
+        The steps fall in the first TTL, before any entry has expired: an
+        entry the purge has popped stays forgotten, so a later step back
+        below its expiry would make the never-forgetting reference call it
+        live (it was held a full TTL by the clock of its time).
+        """
+        seed = 11
+        c = controller(seed=seed)
+        c.refresh_targets(compute_rejection(QualityInput((5.0, 5.0), (8, 9), 0.1)))
+        ref_rng, ref_seen = random.Random(seed), {}
+
+        def ref_decide(call_id, now):
+            if ref_seen.get(call_id, now) > now:
+                return True
+            if ref_rng.random() < 0.5:
+                ref_seen[call_id] = now + SEEN_TTL_S
+                return False
+            return True
+
+        draw = random.Random(5)
+        backward = {600: 300.0, 1500: 600.0, 2500: 150.0}
+        now = high = 0.0
+        in_order_after = 0.0  # the ledger is in expiry order again past this time
+        live_expiries, checks = [], 0
+        for step in range(26_000):
+            if step in backward:
+                now -= backward[step]
+                in_order_after = high + SEEN_TTL_S
+            now += 0.5  # exact in binary, so expiries meet `now` exactly
+            high = max(high, now)
+            call_id = f"c{draw.randrange(4000)}"
+            attempts = 2 if draw.random() < 0.3 else 1  # sometimes an immediate retry
+            for _ in range(attempts):
+                accepted = c.decide(call_id, 62, now=now).accepted
+                assert accepted == ref_decide(call_id, now), (step, call_id)
+                if not accepted:
+                    live_expiries.append(now + SEEN_TTL_S)
+                    if now > in_order_after:
+                        # any expiry out of order is <= now here, so bisect still splits
+                        live = len(live_expiries) - bisect.bisect_right(live_expiries, now)
+                        assert len(c._seen) == live, step
+                        checks += 1
+        assert now > 3 * SEEN_TTL_S and checks > 4000
 
     def test_empirical_rate_matches_target(self):
         c = controller(seed=202)

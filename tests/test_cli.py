@@ -237,6 +237,8 @@ class TestMalformedInput:
         ("seed", "7"),
         ("tick_period_min", 10.004),      # not a whole number of seconds
         ("min_interval_min", 20.0001),
+        ("min_interval_min", -10.0),      # the interval schedule rule
+        ("min_calls", 0),
     ])
     def test_bad_scenario_field(self, tmp_path, capsys, field, value):
         config = json.loads((SCENARIOS / "honest_vs_fas.json").read_text())
@@ -290,6 +292,49 @@ class TestMalformedInput:
         assert main(["aggregate", "--cdr", str(cdr_csv), *flags,
                      "--out", str(tmp_path / "out")]) == 2
         assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("rows, flags", [
+        ("records", ["--min-age-min", "-10"]),
+        ("records", ["--min-age-min", "0"]),
+        ("records", ["--min-calls", "0"]),
+        ("records", ["--min-calls", "-3"]),
+        ("header-only", ["--tick-min", "0"]),
+        ("header-only", ["--min-calls", "0"]),
+    ], ids=["negative-age", "zero-age", "zero-calls", "negative-calls",
+            "header-only-zero-tick", "header-only-zero-calls"])
+    def test_bad_schedule_flags_on_aggregate(self, tmp_path, capsys, rows, flags):
+        cdr_csv = tmp_path / "cdrs.csv"
+        if rows == "records":
+            _write_interval_csv(cdr_csv)
+        else:
+            write_cdr_csv(cdr_csv, [])
+        assert main(["aggregate", "--cdr", str(cdr_csv), "--prefs", "9,8", *flags,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert_one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("family, params", [
+        ("uniform", {"mean_min": 8.67}),          # would load as uniform(0, 0)
+        ("exponential", {"mean_s": 36.0, "value_s": 5.0}),
+        ("fixed", {"value_s": 30.0, "high_s": 60.0}),
+    ], ids=["uniform-mean", "exponential-value", "fixed-high"])
+    def test_duration_param_the_family_does_not_use(self, tmp_path, capsys, family, params):
+        config = json.loads((SCENARIOS / "honest_vs_fas.json").read_text())
+        config["vendors"][1]["model"]["duration"] = {"family": family, **params}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["simulate", "--scenario", str(bad),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("formats", [",", ""], ids=["comma", "empty"])
+    def test_empty_report_format_list(self, tmp_path, capsys, formats):
+        history = tmp_path / "interval_history.json"
+        history.write_text("[]", encoding="utf-8")
+        assert main(["report", "--history", str(history), "--out", str(tmp_path / "rep"),
+                     "--formats", formats]) == 2
+        assert_one_line_error(capsys)
+        assert not (tmp_path / "rep").exists()
 
     def test_tenth_of_a_minute_is_six_seconds(self, tmp_path, capsys):
         cdr_csv = tmp_path / "cdrs.csv"
