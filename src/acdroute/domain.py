@@ -16,7 +16,15 @@ DEFAULT_LOAD_MIN = 0.1
 
 
 def format_ts(ts: datetime) -> str:
-    return ts.strftime(TS_FORMAT)
+    """``ts`` as ``TS_FORMAT`` text, truncated to the second; an aware
+    timestamp is written as its wall time, without the offset.
+
+    ``isoformat`` pads the year to four digits, where ``strftime`` writes year
+    999 as ``999``, which ``parse_ts`` cannot read back; it is also ~3x cheaper.
+    """
+    if ts.tzinfo is not None:
+        ts = ts.replace(tzinfo=None)
+    return ts.isoformat(" ", "seconds")
 
 
 def parse_ts(text: str) -> datetime:
@@ -34,6 +42,9 @@ class ResponseClass(Enum):
     GLOBAL_FAILURE = 6
 
 
+# indexed by the hundreds digit; the members above are declared in digit order
+_CLASS_BY_DIGIT = (None, *ResponseClass)
+
 _FAILOVER_CLASSES = frozenset(
     {ResponseClass.CLIENT_ERROR, ResponseClass.SERVER_ERROR, ResponseClass.GLOBAL_FAILURE}
 )
@@ -45,7 +56,7 @@ def classify_response(code: int) -> ResponseClass:
         raise ValueError(f"response code must be an integer, got {code!r}")
     if not 100 <= code <= 699:
         raise ValueError(f"response code out of range 100-699: {code}")
-    return ResponseClass(code // 100)
+    return _CLASS_BY_DIGIT[code // 100]
 
 
 def triggers_failover(response_class: ResponseClass) -> bool:

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .admission import AdmissionController
 from .aggregate import (
@@ -210,20 +210,23 @@ def billing_route(
     Returns the next vendor to try, or None when routing is finished: either
     the call connected, or every route failed and the call is abandoned.
     """
-    if attempt_history:
-        last_code = attempt_history[-1][1]
-        if not triggers_failover(classify_response(last_code)):
-            return None
-    tried = {vendor for vendor, _ in attempt_history}
-    remaining = [vendor for vendor in prefs if vendor not in tried]
-    if not remaining:
+    if attempt_history and not triggers_failover(classify_response(attempt_history[-1][1])):
         return None
-    return max(remaining, key=lambda vendor: prefs[vendor])
+    # one pass: the first untried vendor with the highest preference wins
+    best: Optional[int] = None
+    best_pref = None
+    for vendor, pref in prefs.items():
+        if best is None or pref > best_pref:
+            for tried, _ in attempt_history:
+                if tried == vendor:
+                    break
+            else:
+                best, best_pref = vendor, pref
+    return best
 
 
-@dataclass(frozen=True)
-class DecisionRecord:
-    """One admission decision, as logged by the simulator."""
+class DecisionRecord(NamedTuple):
+    """One admission decision, as logged by the simulator; immutable."""
 
     seq: int
     time_s: float

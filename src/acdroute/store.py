@@ -36,13 +36,14 @@ ACD_CSV_HEADER = ["id", "vendor", "date", "acd_min", "reject_pct", "prefix"]
 T = TypeVar("T")
 
 
-def _cdr_fields(record: CallRecord) -> List[str]:
+def _cdr_fields(record: CallRecord) -> List[object]:
+    # csv.writer writes the ints with str(), as a CSV row reads them back
     return [
         record.call_id,
-        str(record.vendor),
+        record.vendor,
         format_ts(record.connect_time),
         format_ts(record.disconnect_time),
-        str(record.duration_s),
+        record.duration_s,
         record.cause.value,
         "1" if record.rejected_by_router else "0",
     ]
@@ -83,7 +84,7 @@ def _parse_cdr_fields(fields: List[str]) -> CallRecord:
     )
 
 
-def _csv_text(rows: Iterable[List[str]]) -> str:
+def _csv_text(rows: Iterable[Sequence[object]]) -> str:
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
@@ -148,7 +149,7 @@ class _CsvLog:
             self._write([self._fields(record) for record in records])
         self.records.extend(records)
 
-    def _write(self, rows: List[List[str]]) -> None:
+    def _write(self, rows: List[Sequence[object]]) -> None:
         self._handle.write(_csv_text(rows))
         self._handle.flush()
 

@@ -187,6 +187,23 @@ class TestSimulate:
         assert summary["answered_calls"]["71"] == summary["total_calls"]
         assert summary["answered_minutes_share"]["71"] == 1.0
 
+    def test_start_before_year_1000_reads_back(self, tmp_path, capsys):
+        config = json.loads((SCENARIOS / "pure_fas_control.json").read_text())
+        config["start_time"] = "0999-01-01 00:00:00"
+        scenario = tmp_path / "year999.json"
+        scenario.write_text(json.dumps(config), encoding="utf-8")
+        run_dir = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(run_dir)]) == 0
+        agg_dir = tmp_path / "agg"
+        assert main(["aggregate", "--cdr", str(run_dir / "cdrs.csv"), "--prefs", "9,8",
+                     "--vendors", "71,72", "--out", str(agg_dir)]) == 0
+        for history in (run_dir, agg_dir):
+            assert main(["report", "--history", str(history / "interval_history.json"),
+                         "--out", str(tmp_path / "report")]) == 0
+        capsys.readouterr()
+        # the year is zero-padded, as parse_ts reads it
+        assert "\nc000001,71,0999-01-01 00:00:" in (run_dir / "cdrs.csv").read_text()
+
     def test_invalid_scenario_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         config = json.loads((SCENARIOS / "honest_vs_fas.json").read_text())

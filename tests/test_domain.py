@@ -1,8 +1,10 @@
-from datetime import datetime, timedelta
+import random
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
 
 from acdroute.domain import (
+    TS_FORMAT,
     CallRecord,
     DisconnectCause,
     ResponseClass,
@@ -72,6 +74,37 @@ def test_timestamp_round_trip():
     ts = datetime(2009, 11, 9, 10, 50, 25)
     assert parse_ts(format_ts(ts)) == ts
     assert format_ts(ts) == "2009-11-09 10:50:25"
+
+
+def random_datetimes(seed, first_year, count=3000):
+    """Seeded naive datetimes from Jan 1 of ``first_year`` to the end of
+    9999, half of them with microseconds, plus both ends of that range."""
+    rng = random.Random(seed)
+    first = date(first_year, 1, 1).toordinal()
+    yield datetime(first_year, 1, 1)
+    yield datetime.max
+    for _ in range(count):
+        day = datetime.fromordinal(rng.randint(first, date.max.toordinal()))
+        yield day + timedelta(
+            seconds=rng.randrange(86400),
+            microseconds=rng.choice((0, rng.randrange(1, 1_000_000))),
+        )
+
+
+def test_format_ts_matches_strftime_from_year_1000():
+    # strftime is the reference where it pads the year to four digits;
+    # it writes an aware timestamp's wall time and drops the offset
+    plus_two = timezone(timedelta(hours=2))
+    for ts in random_datetimes(5, 1000):
+        assert format_ts(ts) == ts.strftime(TS_FORMAT), ts
+        aware = ts.replace(tzinfo=plus_two)
+        assert format_ts(aware) == aware.strftime(TS_FORMAT), aware
+
+
+def test_format_ts_round_trips_every_year():
+    for ts in random_datetimes(6, 1):
+        assert parse_ts(format_ts(ts)) == ts.replace(microsecond=0), ts
+    assert format_ts(datetime(999, 1, 1, 0, 0, 1)) == "0999-01-01 00:00:01"
 
 
 class TestCallRecord:

@@ -6,6 +6,7 @@ import pytest
 
 from acdroute.admission import AdmissionController
 from acdroute.codec import decode, encode
+from acdroute.domain import classify_response, triggers_failover
 from acdroute.sim import (
     DurationSpec,
     ScenarioConfig,
@@ -70,6 +71,47 @@ class TestBillingRoute:
 
     def test_abandoned_after_both_fail(self):
         assert billing_route(self.PREFS, [(55, 503), (62, 480)]) is None
+
+    def test_matches_set_list_max_reference(self):
+        rng = random.Random(2024)
+        codes = (180, 200, 302, 408, 480, 486, 503, 600)
+        seen = Counter()
+        for _ in range(5000):
+            vendors = rng.sample(range(1, 40), rng.randint(1, 4))
+            # few distinct prefs, so ties are common
+            prefs = {vendor: rng.randint(1, 3) for vendor in vendors}
+            history = [
+                (rng.choice(vendors + [99]), rng.choice(codes))
+                for _ in range(rng.randint(0, 4))
+            ]
+            expected = reference_billing_route(prefs, history)
+            assert billing_route(prefs, history) == expected, (prefs, history)
+            if history and not triggers_failover(classify_response(history[-1][1])):
+                seen["routing ended"] += 1
+            elif expected is None:
+                seen["all tried"] += 1
+            elif sum(
+                pref == prefs[expected] and vendor not in dict(history)
+                for vendor, pref in prefs.items()
+            ) > 1:
+                seen["tie"] += 1
+            else:
+                seen["unique best"] += 1
+        assert min(seen.values()) >= 200 and len(seen) == 4, seen
+
+
+def reference_billing_route(prefs, attempt_history):
+    """The set/list/max form of ``billing_route``: the first untried vendor
+    with the highest preference, unless the last response ended routing."""
+    if attempt_history:
+        last_code = attempt_history[-1][1]
+        if not triggers_failover(classify_response(last_code)):
+            return None
+    tried = {vendor for vendor, _ in attempt_history}
+    remaining = [vendor for vendor in prefs if vendor not in tried]
+    if not remaining:
+        return None
+    return max(remaining, key=lambda vendor: prefs[vendor])
 
 
 class TestVendorLeg:
@@ -217,6 +259,14 @@ class TestTraceInvariants:
                 others = [r for r in records if not r.rejected_by_router]
                 assert others, f"{call_id} rejected with no retry"
                 assert all(r.vendor != rejected[0].vendor for r in others)
+
+    def test_decision_records_are_immutable(self):
+        result = run_scenario(fas_preferred_config(duration=30.0))
+        for record in result.decision_log[:50]:
+            with pytest.raises(AttributeError):
+                record.accepted = not record.accepted
+            with pytest.raises(AttributeError):
+                record.code = None
 
     def test_decision_log_never_rejects_a_call_twice(self):
         result = run_scenario(fas_preferred_config(duration=120.0))
