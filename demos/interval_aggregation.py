@@ -13,7 +13,6 @@ from datetime import datetime, timedelta
 
 from acdroute import (
     CallRecord,
-    CdrStore,
     DisconnectCause,
     IntervalAggregator,
     RouteGroup,
@@ -23,9 +22,13 @@ from acdroute import (
 rng = random.Random(2)
 start = datetime(2020, 3, 2, 9, 0, 0)
 
+agg = IntervalAggregator(
+    RouteGroup(vendors=(55, 62), prefs=(9, 8)), opened_at=start, dest_prefix="37410",
+)
+
 # Vendor 55 answers ~70% of its calls with long conversations; vendor 62
-# answers everything but holds callers for seconds only.
-store = CdrStore()
+# answers everything but holds callers for seconds only. Each CDR goes to the
+# aggregator as it ends; a tick counts the ones that ended before it.
 t = 0.0
 i = 0
 while t < 3 * 3600:
@@ -36,7 +39,7 @@ while t < 3 * 3600:
     else:
         duration = max(1, round(rng.expovariate(1 / 30.0)))
     connect = start + timedelta(seconds=int(t))
-    store.append_cdr(
+    agg.add_cdr(
         CallRecord(
             call_id=f"m{i:05d}",
             vendor=vendor,
@@ -50,11 +53,6 @@ while t < 3 * 3600:
     i += 1
 
 print(f"{i} CDRs over 3 hours")
-
-agg = IntervalAggregator(
-    RouteGroup(vendors=(55, 62), prefs=(9, 8)), cdr_store=store, opened_at=start,
-    dest_prefix="37410",
-)
 
 # The 10-minute CRON-style tick loop. Watch which ticks actually close an
 # interval: quiet stretches leave it open, so closes land on 20-, 30- or

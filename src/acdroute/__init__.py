@@ -12,10 +12,8 @@ from .admission import REJECTION_CODE, AdmissionController, Decision
 from .aggregate import (
     ClosedInterval,
     IntervalAggregator,
-    TickDecision,
     VendorIntervalStats,
     replay_cdrs,
-    tick_decision,
     vendor_stats,
 )
 from .codec import decode, encode
@@ -67,7 +65,6 @@ __all__ = [
     "RouteGroup",
     "ScenarioConfig",
     "ScenarioResult",
-    "TickDecision",
     "VendorIntervalStats",
     "VendorModel",
     "VendorSpec",
@@ -83,7 +80,6 @@ __all__ = [
     "replay_cdrs",
     "round_half_up",
     "run_scenario",
-    "tick_decision",
     "triggers_failover",
     "vendor_leg",
     "vendor_stats",

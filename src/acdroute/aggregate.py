@@ -1,8 +1,9 @@
 """Dynamic measurement intervals and per-vendor call statistics.
 
-An interval only closes on a scheduler tick, and only once it is old enough
-*and* has seen enough ended calls; otherwise it stays open and is re-examined
-on the next tick, which is why closed intervals always span a whole number of
+CDRs are fed to the aggregator as they end; a tick moves those that ended
+before it into the open interval. An interval only closes on a tick, once it
+is old enough *and* has seen enough ended calls; otherwise it stays open and
+is re-examined on the next tick, so closed intervals span a whole number of
 tick periods. Closing an interval computes both vendors' statistics, runs the
 rejection rule on the ACD pair, persists the row pair, and opens the next
 interval at the exact close time so intervals partition the CDR timeline.
@@ -10,15 +11,16 @@ interval at the exact close time so intervals partition the CDR timeline.
 
 from __future__ import annotations
 
+import heapq
 import logging
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from enum import Enum
+from itertools import count
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .domain import CallRecord, RouteGroup
 from .rejection import QualityInput, RejectionResult, compute_rejection
-from .store import AcdVendorsTable, CdrStore
+from .store import AcdVendorsTable
 
 logger = logging.getLogger(__name__)
 
@@ -30,11 +32,6 @@ MIN_INTERVAL_CALLS = 20
 CounterSnapshot = Tuple[Dict[int, int], Dict[int, int]]
 
 
-class TickDecision(Enum):
-    KEEP_OPEN = "keep_open"
-    CLOSE = "close"
-
-
 def validate_schedule(tick_period_s: int, min_age_s: int, min_calls: int) -> None:
     """The interval schedule rule: a positive tick period and minimum age,
     and at least one ended call per interval."""
@@ -43,23 +40,6 @@ def validate_schedule(tick_period_s: int, min_age_s: int, min_calls: int) -> Non
             "interval schedule needs tick period > 0, minimum age > 0 and "
             f"minimum calls >= 1, got {tick_period_s} s, {min_age_s} s, {min_calls}"
         )
-
-
-def tick_decision(
-    now: datetime,
-    opened_at: datetime,
-    calls_ended_in_interval: int,
-    min_age_s: int = MIN_INTERVAL_AGE_S,
-    min_calls: int = MIN_INTERVAL_CALLS,
-) -> TickDecision:
-    """Close only when the interval is old enough and busy enough; otherwise
-    it stays open until the next tick."""
-    if now < opened_at:
-        raise ValueError(f"tick time {now} precedes interval start {opened_at}")
-    age_s = (now - opened_at).total_seconds()
-    if age_s >= min_age_s and calls_ended_in_interval >= min_calls:
-        return TickDecision.CLOSE
-    return TickDecision.KEEP_OPEN
 
 
 @dataclass(frozen=True)
@@ -134,15 +114,16 @@ class IntervalAggregator:
     """Owns the open interval and turns scheduler ticks into closed intervals.
 
     Single-writer: one aggregator instance per routing group, ticks serialized
-    with CDR ingestion by the caller. ``counter_source`` is called exactly once
-    per close to snapshot-and-reset the router's received/rejected counters;
-    without one the counters are derived from the CDR log's rejected flags.
+    with CDR ingestion by the caller, never going back in time. A CDR counts
+    in the interval open at the first tick after its disconnect time, unless
+    it ended before that interval opened. ``counter_source`` is called exactly
+    once per close to snapshot-and-reset the router's received/rejected
+    counters; without one the counters are derived from the CDRs' flags.
     """
 
     def __init__(
         self,
         group: RouteGroup,
-        cdr_store: CdrStore,
         opened_at: datetime,
         acd_table: Optional[AcdVendorsTable] = None,
         tick_period_s: int = TICK_PERIOD_S,
@@ -159,55 +140,53 @@ class IntervalAggregator:
         self.dest_prefix = dest_prefix
         self.opened_at = opened_at
         self.history: List[ClosedInterval] = []
-        self._cdr_store = cdr_store
         self.acd_table = acd_table if acd_table is not None else AcdVendorsTable()
         self._counter_source = counter_source
+        self._ticked_at = opened_at
+        # a min-heap of (disconnect time, arrival number, record) no tick has taken
+        self._pending: List[Tuple[datetime, int, CallRecord]] = []
+        self._arrivals = count()
+        self._records: List[CallRecord] = []  # the open interval's CDRs
+
+    def add_cdr(self, record: CallRecord) -> None:
+        """Queue one CDR for the tick after its disconnect time; records of
+        vendors outside the group are ignored."""
+        if record.vendor in self.group.vendors:
+            heapq.heappush(self._pending, (record.disconnect_time, next(self._arrivals), record))
 
     def tick(self, now: datetime) -> Optional[ClosedInterval]:
-        """Evaluate the close conditions at a scheduler tick.
+        """Take in the CDRs that ended before ``now``; close the interval if it is due.
 
         Returns the closed interval, or None when it stays open (including
         when persistence failed, which keeps the interval open for a retry
         on the next tick).
         """
         opened_at = self.opened_at
+        if now < self._ticked_at:
+            raise ValueError(f"tick time {now} precedes the last tick at {self._ticked_at}")
         offset_s = (now - opened_at).total_seconds()
-        if offset_s < 0:
-            raise ValueError(f"tick time {now} precedes interval start {opened_at}")
         if offset_s % self.tick_period_s:
-            raise ValueError(
-                f"tick at {now} is not aligned to the {self.tick_period_s}s schedule"
-            )
-        in_range = self._cdr_store.query_cdrs(time_range=(opened_at, now))
-        vendors = self.group.vendors
-        records = [r for r in in_range if r.vendor in vendors]
+            raise ValueError(f"tick at {now} is not aligned to the {self.tick_period_s}s schedule")
+        self._ticked_at = now
+        pending, records = self._pending, self._records
+        while pending and pending[0][0] < now:
+            record = heapq.heappop(pending)[2]
+            if record.disconnect_time >= opened_at:
+                records.append(record)
         ended = [r for r in records if not r.rejected_by_router]
-        decision = tick_decision(
-            now, opened_at, len(ended), self.min_age_s, self.min_calls
-        )
-        if decision is TickDecision.KEEP_OPEN:
+        if offset_s < self.min_age_s or len(ended) < self.min_calls:
             return None
-        return self._close(now, records, ended)
+        return self._close(now, ended)
 
-    def _close(
-        self,
-        now: datetime,
-        records: Sequence[CallRecord],
-        ended: Sequence[CallRecord],
-    ) -> Optional[ClosedInterval]:
+    def _close(self, now: datetime, ended: List[CallRecord]) -> Optional[ClosedInterval]:
         group = self.group
         stats = tuple(vendor_stats(ended, v) for v in group.vendors)
-        result = compute_rejection(
-            QualityInput(
-                acd_min=(stats[0].acd_min, stats[1].acd_min),
-                prefs=group.prefs,
-                load_min=group.load_min,
-            )
-        )
+        acds = (stats[0].acd_min, stats[1].acd_min)
+        result = compute_rejection(QualityInput(acds, group.prefs, group.load_min))
         try:
             self.acd_table.insert_acd_rows(
-                (group.vendors[0], now, stats[0].acd_min, result.reject_pct[0], self.dest_prefix),
-                (group.vendors[1], now, stats[1].acd_min, result.reject_pct[1], self.dest_prefix),
+                (group.vendors[0], now, acds[0], result.reject_pct[0], self.dest_prefix),
+                (group.vendors[1], now, acds[1], result.reject_pct[1], self.dest_prefix),
             )
         except OSError as exc:
             logger.warning("interval stays open, row persistence failed: %s", exc)
@@ -216,12 +195,9 @@ class IntervalAggregator:
         if self._counter_source is not None:
             received, rejected = self._counter_source()
         else:
-            received = {
-                v: sum(1 for r in ended if r.vendor == v) for v in group.vendors
-            }
+            received = {v: sum(r.vendor == v for r in ended) for v in group.vendors}
             rejected = {
-                v: sum(1 for r in records if r.rejected_by_router and r.vendor == v)
-                for v in group.vendors
+                v: sum(r.vendor == v for r in self._records) - received[v] for v in group.vendors
             }
         closed = ClosedInterval(
             opened_at=self.opened_at,
@@ -235,6 +211,7 @@ class IntervalAggregator:
         )
         self.history.append(closed)
         self.opened_at = now
+        self._records = []
         return closed
 
 
@@ -249,31 +226,26 @@ def replay_cdrs(
     """Replay the tick schedule over a batch of historical CDRs.
 
     The schedule anchors at the earliest connect time and runs until no open
-    interval can still close. Input order does not matter (records are
-    canonicalized first) and records outside the configured vendor pair are
-    ignored.
+    interval can still close. Input order does not matter, because the
+    aggregator takes the records off its heap in disconnect-time order, and
+    records outside the configured vendor pair are ignored.
     """
-    ordered = sorted(
-        (r for r in records if r.vendor in group.vendors),
-        key=lambda r: (r.disconnect_time, r.connect_time, r.call_id),
-    )
-    if not ordered:
+    ours = [r for r in records if r.vendor in group.vendors]
+    if not ours:
         return [], AcdVendorsTable()
-    start = min(r.connect_time for r in ordered)
-    last_end = max(r.disconnect_time for r in ordered)
+    start = min(r.connect_time for r in ours)
+    last_end = max(r.disconnect_time for r in ours)
 
-    cdr_store = CdrStore()
-    for record in ordered:
-        cdr_store.append_cdr(record)
     agg = IntervalAggregator(
         group,
-        cdr_store=cdr_store,
         opened_at=start,
         tick_period_s=tick_period_s,
         min_age_s=min_age_s,
         min_calls=min_calls,
         dest_prefix=dest_prefix,
     )
+    for record in ours:
+        agg.add_cdr(record)
     # once a tick falls this far past the last CDR, the open interval's call
     # count is frozen and the age condition has been evaluated at least once,
     # so any still-open interval can never close

@@ -2,10 +2,10 @@
 
 Drives the whole loop at seconds resolution: a Poisson caller population hits
 a static-preference billing router, each attempt passes the clone interface's
-admission check, the vendor leg answers or fails, CDRs land in the store, the
-aggregator ticks every period, and freshly closed intervals feed new targets
-back into admission. Everything derives from one seed, so two runs of the
-same scenario are identical event for event.
+admission check, the vendor leg answers or fails, each CDR is logged and fed
+to the aggregator, which ticks every period, and freshly closed intervals feed
+new targets back into admission. Everything derives from one seed, so two
+runs of the same scenario are identical event for event.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .domain import (
     triggers_failover,
     whole_seconds,
 )
-from .store import AcdVendorsTable, CdrStore
+from .store import AcdVendorsTable
 
 DEFAULT_START = datetime(2020, 1, 1, 0, 0, 0)
 
@@ -299,11 +299,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     models = {spec.vendor: spec.model for spec in config.vendors}
 
     controller = AdmissionController(group, seed=config.seed + 1)
-    cdr_store = CdrStore()
+    cdrs: List[CallRecord] = []
     tick_period_s = config.tick_period_s
     aggregator = IntervalAggregator(
         group,
-        cdr_store=cdr_store,
         opened_at=config.start_time,
         tick_period_s=tick_period_s,
         min_age_s=config.min_age_s,
@@ -348,17 +347,17 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                 )
             else:
                 code, leg_duration, cause = decision.code, 0, DisconnectCause.OTHER
-            cdr_store.append_cdr(
-                CallRecord(
-                    call_id=call_id,
-                    vendor=vendor,
-                    connect_time=connect,
-                    disconnect_time=connect + timedelta(seconds=leg_duration),
-                    duration_s=leg_duration,
-                    cause=cause,
-                    rejected_by_router=not decision.accepted,
-                )
+            record = CallRecord(
+                call_id=call_id,
+                vendor=vendor,
+                connect_time=connect,
+                disconnect_time=connect + timedelta(seconds=leg_duration),
+                duration_s=leg_duration,
+                cause=cause,
+                rejected_by_router=not decision.accepted,
             )
+            cdrs.append(record)
+            aggregator.add_cdr(record)
             history.append((vendor, code))
 
     # one event loop over (time, arrival index) pairs; a tick carries index -1,
@@ -375,7 +374,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     return ScenarioResult(
         config=config,
-        cdrs=cdr_store.all_records(),
+        cdrs=cdrs,
         interval_history=aggregator.history,
         decision_log=decision_log,
         acd_table=aggregator.acd_table,

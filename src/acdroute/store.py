@@ -1,10 +1,9 @@
 """Flat-file persistence: the append-only CDR log and the acd_vendors table.
 
 Both stores keep their records in memory and optionally mirror every append
-to a newline-delimited CSV file, so the artifact needs no database. The CDR
-log also keeps the records ordered by disconnect time, so a range query
-bisects and slices instead of scanning the log. Reads return copies, taken
-under the same lock that serializes writes.
+to a newline-delimited CSV file, so the artifact needs no database. Reads
+return copies, taken under the same lock that serializes writes. Reading an
+acd_vendors file back checks that its rows form whole interval pairs.
 """
 
 from __future__ import annotations
@@ -12,10 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import threading
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
@@ -92,11 +89,12 @@ def _csv_text(rows: Iterable[Sequence[object]]) -> str:
 
 def _read_csv(
     path: Path, header: List[str], parse: Callable[[List[str]], T]
-) -> Tuple[List[T], List[Tuple[int, str]]]:
-    """Parse a headed CSV file into (records, errors), where errors are
-    (line_number, message) pairs; well-formed rows are kept even when other
-    rows are malformed."""
+) -> Tuple[List[T], List[int], List[Tuple[int, str]]]:
+    """Parse a headed CSV file into (records, their line numbers, errors),
+    where errors are (line_number, message) pairs; well-formed rows are kept
+    even when other rows are malformed."""
     records: List[T] = []
+    lines: List[int] = []
     errors: List[Tuple[int, str]] = []
     with open(path, "r", newline="", encoding="utf-8") as handle:
         for lineno, row in enumerate(csv.reader(handle), start=1):
@@ -108,14 +106,21 @@ def _read_csv(
                 continue
             try:
                 records.append(parse(row))
+                lines.append(lineno)
             except ValueError as exc:
                 errors.append((lineno, str(exc)))
-    return records, errors
+    return records, lines, errors
 
 
-def _read_strict(path: Path, header: List[str], parse: Callable[[List[str]], T]) -> List[T]:
-    """Like ``_read_csv``, but the first malformed line is an error."""
-    records, errors = _read_csv(path, header, parse)
+def _read_strict(path: Path, header: List[str], parse: Callable[[List[str]], T],
+                 check: Optional[Callable] = None) -> List[T]:
+    """Like ``_read_csv``, but the first malformed line is an error, and so is
+    the row that ``check(records)`` names, as (index, message), for breaking
+    a rule across rows."""
+    records, lines, errors = _read_csv(path, header, parse)
+    problem = None if errors or check is None else check(records)
+    if problem is not None:
+        errors = [(lines[problem[0]], problem[1])]
     if errors:
         lineno, message = errors[0]
         raise ValueError(f"{path}: line {lineno}: {message}")
@@ -124,13 +129,14 @@ def _read_strict(path: Path, header: List[str], parse: Callable[[List[str]], T])
 
 class _CsvLog:
     """The append-only record list behind both stores, mirrored to a CSV file
-    when given a path: an existing file is read back (its first malformed line
-    is an error), a new one gets the header, and each ``append`` is one write
-    plus a flush before the records become visible, so a failed write changes
-    nothing. Callers hold ``lock`` around ``append`` and every read of ``records``.
+    when given a path: an existing file is read back (see ``_read_strict``), a
+    new one gets the header, and each ``append`` is one write plus a flush
+    before the records become visible, so a failed write changes nothing.
+    Callers hold ``lock`` around ``append`` and every read of ``records``.
     """
 
-    def __init__(self, path: Optional[Path], header: List[str], parse: Callable, fields: Callable):
+    def __init__(self, path: Optional[Path], header: List[str], parse: Callable,
+                 fields: Callable, check: Optional[Callable] = None):
         self.lock = threading.Lock()
         self.records: List[T] = []
         self._fields = fields
@@ -139,7 +145,7 @@ class _CsvLog:
             path = Path(path)
             new_file = not path.exists() or path.stat().st_size == 0
             if not new_file:
-                self.records = _read_strict(path, header, parse)
+                self.records = _read_strict(path, header, parse, check)
             self._handle = open(path, "a", newline="", encoding="utf-8")
             if new_file:
                 self._write([header])
@@ -173,57 +179,23 @@ def write_cdr_csv(path: Path, records: List[CallRecord]) -> None:
 
 def read_cdr_csv(path: Path) -> Tuple[List[CallRecord], List[Tuple[int, str]]]:
     """Parse a CDR CSV file into (records, errors); see ``_read_csv``."""
-    return _read_csv(path, CDR_CSV_HEADER, _parse_cdr_fields)
+    records, _, errors = _read_csv(path, CDR_CSV_HEADER, _parse_cdr_fields)
+    return records, errors
 
 
 class CdrStore:
-    """Append-only CDR log with range queries over disconnect time.
-
-    Besides the log in insertion order, the store keeps an index: the same
-    records ordered by disconnect time (insertion order on ties) and a
-    parallel list of their disconnect times. ``query_cdrs`` bisects the times
-    and slices, so its cost is O(log n + k) for k records in range, not a scan
-    of the whole log. The index is built when a file is opened and updated
-    after each successful write, under the log's lock.
-    """
+    """Durable append-only CDR log in insertion order, mirrored to a CSV file
+    when given a path. The interval aggregator is fed CDRs directly
+    (``IntervalAggregator.add_cdr``) and never reads this log."""
 
     def __init__(self, path: Optional[Path] = None):
         self._log = _CsvLog(path, CDR_CSV_HEADER, _parse_cdr_fields, _cdr_fields)
-        # a stable sort keeps file order, which is insertion order, on ties
-        self._by_disconnect = sorted(self._log.records, key=attrgetter("disconnect_time"))
-        self._disconnect_times = [record.disconnect_time for record in self._by_disconnect]
 
     def append_cdr(self, record: CallRecord) -> int:
         """Durably append one record; returns its monotonically increasing id."""
         with self._log.lock:
             self._log.append((record,))
-            # after the write: a failed write leaves the index unchanged too
-            at = bisect_right(self._disconnect_times, record.disconnect_time)
-            self._disconnect_times.insert(at, record.disconnect_time)
-            self._by_disconnect.insert(at, record)
             return len(self._log.records)
-
-    def query_cdrs(
-        self,
-        vendor: Optional[int] = None,
-        time_range: Optional[Tuple[datetime, datetime]] = None,
-    ) -> List[CallRecord]:
-        """Records with disconnect_time in the half-open [start, end), ordered
-        by disconnect time (insertion order breaks ties)."""
-        if time_range is not None:
-            start, end = time_range
-            if end < start:
-                raise ValueError(f"inverted time range: {start} .. {end}")
-        with self._log.lock:
-            if time_range is None:
-                hits = self._by_disconnect[:]
-            else:
-                lo = bisect_left(self._disconnect_times, start)
-                hi = bisect_left(self._disconnect_times, end, lo)
-                hits = self._by_disconnect[lo:hi]
-        if vendor is None:
-            return hits
-        return [record for record in hits if record.vendor == vendor]
 
     def all_records(self) -> List[CallRecord]:
         with self._log.lock:
@@ -274,11 +246,28 @@ def _parse_acd_fields(fields: List[str]) -> AcdRow:
     )
 
 
+def _acd_pair_problem(rows: List[AcdRow]) -> Optional[Tuple[int, str]]:
+    """The first row that breaks the pairing, as (index, message): ids run
+    1..n with n even, rows 2k-1 and 2k share a date and name two distinct
+    vendors, and dates do not decrease."""
+    for k, row in enumerate(rows):
+        if row.id != k + 1:
+            return k, f"row id {row.id}, want {k + 1}"
+        previous = rows[k - 1] if k else row
+        if k % 2 and (row.date != previous.date or row.vendor == previous.vendor):
+            return k, f"rows {k} and {k + 1} are not a pair (one date, two vendors)"
+        if row.date < previous.date:
+            return k, f"date {format_ts(row.date)} precedes row {k}'s"
+    return (len(rows) - 1, f"row {len(rows)} has no pair") if len(rows) % 2 else None
+
+
 class AcdVendorsTable:
-    """Closed-interval rows, two per interval, inserted atomically as a pair."""
+    """Closed-interval rows, two per interval, inserted atomically as a pair;
+    a file reopened must hold whole pairs (see ``_acd_pair_problem``)."""
 
     def __init__(self, path: Optional[Path] = None):
-        self._log = _CsvLog(path, ACD_CSV_HEADER, _parse_acd_fields, _acd_fields)
+        self._log = _CsvLog(path, ACD_CSV_HEADER, _parse_acd_fields, _acd_fields,
+                            _acd_pair_problem)
 
     def insert_acd_rows(
         self,
@@ -321,4 +310,6 @@ class AcdVendorsTable:
 
 
 def read_acd_csv(path: Path) -> List[AcdRow]:
-    return _read_strict(path, ACD_CSV_HEADER, _parse_acd_fields)
+    """The rows of an acd_vendors file; its first malformed line or broken
+    pair is an error."""
+    return _read_strict(path, ACD_CSV_HEADER, _parse_acd_fields, _acd_pair_problem)

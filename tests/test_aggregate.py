@@ -7,14 +7,12 @@ import pytest
 from acdroute.aggregate import (
     ClosedInterval,
     IntervalAggregator,
-    TickDecision,
     replay_cdrs,
-    tick_decision,
     vendor_stats,
 )
 from acdroute.codec import decode, encode
 from acdroute.domain import RouteGroup
-from acdroute.store import AcdVendorsTable, CdrStore
+from acdroute.store import AcdVendorsTable
 from conftest import T0, make_cdr, spread_cdrs
 
 GROUP = RouteGroup((55, 62), (9, 8))
@@ -100,35 +98,53 @@ class TestVendorStats:
 
 
 class TestTickDecision:
+    """The close rule: an interval closes on a tick iff it is at least
+    ``min_age_s`` old and at least ``min_calls`` of its calls ended."""
+
     def test_too_young(self):
-        now = T0 + timedelta(minutes=10)
-        assert tick_decision(now, T0, 50) is TickDecision.KEEP_OPEN
+        agg = _aggregator(spread_cdrs(55, [60] * 50, window_s=600))
+        assert agg.tick(T0 + timedelta(minutes=10)) is None
+        assert agg.opened_at == T0
 
     def test_too_quiet(self):
-        now = T0 + timedelta(minutes=30)
-        assert tick_decision(now, T0, 12) is TickDecision.KEEP_OPEN
+        agg = _aggregator(spread_cdrs(55, [60] * 12))
+        assert agg.tick(T0 + timedelta(minutes=30)) is None
+        assert agg.opened_at == T0
 
     def test_boundary_closes(self):
-        now = T0 + timedelta(minutes=20)
-        assert tick_decision(now, T0, 20) is TickDecision.CLOSE
+        agg = _aggregator(spread_cdrs(55, [60] * 20))
+        closed = agg.tick(T0 + timedelta(minutes=20))
+        assert closed is not None
+        assert closed.stats[0].calls == 20
 
     def test_clock_error(self):
-        with pytest.raises(ValueError):
-            tick_decision(T0 - timedelta(seconds=1), T0, 100)
+        agg = _aggregator(spread_cdrs(55, [60] * 100))
+        with pytest.raises(ValueError, match="precedes"):
+            agg.tick(T0 - timedelta(seconds=1))
 
 
 def _aggregator(cdrs, acd_table=None, **kwargs):
-    store = CdrStore()
-    for record in cdrs:
-        store.append_cdr(record)
-    return IntervalAggregator(
+    agg = IntervalAggregator(
         GROUP,
-        cdr_store=store,
         opened_at=T0,
         acd_table=acd_table,
         dest_prefix="37410",
         **kwargs,
     )
+    for record in cdrs:
+        agg.add_cdr(record)
+    return agg
+
+
+class _FlakyTable(AcdVendorsTable):
+    """An acd_vendors table whose next insert fails while ``fail`` is set."""
+
+    fail = False
+
+    def insert_acd_rows(self, first, second):
+        if self.fail:
+            raise OSError("disk full")
+        return super().insert_acd_rows(first, second)
 
 
 # ACDs of exactly 8.67 and 0.6 minutes, padded with zero-duration calls so the
@@ -177,17 +193,8 @@ class TestCloseInterval:
         assert closed.rejected == {55: 4, 62: 0}
 
     def test_persistence_failure_keeps_interval_open(self):
-        class BrokenTable(AcdVendorsTable):
-            def __init__(self):
-                super().__init__()
-                self.fail = True
-
-            def insert_acd_rows(self, first, second):
-                if self.fail:
-                    raise OSError("disk full")
-                return super().insert_acd_rows(first, second)
-
-        table = BrokenTable()
+        table = _FlakyTable()
+        table.fail = True
         cdrs = spread_cdrs(55, GOLDEN_V55) + spread_cdrs(62, GOLDEN_V62)
         agg = _aggregator(cdrs, acd_table=table)
         assert agg.tick(T0 + timedelta(minutes=20)) is None
@@ -206,6 +213,33 @@ class TestCloseInterval:
         agg = _aggregator([])
         with pytest.raises(ValueError):
             agg.tick(T0 - timedelta(minutes=10))
+
+    def test_tick_going_back_in_time_rejected(self):
+        agg = _aggregator(spread_cdrs(55, [60] * 12))
+        assert agg.tick(T0 + timedelta(minutes=30)) is None
+        with pytest.raises(ValueError, match="precedes the last tick"):
+            agg.tick(T0 + timedelta(minutes=20))
+
+    def test_cdr_ending_on_the_tick_counts_in_the_next_interval(self):
+        edge = T0 + timedelta(minutes=20)
+        cdrs = spread_cdrs(55, [60] * 20) + [make_cdr("edge", 55, edge, 5)]
+        cdrs += spread_cdrs(55, [60] * 19, start=edge, tag="y")
+        agg = _aggregator(cdrs)
+        first = agg.tick(edge)
+        assert first.stats[0].calls == 20
+        second = agg.tick(edge + timedelta(minutes=20))
+        assert second.stats[0].calls == 20
+        assert second.stats[0].bucket_0_5 == 1
+
+    def test_late_cdr_is_dropped(self):
+        agg = _aggregator(spread_cdrs(55, [60] * 20))
+        assert agg.tick(T0 + timedelta(minutes=20)) is not None
+        # ended inside the interval that already closed
+        agg.add_cdr(make_cdr("late", 55, T0 + timedelta(minutes=19), 5))
+        for record in spread_cdrs(55, [60] * 20, start=T0 + timedelta(minutes=20), tag="y"):
+            agg.add_cdr(record)
+        closed = agg.tick(T0 + timedelta(minutes=40))
+        assert closed.stats[0].calls == 20 and closed.stats[0].bucket_0_5 == 0
 
     def test_counter_source_snapshot_is_used(self):
         calls = []
@@ -252,10 +286,9 @@ class TestIntervalScheduleProperties:
             cdrs = _random_stream(rng)
             if not cdrs:
                 continue
-            store = CdrStore()
+            agg = IntervalAggregator(GROUP, opened_at=T0)
             for record in cdrs:
-                store.append_cdr(record)
-            agg = IntervalAggregator(GROUP, cdr_store=store, opened_at=T0)
+                agg.add_cdr(record)
             last_end = max(r.disconnect_time for r in cdrs)
             k = 1
             while True:
@@ -270,16 +303,84 @@ class TestIntervalScheduleProperties:
                 age_s = (closed.closed_at - closed.opened_at).total_seconds()
                 assert age_s >= 1200, f"run {run}: interval younger than 20 min"
                 assert age_s % 600 == 0, f"run {run}: age not a multiple of 10 min"
-                # recount ended calls straight from the store
-                in_range = store.query_cdrs(
-                    time_range=(closed.opened_at, closed.closed_at)
-                )
+                # recount ended calls straight from the input
+                in_range = [r for r in cdrs
+                            if closed.opened_at <= r.disconnect_time < closed.closed_at]
                 ended = [r for r in in_range if not r.rejected_by_router]
                 assert len(ended) >= 20, f"run {run}: interval closed under 20 calls"
                 assert sum(s.calls for s in closed.stats) == len(ended)
                 # gapless timeline
                 assert closed.opened_at == previous_close, f"run {run}: gap in timeline"
                 previous_close = closed.closed_at
+
+
+class TestPushFedOracle:
+    """Each closed interval's statistics and counters equal a brute-force
+    recount over every CDR added before its closing tick that ended inside
+    [opened_at, closed_at), whatever the order and timing of the adds."""
+
+    RUNS = 60
+
+    def test_matches_brute_force_recount(self):
+        seen = {"closed": 0, "retried": 0, "late_dropped": 0, "late_kept": 0,
+                "on_tick": 0, "other_vendor": 0}
+        for run in range(self.RUNS):
+            rng = random.Random(4100 + run)
+            # a coarse grid gives many equal disconnect times, some on ticks
+            grid_s = rng.choice((1, 60, 600))
+            n_ticks = rng.randint(6, 30)
+            # the CDRs added just before each tick, in shuffled order
+            batches = [[] for _ in range(n_ticks + 1)]
+            for i in range(rng.randint(0, 500)):
+                vendor = rng.choice((55, 55, 62, 62, 99))
+                rejected = rng.random() < 0.15
+                duration = 0 if rejected else rng.choice(
+                    [0, rng.randint(1, 30), rng.randint(31, 900)])
+                end_s = rng.randint(0, n_ticks * 600 // grid_s) * grid_s
+                record = make_cdr(f"o{i}", vendor, T0 + timedelta(seconds=end_s), duration,
+                                  rejected=rejected)
+                due = end_s // 600  # index of the first tick after it ended
+                if due < n_ticks and rng.random() < 0.1:
+                    batches[rng.randint(due + 1, n_ticks)].append(record)  # late
+                else:
+                    batches[rng.randint(0, min(due, n_ticks))].append(record)
+            table = _FlakyTable()
+            agg = IntervalAggregator(GROUP, opened_at=T0, acd_table=table)
+            added = []
+            for k, batch in enumerate(batches):
+                opened = agg.opened_at
+                for record in batch:
+                    if record.disconnect_time < T0 + timedelta(seconds=600 * k):
+                        late = record.disconnect_time < opened
+                        seen["late_dropped" if late else "late_kept"] += 1
+                    agg.add_cdr(record)
+                added += batch
+                now = T0 + timedelta(seconds=600 * (k + 1))
+                ours = [r for r in added
+                        if r.vendor in GROUP.vendors and opened <= r.disconnect_time < now]
+                ended = [r for r in ours if not r.rejected_by_router]
+                due = (now - opened).total_seconds() >= 1200 and len(ended) >= 20
+                table.fail = due and rng.random() < 0.3
+                closed = agg.tick(now)
+                assert (closed is not None) == (due and not table.fail), f"run {run} tick {k}"
+                seen["retried"] += table.fail
+                seen["on_tick"] += sum(r.disconnect_time == now for r in added)
+                seen["other_vendor"] += sum(r.vendor == 99 for r in batch)
+                if closed is None:
+                    assert agg.opened_at == opened
+                    continue
+                seen["closed"] += 1
+                assert (closed.opened_at, closed.closed_at) == (opened, now)
+                assert closed.stats == tuple(vendor_stats(ended, v) for v in GROUP.vendors)
+                assert sum(s.calls for s in closed.stats) == len(ended)
+                assert closed.received == {
+                    v: sum(r.vendor == v for r in ended) for v in GROUP.vendors}
+                assert closed.rejected == {
+                    v: sum(r.vendor == v and r.rejected_by_router for r in ours)
+                    for v in GROUP.vendors}
+            assert len(table.rows()) == 2 * len(agg.history)
+        # every kind of feed the recount is meant to cover occurred
+        assert all(count >= 10 for count in seen.values()), seen
 
 
 class TestReplay:

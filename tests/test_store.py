@@ -3,6 +3,8 @@ from datetime import datetime, timedelta
 
 import pytest
 
+from acdroute.aggregate import IntervalAggregator, vendor_stats
+from acdroute.domain import RouteGroup
 from acdroute.store import (
     ACD_CSV_HEADER,
     AcdRow,
@@ -15,6 +17,19 @@ from acdroute.store import (
     write_cdr_csv,
 )
 from conftest import T0, make_cdr, spread_cdrs
+
+GROUP = RouteGroup((55, 62), (9, 8))
+
+
+def close_window(records, start, end):
+    """Feed ``records`` to an aggregator opened at ``start`` whose only tick,
+    at ``end``, closes the interval if it saw any ended call."""
+    span_s = int((end - start).total_seconds())
+    agg = IntervalAggregator(GROUP, opened_at=start, tick_period_s=span_s,
+                             min_age_s=span_s, min_calls=1)
+    for record in records:
+        agg.add_cdr(record)
+    return agg.tick(end)
 
 
 class TestCdrStore:
@@ -34,39 +49,25 @@ class TestCdrStore:
 
     def test_query_half_open_range_sorted(self):
         store = CdrStore()
-        for r in spread_cdrs(55, [60] * 10) + spread_cdrs(62, [30] * 10):
+        records = spread_cdrs(55, [60] * 10) + spread_cdrs(62, [30] * 10)
+        for r in reversed(records):
             store.append_cdr(r)
+        # the log keeps append order, not disconnect order
+        assert store.all_records() == records[::-1]
         start = T0 + timedelta(seconds=100)
         end = T0 + timedelta(seconds=700)
-        hits = store.query_cdrs(time_range=(start, end))
-        assert hits
-        for record in hits:
-            assert start <= record.disconnect_time < end
-        assert hits == sorted(hits, key=lambda r: r.disconnect_time)
-        only55 = store.query_cdrs(vendor=55, time_range=(start, end))
-        assert all(r.vendor == 55 for r in only55)
-
-    def test_boundary_is_half_open(self):
-        store = CdrStore()
-        edge = T0 + timedelta(seconds=600)
-        store.append_cdr(make_cdr("edge", 55, edge, 5))
-        assert store.query_cdrs(time_range=(T0, edge)) == []
-        assert len(store.query_cdrs(time_range=(edge, edge + timedelta(1)))) == 1
-
-    def test_inverted_range_rejected(self):
-        store = CdrStore()
-        with pytest.raises(ValueError):
-            store.query_cdrs(time_range=(T0, T0 - timedelta(seconds=1)))
-
-    def test_empty_store_queries_empty(self):
-        assert CdrStore().query_cdrs(time_range=(T0, T0 + timedelta(days=1))) == []
+        closed = close_window(store.all_records(), start, end)
+        hits = [r for r in records if start <= r.disconnect_time < end]
+        assert hits and len(hits) < len(records)
+        assert closed.stats == tuple(vendor_stats(hits, v) for v in GROUP.vendors)
+        assert closed.received == {v: sum(r.vendor == v for r in hits) for v in GROUP.vendors}
 
     @pytest.mark.parametrize("grid_s, reopen_after", [
         (1, None),
         # the first 200 records go to a CSV file in draw order, which is not
-        # disconnect order, so reopening it must rebuild the index
+        # disconnect order, so the reopened log hands them back unsorted
         (1, 200),
-        # 13 distinct disconnect times: ties must keep insertion order
+        # 13 distinct disconnect times: many CDRs end on a window's edge
         (600, None),
         (600, 200),
     ], ids=["appended", "reopened", "ties", "ties-reopened"])
@@ -90,46 +91,43 @@ class TestCdrStore:
             appended = records[reopen_after:]
         for record in appended:
             store.append_cdr(record)
-        queries = []
+        assert store.all_records() == records
+        windows = []
         for _ in range(50):
             a = T0 + timedelta(seconds=rng.randint(0, 7200 // grid_s) * grid_s)
-            b = a + timedelta(seconds=rng.randint(0, 3600 // grid_s) * grid_s)
-            queries.append((rng.choice((None, 55, 62)), (a, b)))
-        queries += [(vendor, None) for vendor in (None, 55, 62)]
-        for vendor, time_range in queries:
-            got = store.query_cdrs(vendor=vendor, time_range=time_range)
-            want = [
-                r for r in records
-                if (vendor is None or r.vendor == vendor)
-                and (time_range is None or time_range[0] <= r.disconnect_time < time_range[1])
-            ]
-            # stable sort keeps insertion order for equal disconnect times,
-            # which is exactly the store's ordering contract
-            assert got == sorted(want, key=lambda r: r.disconnect_time)
+            b = a + timedelta(seconds=rng.randint(1, 3600 // grid_s) * grid_s)
+            windows.append((a, b))
+        windows.append((T0, T0 + timedelta(seconds=7200 + grid_s)))
+        closes = 0
+        for a, b in windows:
+            closed = close_window(store.all_records(), a, b)
+            want = [r for r in records if a <= r.disconnect_time < b]
+            if not want:
+                assert closed is None
+                continue
+            closes += 1
+            assert closed.stats == tuple(vendor_stats(want, v) for v in GROUP.vendors)
+            assert closed.received == {
+                v: sum(r.vendor == v for r in want) for v in GROUP.vendors}
+        assert closes >= 40
         store.close()
 
     def test_failed_write_changes_nothing(self, tmp_path, monkeypatch):
         store = CdrStore(tmp_path / "live.csv")
         for record in spread_cdrs(55, [10, 0, 77]) + spread_cdrs(62, [5, 9], tag="y"):
             store.append_cdr(record)
-        queries = [
-            (vendor, time_range)
-            for vendor in (None, 55, 62)
-            for time_range in (None, (T0, T0 + timedelta(seconds=600)),
-                               (T0, T0 + timedelta(seconds=1200)))
-        ]
         records_before = store.all_records()
-        answers_before = [store.query_cdrs(vendor=v, time_range=r) for v, r in queries]
 
         def failing_write(self, rows):
             raise OSError("disk full")
 
-        monkeypatch.setattr(_CsvLog, "_write", failing_write)
-        # ends mid-log, where an index updated before the write would show it
-        with pytest.raises(OSError):
-            store.append_cdr(make_cdr("lost", 55, T0 + timedelta(seconds=500), 30))
+        with monkeypatch.context() as patch:
+            patch.setattr(_CsvLog, "_write", failing_write)
+            with pytest.raises(OSError):
+                store.append_cdr(make_cdr("lost", 55, T0 + timedelta(seconds=500), 30))
         assert store.all_records() == records_before
-        assert [store.query_cdrs(vendor=v, time_range=r) for v, r in queries] == answers_before
+        # the failed record took no id
+        assert store.append_cdr(make_cdr("next", 55, T0 + timedelta(seconds=600), 30)) == 6
         store.close()
 
 
@@ -266,3 +264,67 @@ class TestAcdVendorsTable:
         assert ids == (3, 4)
         again.close()
         assert [row.id for row in read_acd_csv(path)] == [1, 2, 3, 4]
+
+
+def _reopen(path):
+    AcdVendorsTable(path).close()
+
+
+class TestAcdPairsOnRead:
+    """Both ways of reading an acd_vendors file back require whole pairs and
+    name the first offending line."""
+
+    READERS = [pytest.param(read_acd_csv, id="read_acd_csv"),
+               pytest.param(_reopen, id="reopen")]
+
+    @staticmethod
+    def _write(tmp_path, edit):
+        """Three well-formed pairs, ten minutes apart, with ``edit`` applied
+        to the data lines (a list of field lists)."""
+        table = AcdVendorsTable()
+        when = datetime(2020, 1, 1, 9, 0, 0)
+        for k in range(3):
+            at = when + timedelta(minutes=10 * k)
+            table.insert_acd_rows((55, at, 8.67, 12.77, ""), (62, at, 0.6, 0.0, ""))
+        header, *rows = [line.split(",") for line in table.to_csv_text().splitlines()]
+        rows = edit(rows)
+        path = tmp_path / "acd_vendors.csv"
+        path.write_text("".join(",".join(f) + "\n" for f in [header] + rows), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("read", READERS)
+    def test_well_formed_pairs_read(self, tmp_path, read):
+        read(self._write(tmp_path, lambda rows: rows))
+
+    @pytest.mark.parametrize("read", READERS)
+    @pytest.mark.parametrize("edit, where", [
+        # the second row of the last pair lost: ids 1..5
+        (lambda rows: rows[:-1], "line 6: row 5 has no pair"),
+        (lambda rows: rows[:1], "line 2: row 1 has no pair"),
+        # the middle pair lost: ids 1, 2, 5, 6
+        (lambda rows: rows[:2] + rows[4:], "line 4: row id 5, want 3"),
+    ], ids=["last-row-lost", "one-row-left", "pair-lost"])
+    def test_ids_run_one_to_an_even_n(self, tmp_path, read, edit, where):
+        with pytest.raises(ValueError, match=where):
+            read(self._write(tmp_path, edit))
+
+    @pytest.mark.parametrize("read", READERS)
+    @pytest.mark.parametrize("field, value", [(2, "2020-01-01 09:11:00"), (1, "55")],
+                             ids=["two-dates", "one-vendor"])
+    def test_pair_shares_a_date_and_names_two_vendors(self, tmp_path, read, field, value):
+        def edit(rows):
+            rows[3][field] = value
+            return rows
+
+        with pytest.raises(ValueError, match="line 5: rows 3 and 4 are not a pair"):
+            read(self._write(tmp_path, edit))
+
+    @pytest.mark.parametrize("read", READERS)
+    def test_dates_do_not_decrease(self, tmp_path, read):
+        def edit(rows):
+            for row in rows[4:]:
+                row[2] = "2020-01-01 09:05:00"
+            return rows
+
+        with pytest.raises(ValueError, match="line 6: date 2020-01-01 09:05:00 precedes row 4"):
+            read(self._write(tmp_path, edit))
