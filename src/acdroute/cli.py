@@ -4,16 +4,22 @@ Subcommands: ``compute`` (one-off rejection calculation), ``aggregate``
 (replay a CDR CSV through the interval machinery), ``simulate`` (run a
 scenario end to end) and ``report`` (re-render a saved interval history).
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
+
+``simulate`` streams each CDR and each admission decision to ``cdrs.csv`` and
+``decisions.csv`` as the run makes it, so its memory does not grow with the
+run's length; the files it writes after the run come from the interval
+history and the result's counters.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, TextIO, Tuple
 
 from .aggregate import (
     MIN_INTERVAL_AGE_S,
@@ -27,8 +33,10 @@ from .codec import decode, encode
 from .domain import RouteGroup, validate_prefs_and_floor, whole_seconds
 from .rejection import QualityInput, compute_rejection
 from .report import TABLE_FORMATS, render_calc_breakdown, render_interval_table
-from .sim import ScenarioConfig, ScenarioResult, run_scenario
-from .store import AcdVendorsTable, read_cdr_csv, write_cdr_csv, write_csv
+from .sim import DecisionRecord, ScenarioConfig, ScenarioResult, run_scenario
+from .store import CDR_CSV_HEADER, AcdVendorsTable, _cdr_fields, read_cdr_csv
+
+DECISION_CSV_HEADER = ["seq", "time_s", "call_id", "vendor", "accepted", "code"]
 
 
 def _pair(text: str, kind, name: str) -> Tuple:
@@ -149,14 +157,18 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     min_age_s = whole_seconds(args.min_age_min)
     validate_schedule(tick_period_s, min_age_s, args.min_calls)
     validate_prefs_and_floor(args.prefs, args.load_min)
+    # checked before the file is read, so a header-only file cannot hide it
+    group = None if args.vendors is None else RouteGroup(args.vendors, args.prefs, args.load_min)
     records, errors = read_cdr_csv(args.cdr)
     if errors:
         for lineno, message in errors:
             print(f"{args.cdr}:{lineno}: {message}", file=sys.stderr)
         return 1
-    vendors = args.vendors or tuple(sorted({r.vendor for r in records}))
-    if records and len(vendors) != 2:
-        raise ValueError(f"file holds {len(vendors)} vendor id(s); pass --vendors V,W")
+    if records and group is None:
+        vendors = tuple(sorted({r.vendor for r in records}))
+        if len(vendors) != 2:
+            raise ValueError(f"file holds {len(vendors)} vendor id(s); pass --vendors V,W")
+        group = RouteGroup(vendors, args.prefs, args.load_min)
     args.out.mkdir(parents=True, exist_ok=True)
     if not records:
         # nothing to replay: emit empty artifacts
@@ -166,7 +178,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         return 0
     history, table = replay_cdrs(
         records,
-        RouteGroup(vendors, args.prefs, args.load_min),
+        group,
         tick_period_s=tick_period_s,
         min_age_s=min_age_s,
         min_calls=args.min_calls,
@@ -184,32 +196,29 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_decision_log(out_dir: Path, result: ScenarioResult) -> None:
-    write_csv(
-        out_dir / "decisions.csv",
-        ["seq", "time_s", "call_id", "vendor", "accepted", "code"],
-        (
-            [
-                record.seq,
-                f"{record.time_s:.3f}",
-                record.call_id,
-                record.vendor,
-                "1" if record.accepted else "0",
-                "" if record.code is None else record.code,
-            ]
-            for record in result.decision_log
-        ),
-    )
+def _decision_fields(record: DecisionRecord) -> List[object]:
+    return [
+        record.seq,
+        f"{record.time_s:.3f}",
+        record.call_id,
+        record.vendor,
+        "1" if record.accepted else "0",
+        "" if record.code is None else record.code,
+    ]
+
+
+def _csv_sink(handle: TextIO, header: List[str], fields: Callable) -> Callable:
+    """Write ``header`` to ``handle``; the returned sink writes each record it
+    is given as the row ``fields(record)``."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    writerow = writer.writerow
+    return lambda record: writerow(fields(record))
 
 
 def _write_summary(out_dir: Path, result: ScenarioResult) -> None:
     vendors = result.config.group.vendors
-    answered = {v: 0 for v in vendors}
-    answered_minutes = {v: 0.0 for v in vendors}
-    for record in result.cdrs:
-        if not record.rejected_by_router and record.duration_s > 0:
-            answered[record.vendor] += 1
-            answered_minutes[record.vendor] += record.duration_s / 60.0
+    answered, answered_minutes = result.answered_calls, result.answered_minutes
     summary = {
         "seed": result.config.seed,
         "admission_enabled": result.config.admission_enabled,
@@ -235,11 +244,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.disable_admission:
         overrides["admission_enabled"] = False
     config = dataclasses.replace(config, **overrides)
-    result = run_scenario(config)
     args.out.mkdir(parents=True, exist_ok=True)
-    write_cdr_csv(args.out / "cdrs.csv", result.cdrs)
+    with open(args.out / "cdrs.csv", "w", newline="", encoding="utf-8") as cdr_file, \
+            open(args.out / "decisions.csv", "w", newline="", encoding="utf-8") as decision_file:
+        result = run_scenario(
+            config,
+            on_cdr=_csv_sink(cdr_file, CDR_CSV_HEADER, _cdr_fields),
+            on_decision=_csv_sink(decision_file, DECISION_CSV_HEADER, _decision_fields),
+        )
     result.acd_table.export_csv(args.out / "acd_vendors.csv")
-    _write_decision_log(args.out, result)
     _write_history_files(args.out, result.interval_history)
     _write_summary(args.out, result)
     targets = ", ".join(

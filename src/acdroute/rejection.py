@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Optional, Tuple
 
-from .domain import DEFAULT_LOAD_MIN, validate_prefs_and_floor
+from .domain import DEFAULT_LOAD_MIN, validate_acd, validate_prefs_and_floor
 
 
 def round_half_up(value: float, places: int = 2) -> float:
@@ -28,8 +28,8 @@ def round_half_up(value: float, places: int = 2) -> float:
 class QualityInput:
     """One closed interval's evidence for a two-route group.
 
-    ``acd_min`` entries are in minutes and may be None when a vendor had no
-    answered call in the interval (no evidence).
+    ``acd_min`` entries are finite, non-negative minutes, or None when a
+    vendor had no answered call in the interval (no evidence).
     """
 
     acd_min: Tuple[Optional[float], Optional[float]]
@@ -41,8 +41,7 @@ class QualityInput:
             raise ValueError("exactly two routes participate in a routing group")
         validate_prefs_and_floor(self.prefs, self.load_min)
         for acd in self.acd_min:
-            if acd is not None and acd < 0:
-                raise ValueError(f"ACD must be non-negative, got {acd}")
+            validate_acd(acd)
 
 
 @dataclass(frozen=True)

@@ -6,18 +6,25 @@ admission check, the vendor leg answers or fails, each CDR is logged and fed
 to the aggregator, which ticks every period, and freshly closed intervals feed
 new targets back into admission. Everything derives from one seed, so two
 runs of the same scenario are identical event for event.
+
+Each CDR and each admission decision goes to a sink as soon as it is made.
+The default sinks collect them on the ``ScenarioResult``; a caller that
+streams them elsewhere (the CLI writes them to their CSV files) keeps the
+run's memory bounded by the open interval and the ledger, not by its length.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .admission import AdmissionController
 from .aggregate import (
@@ -238,7 +245,9 @@ class DecisionRecord(NamedTuple):
 
 @dataclass
 class ScenarioResult:
-    """Full trace of one scenario run."""
+    """Full trace of one scenario run. ``cdrs`` and ``decision_log`` hold the
+    records only when ``run_scenario`` used its default sinks; the answered
+    counts cover every CDR either way."""
 
     config: ScenarioConfig
     cdrs: List[CallRecord]
@@ -247,6 +256,8 @@ class ScenarioResult:
     acd_table: AcdVendorsTable
     abandoned_calls: int
     total_calls: int
+    answered_calls: Dict[int, int]
+    answered_minutes: Dict[int, float]
 
     def final_targets(self) -> Dict[int, float]:
         """Targets in force at the end of the run (zero before any close)."""
@@ -284,7 +295,11 @@ def _shares(totals: Mapping[int, float]) -> Dict[int, float]:
     return {v: amount / grand if grand else 0.0 for v, amount in totals.items()}
 
 
-def run_scenario(config: ScenarioConfig) -> ScenarioResult:
+def run_scenario(
+    config: ScenarioConfig,
+    on_cdr: Optional[Callable[[CallRecord], object]] = None,
+    on_decision: Optional[Callable[[DecisionRecord], object]] = None,
+) -> ScenarioResult:
     """Run one scenario to completion.
 
     Two interleaved event streams drive the run: call arrivals (Poisson) and
@@ -292,6 +307,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     first, so a call arriving exactly on a tick boundary already sees the
     refreshed targets. Ticking stops at the scenario end; calls still in
     flight then simply never get aggregated.
+
+    ``on_cdr`` and ``on_decision`` receive each record, in order, as soon as
+    it is made; by default they append to the result's ``cdrs`` and
+    ``decision_log``. An exception raised by a sink ends the run.
     """
     traffic_rng = random.Random(config.seed)
     group = config.group
@@ -300,6 +319,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     controller = AdmissionController(group, seed=config.seed + 1)
     cdrs: List[CallRecord] = []
+    decision_log: List[DecisionRecord] = []
+    on_cdr = cdrs.append if on_cdr is None else on_cdr
+    on_decision = decision_log.append if on_decision is None else on_decision
+    next_seq = itertools.count().__next__
+    # summed in CDR order, one float per vendor, as summary.json rounds them
+    answered = {v: 0 for v in group.vendors}
+    answered_minutes = {v: 0.0 for v in group.vendors}
     tick_period_s = config.tick_period_s
     aggregator = IntervalAggregator(
         group,
@@ -312,16 +338,16 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     )
 
     # every arrival is drawn before the first call is handled: vendor legs
-    # draw from the same generator, so the order of draws fixes the traffic
+    # draw from the same generator, so the order of draws fixes the traffic;
+    # a packed array keeps them at 8 bytes each, not a float object apiece
     duration_s = config.duration_min * 60.0
     rate_per_s = config.arrival_rate_per_min / 60.0
-    arrivals: List[float] = []
+    arrivals = array("d")
     t = traffic_rng.expovariate(rate_per_s)
     while t < duration_s:
         arrivals.append(t)
         t += traffic_rng.expovariate(rate_per_s)
 
-    decision_log: List[DecisionRecord] = []
     abandoned = 0
 
     def handle_call(t_s: float, call_id: str) -> bool:
@@ -333,10 +359,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             if vendor is None:
                 return bool(history) and classify_response(history[-1][1]) is ResponseClass.SUCCESS
             decision = controller.decide(call_id, vendor, now=t_s)
-            decision_log.append(
-                DecisionRecord(
-                    len(decision_log), t_s, call_id, vendor, decision.accepted, decision.code
-                )
+            on_decision(
+                DecisionRecord(next_seq(), t_s, call_id, vendor, decision.accepted, decision.code)
             )
             if decision.accepted:
                 code, leg_duration = vendor_leg(models[vendor], traffic_rng)
@@ -345,6 +369,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                     if classify_response(code) is ResponseClass.SUCCESS
                     else DisconnectCause.NO_USER_RESPONDING
                 )
+                if leg_duration:
+                    answered[vendor] += 1
+                    answered_minutes[vendor] += leg_duration / 60.0
             else:
                 code, leg_duration, cause = decision.code, 0, DisconnectCause.OTHER
             record = CallRecord(
@@ -356,7 +383,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                 cause=cause,
                 rejected_by_router=not decision.accepted,
             )
-            cdrs.append(record)
+            on_cdr(record)
             aggregator.add_cdr(record)
             history.append((vendor, code))
 
@@ -380,4 +407,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         acd_table=aggregator.acd_table,
         abandoned_calls=abandoned,
         total_calls=len(arrivals),
+        answered_calls=answered,
+        answered_minutes=answered_minutes,
     )

@@ -16,7 +16,7 @@ from datetime import datetime
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
-from .domain import CallRecord, DisconnectCause, format_ts, parse_ts
+from .domain import CallRecord, DisconnectCause, format_ts, parse_ts, validate_acd
 
 CDR_CSV_HEADER = [
     "call_id",
@@ -219,6 +219,7 @@ class AcdRow:
     def __post_init__(self) -> None:
         if not 0.0 <= self.reject_pct <= 100.0:
             raise ValueError(f"reject_pct out of [0, 100]: {self.reject_pct}")
+        validate_acd(self.acd_min)
 
 
 def _acd_fields(row: AcdRow) -> List[str]:

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from datetime import timedelta
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from acdroute.cli import main
-from acdroute.store import read_acd_csv, write_cdr_csv
+from acdroute.store import _cdr_fields, read_acd_csv, write_cdr_csv
 from conftest import T0, make_cdr
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -214,6 +215,39 @@ class TestSimulate:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("name", ["cdrs.csv", "decisions.csv"])
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_full_disk_mid_run_is_runtime_error(self, tmp_path, capsys, name):
+        # every write to /dev/full fails with ENOSPC, so the sink's first
+        # buffer flush raises mid-run; both files must still be closed
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / name).symlink_to("/dev/full")
+        assert main(["simulate", "--scenario", str(SCENARIOS / "pure_fas_control.json"),
+                     "--out", str(out)]) == 1
+        assert_one_line_error(capsys)
+        assert not (out / "summary.json").exists()
+        gc.collect()
+
+    def test_sink_error_closes_both_files(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def failing_fields(record):
+            calls.append(record)
+            if len(calls) == 500:
+                raise OSError("disk quota exceeded")
+            return _cdr_fields(record)
+
+        monkeypatch.setattr("acdroute.cli._cdr_fields", failing_fields)
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(SCENARIOS / "pure_fas_control.json"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: disk quota exceeded\n"
+        gc.collect()
+        # the rows written before the error are whole rows
+        assert len((out / "cdrs.csv").read_text(encoding="utf-8").splitlines()) == 500
+
+
 class TestReport:
     def test_renders_saved_history(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -301,13 +335,21 @@ class TestMalformedInput:
         assert_one_line_error(capsys)
 
     @pytest.mark.parametrize("flags", [["--prefs", "9,9"],
-                                       ["--prefs", "9,8", "--load-min", "0.7"]],
-                             ids=["equal-prefs", "floor-above-half"])
+                                       ["--prefs", "9,8", "--load-min", "0.7"],
+                                       ["--prefs", "9,8", "--vendors", "5,5"],
+                                       ["--prefs", "9,8", "--vendors=-1,5"]],
+                             ids=["equal-prefs", "floor-above-half", "equal-vendors",
+                                  "negative-vendor"])
     def test_bad_route_flags_on_header_only_csv(self, tmp_path, capsys, flags):
         cdr_csv = tmp_path / "empty.csv"
         write_cdr_csv(cdr_csv, [])
         assert main(["aggregate", "--cdr", str(cdr_csv), *flags,
                      "--out", str(tmp_path / "out")]) == 2
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("acd", ["nan,1", "inf,1", "1e400,1", "inf,inf", "1,-inf"])
+    def test_non_finite_acd_on_compute(self, capsys, acd):
+        assert main(["compute", f"--acd={acd}", "--pref", "9,8"]) == 2
         assert_one_line_error(capsys)
 
     @pytest.mark.parametrize("rows, flags", [

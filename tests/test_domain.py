@@ -107,6 +107,66 @@ def test_format_ts_round_trips_every_year():
     assert format_ts(datetime(999, 1, 1, 0, 0, 1)) == "0999-01-01 00:00:01"
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("2009-11-09 10:50:25", datetime(2009, 11, 9, 10, 50, 25)),
+    ("0001-01-01 00:00:00", datetime(1, 1, 1)),
+    ("9999-12-31 23:59:59", datetime(9999, 12, 31, 23, 59, 59)),
+    ("2020-02-29 00:00:00", datetime(2020, 2, 29)),
+])
+def test_parse_ts_reads_the_padded_form(text, expected):
+    assert parse_ts(text) == expected
+
+
+@pytest.mark.parametrize("text", [
+    # forms strptime also reads: unpadded fields and non-ASCII digits
+    "2020-1-01 00:00:00",
+    "2020-01-1 00:00:00",
+    "2020-01-01 0:00:00",
+    "2020-01-01 00:0:00",
+    "2020-01-01 00:00:0",
+    "\uff12\uff10\uff12\uff10-01-01 00:00:00",  # full-width digits
+    "\u0662\u0660\u0662\u0660-01-01 00:00:00",  # Arabic-Indic digits
+    # other shapes, several of which fromisoformat reads on some Python versions
+    "999-01-01 00:00:00",
+    " 2020-01-01 00:00:00",
+    "2020-01-01 00:00:00 ",
+    "2020-01-01T00:00:00",
+    "2020-01-01 00:00:00.5",
+    "2020-01-01 00:00:00+00:00",
+    "2020-01-01 00:00",
+    "2020-01-01",
+    "20200101 000000",
+    "2020-01-01 00:00:00\n",
+    # the right shape, but no such time
+    "0000-01-01 00:00:00",
+    "2020-13-01 00:00:00",
+    "2019-02-29 00:00:00",
+    "2020-01-01 24:00:00",
+    "2020-01-01 00:60:00",
+    "2020-01-01 00:00:60",
+    "",
+])
+def test_parse_ts_refuses_every_other_form(text):
+    with pytest.raises(ValueError):
+        parse_ts(text)
+
+
+def test_parse_ts_equals_strptime_on_what_format_ts_writes():
+    # every year, every day of a leap and a common year, and every hour,
+    # minute and second value (7 s steps over a day cover all three)
+    rng = random.Random(11)
+    stamps = [datetime(year, 1, 1) + timedelta(days=rng.randrange(365),
+                                               seconds=rng.randrange(86400))
+              for year in range(1, 10000)]
+    for year in (2000, 2019):
+        first = datetime(year, 1, 1, 12, 34, 56)
+        stamps += [first + timedelta(days=d) for d in range(366 if year == 2000 else 365)]
+    stamps += [datetime(2020, 5, 17) + timedelta(seconds=s) for s in range(0, 86400, 7)]
+    for ts in stamps:
+        text = format_ts(ts)
+        assert parse_ts(text) == datetime.strptime(text, TS_FORMAT) == ts, text
+
+
 class TestCallRecord:
     def test_valid_record(self):
         start = datetime(2020, 1, 1, 12, 0, 0)

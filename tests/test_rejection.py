@@ -116,6 +116,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             QualityInput((-1.0, 0.6), (9, 8), 0.1)
 
+    @pytest.mark.parametrize("acd", [(float("nan"), 1.0), (1.0, float("inf")),
+                                     (float("inf"), float("inf")), (-float("inf"), 1.0)],
+                             ids=["nan", "inf", "both-inf", "minus-inf"])
+    def test_non_finite_acd_rejected(self, acd):
+        # (inf, inf) would give NaN loads, and admission would never reject
+        with pytest.raises(ValueError, match="finite non-negative"):
+            QualityInput(acd, (9, 8), 0.1)
+
     def test_preference_range(self):
         with pytest.raises(ValueError):
             QualityInput((8.67, 0.6), (10, 8), 0.1)

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from collections import Counter, defaultdict
 
 import pytest
@@ -323,3 +324,51 @@ class TestTraceInvariants:
         a = run_scenario(fas_preferred_config(seed=7, duration=90.0))
         b = run_scenario(fas_preferred_config(seed=8, duration=90.0))
         assert a.cdrs != b.cdrs
+
+
+class TestRecordSinks:
+    def test_explicit_list_sinks_match_the_defaults(self):
+        config = fas_preferred_config(duration=120.0)
+        default = run_scenario(config)
+        cdrs, decisions = [], []
+        streamed = run_scenario(config, on_cdr=cdrs.append, on_decision=decisions.append)
+        assert cdrs == default.cdrs and decisions == default.decision_log
+        assert [d.seq for d in decisions] == list(range(len(decisions)))
+        # records handed to a sink are not kept a second time
+        assert streamed.cdrs == [] and streamed.decision_log == []
+        assert encode(streamed.interval_history) == encode(default.interval_history)
+        assert streamed.acd_table.rows() == default.acd_table.rows()
+        assert (streamed.total_calls, streamed.abandoned_calls) == (
+            default.total_calls, default.abandoned_calls)
+
+    def test_answered_counts_equal_a_recount_in_cdr_order(self):
+        config = fas_preferred_config(duration=120.0)
+        result = run_scenario(config, on_cdr=lambda record: None)
+        answered = {71: 0, 72: 0}
+        minutes = {71: 0.0, 72: 0.0}
+        for record in run_scenario(config).cdrs:
+            if not record.rejected_by_router and record.duration_s > 0:
+                answered[record.vendor] += 1
+                minutes[record.vendor] += record.duration_s / 60.0
+        assert result.answered_calls == answered
+        assert result.answered_minutes == minutes  # exact: same order of sums
+        assert all(answered.values())
+
+    def test_streamed_run_memory_does_not_grow_per_call(self):
+        """Peak traced memory of a run with no-op sinks grows by far less per
+        added call than the ~750 B a kept CDR and its decisions cost."""
+        noop = lambda record: None  # noqa: E731
+
+        def peak(duration):
+            tracemalloc.start()
+            try:
+                result = run_scenario(fas_preferred_config(duration=duration),
+                                      on_cdr=noop, on_decision=noop)
+                return result.total_calls, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # both past the first close and the ledger's one-hour fill
+        (calls_short, peak_short), (calls_long, peak_long) = peak(100.0), peak(400.0)
+        per_call = (peak_long - peak_short) / (calls_long - calls_short)
+        assert per_call < 100, f"{per_call:.0f} B per added call"

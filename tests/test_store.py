@@ -328,3 +328,13 @@ class TestAcdPairsOnRead:
 
         with pytest.raises(ValueError, match="line 6: date 2020-01-01 09:05:00 precedes row 4"):
             read(self._write(tmp_path, edit))
+
+    @pytest.mark.parametrize("read", READERS)
+    @pytest.mark.parametrize("value", ["nan", "-3", "inf"])
+    def test_acd_is_finite_and_non_negative(self, tmp_path, read, value):
+        def edit(rows):
+            rows[2][3] = value
+            return rows
+
+        with pytest.raises(ValueError, match="line 4: ACD must be a finite non-negative"):
+            read(self._write(tmp_path, edit))
