@@ -43,7 +43,7 @@ from .sim import (
     run_scenario,
     vendor_leg,
 )
-from .store import AcdRow, AcdVendorsTable, CdrStore, read_cdr_csv, write_cdr_csv
+from .store import AcdRow, AcdVendorsTable, read_cdr_csv, write_cdr_csv
 
 __version__ = "0.1.0"
 
@@ -52,7 +52,6 @@ __all__ = [
     "AcdVendorsTable",
     "AdmissionController",
     "CallRecord",
-    "CdrStore",
     "ClosedInterval",
     "Decision",
     "DisconnectCause",

@@ -178,6 +178,15 @@ class IntervalAggregator:
             return None
         return self._close(now, ended)
 
+    def next_tick(self, now: datetime) -> datetime:
+        """The first tick after one at ``now`` that can close the interval; with
+        fewer than ``min_calls`` ended calls, that is the next to take in a CDR."""
+        period = timedelta(seconds=self.tick_period_s)
+        ended = sum(not r.rejected_by_router for r in self._records)
+        if ended < self.min_calls and self._pending:
+            return now + period * ((self._pending[0][0] - now) // period + 1)
+        return now + period
+
     def _close(self, now: datetime, ended: List[CallRecord]) -> Optional[ClosedInterval]:
         group = self.group
         stats = tuple(vendor_stats(ended, v) for v in group.vendors)
@@ -253,5 +262,5 @@ def replay_cdrs(
     now = start + timedelta(seconds=tick_period_s)
     while now <= horizon:
         agg.tick(now)
-        now += timedelta(seconds=tick_period_s)
+        now = agg.next_tick(now)
     return agg.history, agg.acd_table

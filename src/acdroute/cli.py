@@ -14,12 +14,11 @@ history and the result's counters.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Callable, List, Optional, TextIO, Tuple
+from typing import List, Optional, Tuple
 
 from .aggregate import (
     MIN_INTERVAL_AGE_S,
@@ -34,7 +33,7 @@ from .domain import RouteGroup, validate_prefs_and_floor, whole_seconds
 from .rejection import QualityInput, compute_rejection
 from .report import TABLE_FORMATS, render_calc_breakdown, render_interval_table
 from .sim import DecisionRecord, ScenarioConfig, ScenarioResult, run_scenario
-from .store import CDR_CSV_HEADER, AcdVendorsTable, _cdr_fields, read_cdr_csv
+from .store import CDR_CSV_HEADER, AcdVendorsTable, cdr_fields, csv_sink, read_cdr_csv
 
 DECISION_CSV_HEADER = ["seq", "time_s", "call_id", "vendor", "accepted", "code"]
 
@@ -207,15 +206,6 @@ def _decision_fields(record: DecisionRecord) -> List[object]:
     ]
 
 
-def _csv_sink(handle: TextIO, header: List[str], fields: Callable) -> Callable:
-    """Write ``header`` to ``handle``; the returned sink writes each record it
-    is given as the row ``fields(record)``."""
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(header)
-    writerow = writer.writerow
-    return lambda record: writerow(fields(record))
-
-
 def _write_summary(out_dir: Path, result: ScenarioResult) -> None:
     vendors = result.config.group.vendors
     answered, answered_minutes = result.answered_calls, result.answered_minutes
@@ -245,12 +235,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         overrides["admission_enabled"] = False
     config = dataclasses.replace(config, **overrides)
     args.out.mkdir(parents=True, exist_ok=True)
+    # the files written after the run go first, so a run that fails into a
+    # reused --out leaves none of an earlier run's beside its own
+    for name in ("acd_vendors.csv", "interval_history.json", "summary.json",
+                 *(f"interval_table.{fmt}" for fmt in TABLE_FORMATS)):
+        (args.out / name).unlink(missing_ok=True)
     with open(args.out / "cdrs.csv", "w", newline="", encoding="utf-8") as cdr_file, \
             open(args.out / "decisions.csv", "w", newline="", encoding="utf-8") as decision_file:
         result = run_scenario(
             config,
-            on_cdr=_csv_sink(cdr_file, CDR_CSV_HEADER, _cdr_fields),
-            on_decision=_csv_sink(decision_file, DECISION_CSV_HEADER, _decision_fields),
+            on_cdr=csv_sink(cdr_file, CDR_CSV_HEADER, cdr_fields),
+            on_decision=csv_sink(decision_file, DECISION_CSV_HEADER, _decision_fields),
         )
     result.acd_table.export_csv(args.out / "acd_vendors.csv")
     _write_history_files(args.out, result.interval_history)
@@ -285,12 +280,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, OSError) else 2
 
 
 if __name__ == "__main__":

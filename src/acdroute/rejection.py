@@ -12,16 +12,21 @@ layer can push away, since billing only ever fails over *from* it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import Optional, Tuple
 
 from .domain import DEFAULT_LOAD_MIN, validate_acd, validate_prefs_and_floor
 
 
+# quantize fails when its result needs more digits than the context holds:
+# the default 28 run out from 1e26 up, 330 hold any finite float to 2 places
+_EVERY_FLOAT = Context(prec=330)
+
+
 def round_half_up(value: float, places: int = 2) -> float:
     """Round on the decimal representation, halves away from zero."""
     exponent = Decimal(1).scaleb(-places)
-    return float(Decimal(repr(value)).quantize(exponent, rounding=ROUND_HALF_UP))
+    return float(Decimal(repr(value)).quantize(exponent, ROUND_HALF_UP, _EVERY_FLOAT))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
-"""Flat-file persistence: the append-only CDR log and the acd_vendors table.
+"""Flat-file persistence: the CDR CSV files and the acd_vendors table.
 
-Both stores keep their records in memory and optionally mirror every append
-to a newline-delimited CSV file, so the artifact needs no database. Reads
-return copies, taken under the same lock that serializes writes. Reading an
-acd_vendors file back checks that its rows form whole interval pairs.
+``csv_sink`` is the one streaming row writer: ``simulate`` writes its CDRs
+and decisions through it as the run makes them, and ``write_cdr_csv`` writes
+a list of records. ``AcdVendorsTable`` keeps its rows in memory and
+optionally mirrors each pair to a CSV file, so the artifact needs no
+database. A file is read back a row at a time, and a row is accepted only in
+the form its writer gives it; an acd_vendors file must also hold whole
+interval pairs.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import threading
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from .domain import CallRecord, DisconnectCause, format_ts, parse_ts, validate_acd
 
@@ -30,10 +33,8 @@ CDR_CSV_HEADER = [
 
 ACD_CSV_HEADER = ["id", "vendor", "date", "acd_min", "reject_pct", "prefix"]
 
-T = TypeVar("T")
 
-
-def _cdr_fields(record: CallRecord) -> List[object]:
+def cdr_fields(record: CallRecord) -> List[object]:
     # csv.writer writes the ints with str(), as a CSV row reads them back
     return [
         record.call_id,
@@ -47,38 +48,35 @@ def _cdr_fields(record: CallRecord) -> List[object]:
 
 
 def _int_field(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"bad {what} {text!r}") from None
+    # ASCII digits only: int() also reads "+5", " 5 ", "5_5" and non-ASCII digits
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"bad {what} {text!r}")
+    return int(text)
+
+
+def _check_written_form(header: List[str], written: Sequence[object],
+                        fields: List[str]) -> None:
+    """Refuse a row whose fields are not ``written``, the row its parsed
+    record is written as (``10`` read from ``010``, ``8.67`` from ``8.670``),
+    so every row a reader accepts re-serialises to itself."""
+    for name, want, got in zip(header, written, fields):
+        if str(want) != got:
+            raise ValueError(f"{name} {got!r} is not written as {str(want)!r}")
 
 
 def _parse_cdr_fields(fields: List[str]) -> CallRecord:
-    if len(fields) != len(CDR_CSV_HEADER):
-        raise ValueError(f"expected {len(CDR_CSV_HEADER)} fields, got {len(fields)}")
     call_id, vendor_s, connect_s, disconnect_s, duration_s, cause_s, rejected_s = fields
-    vendor = _int_field(vendor_s, "vendor id")
-    try:
-        connect = parse_ts(connect_s)
-        disconnect = parse_ts(disconnect_s)
-    except ValueError:
-        raise ValueError("bad timestamp (want YYYY-MM-DD HH:MM:SS)") from None
-    duration = _int_field(duration_s, "duration")
-    try:
-        cause = DisconnectCause(cause_s)
-    except ValueError:
-        raise ValueError(f"unknown cause {cause_s!r}") from None
-    if rejected_s not in ("0", "1"):
-        raise ValueError(f"rejected flag must be 0 or 1, got {rejected_s!r}")
-    return CallRecord(
+    record = CallRecord(
         call_id=call_id,
-        vendor=vendor,
-        connect_time=connect,
-        disconnect_time=disconnect,
-        duration_s=duration,
-        cause=cause,
+        vendor=_int_field(vendor_s, "vendor id"),
+        connect_time=parse_ts(connect_s),
+        disconnect_time=parse_ts(disconnect_s),
+        duration_s=_int_field(duration_s, "duration"),
+        cause=DisconnectCause(cause_s),
         rejected_by_router=rejected_s == "1",
     )
+    _check_written_form(CDR_CSV_HEADER, cdr_fields(record), fields)
+    return record
 
 
 def _csv_text(rows: Iterable[Sequence[object]]) -> str:
@@ -88,121 +86,57 @@ def _csv_text(rows: Iterable[Sequence[object]]) -> str:
 
 
 def _read_csv(
-    path: Path, header: List[str], parse: Callable[[List[str]], T]
-) -> Tuple[List[T], List[int], List[Tuple[int, str]]]:
+    path: Path, header: List[str], parse: Callable[[List[str]], object]
+) -> Tuple[List, List[int], List[Tuple[int, str]]]:
     """Parse a headed CSV file into (records, their line numbers, errors),
     where errors are (line_number, message) pairs; well-formed rows are kept
-    even when other rows are malformed."""
-    records: List[T] = []
+    even when other rows are malformed. A line the csv module cannot split
+    (a field over its size limit) makes the whole file a ``ValueError``."""
+    records: List = []
     lines: List[int] = []
     errors: List[Tuple[int, str]] = []
     with open(path, "r", newline="", encoding="utf-8") as handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row:
-                continue
-            if lineno == 1:
-                if row != header:
-                    errors.append((1, f"bad header, want {','.join(header)}"))
-                continue
-            try:
-                records.append(parse(row))
-                lines.append(lineno)
-            except ValueError as exc:
-                errors.append((lineno, str(exc)))
+        reader = csv.reader(handle)
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if not row:
+                    continue
+                if lineno == 1:
+                    if row != header:
+                        errors.append((1, f"bad header, want {','.join(header)}"))
+                    continue
+                try:
+                    if len(row) != len(header):
+                        raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                    records.append(parse(row))
+                    lines.append(lineno)
+                except ValueError as exc:
+                    errors.append((lineno, str(exc)))
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return records, lines, errors
 
 
-def _read_strict(path: Path, header: List[str], parse: Callable[[List[str]], T],
-                 check: Optional[Callable] = None) -> List[T]:
-    """Like ``_read_csv``, but the first malformed line is an error, and so is
-    the row that ``check(records)`` names, as (index, message), for breaking
-    a rule across rows."""
-    records, lines, errors = _read_csv(path, header, parse)
-    problem = None if errors or check is None else check(records)
-    if problem is not None:
-        errors = [(lines[problem[0]], problem[1])]
-    if errors:
-        lineno, message = errors[0]
-        raise ValueError(f"{path}: line {lineno}: {message}")
-    return records
+def csv_sink(handle: TextIO, header: List[str], fields: Callable) -> Callable:
+    """Write ``header`` to ``handle``; the returned sink writes each record it
+    is given as the row ``fields(record)``."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    writerow = writer.writerow
+    return lambda record: writerow(fields(record))
 
 
-class _CsvLog:
-    """The append-only record list behind both stores, mirrored to a CSV file
-    when given a path: an existing file is read back (see ``_read_strict``), a
-    new one gets the header, and each ``append`` is one write plus a flush
-    before the records become visible, so a failed write changes nothing.
-    Callers hold ``lock`` around ``append`` and every read of ``records``.
-    """
-
-    def __init__(self, path: Optional[Path], header: List[str], parse: Callable,
-                 fields: Callable, check: Optional[Callable] = None):
-        self.lock = threading.Lock()
-        self.records: List[T] = []
-        self._fields = fields
-        self._handle: Optional[io.TextIOWrapper] = None
-        if path is not None:
-            path = Path(path)
-            new_file = not path.exists() or path.stat().st_size == 0
-            if not new_file:
-                self.records = _read_strict(path, header, parse, check)
-            self._handle = open(path, "a", newline="", encoding="utf-8")
-            if new_file:
-                self._write([header])
-
-    def append(self, records: Sequence[T]) -> None:
-        if self._handle is not None:
-            self._write([self._fields(record) for record in records])
-        self.records.extend(records)
-
-    def _write(self, rows: List[Sequence[object]]) -> None:
-        self._handle.write(_csv_text(rows))
-        self._handle.flush()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-
-def write_csv(path: Path, header: List[str], rows: Iterable[Sequence[object]]) -> None:
-    """Write a headed CSV file, one row at a time."""
+def write_cdr_csv(path: Path, records: Iterable[CallRecord]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def write_cdr_csv(path: Path, records: List[CallRecord]) -> None:
-    write_csv(path, CDR_CSV_HEADER, map(_cdr_fields, records))
+        sink = csv_sink(handle, CDR_CSV_HEADER, cdr_fields)
+        for record in records:
+            sink(record)
 
 
 def read_cdr_csv(path: Path) -> Tuple[List[CallRecord], List[Tuple[int, str]]]:
     """Parse a CDR CSV file into (records, errors); see ``_read_csv``."""
     records, _, errors = _read_csv(path, CDR_CSV_HEADER, _parse_cdr_fields)
     return records, errors
-
-
-class CdrStore:
-    """Durable append-only CDR log in insertion order, mirrored to a CSV file
-    when given a path. The interval aggregator is fed CDRs directly
-    (``IntervalAggregator.add_cdr``) and never reads this log."""
-
-    def __init__(self, path: Optional[Path] = None):
-        self._log = _CsvLog(path, CDR_CSV_HEADER, _parse_cdr_fields, _cdr_fields)
-
-    def append_cdr(self, record: CallRecord) -> int:
-        """Durably append one record; returns its monotonically increasing id."""
-        with self._log.lock:
-            self._log.append((record,))
-            return len(self._log.records)
-
-    def all_records(self) -> List[CallRecord]:
-        with self._log.lock:
-            return list(self._log.records)
-
-    def close(self) -> None:
-        self._log.close()
 
 
 @dataclass(frozen=True)
@@ -234,10 +168,8 @@ def _acd_fields(row: AcdRow) -> List[str]:
 
 
 def _parse_acd_fields(fields: List[str]) -> AcdRow:
-    if len(fields) != len(ACD_CSV_HEADER):
-        raise ValueError(f"expected {len(ACD_CSV_HEADER)} fields, got {len(fields)}")
     id_s, vendor_s, date_s, acd_s, reject_s, prefix = fields
-    return AcdRow(
+    row = AcdRow(
         id=_int_field(id_s, "row id"),
         vendor=_int_field(vendor_s, "vendor id"),
         date=parse_ts(date_s),
@@ -245,6 +177,8 @@ def _parse_acd_fields(fields: List[str]) -> AcdRow:
         reject_pct=float(reject_s),
         prefix=prefix,
     )
+    _check_written_form(ACD_CSV_HEADER, _acd_fields(row), fields)
+    return row
 
 
 def _acd_pair_problem(rows: List[AcdRow]) -> Optional[Tuple[int, str]]:
@@ -262,13 +196,40 @@ def _acd_pair_problem(rows: List[AcdRow]) -> Optional[Tuple[int, str]]:
     return (len(rows) - 1, f"row {len(rows)} has no pair") if len(rows) % 2 else None
 
 
+def read_acd_csv(path: Path) -> List[AcdRow]:
+    """The rows of an acd_vendors file; its first malformed line or broken
+    pair is an error."""
+    rows, lines, errors = _read_csv(path, ACD_CSV_HEADER, _parse_acd_fields)
+    problem = None if errors else _acd_pair_problem(rows)
+    if problem is not None:
+        errors = [(lines[problem[0]], problem[1])]
+    if errors:
+        lineno, message = errors[0]
+        raise ValueError(f"{path}: line {lineno}: {message}")
+    return rows
+
+
 class AcdVendorsTable:
-    """Closed-interval rows, two per interval, inserted atomically as a pair;
-    a file reopened must hold whole pairs (see ``_acd_pair_problem``)."""
+    """Closed-interval rows, two per interval, inserted atomically as a pair.
+
+    Given a path, the table is mirrored to that CSV file: an existing file is
+    read back with ``read_acd_csv`` (so it must hold whole pairs), a new one
+    gets the header, and each pair is one write plus a flush before it
+    becomes visible, so a failed write changes nothing.
+    """
 
     def __init__(self, path: Optional[Path] = None):
-        self._log = _CsvLog(path, ACD_CSV_HEADER, _parse_acd_fields, _acd_fields,
-                            _acd_pair_problem)
+        self._lock = threading.Lock()
+        self._rows: List[AcdRow] = []
+        self._handle: Optional[TextIO] = None
+        if path is not None:
+            path = Path(path)
+            new_file = not path.exists() or path.stat().st_size == 0
+            if not new_file:
+                self._rows = read_acd_csv(path)
+            self._handle = open(path, "a", newline="", encoding="utf-8")
+            if new_file:
+                self._write([ACD_CSV_HEADER])
 
     def insert_acd_rows(
         self,
@@ -281,36 +242,38 @@ class AcdVendorsTable:
         becomes visible atomically: a reader never sees one row without the
         other, and latest_pair always reflects the highest-id pair.
         """
-        with self._log.lock:
-            next_id = len(self._log.records) + 1
+        with self._lock:
+            next_id = len(self._rows) + 1
             rows = (
                 AcdRow(next_id, *first),
                 AcdRow(next_id + 1, *second),
             )
-            self._log.append(rows)
+            if self._handle is not None:
+                self._write([_acd_fields(row) for row in rows])
+            self._rows.extend(rows)
             return rows[0].id, rows[1].id
 
+    def _write(self, rows: List[Sequence[object]]) -> None:
+        self._handle.write(_csv_text(rows))
+        self._handle.flush()
+
     def latest_pair(self) -> Optional[Tuple[AcdRow, AcdRow]]:
-        with self._log.lock:
-            if not self._log.records:
+        with self._lock:
+            if not self._rows:
                 return None
-            return self._log.records[-2], self._log.records[-1]
+            return self._rows[-2], self._rows[-1]
 
     def rows(self) -> List[AcdRow]:
-        with self._log.lock:
-            return list(self._log.records)
+        with self._lock:
+            return list(self._rows)
 
     def to_csv_text(self) -> str:
         return _csv_text([ACD_CSV_HEADER] + [_acd_fields(row) for row in self.rows()])
 
     def export_csv(self, path: Path) -> None:
-        write_csv(path, ACD_CSV_HEADER, map(_acd_fields, self.rows()))
+        Path(path).write_text(self.to_csv_text(), encoding="utf-8", newline="")
 
     def close(self) -> None:
-        self._log.close()
-
-
-def read_acd_csv(path: Path) -> List[AcdRow]:
-    """The rows of an acd_vendors file; its first malformed line or broken
-    pair is an error."""
-    return _read_strict(path, ACD_CSV_HEADER, _parse_acd_fields, _acd_pair_problem)
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None

@@ -1,6 +1,6 @@
 import json
 import random
-from datetime import timedelta
+from datetime import datetime, timedelta
 
 import pytest
 
@@ -416,6 +416,53 @@ class TestReplay:
         history_b, table_b = replay_cdrs(noisy, GROUP)
         assert table_a.to_csv_text() == table_b.to_csv_text()
         assert encode(history_a) == encode(history_b)
+
+    def test_skipping_idle_ticks_keeps_every_close(self):
+        # bursts of calls, some router-rejected, with lulls of up to three
+        # days: replay closes what a tick on every period closes
+        closes = 0
+        for run in range(30):
+            rng = random.Random(5200 + run)
+            cdrs, offset_s = [], 0
+            for burst in range(rng.randint(2, 5)):
+                offset_s += rng.randint(0, 3 * 86400)
+                for i in range(rng.randint(0, 60)):
+                    rejected = rng.random() < 0.3
+                    end = T0 + timedelta(seconds=offset_s + rng.randint(0, 3600))
+                    cdrs.append(make_cdr(f"b{burst}-{i}", rng.choice((55, 62)), end,
+                                         0 if rejected else rng.randint(0, 600),
+                                         rejected=rejected))
+            if not cdrs:
+                continue
+            start = min(r.connect_time for r in cdrs)
+            agg = IntervalAggregator(GROUP, opened_at=start)
+            for record in cdrs:
+                agg.add_cdr(record)
+            now = start + timedelta(seconds=600)
+            while now <= max(r.disconnect_time for r in cdrs) + timedelta(seconds=1800):
+                agg.tick(now)
+                now += timedelta(seconds=600)
+            history, _ = replay_cdrs(cdrs, GROUP)
+            assert encode(history) == encode(agg.history), f"run {run}"
+            closes += len(history)
+        assert closes >= 30
+
+    def test_gap_of_centuries_is_not_ticked_through(self, monkeypatch):
+        cdrs = spread_cdrs(55, [30] * 25, window_s=300)
+        late = spread_cdrs(55, [30, 0], start=datetime(9999, 12, 31, 23, 0, 0),
+                           window_s=1800, tag="late")
+        want = encode(replay_cdrs(cdrs, GROUP)[0])
+        ticks = []
+        tick = IntervalAggregator.tick
+
+        def counted(self, now):
+            ticks.append(now)
+            assert len(ticks) < 100, "replay ticks through the gap"
+            return tick(self, now)
+
+        monkeypatch.setattr(IntervalAggregator, "tick", counted)
+        history, _ = replay_cdrs(cdrs + late, GROUP)
+        assert encode(history) == want
 
 
 class TestClosedIntervalSerialization:

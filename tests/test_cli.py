@@ -1,13 +1,13 @@
 import gc
 import json
 import random
-from datetime import timedelta
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
 
 from acdroute.cli import main
-from acdroute.store import _cdr_fields, read_acd_csv, write_cdr_csv
+from acdroute.store import cdr_fields, read_acd_csv, write_cdr_csv
 from conftest import T0, make_cdr
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -220,14 +220,22 @@ class TestSimulate:
     def test_full_disk_mid_run_is_runtime_error(self, tmp_path, capsys, name):
         # every write to /dev/full fails with ENOSPC, so the sink's first
         # buffer flush raises mid-run; both files must still be closed
-        out = tmp_path / "run"
-        out.mkdir()
-        (out / name).symlink_to("/dev/full")
-        assert main(["simulate", "--scenario", str(SCENARIOS / "pure_fas_control.json"),
-                     "--out", str(out)]) == 1
-        assert_one_line_error(capsys)
-        assert not (out / "summary.json").exists()
-        gc.collect()
+        scenario = str(SCENARIOS / "pure_fas_control.json")
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        fresh.mkdir()
+        assert main(["simulate", "--scenario", scenario, "--seed", "7",
+                     "--out", str(reused)]) == 0
+        capsys.readouterr()
+        (reused / name).unlink()
+        for out in (fresh, reused):
+            (out / name).symlink_to("/dev/full")
+            assert main(["simulate", "--scenario", scenario, "--seed", "9",
+                         "--out", str(out)]) == 1
+            assert_one_line_error(capsys)
+            gc.collect()
+            # nothing the seed-7 run wrote after its run is left beside the
+            # seed-9 run's partial files
+            assert sorted(p.name for p in out.iterdir()) == ["cdrs.csv", "decisions.csv"]
 
     def test_sink_error_closes_both_files(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -236,9 +244,9 @@ class TestSimulate:
             calls.append(record)
             if len(calls) == 500:
                 raise OSError("disk quota exceeded")
-            return _cdr_fields(record)
+            return cdr_fields(record)
 
-        monkeypatch.setattr("acdroute.cli._cdr_fields", failing_fields)
+        monkeypatch.setattr("acdroute.cli.cdr_fields", failing_fields)
         out = tmp_path / "run"
         assert main(["simulate", "--scenario", str(SCENARIOS / "pure_fas_control.json"),
                      "--out", str(out)]) == 1
@@ -394,6 +402,39 @@ class TestMalformedInput:
                      "--formats", formats]) == 2
         assert_one_line_error(capsys)
         assert not (tmp_path / "rep").exists()
+
+    def test_run_past_year_9999_on_simulate(self, tmp_path, capsys):
+        config = json.loads((SCENARIOS / "honest_vs_fas.json").read_text())
+        config.update(start_time="9999-12-31 23:00:00", duration_min=120)
+        late = tmp_path / "late.json"
+        late.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["simulate", "--scenario", str(late),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("rows, flags", [
+        ("year-9999", []),
+        ("records", ["--tick-min", "1e300"]),
+    ], ids=["cdrs-end-in-year-9999", "huge-tick"])
+    def test_unrepresentable_time_on_aggregate(self, tmp_path, capsys, rows, flags):
+        cdr_csv = tmp_path / "cdrs.csv"
+        if rows == "records":
+            _write_interval_csv(cdr_csv)
+        else:
+            end = datetime(9999, 12, 31, 23, 50, 10)
+            write_cdr_csv(cdr_csv, [make_cdr("a", 55, end, 10), make_cdr("b", 62, end, 20)])
+        assert main(["aggregate", "--cdr", str(cdr_csv), "--prefs", "9,8", *flags,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert_one_line_error(capsys)
+
+    def test_field_over_the_csv_size_limit(self, tmp_path, capsys):
+        cdr_csv = tmp_path / "cdrs.csv"
+        _write_interval_csv(cdr_csv)
+        with open(cdr_csv, "a", encoding="utf-8") as handle:
+            handle.write("x" * 200_000 + ",55\n")
+        assert main(["aggregate", "--cdr", str(cdr_csv), "--prefs", "9,8",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert_one_line_error(capsys)
 
     def test_tenth_of_a_minute_is_six_seconds(self, tmp_path, capsys):
         cdr_csv = tmp_path / "cdrs.csv"

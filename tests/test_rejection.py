@@ -6,6 +6,7 @@ checks.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -234,6 +235,12 @@ class TestRounding:
         assert round_half_up(12.765) == 12.77
         assert round_half_up(12.764999) == 12.76
         assert round_half_up(0.0) == 0.0
+
+    def test_every_finite_float(self):
+        # the default 28-digit decimal context cannot hold these to 2 places
+        for value in (1e26, 1e308, sys.float_info.max, -sys.float_info.max):
+            assert round_half_up(value) == value
+            assert round_half_up(value, 0) == value
 
     def test_half_up_other_places(self):
         assert round_half_up(6.92041, 1) == 6.9

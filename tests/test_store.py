@@ -1,4 +1,5 @@
 import random
+import re
 from datetime import datetime, timedelta
 
 import pytest
@@ -10,8 +11,6 @@ from acdroute.store import (
     AcdRow,
     AcdVendorsTable,
     CDR_CSV_HEADER,
-    CdrStore,
-    _CsvLog,
     read_acd_csv,
     read_cdr_csv,
     write_cdr_csv,
@@ -33,30 +32,30 @@ def close_window(records, start, end):
 
 
 class TestCdrStore:
-    def test_ids_are_monotonic(self):
-        store = CdrStore()
-        ids = [store.append_cdr(r) for r in spread_cdrs(55, [0, 10, 20])]
-        assert ids == [1, 2, 3]
+    """The CDR log as the interval aggregator takes it: records fed in any
+    order, some of them read back from a ``cdrs.csv``."""
 
-    def test_attempt_log_keeps_rejected_and_final_rows(self):
-        store = CdrStore()
+    def test_attempt_log_keeps_rejected_and_final_rows(self, tmp_path):
         at = T0 + timedelta(seconds=30)
-        store.append_cdr(make_cdr("dup", 55, at, 0, rejected=True))
-        store.append_cdr(make_cdr("dup", 62, at + timedelta(seconds=45), 45))
-        rows = store.all_records()
+        records = [make_cdr("dup", 55, at, 0, rejected=True),
+                   make_cdr("dup", 62, at + timedelta(seconds=45), 45)]
+        path = tmp_path / "cdrs.csv"
+        write_cdr_csv(path, records)
+        rows, errors = read_cdr_csv(path)
+        assert errors == []
         assert len(rows) == 2
         assert rows[0].rejected_by_router and not rows[1].rejected_by_router
+        # both attempts reach the aggregator: one counts as rejected, one as received
+        closed = close_window(rows, T0, T0 + timedelta(seconds=600))
+        assert closed.received == {55: 0, 62: 1}
+        assert closed.rejected == {55: 1, 62: 0}
 
     def test_query_half_open_range_sorted(self):
-        store = CdrStore()
         records = spread_cdrs(55, [60] * 10) + spread_cdrs(62, [30] * 10)
-        for r in reversed(records):
-            store.append_cdr(r)
-        # the log keeps append order, not disconnect order
-        assert store.all_records() == records[::-1]
         start = T0 + timedelta(seconds=100)
         end = T0 + timedelta(seconds=700)
-        closed = close_window(store.all_records(), start, end)
+        # fed in reverse, not in disconnect order
+        closed = close_window(reversed(records), start, end)
         hits = [r for r in records if start <= r.disconnect_time < end]
         assert hits and len(hits) < len(records)
         assert closed.stats == tuple(vendor_stats(hits, v) for v in GROUP.vendors)
@@ -65,7 +64,7 @@ class TestCdrStore:
     @pytest.mark.parametrize("grid_s, reopen_after", [
         (1, None),
         # the first 200 records go to a CSV file in draw order, which is not
-        # disconnect order, so the reopened log hands them back unsorted
+        # disconnect order, so reading it back hands them over unsorted
         (1, 200),
         # 13 distinct disconnect times: many CDRs end on a window's edge
         (600, None),
@@ -80,18 +79,16 @@ class TestCdrStore:
             at = T0 + timedelta(seconds=rng.randint(0, 7200 // grid_s) * grid_s)
             records.append(make_cdr(f"q{i}", vendor, at, duration))
         if reopen_after is None:
-            store = CdrStore()
-            appended = records
+            fed = records
         else:
             path = tmp_path / "cdrs.csv"
             written = records[:reopen_after]
             assert written != sorted(written, key=lambda r: r.disconnect_time)
             write_cdr_csv(path, written)
-            store = CdrStore(path)
-            appended = records[reopen_after:]
-        for record in appended:
-            store.append_cdr(record)
-        assert store.all_records() == records
+            read_back, errors = read_cdr_csv(path)
+            assert errors == []
+            fed = read_back + records[reopen_after:]
+        assert fed == records
         windows = []
         for _ in range(50):
             a = T0 + timedelta(seconds=rng.randint(0, 7200 // grid_s) * grid_s)
@@ -100,7 +97,7 @@ class TestCdrStore:
         windows.append((T0, T0 + timedelta(seconds=7200 + grid_s)))
         closes = 0
         for a, b in windows:
-            closed = close_window(store.all_records(), a, b)
+            closed = close_window(fed, a, b)
             want = [r for r in records if a <= r.disconnect_time < b]
             if not want:
                 assert closed is None
@@ -110,25 +107,6 @@ class TestCdrStore:
             assert closed.received == {
                 v: sum(r.vendor == v for r in want) for v in GROUP.vendors}
         assert closes >= 40
-        store.close()
-
-    def test_failed_write_changes_nothing(self, tmp_path, monkeypatch):
-        store = CdrStore(tmp_path / "live.csv")
-        for record in spread_cdrs(55, [10, 0, 77]) + spread_cdrs(62, [5, 9], tag="y"):
-            store.append_cdr(record)
-        records_before = store.all_records()
-
-        def failing_write(self, rows):
-            raise OSError("disk full")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(_CsvLog, "_write", failing_write)
-            with pytest.raises(OSError):
-                store.append_cdr(make_cdr("lost", 55, T0 + timedelta(seconds=500), 30))
-        assert store.all_records() == records_before
-        # the failed record took no id
-        assert store.append_cdr(make_cdr("next", 55, T0 + timedelta(seconds=600), 30)) == 6
-        store.close()
 
 
 class TestCdrCsv:
@@ -143,10 +121,15 @@ class TestCdrCsv:
                          T0 + timedelta(seconds=rng.randint(0, 86000)),
                          duration, rejected=rejected)
             )
+        # a router-rejected attempt and the call's final leg share a call id
+        at = T0 + timedelta(seconds=30)
+        records += [make_cdr("dup", 55, at, 0, rejected=True),
+                    make_cdr("dup", 62, at + timedelta(seconds=45), 45)]
         first = tmp_path / "a.csv"
         write_cdr_csv(first, records)
         parsed, errors = read_cdr_csv(first)
         assert errors == []
+        assert parsed == records
         second = tmp_path / "b.csv"
         write_cdr_csv(second, parsed)
         assert first.read_bytes() == second.read_bytes()
@@ -165,32 +148,6 @@ class TestCdrCsv:
         records, errors = read_cdr_csv(path)
         assert len(records) == 1
         assert [lineno for lineno, _ in errors] == [3, 4, 5, 6]
-
-    def test_live_file_mirror(self, tmp_path):
-        path = tmp_path / "live.csv"
-        store = CdrStore(path)
-        for record in spread_cdrs(55, [10, 0, 77]):
-            store.append_cdr(record)
-        store.close()
-        parsed, errors = read_cdr_csv(path)
-        assert errors == []
-        assert parsed == store.all_records()
-
-    def test_reopened_file_store_keeps_history(self, tmp_path):
-        path = tmp_path / "live.csv"
-        store = CdrStore(path)
-        first_batch = spread_cdrs(55, [10, 0, 77])
-        for record in first_batch:
-            store.append_cdr(record)
-        store.close()
-        again = CdrStore(path)
-        assert again.all_records() == first_batch
-        extra = spread_cdrs(62, [5], tag="y")[0]
-        assert again.append_cdr(extra) == 4
-        again.close()
-        parsed, errors = read_cdr_csv(path)
-        assert errors == []
-        assert len(parsed) == 4
 
 
 class TestAcdVendorsTable:
@@ -263,6 +220,28 @@ class TestAcdVendorsTable:
         ids = again.insert_acd_rows((55, when, 7.65, 37.87, ""), (62, when, 5.33, 0.0, ""))
         assert ids == (3, 4)
         again.close()
+        assert [row.id for row in read_acd_csv(path)] == [1, 2, 3, 4]
+
+    def test_failed_write_changes_nothing(self, tmp_path, monkeypatch):
+        path = tmp_path / "live.csv"
+        table = AcdVendorsTable(path)
+        when = datetime(2020, 1, 1, 9, 0, 0)
+        table.insert_acd_rows((55, when, 8.67, 12.77, ""), (62, when, 0.6, 0.0, ""))
+        rows_before = table.rows()
+
+        def failing_write(self, rows):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(AcdVendorsTable, "_write", failing_write)
+            with pytest.raises(OSError):
+                table.insert_acd_rows((55, when, 7.65, 37.87, ""), (62, when, 5.33, 0.0, ""))
+        assert table.rows() == rows_before
+        assert table.latest_pair() == tuple(rows_before)
+        # the failed pair took no ids
+        assert table.insert_acd_rows((55, when, 0.17, 81.39, ""),
+                                     (62, when, 0.79, 0.0, "")) == (3, 4)
+        table.close()
         assert [row.id for row in read_acd_csv(path)] == [1, 2, 3, 4]
 
 
@@ -338,3 +317,38 @@ class TestAcdPairsOnRead:
 
         with pytest.raises(ValueError, match="line 4: ACD must be a finite non-negative"):
             read(self._write(tmp_path, edit))
+
+
+CDR_LINE = ["c1", "55", "2020-01-01 00:00:00", "2020-01-01 00:00:10", "10", "normal", "0"]
+
+
+class TestWrittenFormOnRead:
+    """Both CSV readers accept a row only as its writer writes it: integers
+    are ASCII digits without a sign, spaces, underscores or a leading zero."""
+
+    @pytest.mark.parametrize("field, value", [
+        (1, "+5_5"), (1, " 55 "), (1, "٥٥"), (1, "055"), (1, "-55"),
+        (4, "١٠"), (4, " 10 "), (4, "+10"), (4, "010"), (4, "1_0"), (4, ""),
+    ])
+    def test_cdr_integer_fields(self, tmp_path, field, value):
+        row = list(CDR_LINE)
+        row[field] = value
+        path = tmp_path / "cdrs.csv"
+        path.write_text("\n".join([",".join(CDR_CSV_HEADER), ",".join(CDR_LINE),
+                                   ",".join(row)]) + "\n", encoding="utf-8")
+        records, errors = read_cdr_csv(path)
+        assert len(records) == 1 and [lineno for lineno, _ in errors] == [3]
+        assert repr(value) in errors[0][1]
+
+    @pytest.mark.parametrize("read", TestAcdPairsOnRead.READERS)
+    @pytest.mark.parametrize("field, value", [
+        (0, "+1"), (0, "01"), (0, "١"), (1, " 55"), (1, "5_5"), (1, "055"),
+        (3, "8.670"), (3, "8_67"), (3, " 8.67"), (4, "12.8"), (4, "1.277e1"),
+    ])
+    def test_acd_fields(self, tmp_path, read, field, value):
+        def edit(rows):
+            rows[0][field] = value
+            return rows
+
+        with pytest.raises(ValueError, match=f"line 2: .*{re.escape(repr(value))}"):
+            read(TestAcdPairsOnRead._write(tmp_path, edit))
