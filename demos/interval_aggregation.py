@@ -16,15 +16,15 @@ from acdroute import (
     DisconnectCause,
     IntervalAggregator,
     RouteGroup,
+    acd_csv_text,
+    acd_rows,
     render_interval_table,
 )
 
 rng = random.Random(2)
 start = datetime(2020, 3, 2, 9, 0, 0)
 
-agg = IntervalAggregator(
-    RouteGroup(vendors=(55, 62), prefs=(9, 8)), opened_at=start, dest_prefix="37410",
-)
+agg = IntervalAggregator(RouteGroup(vendors=(55, 62), prefs=(9, 8)), opened_at=start)
 
 # Vendor 55 answers ~70% of its calls with long conversations; vendor 62
 # answers everything but holds callers for seconds only. Each CDR goes to the
@@ -75,7 +75,7 @@ for k in range(1, 22):
 
 print()
 print("acd_vendors table:")
-print(agg.acd_table.to_csv_text())
+print(acd_csv_text(acd_rows(agg.history, prefix="37410")))
 
 print("interval report (csv):")
 print(render_interval_table(agg.history, "csv"))

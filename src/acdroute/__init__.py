@@ -43,13 +43,12 @@ from .sim import (
     run_scenario,
     vendor_leg,
 )
-from .store import AcdRow, AcdVendorsTable, read_cdr_csv, write_cdr_csv
+from .store import AcdRow, acd_csv_text, acd_rows, read_cdr_csv, write_cdr_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AcdRow",
-    "AcdVendorsTable",
     "AdmissionController",
     "CallRecord",
     "ClosedInterval",
@@ -67,6 +66,8 @@ __all__ = [
     "VendorIntervalStats",
     "VendorModel",
     "VendorSpec",
+    "acd_csv_text",
+    "acd_rows",
     "billing_route",
     "classify_response",
     "compute_rejection",

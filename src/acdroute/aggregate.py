@@ -5,14 +5,15 @@ before it into the open interval. An interval only closes on a tick, once it
 is old enough *and* has seen enough ended calls; otherwise it stays open and
 is re-examined on the next tick, so closed intervals span a whole number of
 tick periods. Closing an interval computes both vendors' statistics, runs the
-rejection rule on the ACD pair, persists the row pair, and opens the next
-interval at the exact close time so intervals partition the CDR timeline.
+rejection rule on the ACD pair, appends the result to the history, and opens
+the next interval at the exact close time so intervals partition the CDR
+timeline. The history is the one record of what closed: the CLI renders the
+acd_vendors file and the interval tables from it.
 """
 
 from __future__ import annotations
 
 import heapq
-import logging
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from itertools import count
@@ -20,9 +21,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .domain import CallRecord, RouteGroup
 from .rejection import QualityInput, RejectionResult, compute_rejection
-from .store import AcdVendorsTable
-
-logger = logging.getLogger(__name__)
 
 TICK_PERIOD_S = 600
 MIN_INTERVAL_AGE_S = 1200
@@ -119,17 +117,17 @@ class IntervalAggregator:
     it ended before that interval opened. ``counter_source`` is called exactly
     once per close to snapshot-and-reset the router's received/rejected
     counters; without one the counters are derived from the CDRs' flags.
+    Each close appends its ``ClosedInterval`` to ``history``, which is all the
+    aggregator keeps of it; the acd_vendors rows are rendered from there.
     """
 
     def __init__(
         self,
         group: RouteGroup,
         opened_at: datetime,
-        acd_table: Optional[AcdVendorsTable] = None,
         tick_period_s: int = TICK_PERIOD_S,
         min_age_s: int = MIN_INTERVAL_AGE_S,
         min_calls: int = MIN_INTERVAL_CALLS,
-        dest_prefix: str = "",
         counter_source: Optional[Callable[[], CounterSnapshot]] = None,
     ):
         validate_schedule(tick_period_s, min_age_s, min_calls)
@@ -137,10 +135,8 @@ class IntervalAggregator:
         self.tick_period_s = tick_period_s
         self.min_age_s = min_age_s
         self.min_calls = min_calls
-        self.dest_prefix = dest_prefix
         self.opened_at = opened_at
         self.history: List[ClosedInterval] = []
-        self.acd_table = acd_table if acd_table is not None else AcdVendorsTable()
         self._counter_source = counter_source
         self._ticked_at = opened_at
         # a min-heap of (disconnect time, arrival number, record) no tick has taken
@@ -157,9 +153,8 @@ class IntervalAggregator:
     def tick(self, now: datetime) -> Optional[ClosedInterval]:
         """Take in the CDRs that ended before ``now``; close the interval if it is due.
 
-        Returns the closed interval, or None when it stays open (including
-        when persistence failed, which keeps the interval open for a retry
-        on the next tick).
+        Returns the closed interval, or None when it stays open: it is younger
+        than ``min_age_s`` or has fewer than ``min_calls`` ended calls.
         """
         opened_at = self.opened_at
         if now < self._ticked_at:
@@ -179,28 +174,23 @@ class IntervalAggregator:
         return self._close(now, ended)
 
     def next_tick(self, now: datetime) -> datetime:
-        """The first tick after one at ``now`` that can close the interval; with
-        fewer than ``min_calls`` ended calls, that is the next to take in a CDR."""
+        """The first tick after one at ``now`` that can close the interval: the
+        interval is ``min_age_s`` old by then and, with fewer than ``min_calls``
+        ended calls, it is the next to take in a CDR."""
         period = timedelta(seconds=self.tick_period_s)
-        ended = sum(not r.rejected_by_router for r in self._records)
-        if ended < self.min_calls and self._pending:
-            return now + period * ((self._pending[0][0] - now) // period + 1)
-        return now + period
+        after = now + period
+        if self._pending and sum(not r.rejected_by_router for r in self._records) < self.min_calls:
+            after += period * ((self._pending[0][0] - now) // period)
+        try:
+            return max(after, self.opened_at + period * -(-self.min_age_s // self.tick_period_s))
+        except OverflowError:  # it grows old enough only after year 9999
+            return after
 
-    def _close(self, now: datetime, ended: List[CallRecord]) -> Optional[ClosedInterval]:
+    def _close(self, now: datetime, ended: List[CallRecord]) -> ClosedInterval:
         group = self.group
         stats = tuple(vendor_stats(ended, v) for v in group.vendors)
         acds = (stats[0].acd_min, stats[1].acd_min)
         result = compute_rejection(QualityInput(acds, group.prefs, group.load_min))
-        try:
-            self.acd_table.insert_acd_rows(
-                (group.vendors[0], now, acds[0], result.reject_pct[0], self.dest_prefix),
-                (group.vendors[1], now, acds[1], result.reject_pct[1], self.dest_prefix),
-            )
-        except OSError as exc:
-            logger.warning("interval stays open, row persistence failed: %s", exc)
-            return None
-
         if self._counter_source is not None:
             received, rejected = self._counter_source()
         else:
@@ -230,8 +220,7 @@ def replay_cdrs(
     tick_period_s: int = TICK_PERIOD_S,
     min_age_s: int = MIN_INTERVAL_AGE_S,
     min_calls: int = MIN_INTERVAL_CALLS,
-    dest_prefix: str = "",
-) -> Tuple[List[ClosedInterval], AcdVendorsTable]:
+) -> List[ClosedInterval]:
     """Replay the tick schedule over a batch of historical CDRs.
 
     The schedule anchors at the earliest connect time and runs until no open
@@ -241,7 +230,7 @@ def replay_cdrs(
     """
     ours = [r for r in records if r.vendor in group.vendors]
     if not ours:
-        return [], AcdVendorsTable()
+        return []
     start = min(r.connect_time for r in ours)
     last_end = max(r.disconnect_time for r in ours)
 
@@ -251,7 +240,6 @@ def replay_cdrs(
         tick_period_s=tick_period_s,
         min_age_s=min_age_s,
         min_calls=min_calls,
-        dest_prefix=dest_prefix,
     )
     for record in ours:
         agg.add_cdr(record)
@@ -263,4 +251,4 @@ def replay_cdrs(
     while now <= horizon:
         agg.tick(now)
         now = agg.next_tick(now)
-    return agg.history, agg.acd_table
+    return agg.history

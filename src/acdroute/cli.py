@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
 ``simulate`` streams each CDR and each admission decision to ``cdrs.csv`` and
 ``decisions.csv`` as the run makes it, so its memory does not grow with the
 run's length; the files it writes after the run come from the interval
-history and the result's counters.
+history and the result's counters. ``acd_vendors.csv``, ``interval_history.json``
+and the interval tables are all renderings of that history, written the same
+way by ``simulate`` and ``aggregate``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .domain import RouteGroup, validate_prefs_and_floor, whole_seconds
 from .rejection import QualityInput, compute_rejection
 from .report import TABLE_FORMATS, render_calc_breakdown, render_interval_table
 from .sim import DecisionRecord, ScenarioConfig, ScenarioResult, run_scenario
-from .store import CDR_CSV_HEADER, AcdVendorsTable, cdr_fields, csv_sink, read_cdr_csv
+from .store import CDR_CSV_HEADER, acd_rows, cdr_fields, csv_sink, read_cdr_csv, write_acd_csv
 
 DECISION_CSV_HEADER = ["seq", "time_s", "call_id", "vendor", "accepted", "code"]
 
@@ -146,7 +148,8 @@ def _write_tables(out_dir: Path, history: List[ClosedInterval], formats=TABLE_FO
         )
 
 
-def _write_history_files(out_dir: Path, history: List[ClosedInterval]) -> None:
+def _write_history_files(out_dir: Path, history: List[ClosedInterval], prefix: str) -> None:
+    write_acd_csv(out_dir / "acd_vendors.csv", acd_rows(history, prefix))
     _write_json(out_dir / "interval_history.json", encode(history))
     _write_tables(out_dir, history)
 
@@ -171,20 +174,17 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     if not records:
         # nothing to replay: emit empty artifacts
-        AcdVendorsTable().export_csv(args.out / "acd_vendors.csv")
-        _write_history_files(args.out, [])
+        _write_history_files(args.out, [], args.prefix)
         print("0 closed intervals from 0 records")
         return 0
-    history, table = replay_cdrs(
+    history = replay_cdrs(
         records,
         group,
         tick_period_s=tick_period_s,
         min_age_s=min_age_s,
         min_calls=args.min_calls,
-        dest_prefix=args.prefix,
     )
-    table.export_csv(args.out / "acd_vendors.csv")
-    _write_history_files(args.out, history)
+    _write_history_files(args.out, history, args.prefix)
     print(f"{len(history)} closed interval(s) from {len(records)} records")
     for interval in history:
         pcts = ", ".join(
@@ -247,8 +247,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             on_cdr=csv_sink(cdr_file, CDR_CSV_HEADER, cdr_fields),
             on_decision=csv_sink(decision_file, DECISION_CSV_HEADER, _decision_fields),
         )
-    result.acd_table.export_csv(args.out / "acd_vendors.csv")
-    _write_history_files(args.out, result.interval_history)
+    _write_history_files(args.out, result.interval_history, config.dest_prefix)
     _write_summary(args.out, result)
     targets = ", ".join(
         f"{v}: {t:.2f}%" for v, t in sorted(result.final_targets().items())

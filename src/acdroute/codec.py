@@ -16,7 +16,7 @@ import typing
 from datetime import datetime
 from typing import Any, Union
 
-from .domain import format_ts, parse_ts
+from .domain import format_ts, parse_digits, parse_ts
 
 _JSON_NAMES = {bool: "a boolean", int: "an integer", str: "a string"}
 
@@ -97,7 +97,7 @@ def _decode_object(cls: Any, data: Any, path: str) -> Any:
 def _decode_key(kind: Any, key: str, path: str) -> Any:
     if kind is int:
         try:
-            return int(key)
+            return parse_digits(key, "key")
         except ValueError:
             raise ValueError(f"{path}: key {key!r} is not an integer") from None
     return key

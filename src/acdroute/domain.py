@@ -138,6 +138,16 @@ def validate_acd(acd_min: Optional[float]) -> Optional[float]:
     return acd_min
 
 
+def parse_digits(text: str, what: str) -> int:
+    """A non-negative integer in the one form ``str`` writes it: ASCII digits
+    without a leading zero. The CSV readers and the JSON codec read ids and
+    counts with it; ``int()`` also reads "+5", " 5 ", "5_5", "05" and
+    non-ASCII digits, so two spellings could name one vendor."""
+    if not (text.isascii() and text.isdigit()) or (text[0] == "0" and text != "0"):
+        raise ValueError(f"bad {what} {text!r}")
+    return int(text)
+
+
 def whole_seconds(minutes: float) -> int:
     """A period given in minutes as whole seconds; fractions of a second,
     beyond float rounding, are an error rather than silently truncated."""

@@ -11,6 +11,8 @@ Each CDR and each admission decision goes to a sink as soon as it is made.
 The default sinks collect them on the ``ScenarioResult``; a caller that
 streams them elsewhere (the CLI writes them to their CSV files) keeps the
 run's memory bounded by the open interval and the ledger, not by its length.
+Of each close the result keeps the ``ClosedInterval`` in its interval history;
+the acd_vendors rows and the interval tables are rendered from that.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .domain import (
     triggers_failover,
     whole_seconds,
 )
-from .store import AcdVendorsTable
 
 DEFAULT_START = datetime(2020, 1, 1, 0, 0, 0)
 
@@ -253,7 +254,6 @@ class ScenarioResult:
     cdrs: List[CallRecord]
     interval_history: List[ClosedInterval]
     decision_log: List[DecisionRecord]
-    acd_table: AcdVendorsTable
     abandoned_calls: int
     total_calls: int
     answered_calls: Dict[int, int]
@@ -333,7 +333,6 @@ def run_scenario(
         tick_period_s=tick_period_s,
         min_age_s=config.min_age_s,
         min_calls=config.min_calls,
-        dest_prefix=config.dest_prefix,
         counter_source=controller.snapshot_and_reset_counters,
     )
 
@@ -404,7 +403,6 @@ def run_scenario(
         cdrs=cdrs,
         interval_history=aggregator.history,
         decision_log=decision_log,
-        acd_table=aggregator.acd_table,
         abandoned_calls=abandoned,
         total_calls=len(arrivals),
         answered_calls=answered,

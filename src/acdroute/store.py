@@ -1,25 +1,25 @@
-"""Flat-file persistence: the CDR CSV files and the acd_vendors table.
+"""Flat-file persistence: the CDR CSV files and the acd_vendors file.
 
 ``csv_sink`` is the one streaming row writer: ``simulate`` writes its CDRs
 and decisions through it as the run makes them, and ``write_cdr_csv`` writes
-a list of records. ``AcdVendorsTable`` keeps its rows in memory and
-optionally mirrors each pair to a CSV file, so the artifact needs no
-database. A file is read back a row at a time, and a row is accepted only in
-the form its writer gives it; an acd_vendors file must also hold whole
-interval pairs.
+a list of records. The acd_vendors file is a rendering of the interval
+history, like the interval tables: ``acd_rows`` turns each closed interval
+into its pair of rows and ``write_acd_csv`` writes them, after the run. A file
+is read back a row at a time, and a row is accepted only in the form its
+writer gives it; an acd_vendors file must also hold whole interval pairs.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import threading
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Sequence, TextIO, Tuple
 
-from .domain import CallRecord, DisconnectCause, format_ts, parse_ts, validate_acd
+from .aggregate import ClosedInterval
+from .domain import CallRecord, DisconnectCause, format_ts, parse_digits, parse_ts, validate_acd
 
 CDR_CSV_HEADER = [
     "call_id",
@@ -47,13 +47,6 @@ def cdr_fields(record: CallRecord) -> List[object]:
     ]
 
 
-def _int_field(text: str, what: str) -> int:
-    # ASCII digits only: int() also reads "+5", " 5 ", "5_5" and non-ASCII digits
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"bad {what} {text!r}")
-    return int(text)
-
-
 def _check_written_form(header: List[str], written: Sequence[object],
                         fields: List[str]) -> None:
     """Refuse a row whose fields are not ``written``, the row its parsed
@@ -68,21 +61,15 @@ def _parse_cdr_fields(fields: List[str]) -> CallRecord:
     call_id, vendor_s, connect_s, disconnect_s, duration_s, cause_s, rejected_s = fields
     record = CallRecord(
         call_id=call_id,
-        vendor=_int_field(vendor_s, "vendor id"),
+        vendor=parse_digits(vendor_s, "vendor id"),
         connect_time=parse_ts(connect_s),
         disconnect_time=parse_ts(disconnect_s),
-        duration_s=_int_field(duration_s, "duration"),
+        duration_s=parse_digits(duration_s, "duration"),
         cause=DisconnectCause(cause_s),
         rejected_by_router=rejected_s == "1",
     )
     _check_written_form(CDR_CSV_HEADER, cdr_fields(record), fields)
     return record
-
-
-def _csv_text(rows: Iterable[Sequence[object]]) -> str:
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(rows)
-    return buffer.getvalue()
 
 
 def _read_csv(
@@ -170,8 +157,8 @@ def _acd_fields(row: AcdRow) -> List[str]:
 def _parse_acd_fields(fields: List[str]) -> AcdRow:
     id_s, vendor_s, date_s, acd_s, reject_s, prefix = fields
     row = AcdRow(
-        id=_int_field(id_s, "row id"),
-        vendor=_int_field(vendor_s, "vendor id"),
+        id=parse_digits(id_s, "row id"),
+        vendor=parse_digits(vendor_s, "vendor id"),
         date=parse_ts(date_s),
         acd_min=None if acd_s == "" else float(acd_s),
         reject_pct=float(reject_s),
@@ -209,71 +196,25 @@ def read_acd_csv(path: Path) -> List[AcdRow]:
     return rows
 
 
-class AcdVendorsTable:
-    """Closed-interval rows, two per interval, inserted atomically as a pair.
+def acd_rows(history: Iterable[ClosedInterval], prefix: str = "") -> List[AcdRow]:
+    """The acd_vendors rows of an interval history: each closed interval's
+    two vendors in group order, dated at its close, numbered 1..2n."""
+    rows: List[AcdRow] = []
+    for closed in history:
+        for vendor, stats, reject_pct in zip(closed.vendors, closed.stats,
+                                             closed.result.reject_pct):
+            rows.append(AcdRow(len(rows) + 1, vendor, closed.closed_at, stats.acd_min,
+                               reject_pct, prefix))
+    return rows
 
-    Given a path, the table is mirrored to that CSV file: an existing file is
-    read back with ``read_acd_csv`` (so it must hold whole pairs), a new one
-    gets the header, and each pair is one write plus a flush before it
-    becomes visible, so a failed write changes nothing.
-    """
 
-    def __init__(self, path: Optional[Path] = None):
-        self._lock = threading.Lock()
-        self._rows: List[AcdRow] = []
-        self._handle: Optional[TextIO] = None
-        if path is not None:
-            path = Path(path)
-            new_file = not path.exists() or path.stat().st_size == 0
-            if not new_file:
-                self._rows = read_acd_csv(path)
-            self._handle = open(path, "a", newline="", encoding="utf-8")
-            if new_file:
-                self._write([ACD_CSV_HEADER])
+def acd_csv_text(rows: Iterable[AcdRow]) -> str:
+    buffer = io.StringIO()
+    sink = csv_sink(buffer, ACD_CSV_HEADER, _acd_fields)
+    for row in rows:
+        sink(row)
+    return buffer.getvalue()
 
-    def insert_acd_rows(
-        self,
-        first: Tuple[int, datetime, Optional[float], float, str],
-        second: Tuple[int, datetime, Optional[float], float, str],
-    ) -> Tuple[int, int]:
-        """Persist both rows of one closed interval; ids are assigned here.
 
-        Each argument is (vendor, date, acd_min, reject_pct, prefix). The pair
-        becomes visible atomically: a reader never sees one row without the
-        other, and latest_pair always reflects the highest-id pair.
-        """
-        with self._lock:
-            next_id = len(self._rows) + 1
-            rows = (
-                AcdRow(next_id, *first),
-                AcdRow(next_id + 1, *second),
-            )
-            if self._handle is not None:
-                self._write([_acd_fields(row) for row in rows])
-            self._rows.extend(rows)
-            return rows[0].id, rows[1].id
-
-    def _write(self, rows: List[Sequence[object]]) -> None:
-        self._handle.write(_csv_text(rows))
-        self._handle.flush()
-
-    def latest_pair(self) -> Optional[Tuple[AcdRow, AcdRow]]:
-        with self._lock:
-            if not self._rows:
-                return None
-            return self._rows[-2], self._rows[-1]
-
-    def rows(self) -> List[AcdRow]:
-        with self._lock:
-            return list(self._rows)
-
-    def to_csv_text(self) -> str:
-        return _csv_text([ACD_CSV_HEADER] + [_acd_fields(row) for row in self.rows()])
-
-    def export_csv(self, path: Path) -> None:
-        Path(path).write_text(self.to_csv_text(), encoding="utf-8", newline="")
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+def write_acd_csv(path: Path, rows: Iterable[AcdRow]) -> None:
+    Path(path).write_text(acd_csv_text(rows), encoding="utf-8", newline="")

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from datetime import datetime, timedelta
@@ -12,7 +13,7 @@ from acdroute.aggregate import (
 )
 from acdroute.codec import decode, encode
 from acdroute.domain import RouteGroup
-from acdroute.store import AcdVendorsTable
+from acdroute.store import acd_rows
 from conftest import T0, make_cdr, spread_cdrs
 
 GROUP = RouteGroup((55, 62), (9, 8))
@@ -123,28 +124,11 @@ class TestTickDecision:
             agg.tick(T0 - timedelta(seconds=1))
 
 
-def _aggregator(cdrs, acd_table=None, **kwargs):
-    agg = IntervalAggregator(
-        GROUP,
-        opened_at=T0,
-        acd_table=acd_table,
-        dest_prefix="37410",
-        **kwargs,
-    )
+def _aggregator(cdrs, **kwargs):
+    agg = IntervalAggregator(GROUP, opened_at=T0, **kwargs)
     for record in cdrs:
         agg.add_cdr(record)
     return agg
-
-
-class _FlakyTable(AcdVendorsTable):
-    """An acd_vendors table whose next insert fails while ``fail`` is set."""
-
-    fail = False
-
-    def insert_acd_rows(self, first, second):
-        if self.fail:
-            raise OSError("disk full")
-        return super().insert_acd_rows(first, second)
 
 
 # ACDs of exactly 8.67 and 0.6 minutes, padded with zero-duration calls so the
@@ -163,7 +147,7 @@ class TestCloseInterval:
         assert closed.stats[0].acd_min == pytest.approx(8.67, abs=1e-9)
         assert closed.stats[1].acd_min == pytest.approx(0.6, abs=1e-9)
         assert closed.result.reject_pct == (12.77, 0.0)
-        rows = agg.acd_table.rows()
+        rows = acd_rows(agg.history, "37410")
         assert len(rows) == 2
         assert rows[0].vendor == 55 and rows[0].reject_pct == 12.77
         assert rows[1].vendor == 62 and rows[1].reject_pct == 0.0
@@ -178,7 +162,7 @@ class TestCloseInterval:
         assert closed is not None
         assert closed.stats[1].acd_min is None
         assert closed.result.reject_pct == (0.0, 0.0)
-        rows = agg.acd_table.rows()
+        rows = acd_rows(agg.history)
         assert rows[1].acd_min is None and rows[1].reject_pct == 0.0
 
     def test_derived_counters_from_cdr_flags(self):
@@ -191,18 +175,6 @@ class TestCloseInterval:
         closed = agg.tick(T0 + timedelta(minutes=20))
         assert closed.received == {55: 25, 62: 0}
         assert closed.rejected == {55: 4, 62: 0}
-
-    def test_persistence_failure_keeps_interval_open(self):
-        table = _FlakyTable()
-        table.fail = True
-        cdrs = spread_cdrs(55, GOLDEN_V55) + spread_cdrs(62, GOLDEN_V62)
-        agg = _aggregator(cdrs, acd_table=table)
-        assert agg.tick(T0 + timedelta(minutes=20)) is None
-        assert agg.opened_at == T0  # still open
-        table.fail = False
-        closed = agg.tick(T0 + timedelta(minutes=30))  # retried on a later tick
-        assert closed is not None
-        assert closed.closed_at == T0 + timedelta(minutes=30)
 
     def test_misaligned_tick_rejected(self):
         agg = _aggregator(spread_cdrs(55, [60] * 25))
@@ -322,7 +294,7 @@ class TestPushFedOracle:
     RUNS = 60
 
     def test_matches_brute_force_recount(self):
-        seen = {"closed": 0, "retried": 0, "late_dropped": 0, "late_kept": 0,
+        seen = {"closed": 0, "late_dropped": 0, "late_kept": 0,
                 "on_tick": 0, "other_vendor": 0}
         for run in range(self.RUNS):
             rng = random.Random(4100 + run)
@@ -344,8 +316,7 @@ class TestPushFedOracle:
                     batches[rng.randint(due + 1, n_ticks)].append(record)  # late
                 else:
                     batches[rng.randint(0, min(due, n_ticks))].append(record)
-            table = _FlakyTable()
-            agg = IntervalAggregator(GROUP, opened_at=T0, acd_table=table)
+            agg = IntervalAggregator(GROUP, opened_at=T0)
             added = []
             for k, batch in enumerate(batches):
                 opened = agg.opened_at
@@ -360,10 +331,8 @@ class TestPushFedOracle:
                         if r.vendor in GROUP.vendors and opened <= r.disconnect_time < now]
                 ended = [r for r in ours if not r.rejected_by_router]
                 due = (now - opened).total_seconds() >= 1200 and len(ended) >= 20
-                table.fail = due and rng.random() < 0.3
                 closed = agg.tick(now)
-                assert (closed is not None) == (due and not table.fail), f"run {run} tick {k}"
-                seen["retried"] += table.fail
+                assert (closed is not None) == due, f"run {run} tick {k}"
                 seen["on_tick"] += sum(r.disconnect_time == now for r in added)
                 seen["other_vendor"] += sum(r.vendor == 99 for r in batch)
                 if closed is None:
@@ -378,50 +347,64 @@ class TestPushFedOracle:
                 assert closed.rejected == {
                     v: sum(r.vendor == v and r.rejected_by_router for r in ours)
                     for v in GROUP.vendors}
-            assert len(table.rows()) == 2 * len(agg.history)
         # every kind of feed the recount is meant to cover occurred
         assert all(count >= 10 for count in seen.values()), seen
+
+
+# past the longest stream of the idle-tick test: 5 lulls of 3 days, plus an hour
+HUGE_AGE_S = 600 * 3000
+
+
+def _counted_replay(monkeypatch, cdrs, **kwargs):
+    """``replay_cdrs``' history, and the number of ticks it made."""
+    ticks = []
+    tick = IntervalAggregator.tick
+
+    def counted(self, now):
+        ticks.append(now)
+        return tick(self, now)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(IntervalAggregator, "tick", counted)
+        history = replay_cdrs(cdrs, GROUP, **kwargs)
+    return history, len(ticks)
 
 
 class TestReplay:
     def test_shuffle_invariance(self):
         rng = random.Random(77)
         cdrs = _random_stream(rng)
-        history_a, table_a = replay_cdrs(cdrs, GROUP)
+        history = replay_cdrs(cdrs, GROUP)
         shuffled = list(cdrs)
         rng.shuffle(shuffled)
-        history_b, table_b = replay_cdrs(shuffled, GROUP)
-        assert table_a.to_csv_text() == table_b.to_csv_text()
-        assert encode(history_a) == encode(history_b)
+        assert encode(replay_cdrs(shuffled, GROUP)) == encode(history)
 
     def test_empty_input(self):
-        history, table = replay_cdrs([], GROUP)
-        assert history == []
-        assert table.rows() == []
+        assert replay_cdrs([], GROUP) == []
 
     def test_trailing_interval_can_close_after_last_record(self):
         # 25 calls inside the first 5 minutes: the age condition is met only
-        # by ticks well past the last record
+        # by ticks well past the last record; at an age of 7,000 years the
+        # interval after that close could only grow old after year 9999
         cdrs = spread_cdrs(55, [30] * 25, window_s=300)
-        history, _ = replay_cdrs(cdrs, GROUP)
-        assert len(history) == 1
-        assert history[0].closed_at - history[0].opened_at >= timedelta(minutes=20)
+        for min_age_s in (1200, 600 * 144 * 365 * 7000):
+            history = replay_cdrs(cdrs, GROUP, min_age_s=min_age_s)
+            assert len(history) == 1
+            assert history[0].closed_at - history[0].opened_at >= timedelta(seconds=min_age_s)
 
     def test_records_of_other_vendors_are_ignored(self):
         rng = random.Random(88)
         cdrs = _random_stream(rng)
         noisy = cdrs + spread_cdrs(99, [0] * 30 + [120] * 30, tag="noise")
         rng.shuffle(noisy)
-        history_a, table_a = replay_cdrs(cdrs, GROUP)
-        history_b, table_b = replay_cdrs(noisy, GROUP)
-        assert table_a.to_csv_text() == table_b.to_csv_text()
-        assert encode(history_a) == encode(history_b)
+        assert encode(replay_cdrs(noisy, GROUP)) == encode(replay_cdrs(cdrs, GROUP))
 
-    def test_skipping_idle_ticks_keeps_every_close(self):
+    def test_skipping_idle_ticks_keeps_every_close(self, monkeypatch):
         # bursts of calls, some router-rejected, with lulls of up to three
-        # days: replay closes what a tick on every period closes
+        # days: replay closes what a tick on every period closes, also with a
+        # minimum age beyond the whole stream, and ticks as often at any such age
         closes = 0
-        for run in range(30):
+        for run, min_age_s in itertools.product(range(30), (1200, HUGE_AGE_S)):
             rng = random.Random(5200 + run)
             cdrs, offset_s = [], 0
             for burst in range(rng.randint(2, 5)):
@@ -435,23 +418,27 @@ class TestReplay:
             if not cdrs:
                 continue
             start = min(r.connect_time for r in cdrs)
-            agg = IntervalAggregator(GROUP, opened_at=start)
+            agg = IntervalAggregator(GROUP, opened_at=start, min_age_s=min_age_s)
             for record in cdrs:
                 agg.add_cdr(record)
             now = start + timedelta(seconds=600)
-            while now <= max(r.disconnect_time for r in cdrs) + timedelta(seconds=1800):
+            last_end = max(r.disconnect_time for r in cdrs)
+            while now <= last_end + timedelta(seconds=min_age_s + 600):
                 agg.tick(now)
                 now += timedelta(seconds=600)
-            history, _ = replay_cdrs(cdrs, GROUP)
-            assert encode(history) == encode(agg.history), f"run {run}"
+            history, ticks = _counted_replay(monkeypatch, cdrs, min_age_s=min_age_s)
+            assert encode(history) == encode(agg.history), f"run {run}, age {min_age_s} s"
+            if min_age_s == HUGE_AGE_S:
+                _, older_ticks = _counted_replay(monkeypatch, cdrs, min_age_s=1000 * min_age_s)
+                assert older_ticks == ticks, f"run {run}"
             closes += len(history)
-        assert closes >= 30
+        assert closes >= 60
 
     def test_gap_of_centuries_is_not_ticked_through(self, monkeypatch):
         cdrs = spread_cdrs(55, [30] * 25, window_s=300)
         late = spread_cdrs(55, [30, 0], start=datetime(9999, 12, 31, 23, 0, 0),
                            window_s=1800, tag="late")
-        want = encode(replay_cdrs(cdrs, GROUP)[0])
+        want = encode(replay_cdrs(cdrs, GROUP))
         ticks = []
         tick = IntervalAggregator.tick
 
@@ -461,8 +448,7 @@ class TestReplay:
             return tick(self, now)
 
         monkeypatch.setattr(IntervalAggregator, "tick", counted)
-        history, _ = replay_cdrs(cdrs + late, GROUP)
-        assert encode(history) == want
+        assert encode(replay_cdrs(cdrs + late, GROUP)) == want
 
 
 class TestClosedIntervalSerialization:

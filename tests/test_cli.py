@@ -3,11 +3,14 @@ import json
 import random
 from datetime import datetime, timedelta
 from pathlib import Path
+from typing import List
 
 import pytest
 
+from acdroute.aggregate import ClosedInterval
 from acdroute.cli import main
-from acdroute.store import cdr_fields, read_acd_csv, write_cdr_csv
+from acdroute.codec import decode
+from acdroute.store import acd_rows, cdr_fields, read_acd_csv, write_cdr_csv
 from conftest import T0, make_cdr
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -205,6 +208,25 @@ class TestSimulate:
         # the year is zero-padded, as parse_ts reads it
         assert "\nc000001,71,0999-01-01 00:00:" in (run_dir / "cdrs.csv").read_text()
 
+    @pytest.mark.parametrize("name", ["honest_vs_fas", "preferred_honest", "pure_fas_control"])
+    def test_acd_vendors_file_renders_the_history(self, tmp_path, capsys, name):
+        # at a seed the golden hashes do not pin; aggregate on the run's CDRs too
+        config = json.loads((SCENARIOS / f"{name}.json").read_text())
+        vendors, prefs = zip(*((str(v["vendor"]), str(v["pref"])) for v in config["vendors"]))
+        run_dir, agg_dir = tmp_path / "run", tmp_path / "agg"
+        assert main(["simulate", "--scenario", str(SCENARIOS / f"{name}.json"),
+                     "--seed", "7", "--out", str(run_dir)]) == 0
+        assert main(["aggregate", "--cdr", str(run_dir / "cdrs.csv"),
+                     "--vendors", ",".join(vendors), "--prefs", ",".join(prefs),
+                     "--prefix", config["dest_prefix"], "--out", str(agg_dir)]) == 0
+        capsys.readouterr()
+        for out in (run_dir, agg_dir):
+            history = decode(List[ClosedInterval],
+                             json.loads((out / "interval_history.json").read_text()))
+            assert history, out
+            assert read_acd_csv(out / "acd_vendors.csv") == acd_rows(history,
+                                                                     config["dest_prefix"])
+
     def test_invalid_scenario_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         config = json.loads((SCENARIOS / "honest_vs_fas.json").read_text())
@@ -321,7 +343,11 @@ class TestMalformedInput:
         lambda history: [{k: v for k, v in history[0].items() if k != "result"}],
         lambda history: history[0],
         lambda history: [dict(history[0], closed_at=17)],
-    ], ids=["entry-without-result", "object-not-list", "number-for-timestamp"])
+        # int() would read these as vendors 55 and 62, and "071" as vendor 71
+        lambda history: [dict(history[0], received={"+5_5": 3, " 62": 1})],
+        lambda history: [dict(history[0], received={"071": 3, "72": 1})],
+    ], ids=["entry-without-result", "object-not-list", "number-for-timestamp",
+            "lenient-vendor-keys", "zero-padded-vendor-key"])
     def test_bad_history(self, tmp_path, capsys, mangle):
         run_dir = tmp_path / "run"
         assert main(["simulate", "--scenario", str(SCENARIOS / "pure_fas_control.json"),

@@ -40,6 +40,11 @@ def test_closed_interval_round_trip_through_json():
     (List[int], {"a": 1}),
     (Dict[int, int], {"x": 1}),
     (Optional[int], "1"),
+    (Dict[int, int], {"+5_5": 1}),
+    (Dict[int, int], {" 62": 1}),
+    (Dict[int, int], {"٥٥": 1}),
+    (Dict[int, int], {"055": 1}),
+    (Dict[int, int], {"-5": 1}),
 ])
 def test_wrong_types_are_value_errors(kind, data):
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ Every case mutates a valid file with its own ``random.Random(seed)``, so a
 failure names the seed that reproduces it. ``aggregate`` and ``report`` run
 through ``main`` and must end with exit code 0, 1 or 2, never an exception.
 A row ``read_cdr_csv`` accepts must re-serialise to its input row, and an
-acd_vendors file ``read_acd_csv`` accepts must re-export to its input rows.
+acd_vendors file ``read_acd_csv`` accepts must write back as its input rows.
 Rows are compared as the csv module splits a line: quoting and line endings
 are CSV's encoding, not the row's values. Scenarios are only decoded, never
 run, so no mutant can start a huge run.
@@ -23,7 +23,14 @@ import pytest
 
 from acdroute.cli import main
 from acdroute.sim import ScenarioConfig
-from acdroute.store import AcdVendorsTable, cdr_fields, read_acd_csv, read_cdr_csv, write_cdr_csv
+from acdroute.store import (
+    AcdRow,
+    acd_csv_text,
+    cdr_fields,
+    read_acd_csv,
+    read_cdr_csv,
+    write_cdr_csv,
+)
 from conftest import T0, spread_cdrs
 
 SCENARIO = Path(__file__).resolve().parent.parent / "demos" / "scenarios" / "honest_vs_fas.json"
@@ -139,10 +146,11 @@ def inputs(tmp_path_factory):
     late = spread_cdrs(55, [30, 0], start=year_9999, window_s=1800, tag="late")
     last = spread_cdrs(55, [0] * 12 + [520] * 10, start=year_9999, window_s=3500, tag="last") \
         + spread_cdrs(62, [36] * 8 + [0] * 4, start=year_9999, window_s=3500, tag="last")
-    table = AcdVendorsTable()
+    acd = []
     for k in range(3):
         at = T0 + timedelta(minutes=10 * k)
-        table.insert_acd_rows((55, at, 8.67, 12.77, "37410"), (62, at, None, 0.0, "37410"))
+        acd += [AcdRow(2 * k + 1, 55, at, 8.67, 12.77, "37410"),
+                AcdRow(2 * k + 2, 62, at, None, 0.0, "37410")]
     cdrs = [_cdr_text(root / "2020.csv", records), _cdr_text(root / "late.csv", records + late),
             _cdr_text(root / "last.csv", last)]
     assert main(["aggregate", "--cdr", str(root / "2020.csv"), "--prefs", "9,8",
@@ -151,7 +159,7 @@ def inputs(tmp_path_factory):
     assert history
     return {
         "cdrs": cdrs,
-        "acd": table.to_csv_text(),
+        "acd": acd_csv_text(acd),
         "history": history,
         "scenario": json.loads(SCENARIO.read_text(encoding="utf-8")),
     }
@@ -183,12 +191,10 @@ def test_acd_files_re_export_as_read(tmp_path, inputs):
         text = _mutate_text(random.Random(seed), inputs["acd"])
         path = _write(tmp_path, "acd_vendors.csv", text)
         try:
-            read_acd_csv(path)
+            rows = read_acd_csv(path)
         except ValueError:
             continue
-        table = AcdVendorsTable(path)
-        table.close()
-        exported = table.to_csv_text()
+        exported = acd_csv_text(rows)
         assert list(_rows(exported).values()) == list(_rows(text).values()), \
             f"seed {seed}: {text!r}"
 

@@ -337,7 +337,6 @@ class TestRecordSinks:
         # records handed to a sink are not kept a second time
         assert streamed.cdrs == [] and streamed.decision_log == []
         assert encode(streamed.interval_history) == encode(default.interval_history)
-        assert streamed.acd_table.rows() == default.acd_table.rows()
         assert (streamed.total_calls, streamed.abandoned_calls) == (
             default.total_calls, default.abandoned_calls)
 

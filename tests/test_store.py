@@ -4,15 +4,23 @@ from datetime import datetime, timedelta
 
 import pytest
 
-from acdroute.aggregate import IntervalAggregator, vendor_stats
+from acdroute.aggregate import (
+    ClosedInterval,
+    IntervalAggregator,
+    VendorIntervalStats,
+    vendor_stats,
+)
 from acdroute.domain import RouteGroup
+from acdroute.rejection import QualityInput, compute_rejection
 from acdroute.store import (
     ACD_CSV_HEADER,
     AcdRow,
-    AcdVendorsTable,
     CDR_CSV_HEADER,
+    acd_csv_text,
+    acd_rows,
     read_acd_csv,
     read_cdr_csv,
+    write_acd_csv,
     write_cdr_csv,
 )
 from conftest import T0, make_cdr, spread_cdrs
@@ -150,34 +158,31 @@ class TestCdrCsv:
         assert [lineno for lineno, _ in errors] == [3, 4, 5, 6]
 
 
-class TestAcdVendorsTable:
-    def test_pair_insert_assigns_sequential_ids(self):
-        table = AcdVendorsTable()
-        when = datetime(2020, 1, 1, 17, 13, 6)
-        ids = table.insert_acd_rows((55, when, 8.67, 12.77, "37410"),
-                                    (62, when, 0.6, 0.0, "37410"))
-        assert ids == (1, 2)
-        ids2 = table.insert_acd_rows((55, when, None, 0.0, "37410"),
-                                     (62, when, 5.33, 0.0, "37410"))
-        assert ids2 == (3, 4)
+def interval_closing(at, acds):
+    """A closed interval of ``GROUP`` ending at ``at`` with this ACD pair."""
+    stats = tuple(VendorIntervalStats(v, 0, 0, 0, 0, 0, 0.0, acd)
+                  for v, acd in zip(GROUP.vendors, acds))
+    return ClosedInterval(at - timedelta(minutes=20), at, GROUP.vendors, GROUP.prefs, stats,
+                          compute_rejection(QualityInput(acds, GROUP.prefs)))
 
-    def test_latest_pair_read_your_writes(self):
-        table = AcdVendorsTable()
-        when = datetime(2020, 1, 1, 12, 0, 0)
-        assert table.latest_pair() is None
-        table.insert_acd_rows((55, when, 8.67, 12.77, ""), (62, when, 0.6, 0.0, ""))
-        table.insert_acd_rows((55, when, 0.17, 81.39, ""), (62, when, 0.79, 0.0, ""))
-        latest = table.latest_pair()
-        assert latest[0].reject_pct == 81.39 and latest[1].reject_pct == 0.0
-        assert latest[0].id == 3 and latest[1].id == 4
+
+class TestAcdVendorsTable:
+    """The acd_vendors table, rendered from the interval history."""
+
+    def test_pair_insert_assigns_sequential_ids(self):
+        when = datetime(2020, 1, 1, 17, 13, 6)
+        history = [interval_closing(when, (8.67, 0.6)),
+                   interval_closing(when + timedelta(minutes=10), (None, 5.33))]
+        rows = acd_rows(history, "37410")
+        assert [(row.id, row.vendor) for row in rows] == [(1, 55), (2, 62), (3, 55), (4, 62)]
+        assert [row.date for row in rows] == [when] * 2 + [when + timedelta(minutes=10)] * 2
+        assert (rows[0].acd_min, rows[0].reject_pct) == (8.67, 12.77)
+        assert rows[2].acd_min is None and {row.prefix for row in rows} == {"37410"}
 
     def test_absent_acd_round_trips_as_empty_field(self, tmp_path):
-        table = AcdVendorsTable()
         when = datetime(2020, 1, 1, 12, 0, 0)
-        table.insert_acd_rows((55, when, 1.29, 0.0, "37410"),
-                              (62, when, None, 0.0, "37410"))
         out = tmp_path / "acd.csv"
-        table.export_csv(out)
+        write_acd_csv(out, acd_rows([interval_closing(when, (1.29, None))], "37410"))
         text = out.read_text(encoding="utf-8")
         assert text.splitlines()[0] == ",".join(ACD_CSV_HEADER)
         assert ",62,2020-01-01 12:00:00,,0.00,37410" in text
@@ -186,21 +191,19 @@ class TestAcdVendorsTable:
 
     def test_export_import_export_is_byte_identical(self, tmp_path):
         rng = random.Random(21)
-        table = AcdVendorsTable()
+        rows = []
         when = datetime(2020, 1, 1, 9, 0, 0)
         for k in range(10):
             acd_a = None if rng.random() < 0.2 else round(rng.uniform(0.1, 30), 4)
             acd_b = None if rng.random() < 0.2 else round(rng.uniform(0.1, 30), 4)
-            table.insert_acd_rows(
-                (55, when + timedelta(minutes=10 * k), acd_a, round(rng.uniform(0, 90), 2), "37410"),
-                (62, when + timedelta(minutes=10 * k), acd_b, 0.0, "37410"),
-            )
+            at = when + timedelta(minutes=10 * k)
+            rows += [AcdRow(2 * k + 1, 55, at, acd_a, round(rng.uniform(0, 90), 2), "37410"),
+                     AcdRow(2 * k + 2, 62, at, acd_b, 0.0, "37410")]
         first = tmp_path / "a.csv"
-        table.export_csv(first)
-        reloaded = AcdVendorsTable(first)
+        write_acd_csv(first, rows)
+        assert read_acd_csv(first) == rows
         second = tmp_path / "b.csv"
-        reloaded.export_csv(second)
-        reloaded.close()
+        write_acd_csv(second, read_acd_csv(first))
         assert first.read_bytes() == second.read_bytes()
 
     def test_reject_pct_bounds(self):
@@ -208,64 +211,21 @@ class TestAcdVendorsTable:
         with pytest.raises(ValueError):
             AcdRow(1, 55, when, 1.0, 101.0)
 
-    def test_live_file_pair_append(self, tmp_path):
-        path = tmp_path / "acd.csv"
-        table = AcdVendorsTable(path)
-        when = datetime(2020, 1, 1, 9, 0, 0)
-        table.insert_acd_rows((55, when, 8.67, 12.77, ""), (62, when, 0.6, 0.0, ""))
-        table.close()
-        assert len(read_acd_csv(path)) == 2
-        # reopening continues the id sequence
-        again = AcdVendorsTable(path)
-        ids = again.insert_acd_rows((55, when, 7.65, 37.87, ""), (62, when, 5.33, 0.0, ""))
-        assert ids == (3, 4)
-        again.close()
-        assert [row.id for row in read_acd_csv(path)] == [1, 2, 3, 4]
-
-    def test_failed_write_changes_nothing(self, tmp_path, monkeypatch):
-        path = tmp_path / "live.csv"
-        table = AcdVendorsTable(path)
-        when = datetime(2020, 1, 1, 9, 0, 0)
-        table.insert_acd_rows((55, when, 8.67, 12.77, ""), (62, when, 0.6, 0.0, ""))
-        rows_before = table.rows()
-
-        def failing_write(self, rows):
-            raise OSError("disk full")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(AcdVendorsTable, "_write", failing_write)
-            with pytest.raises(OSError):
-                table.insert_acd_rows((55, when, 7.65, 37.87, ""), (62, when, 5.33, 0.0, ""))
-        assert table.rows() == rows_before
-        assert table.latest_pair() == tuple(rows_before)
-        # the failed pair took no ids
-        assert table.insert_acd_rows((55, when, 0.17, 81.39, ""),
-                                     (62, when, 0.79, 0.0, "")) == (3, 4)
-        table.close()
-        assert [row.id for row in read_acd_csv(path)] == [1, 2, 3, 4]
-
-
-def _reopen(path):
-    AcdVendorsTable(path).close()
-
 
 class TestAcdPairsOnRead:
-    """Both ways of reading an acd_vendors file back require whole pairs and
-    name the first offending line."""
+    """Reading an acd_vendors file back requires whole pairs and names the
+    first offending line."""
 
-    READERS = [pytest.param(read_acd_csv, id="read_acd_csv"),
-               pytest.param(_reopen, id="reopen")]
+    READERS = [pytest.param(read_acd_csv, id="read_acd_csv")]
 
     @staticmethod
     def _write(tmp_path, edit):
         """Three well-formed pairs, ten minutes apart, with ``edit`` applied
         to the data lines (a list of field lists)."""
-        table = AcdVendorsTable()
         when = datetime(2020, 1, 1, 9, 0, 0)
-        for k in range(3):
-            at = when + timedelta(minutes=10 * k)
-            table.insert_acd_rows((55, at, 8.67, 12.77, ""), (62, at, 0.6, 0.0, ""))
-        header, *rows = [line.split(",") for line in table.to_csv_text().splitlines()]
+        history = [interval_closing(when + timedelta(minutes=10 * k), (8.67, 0.6))
+                   for k in range(3)]
+        header, *rows = [line.split(",") for line in acd_csv_text(acd_rows(history)).splitlines()]
         rows = edit(rows)
         path = tmp_path / "acd_vendors.csv"
         path.write_text("".join(",".join(f) + "\n" for f in [header] + rows), encoding="utf-8")
