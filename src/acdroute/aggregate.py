@@ -1,14 +1,15 @@
 """Dynamic measurement intervals and per-vendor call statistics.
 
-CDRs are fed to the aggregator as they end; a tick moves those that ended
-before it into the open interval. An interval only closes on a tick, once it
-is old enough *and* has seen enough ended calls; otherwise it stays open and
-is re-examined on the next tick, so closed intervals span a whole number of
-tick periods. Closing an interval computes both vendors' statistics, runs the
-rejection rule on the ACD pair, appends the result to the history, and opens
-the next interval at the exact close time so intervals partition the CDR
-timeline. The history is the one record of what closed: the CLI renders the
-acd_vendors file and the interval tables from it.
+CDRs are fed to the aggregator as they end and counted, by vendor and duration
+bucket, toward the first tick after they ended, which adds the counts into the
+open interval's: the aggregator keeps no CDR. An interval only closes on a
+tick, once it is old enough *and* has seen enough ended calls; otherwise it
+stays open and is re-examined on the next tick, so closed intervals span a
+whole number of tick periods. Closing an interval computes both vendors'
+statistics, runs the rejection rule on the ACD pair, appends the result to the
+history, and opens the next interval at the exact close time so intervals
+partition the CDR timeline. The history is the one record of what closed: the
+CLI renders the acd_vendors file and the interval tables from it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from itertools import count
+from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .domain import CallRecord, RouteGroup
@@ -59,39 +60,48 @@ class VendorIntervalStats:
     acd_min: Optional[float]
 
 
+# One vendor's whole-number counts: calls of 0 s, <=5 s, <=30 s and >30 s,
+# their answered seconds, and router-rejected attempts. Summing integers keeps
+# the ACD floats independent of the order the CDRs are counted in.
+Tally = List[int]
+
+
+def _count(tally: Tally, record: CallRecord) -> None:
+    """Count one CDR into its vendor's tally; the one place durations are
+    bucketed. A router-rejected attempt never reached the vendor, so it counts
+    as a rejection only."""
+    if record.rejected_by_router:
+        tally[5] += 1
+    else:
+        d = record.duration_s
+        tally[0 if d == 0 else 1 if d <= 5 else 2 if d <= 30 else 3] += 1
+        tally[4] += d
+
+
+def _stats(vendor: int, tally: Tally) -> VendorIntervalStats:
+    zero, up_to_5, up_to_30, over_30, total_s, _ = tally
+    answered = up_to_5 + up_to_30 + over_30
+    total_minutes = total_s / 60.0
+    return VendorIntervalStats(
+        vendor=vendor,
+        bucket_zero=zero,
+        bucket_0_5=up_to_5,
+        bucket_5_30=up_to_30,
+        bucket_over_30=over_30,
+        calls=zero + answered,
+        total_minutes=total_minutes,
+        acd_min=total_minutes / answered if answered else None,
+    )
+
+
 def vendor_stats(cdrs: Sequence[CallRecord], vendor: int) -> VendorIntervalStats:
     """Bucket one vendor's calls by duration; router-rejected attempts are
     skipped because they never reached the vendor."""
-    bucket_zero = bucket_0_5 = bucket_5_30 = bucket_over_30 = 0
-    total_s = 0
-    answered = 0
+    tally = [0] * 6
     for record in cdrs:
-        if record.vendor != vendor or record.rejected_by_router:
-            continue
-        d = record.duration_s
-        if d == 0:
-            bucket_zero += 1
-        elif d <= 5:
-            bucket_0_5 += 1
-        elif d <= 30:
-            bucket_5_30 += 1
-        else:
-            bucket_over_30 += 1
-        total_s += d
-        if d > 0:
-            answered += 1
-    total_minutes = total_s / 60.0
-    acd_min = total_minutes / answered if answered else None
-    return VendorIntervalStats(
-        vendor=vendor,
-        bucket_zero=bucket_zero,
-        bucket_0_5=bucket_0_5,
-        bucket_5_30=bucket_5_30,
-        bucket_over_30=bucket_over_30,
-        calls=bucket_zero + bucket_0_5 + bucket_5_30 + bucket_over_30,
-        total_minutes=total_minutes,
-        acd_min=acd_min,
-    )
+        if record.vendor == vendor:
+            _count(tally, record)
+    return _stats(vendor, tally)
 
 
 @dataclass
@@ -114,9 +124,10 @@ class IntervalAggregator:
     Single-writer: one aggregator instance per routing group, ticks serialized
     with CDR ingestion by the caller, never going back in time. A CDR counts
     in the interval open at the first tick after its disconnect time, unless
-    it ended before that interval opened. ``counter_source`` is called exactly
-    once per close to snapshot-and-reset the router's received/rejected
-    counters; without one the counters are derived from the CDRs' flags.
+    it ended before that interval opened. It keeps no CDR, only per-vendor
+    tallies: one per tick that has CDRs due, and the open interval's. ``counter_source`` is called exactly once per close to
+    snapshot-and-reset the router's received/rejected counters; without one
+    the counters are derived from the CDRs' flags.
     Each close appends its ``ClosedInterval`` to ``history``, which is all the
     aggregator keeps of it; the acd_vendors rows are rendered from there.
     """
@@ -139,16 +150,31 @@ class IntervalAggregator:
         self.history: List[ClosedInterval] = []
         self._counter_source = counter_source
         self._ticked_at = opened_at
-        # a min-heap of (disconnect time, arrival number, record) no tick has taken
-        self._pending: List[Tuple[datetime, int, CallRecord]] = []
-        self._arrivals = count()
-        self._records: List[CallRecord] = []  # the open interval's CDRs
+        # tick n falls at anchor + n periods; opened_at stays on that grid
+        self._anchor = opened_at
+        self._period = timedelta(seconds=tick_period_s)
+        self._due: Dict[int, Dict[int, Tally]] = {}  # tick number -> vendor -> tally
+        self._due_ticks: List[int] = []  # a min-heap of _due's keys
+        self._open = self._tallies()
+
+    def _tallies(self) -> Dict[int, Tally]:
+        return {v: [0] * 6 for v in self.group.vendors}
+
+    def _ended(self) -> int:
+        """The open interval's ended calls: all but the router rejections."""
+        return sum(sum(tally[:4]) for tally in self._open.values())
 
     def add_cdr(self, record: CallRecord) -> None:
-        """Queue one CDR for the tick after its disconnect time; records of
-        vendors outside the group are ignored."""
-        if record.vendor in self.group.vendors:
-            heapq.heappush(self._pending, (record.disconnect_time, next(self._arrivals), record))
+        """Count one CDR toward the first tick after its disconnect time;
+        records of vendors outside the group, or that ended before the open
+        interval, are dropped."""
+        ended_at = record.disconnect_time
+        if record.vendor in self.group.vendors and ended_at >= self.opened_at:
+            tick_no = (ended_at - self._anchor) // self._period + 1
+            if tick_no not in self._due:
+                self._due[tick_no] = self._tallies()
+                heapq.heappush(self._due_ticks, tick_no)
+            _count(self._due[tick_no][record.vendor], record)
 
     def tick(self, now: datetime) -> Optional[ClosedInterval]:
         """Take in the CDRs that ended before ``now``; close the interval if it is due.
@@ -156,48 +182,44 @@ class IntervalAggregator:
         Returns the closed interval, or None when it stays open: it is younger
         than ``min_age_s`` or has fewer than ``min_calls`` ended calls.
         """
-        opened_at = self.opened_at
         if now < self._ticked_at:
             raise ValueError(f"tick time {now} precedes the last tick at {self._ticked_at}")
-        offset_s = (now - opened_at).total_seconds()
+        offset_s = (now - self.opened_at).total_seconds()
         if offset_s % self.tick_period_s:
             raise ValueError(f"tick at {now} is not aligned to the {self.tick_period_s}s schedule")
         self._ticked_at = now
-        pending, records = self._pending, self._records
-        while pending and pending[0][0] < now:
-            record = heapq.heappop(pending)[2]
-            if record.disconnect_time >= opened_at:
-                records.append(record)
-        ended = [r for r in records if not r.rejected_by_router]
-        if offset_s < self.min_age_s or len(ended) < self.min_calls:
+        tick_no = (now - self._anchor) // self._period
+        while self._due_ticks and self._due_ticks[0] <= tick_no:
+            due = self._due.pop(heapq.heappop(self._due_ticks))
+            for v, tally in self._open.items():
+                tally[:] = map(add, tally, due[v])
+        if offset_s < self.min_age_s or self._ended() < self.min_calls:
             return None
-        return self._close(now, ended)
+        return self._close(now)
 
     def next_tick(self, now: datetime) -> datetime:
         """The first tick after one at ``now`` that can close the interval: the
         interval is ``min_age_s`` old by then and, with fewer than ``min_calls``
         ended calls, it is the next to take in a CDR."""
-        period = timedelta(seconds=self.tick_period_s)
+        period = self._period
         after = now + period
-        if self._pending and sum(not r.rejected_by_router for r in self._records) < self.min_calls:
-            after += period * ((self._pending[0][0] - now) // period)
+        if self._due_ticks and self._ended() < self.min_calls:
+            after = self._anchor + period * self._due_ticks[0]
         try:
             return max(after, self.opened_at + period * -(-self.min_age_s // self.tick_period_s))
         except OverflowError:  # it grows old enough only after year 9999
             return after
 
-    def _close(self, now: datetime, ended: List[CallRecord]) -> ClosedInterval:
+    def _close(self, now: datetime) -> ClosedInterval:
         group = self.group
-        stats = tuple(vendor_stats(ended, v) for v in group.vendors)
+        stats = tuple(_stats(v, self._open[v]) for v in group.vendors)
         acds = (stats[0].acd_min, stats[1].acd_min)
         result = compute_rejection(QualityInput(acds, group.prefs, group.load_min))
         if self._counter_source is not None:
             received, rejected = self._counter_source()
         else:
-            received = {v: sum(r.vendor == v for r in ended) for v in group.vendors}
-            rejected = {
-                v: sum(r.vendor == v for r in self._records) - received[v] for v in group.vendors
-            }
+            received = {s.vendor: s.calls for s in stats}
+            rejected = {v: self._open[v][5] for v in group.vendors}
         closed = ClosedInterval(
             opened_at=self.opened_at,
             closed_at=now,
@@ -210,7 +232,7 @@ class IntervalAggregator:
         )
         self.history.append(closed)
         self.opened_at = now
-        self._records = []
+        self._open = self._tallies()
         return closed
 
 
@@ -225,8 +247,8 @@ def replay_cdrs(
 
     The schedule anchors at the earliest connect time and runs until no open
     interval can still close. Input order does not matter, because the
-    aggregator takes the records off its heap in disconnect-time order, and
-    records outside the configured vendor pair are ignored.
+    aggregator counts each record toward the tick after its disconnect time,
+    and records outside the configured vendor pair are ignored.
     """
     ours = [r for r in records if r.vendor in group.vendors]
     if not ours:

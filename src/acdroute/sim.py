@@ -10,7 +10,7 @@ runs of the same scenario are identical event for event.
 Each CDR and each admission decision goes to a sink as soon as it is made.
 The default sinks collect them on the ``ScenarioResult``; a caller that
 streams them elsewhere (the CLI writes them to their CSV files) keeps the
-run's memory bounded by the open interval and the ledger, not by its length.
+run's memory bounded by the admission ledger, not by its length.
 Of each close the result keeps the ``ClosedInterval`` in its interval history;
 the acd_vendors rows and the interval tables are rendered from that.
 """

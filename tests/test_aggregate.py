@@ -1,6 +1,8 @@
+import gc
 import itertools
 import json
 import random
+import weakref
 from datetime import datetime, timedelta
 
 import pytest
@@ -202,6 +204,18 @@ class TestCloseInterval:
         second = agg.tick(edge + timedelta(minutes=20))
         assert second.stats[0].calls == 20
         assert second.stats[0].bucket_0_5 == 1
+
+    @pytest.mark.parametrize("offset_s, counts", [(-1, False), (-599, False), (0, True)])
+    def test_cdr_ending_before_the_first_interval_is_dropped(self, offset_s, counts):
+        # a negative offset from the anchor floors to tick 0, which never comes
+        edge = make_cdr("edge", 55, T0 + timedelta(seconds=offset_s), 5)
+        agg = _aggregator(spread_cdrs(55, [60] * 19) + [edge])
+        closed = agg.tick(T0 + timedelta(minutes=20))
+        assert (closed is not None) == counts
+        if counts:
+            assert closed.stats[0].calls == 20 and closed.stats[0].bucket_0_5 == 1
+        else:
+            assert agg.tick(T0 + timedelta(minutes=30)) is None
 
     def test_late_cdr_is_dropped(self):
         agg = _aggregator(spread_cdrs(55, [60] * 20))
@@ -449,6 +463,44 @@ class TestReplay:
 
         monkeypatch.setattr(IntervalAggregator, "tick", counted)
         assert encode(replay_cdrs(cdrs + late, GROUP)) == want
+
+
+def _weak_feed(seed):
+    """About a thousand CDRs, some router-rejected, ending over six hours."""
+    rng = random.Random(seed)
+    cdrs = []
+    for i in range(1000):
+        rejected = rng.random() < 0.15
+        duration = 0 if rejected else rng.choice([0, rng.randint(1, 30), rng.randint(31, 900)])
+        end = T0 + timedelta(seconds=rng.randint(0, 6 * 3600))
+        cdrs.append(make_cdr(f"w{i:04d}", rng.choice((55, 62, 99)), end, duration,
+                             rejected=rejected))
+    return cdrs
+
+
+class TestNoRecordRetained:
+    def test_aggregator_keeps_no_cdr(self):
+        cdrs = _weak_feed(31)
+        want = replay_cdrs(cdrs, GROUP)
+        start = min(r.connect_time for r in cdrs)
+        last_end = max(r.disconnect_time for r in cdrs)
+        del cdrs
+        agg = IntervalAggregator(GROUP, opened_at=start)
+        refs = []
+        for record in _weak_feed(31):
+            agg.add_cdr(record)
+            refs.append(weakref.ref(record))
+        del record
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        now = start + timedelta(seconds=600)
+        while now <= last_end + timedelta(seconds=1800):
+            agg.tick(now)
+            now += timedelta(seconds=600)
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert len(want) >= 5
+        assert encode(agg.history) == encode(want)
 
 
 class TestClosedIntervalSerialization:
