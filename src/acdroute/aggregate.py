@@ -200,11 +200,13 @@ class IntervalAggregator:
     def next_tick(self, now: datetime) -> datetime:
         """The first tick after one at ``now`` that can close the interval: the
         interval is ``min_age_s`` old by then and, with fewer than ``min_calls``
-        ended calls, it is the next to take in a CDR."""
+        ended calls, it is the next to take in a CDR. A CDR added after the
+        tick at ``now`` may be due at a tick already past; the tick after
+        ``now`` takes it in."""
         period = self._period
         after = now + period
         if self._due_ticks and self._ended() < self.min_calls:
-            after = self._anchor + period * self._due_ticks[0]
+            after = max(after, self._anchor + period * self._due_ticks[0])
         try:
             return max(after, self.opened_at + period * -(-self.min_age_s // self.tick_period_s))
         except OverflowError:  # it grows old enough only after year 9999

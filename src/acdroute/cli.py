@@ -35,7 +35,15 @@ from .domain import RouteGroup, validate_prefs_and_floor, whole_seconds
 from .rejection import QualityInput, compute_rejection
 from .report import TABLE_FORMATS, render_calc_breakdown, render_interval_table
 from .sim import DecisionRecord, ScenarioConfig, ScenarioResult, run_scenario
-from .store import CDR_CSV_HEADER, acd_rows, cdr_fields, csv_sink, read_cdr_csv, write_acd_csv
+from .store import (
+    CDR_CSV_HEADER,
+    acd_rows,
+    cdr_line,
+    csv_field,
+    csv_sink,
+    read_cdr_csv,
+    write_acd_csv,
+)
 
 DECISION_CSV_HEADER = ["seq", "time_s", "call_id", "vendor", "accepted", "code"]
 
@@ -195,15 +203,11 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _decision_fields(record: DecisionRecord) -> List[object]:
-    return [
-        record.seq,
-        f"{record.time_s:.3f}",
-        record.call_id,
-        record.vendor,
-        "1" if record.accepted else "0",
-        "" if record.code is None else record.code,
-    ]
+def _decision_line(record: DecisionRecord) -> str:
+    """The decision's row of ``decisions.csv``, line end included."""
+    code = "" if record.code is None else record.code
+    return (f"{record.seq},{record.time_s:.3f},{csv_field(record.call_id)},{record.vendor},"
+            f"{'1' if record.accepted else '0'},{code}\n")
 
 
 def _write_summary(out_dir: Path, result: ScenarioResult) -> None:
@@ -244,8 +248,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             open(args.out / "decisions.csv", "w", newline="", encoding="utf-8") as decision_file:
         result = run_scenario(
             config,
-            on_cdr=csv_sink(cdr_file, CDR_CSV_HEADER, cdr_fields),
-            on_decision=csv_sink(decision_file, DECISION_CSV_HEADER, _decision_fields),
+            on_cdr=csv_sink(cdr_file, CDR_CSV_HEADER, cdr_line),
+            on_decision=csv_sink(decision_file, DECISION_CSV_HEADER, _decision_line),
         )
     _write_history_files(args.out, result.interval_history, config.dest_prefix)
     _write_summary(args.out, result)

@@ -377,7 +377,10 @@ def run_scenario(
                 call_id=call_id,
                 vendor=vendor,
                 connect_time=connect,
-                disconnect_time=connect + timedelta(seconds=leg_duration),
+                # a zero-length leg ends on its connect time's own object,
+                # which store.cdr_line then formats once
+                disconnect_time=connect + timedelta(seconds=leg_duration)
+                if leg_duration else connect,
                 duration_s=leg_duration,
                 cause=cause,
                 rejected_by_router=not decision.accepted,

@@ -1,12 +1,17 @@
 """Flat-file persistence: the CDR CSV files and the acd_vendors file.
 
-``csv_sink`` is the one streaming row writer: ``simulate`` writes its CDRs
-and decisions through it as the run makes them, and ``write_cdr_csv`` writes
-a list of records. The acd_vendors file is a rendering of the interval
-history, like the interval tables: ``acd_rows`` turns each closed interval
-into its pair of rows and ``write_acd_csv`` writes them, after the run. A file
-is read back a row at a time, and a row is accepted only in the form its
-writer gives it; an acd_vendors file must also hold whole interval pairs.
+Each file has one row template, a function that builds a whole line as one
+f-string: ``cdr_line`` for CDRs, ``_acd_line`` for acd_vendors rows (and
+``cli._decision_line`` for decisions). Their only free text, a call id or a
+prefix, goes through ``csv_field``, which quotes it as ``csv.writer`` does;
+every other field is drawn from a fixed alphabet that needs no quoting.
+``csv_sink`` is the one row writer: ``simulate`` writes its CDRs and
+decisions through it as the run makes them, and ``write_cdr_csv`` writes a
+list of records. The acd_vendors file is a rendering of the interval history,
+like the interval tables: ``acd_rows`` turns each closed interval into its
+pair of rows and ``write_acd_csv`` writes them, after the run. A file is read
+back a row at a time, and a row is accepted only in the form its template
+gives it; an acd_vendors file must also hold whole interval pairs.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import io
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Iterable, List, Optional, TextIO, Tuple
 
 from .aggregate import ClosedInterval
 from .domain import CallRecord, DisconnectCause, format_ts, parse_digits, parse_ts, validate_acd
@@ -34,36 +39,62 @@ CDR_CSV_HEADER = [
 ACD_CSV_HEADER = ["id", "vendor", "date", "acd_min", "reject_pct", "prefix"]
 
 
-def cdr_fields(record: CallRecord) -> List[object]:
-    # csv.writer writes the ints with str(), as a CSV row reads them back
-    return [
-        record.call_id,
-        record.vendor,
-        format_ts(record.connect_time),
-        format_ts(record.disconnect_time),
-        record.duration_s,
-        record.cause.value,
-        "1" if record.rejected_by_router else "0",
-    ]
+def csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as a field of a row, quoted where
+    it must be. Letters and digits are written as they are by every
+    ``csv.writer``; other text is rendered by one, since its quoting rules
+    differ between Python versions (3.13 quotes a carriage return, 3.10
+    refuses a NUL)."""
+    if text.isalnum():
+        return text
+    buffer = io.StringIO()
+    # a second, empty field: a row of one empty field is written as ""
+    csv.writer(buffer, lineterminator="\n").writerow((text, ""))
+    return buffer.getvalue()[:-2]
 
 
-def _check_written_form(header: List[str], written: Sequence[object],
+def _cdr_tail(record: CallRecord) -> str:
+    """The six fields a CDR's row holds after its call id, comma-joined; none
+    needs quoting."""
+    connect = format_ts(record.connect_time)
+    # a zero-length leg ends on its connect time's own object (see run_scenario)
+    disconnect = (connect if record.disconnect_time is record.connect_time
+                  else format_ts(record.disconnect_time))
+    return (f"{record.vendor},{connect},{disconnect},{record.duration_s},"
+            f"{record.cause.value},{'1' if record.rejected_by_router else '0'}")
+
+
+def cdr_line(record: CallRecord) -> str:
+    """The CDR's row of a CDR CSV file, line end included."""
+    return f"{csv_field(record.call_id)},{_cdr_tail(record)}\n"
+
+
+def cdr_fields(record: CallRecord) -> List[str]:
+    """The fields of ``cdr_line``, as a CSV reader reads them back."""
+    return [record.call_id, *_cdr_tail(record).split(",")]
+
+
+def _check_written_form(header: List[str], written: List[str],
                         fields: List[str]) -> None:
     """Refuse a row whose fields are not ``written``, the row its parsed
     record is written as (``10`` read from ``010``, ``8.67`` from ``8.670``),
     so every row a reader accepts re-serialises to itself."""
+    if written == fields:
+        return
     for name, want, got in zip(header, written, fields):
-        if str(want) != got:
-            raise ValueError(f"{name} {got!r} is not written as {str(want)!r}")
+        if want != got:
+            raise ValueError(f"{name} {got!r} is not written as {want!r}")
 
 
 def _parse_cdr_fields(fields: List[str]) -> CallRecord:
     call_id, vendor_s, connect_s, disconnect_s, duration_s, cause_s, rejected_s = fields
+    connect = parse_ts(connect_s)
     record = CallRecord(
         call_id=call_id,
         vendor=parse_digits(vendor_s, "vendor id"),
-        connect_time=parse_ts(connect_s),
-        disconnect_time=parse_ts(disconnect_s),
+        connect_time=connect,
+        # one object for both, as run_scenario writes a zero-length leg
+        disconnect_time=connect if disconnect_s == connect_s else parse_ts(disconnect_s),
         duration_s=parse_digits(duration_s, "duration"),
         cause=DisconnectCause(cause_s),
         rejected_by_router=rejected_s == "1",
@@ -104,18 +135,17 @@ def _read_csv(
     return records, lines, errors
 
 
-def csv_sink(handle: TextIO, header: List[str], fields: Callable) -> Callable:
+def csv_sink(handle: TextIO, header: List[str], line: Callable[[object], str]) -> Callable:
     """Write ``header`` to ``handle``; the returned sink writes each record it
-    is given as the row ``fields(record)``."""
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(header)
-    writerow = writer.writerow
-    return lambda record: writerow(fields(record))
+    is given as the line ``line(record)``."""
+    write = handle.write
+    write(",".join(map(csv_field, header)) + "\n")
+    return lambda record: write(line(record))
 
 
 def write_cdr_csv(path: Path, records: Iterable[CallRecord]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        sink = csv_sink(handle, CDR_CSV_HEADER, cdr_fields)
+        sink = csv_sink(handle, CDR_CSV_HEADER, cdr_line)
         for record in records:
             sink(record)
 
@@ -143,15 +173,21 @@ class AcdRow:
         validate_acd(self.acd_min)
 
 
+def _acd_head(row: AcdRow) -> str:
+    """The five fields an acd_vendors row holds before its prefix,
+    comma-joined; none needs quoting."""
+    acd = "" if row.acd_min is None else str(row.acd_min)
+    return f"{row.id},{row.vendor},{format_ts(row.date)},{acd},{row.reject_pct:.2f}"
+
+
+def _acd_line(row: AcdRow) -> str:
+    """The row's line of an acd_vendors file, line end included."""
+    return f"{_acd_head(row)},{csv_field(row.prefix)}\n"
+
+
 def _acd_fields(row: AcdRow) -> List[str]:
-    return [
-        str(row.id),
-        str(row.vendor),
-        format_ts(row.date),
-        "" if row.acd_min is None else str(row.acd_min),
-        f"{row.reject_pct:.2f}",
-        row.prefix,
-    ]
+    """The fields of ``_acd_line``, as a CSV reader reads them back."""
+    return [*_acd_head(row).split(","), row.prefix]
 
 
 def _parse_acd_fields(fields: List[str]) -> AcdRow:
@@ -210,7 +246,7 @@ def acd_rows(history: Iterable[ClosedInterval], prefix: str = "") -> List[AcdRow
 
 def acd_csv_text(rows: Iterable[AcdRow]) -> str:
     buffer = io.StringIO()
-    sink = csv_sink(buffer, ACD_CSV_HEADER, _acd_fields)
+    sink = csv_sink(buffer, ACD_CSV_HEADER, _acd_line)
     for row in rows:
         sink(row)
     return buffer.getvalue()

@@ -125,6 +125,27 @@ class TestTickDecision:
         with pytest.raises(ValueError, match="precedes"):
             agg.tick(T0 - timedelta(seconds=1))
 
+    def test_next_tick_is_after_now_when_a_late_cdr_is_due_at_a_past_tick(self):
+        agg = _aggregator([], min_calls=100)
+        now = T0 + timedelta(minutes=30)
+        assert agg.tick(now) is None
+        # ends inside the open interval, so it is counted toward tick 1 (00:10)
+        agg.add_cdr(make_cdr("late", 55, T0 + timedelta(minutes=2, seconds=10), 10))
+        assert agg.next_tick(now) == T0 + timedelta(minutes=40)
+
+    def test_next_tick_never_goes_back(self):
+        rng = random.Random(31)
+        agg = _aggregator([], min_calls=5)
+        now = T0 + timedelta(minutes=10)
+        for i in range(300):
+            agg.tick(now)
+            for j in range(rng.randint(0, 3)):
+                end = now - timedelta(seconds=rng.randint(0, 3600))
+                agg.add_cdr(make_cdr(f"n{i}-{j}", 55, end, rng.randint(0, 60)))
+            after = agg.next_tick(now)
+            assert after > now, f"step {i}"
+            now = after
+
 
 def _aggregator(cdrs, **kwargs):
     agg = IntervalAggregator(GROUP, opened_at=T0, **kwargs)

@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import io
 import json
 import random
 from datetime import datetime, timedelta
@@ -8,9 +10,10 @@ from typing import List
 import pytest
 
 from acdroute.aggregate import ClosedInterval
-from acdroute.cli import main
+from acdroute.cli import DECISION_CSV_HEADER, _decision_line, main
 from acdroute.codec import decode
-from acdroute.store import acd_rows, cdr_fields, read_acd_csv, write_cdr_csv
+from acdroute.sim import ScenarioConfig, run_scenario
+from acdroute.store import acd_rows, cdr_line, csv_sink, read_acd_csv, write_cdr_csv
 from conftest import T0, make_cdr
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -262,13 +265,13 @@ class TestSimulate:
     def test_sink_error_closes_both_files(self, tmp_path, capsys, monkeypatch):
         calls = []
 
-        def failing_fields(record):
+        def failing_line(record):
             calls.append(record)
             if len(calls) == 500:
                 raise OSError("disk quota exceeded")
-            return cdr_fields(record)
+            return cdr_line(record)
 
-        monkeypatch.setattr("acdroute.cli.cdr_fields", failing_fields)
+        monkeypatch.setattr("acdroute.cli.cdr_line", failing_line)
         out = tmp_path / "run"
         assert main(["simulate", "--scenario", str(SCENARIOS / "pure_fas_control.json"),
                      "--out", str(out)]) == 1
@@ -276,6 +279,25 @@ class TestSimulate:
         gc.collect()
         # the rows written before the error are whole rows
         assert len((out / "cdrs.csv").read_text(encoding="utf-8").splitlines()) == 500
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_streamed_files_equal_the_batch_rendering(tmp_path, capsys, scenario):
+    # simulate writes each row as it is made; the run's records, collected
+    # and then written, give the same bytes
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(scenario), "--seed", "3",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    result = run_scenario(dataclasses.replace(ScenarioConfig.load(scenario), seed=3))
+    batch = tmp_path / "cdrs.csv"
+    write_cdr_csv(batch, result.cdrs)
+    assert (out / "cdrs.csv").read_bytes() == batch.read_bytes()
+    buffer = io.StringIO()
+    sink = csv_sink(buffer, DECISION_CSV_HEADER, _decision_line)
+    for decision in result.decision_log:
+        sink(decision)
+    assert (out / "decisions.csv").read_bytes() == buffer.getvalue().encode("utf-8")
 
 
 class TestReport:

@@ -1,5 +1,8 @@
+import csv
+import io
 import random
 import re
+import sys
 from datetime import datetime, timedelta
 
 import pytest
@@ -10,7 +13,7 @@ from acdroute.aggregate import (
     VendorIntervalStats,
     vendor_stats,
 )
-from acdroute.domain import RouteGroup
+from acdroute.domain import RouteGroup, format_ts
 from acdroute.rejection import QualityInput, compute_rejection
 from acdroute.store import (
     ACD_CSV_HEADER,
@@ -18,6 +21,7 @@ from acdroute.store import (
     CDR_CSV_HEADER,
     acd_csv_text,
     acd_rows,
+    csv_field,
     read_acd_csv,
     read_cdr_csv,
     write_acd_csv,
@@ -312,3 +316,106 @@ class TestWrittenFormOnRead:
 
         with pytest.raises(ValueError, match=f"line 2: .*{re.escape(repr(value))}"):
             read(TestAcdPairsOnRead._write(tmp_path, edit))
+
+
+def _writer_text(rows):
+    """What ``csv.writer`` writes of ``rows``, one line each."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+class TestCsvField:
+    """``csv_field`` writes a field as the running Python's ``csv.writer``
+    does: its quoting of a carriage return or a NUL differs by version."""
+
+    ALPHABET = [",", '"', "\r", "\n", "\0", " ", "\t", "a", "Z", "7", "_", "-",
+                "é", "ß", "Ж", "٥", "²", "中"]
+
+    @staticmethod
+    def _written_as(text):
+        """The field ``csv.writer`` writes for ``text`` first, in the middle
+        and last in a row, or ``csv.Error`` for each when it refuses it."""
+        try:
+            return [_writer_text([[text, "x"]])[:-3],
+                    _writer_text([["x", text, "x"]])[2:-3],
+                    _writer_text([["x", text]])[2:-1]]
+        except csv.Error:
+            return [csv.Error] * 3
+
+    def test_matches_csv_writer(self):
+        rng = random.Random(1107)
+        texts = [""] + ["".join(rng.choices(self.ALPHABET, k=rng.randint(0, 6)))
+                        for _ in range(3000)]
+        for text in texts:
+            try:
+                got = csv_field(text)
+            except csv.Error:
+                got = csv.Error
+            assert [got] * 3 == self._written_as(text), repr(text)
+
+
+# text fields a CSV file must quote, or that a hand-written rule gets wrong
+AWKWARD = ["a,b", 'a"b', "a\nb", "a\rb", " x", "é"]
+# csv.writer before 3.13 leaves a carriage return unquoted: its row reads back as two
+READ_BACK = [
+    pytest.param(text, marks=pytest.mark.xfail(
+        sys.version_info < (3, 13), strict=True,
+        reason="csv.writer before 3.13 does not quote a carriage return"))
+    if "\r" in text else text
+    for text in AWKWARD
+]
+
+
+def _cdr_field_list(record):
+    """The fields of a CDR's row, spelt out: the reference for the row
+    template."""
+    return [record.call_id, str(record.vendor), format_ts(record.connect_time),
+            format_ts(record.disconnect_time), str(record.duration_s),
+            record.cause.value, "1" if record.rejected_by_router else "0"]
+
+
+def _acd_field_list(row):
+    return [str(row.id), str(row.vendor), format_ts(row.date),
+            "" if row.acd_min is None else str(row.acd_min),
+            f"{row.reject_pct:.2f}", row.prefix]
+
+
+def _awkward_cdrs(call_id):
+    at = T0 + timedelta(seconds=90)
+    return [make_cdr(call_id, 55, at, 30), make_cdr(call_id, 62, at, 0),
+            make_cdr(call_id, 55, at, 0, rejected=True)]
+
+
+def _awkward_acd_rows(prefix):
+    return [AcdRow(1, 55, T0, 8.67, 12.5, prefix), AcdRow(2, 62, T0, None, 0.0, prefix)]
+
+
+class TestAwkwardTextFields:
+    """Call ids and prefixes are free text; a file holds them quoted exactly
+    as ``csv.writer`` quotes them, and reads them back unchanged."""
+
+    @pytest.mark.parametrize("text", [*AWKWARD, "37,410", ""])
+    def test_written_as_csv_writer_writes_the_fields(self, tmp_path, text):
+        records = _awkward_cdrs(text)
+        path = tmp_path / "cdrs.csv"
+        write_cdr_csv(path, records)
+        assert path.read_bytes().decode("utf-8") == _writer_text(
+            [CDR_CSV_HEADER, *map(_cdr_field_list, records)])
+        rows = _awkward_acd_rows(text)
+        assert acd_csv_text(rows) == _writer_text(
+            [ACD_CSV_HEADER, *map(_acd_field_list, rows)])
+
+    @pytest.mark.parametrize("call_id", READ_BACK)
+    def test_cdr_reads_back(self, tmp_path, call_id):
+        records = _awkward_cdrs(call_id)
+        path = tmp_path / "cdrs.csv"
+        write_cdr_csv(path, records)
+        assert read_cdr_csv(path) == (records, [])
+
+    @pytest.mark.parametrize("prefix", [*READ_BACK, "37,410", ""])
+    def test_acd_prefix_reads_back(self, tmp_path, prefix):
+        rows = _awkward_acd_rows(prefix)
+        path = tmp_path / "acd_vendors.csv"
+        write_acd_csv(path, rows)
+        assert read_acd_csv(path) == rows
