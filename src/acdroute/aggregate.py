@@ -125,9 +125,10 @@ class IntervalAggregator:
     with CDR ingestion by the caller, never going back in time. A CDR counts
     in the interval open at the first tick after its disconnect time, unless
     it ended before that interval opened. It keeps no CDR, only per-vendor
-    tallies: one per tick that has CDRs due, and the open interval's. ``counter_source`` is called exactly once per close to
-    snapshot-and-reset the router's received/rejected counters; without one
-    the counters are derived from the CDRs' flags.
+    tallies: one per tick that has CDRs due, and the open interval's.
+    ``counter_source`` is called exactly once per close to snapshot-and-reset
+    the router's received/rejected counters; without one the counters are
+    derived from the CDRs' flags.
     Each close appends its ``ClosedInterval`` to ``history``, which is all the
     aggregator keeps of it; the acd_vendors rows are rendered from there.
     """

@@ -55,8 +55,10 @@ class ResponseClass(Enum):
 # indexed by the hundreds digit; the members above are declared in digit order
 _CLASS_BY_DIGIT = (None, *ResponseClass)
 
-_FAILOVER_CLASSES = frozenset(
-    {ResponseClass.CLIENT_ERROR, ResponseClass.SERVER_ERROR, ResponseClass.GLOBAL_FAILURE}
+# a tuple, not a frozenset: membership then compares by identity first,
+# where a set would call the members' Python-level ``Enum.__hash__``
+_FAILOVER_CLASSES = (
+    ResponseClass.CLIENT_ERROR, ResponseClass.SERVER_ERROR, ResponseClass.GLOBAL_FAILURE
 )
 
 

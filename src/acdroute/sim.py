@@ -7,6 +7,11 @@ to the aggregator, which ticks every period, and freshly closed intervals feed
 new targets back into admission. Everything derives from one seed, so two
 runs of the same scenario are identical event for event.
 
+Billing's order (``billing_order``) is computed once per run, and each call
+walks it once: the next vendor is tried only while the last response
+triggers failover. ``billing_route`` picks the same vendors one attempt at a
+time, from a call's history.
+
 Each CDR and each admission decision goes to a sink as soon as it is made.
 The default sinks collect them on the ``ScenarioResult``; a caller that
 streams them elsewhere (the CLI writes them to their CSV files) keeps the
@@ -209,6 +214,12 @@ class ScenarioConfig:
         return decode(cls, json.loads(Path(path).read_text(encoding="utf-8")))
 
 
+def billing_order(prefs: Mapping[int, int]) -> List[int]:
+    """The vendors in the order billing tries them: highest preference first,
+    ties in ``prefs`` order (the sort is stable)."""
+    return sorted(prefs, key=prefs.__getitem__, reverse=True)
+
+
 def billing_route(
     prefs: Mapping[int, int], attempt_history: Sequence[Tuple[int, int]]
 ) -> Optional[int]:
@@ -220,17 +231,8 @@ def billing_route(
     """
     if attempt_history and not triggers_failover(classify_response(attempt_history[-1][1])):
         return None
-    # one pass: the first untried vendor with the highest preference wins
-    best: Optional[int] = None
-    best_pref = None
-    for vendor, pref in prefs.items():
-        if best is None or pref > best_pref:
-            for tried, _ in attempt_history:
-                if tried == vendor:
-                    break
-            else:
-                best, best_pref = vendor, pref
-    return best
+    tried = {vendor for vendor, _ in attempt_history}
+    return next((vendor for vendor in billing_order(prefs) if vendor not in tried), None)
 
 
 class DecisionRecord(NamedTuple):
@@ -314,7 +316,7 @@ def run_scenario(
     """
     traffic_rng = random.Random(config.seed)
     group = config.group
-    prefs_map = {spec.vendor: spec.pref for spec in config.vendors}
+    order = billing_order({spec.vendor: spec.pref for spec in config.vendors})
     models = {spec.vendor: spec.model for spec in config.vendors}
 
     controller = AdmissionController(group, seed=config.seed + 1)
@@ -348,46 +350,47 @@ def run_scenario(
         t += traffic_rng.expovariate(rate_per_s)
 
     abandoned = 0
+    start_time = config.start_time
+    decide = controller.decide
+    add_cdr = aggregator.add_cdr
+    success = ResponseClass.SUCCESS
+    normal, no_answer, other = (
+        DisconnectCause.NORMAL_CLEARING, DisconnectCause.NO_USER_RESPONDING, DisconnectCause.OTHER)
 
     def handle_call(t_s: float, call_id: str) -> bool:
-        """Returns True when the call was answered somewhere."""
-        connect = config.start_time + timedelta(seconds=int(t_s))
-        history: List[Tuple[int, int]] = []
-        while True:
-            vendor = billing_route(prefs_map, history)
-            if vendor is None:
-                return bool(history) and classify_response(history[-1][1]) is ResponseClass.SUCCESS
-            decision = controller.decide(call_id, vendor, now=t_s)
-            on_decision(
-                DecisionRecord(next_seq(), t_s, call_id, vendor, decision.accepted, decision.code)
-            )
-            if decision.accepted:
+        """Walks the billing order until a response ends routing; returns
+        True when the call was answered somewhere."""
+        connect = start_time + timedelta(seconds=int(t_s))
+        for vendor in order:
+            decision = decide(call_id, vendor, now=t_s)
+            accepted = decision.accepted
+            on_decision(DecisionRecord(next_seq(), t_s, call_id, vendor, accepted, decision.code))
+            if accepted:
                 code, leg_duration = vendor_leg(models[vendor], traffic_rng)
-                cause = (
-                    DisconnectCause.NORMAL_CLEARING
-                    if classify_response(code) is ResponseClass.SUCCESS
-                    else DisconnectCause.NO_USER_RESPONDING
-                )
-                if leg_duration:
-                    answered[vendor] += 1
-                    answered_minutes[vendor] += leg_duration / 60.0
             else:
-                code, leg_duration, cause = decision.code, 0, DisconnectCause.OTHER
-            record = CallRecord(
-                call_id=call_id,
-                vendor=vendor,
-                connect_time=connect,
+                code, leg_duration = decision.code, 0
+            response = classify_response(code)
+            if not accepted:
+                cause = other
+            elif response is success:
+                cause = normal
+            else:
+                cause = no_answer
+            if leg_duration:
+                answered[vendor] += 1
+                answered_minutes[vendor] += leg_duration / 60.0
+                disconnect = connect + timedelta(seconds=leg_duration)
+            else:
                 # a zero-length leg ends on its connect time's own object,
                 # which store.cdr_line then formats once
-                disconnect_time=connect + timedelta(seconds=leg_duration)
-                if leg_duration else connect,
-                duration_s=leg_duration,
-                cause=cause,
-                rejected_by_router=not decision.accepted,
-            )
+                disconnect = connect
+            record = CallRecord(
+                call_id, vendor, connect, disconnect, leg_duration, cause, not accepted)
             on_cdr(record)
-            aggregator.add_cdr(record)
-            history.append((vendor, code))
+            add_cdr(record)
+            if not triggers_failover(response):
+                return response is success
+        return False
 
     # one event loop over (time, arrival index) pairs; a tick carries index -1,
     # so it sorts before an arrival at the same time
@@ -395,7 +398,7 @@ def run_scenario(
     ticks = ((k * tick_period_s, -1) for k in range(1, num_ticks + 1))
     for t_s, idx in heapq.merge(ticks, ((t, i) for i, t in enumerate(arrivals))):
         if idx < 0:
-            closed = aggregator.tick(config.start_time + timedelta(seconds=t_s))
+            closed = aggregator.tick(start_time + timedelta(seconds=t_s))
             if closed is not None and config.admission_enabled:
                 controller.refresh_targets(closed.result)
         elif not handle_call(t_s, f"c{idx + 1:06d}"):

@@ -2,6 +2,8 @@ import json
 import random
 import tracemalloc
 from collections import Counter, defaultdict
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +115,52 @@ def reference_billing_route(prefs, attempt_history):
     if not remaining:
         return None
     return max(remaining, key=lambda vendor: prefs[vendor])
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+
+
+class TestRoutingMatchesBillingRoute:
+    """``run_scenario`` walks the billing order once per call; every call's
+    attempts must be exactly the ones ``billing_route`` picks, one at a time,
+    from the responses the call got."""
+
+    # the response classes of a call's attempts, in order: answered at once;
+    # rejected (503) or unanswered (4xx) and then answered or unanswered
+    # at the other route; the pure false-answer route answers every call
+    ALL_SHAPES = {(2,), (4, 2), (4, 4), (5, 2), (5, 4)}
+
+    @pytest.mark.parametrize("name, shapes", [
+        pytest.param("honest_vs_fas", ALL_SHAPES, id="honest_vs_fas"),
+        pytest.param("preferred_honest", ALL_SHAPES, id="preferred_honest"),
+        pytest.param("pure_fas_control", {(2,)}, id="pure_fas_control"),
+    ])
+    def test_each_attempt_is_billing_routes_choice(self, name, shapes):
+        base = ScenarioConfig.load(SCENARIOS / f"{name}.json")
+        prefs = {spec.vendor: spec.pref for spec in base.vendors}
+        models = {spec.vendor: spec.model for spec in base.vendors}
+        seen = set()
+        for seed in range(1, 6):
+            for admission in (True, False):
+                result = run_scenario(replace(base, seed=seed, admission_enabled=admission))
+                assert len(result.decision_log) == len(result.cdrs)
+                calls = defaultdict(list)
+                for decision, record in zip(result.decision_log, result.cdrs):
+                    assert (decision.call_id, decision.vendor) == (record.call_id, record.vendor)
+                    if not decision.accepted:
+                        code = decision.code
+                    elif record.duration_s > 0:
+                        code = 200
+                    else:
+                        code = models[record.vendor].failure_code
+                    calls[record.call_id].append((record.vendor, code))
+                assert len(calls) == result.total_calls
+                for call_id, history in calls.items():
+                    for k, (vendor, _) in enumerate(history):
+                        assert billing_route(prefs, history[:k]) == vendor, (call_id, history)
+                    assert billing_route(prefs, history) is None, (call_id, history)
+                    seen.add(tuple(code // 100 for _, code in history))
+        assert seen == shapes, seen
 
 
 class TestVendorLeg:

@@ -43,7 +43,7 @@ def close_window(records, start, end):
     return agg.tick(end)
 
 
-class TestCdrStore:
+class TestCdrsFedToAggregator:
     """The CDR log as the interval aggregator takes it: records fed in any
     order, some of them read back from a ``cdrs.csv``."""
 
@@ -62,7 +62,7 @@ class TestCdrStore:
         assert closed.received == {55: 0, 62: 1}
         assert closed.rejected == {55: 1, 62: 0}
 
-    def test_query_half_open_range_sorted(self):
+    def test_close_counts_half_open_window_fed_in_reverse(self):
         records = spread_cdrs(55, [60] * 10) + spread_cdrs(62, [30] * 10)
         start = T0 + timedelta(seconds=100)
         end = T0 + timedelta(seconds=700)
@@ -82,7 +82,7 @@ class TestCdrStore:
         (600, None),
         (600, 200),
     ], ids=["appended", "reopened", "ties", "ties-reopened"])
-    def test_random_queries_match_linear_scan(self, tmp_path, grid_s, reopen_after):
+    def test_random_windows_match_linear_scan(self, tmp_path, grid_s, reopen_after):
         rng = random.Random(314)
         records = []
         for i in range(400):
@@ -170,7 +170,7 @@ def interval_closing(at, acds):
                           compute_rejection(QualityInput(acds, GROUP.prefs)))
 
 
-class TestAcdVendorsTable:
+class TestAcdRows:
     """The acd_vendors table, rendered from the interval history."""
 
     def test_pair_insert_assigns_sequential_ids(self):
