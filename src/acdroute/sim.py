@@ -381,8 +381,8 @@ def run_scenario(
                 answered_minutes[vendor] += leg_duration / 60.0
                 disconnect = connect + timedelta(seconds=leg_duration)
             else:
-                # a zero-length leg ends on its connect time's own object,
-                # which store.cdr_line then formats once
+                # a zero-length leg ends at its connect time: no second
+                # datetime is built
                 disconnect = connect
             record = CallRecord(
                 call_id, vendor, connect, disconnect, leg_duration, cause, not accepted)

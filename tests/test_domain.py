@@ -1,4 +1,7 @@
+import dataclasses
+import pickle
 import random
+import weakref
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
@@ -15,6 +18,7 @@ from acdroute.domain import (
     triggers_failover,
     validate_preference,
     whole_seconds,
+    _wall_text,
 )
 
 
@@ -107,6 +111,35 @@ def test_format_ts_round_trips_every_year():
     assert format_ts(datetime(999, 1, 1, 0, 0, 1)) == "0999-01-01 00:00:01"
 
 
+class TestFormatTsCache:
+    """``format_ts`` caches the text of a naive wall time; an aware time is
+    looked up by its own wall time, never by the instant it names."""
+
+    def test_one_instant_under_two_offsets_keeps_two_texts(self):
+        noon_utc = datetime(2020, 1, 1, 12, tzinfo=timezone.utc)
+        one_pm_plus_one = datetime(2020, 1, 1, 13, tzinfo=timezone(timedelta(hours=1)))
+        assert noon_utc == one_pm_plus_one
+        for first, second in ((noon_utc, one_pm_plus_one), (one_pm_plus_one, noon_utc)):
+            _wall_text.cache_clear()
+            assert format_ts(first) == first.strftime(TS_FORMAT)
+            assert format_ts(second) == second.strftime(TS_FORMAT)
+        assert format_ts(noon_utc) == "2020-01-01 12:00:00"
+        assert format_ts(one_pm_plus_one) == "2020-01-01 13:00:00"
+
+    def test_aware_time_and_its_wall_time_share_a_text(self):
+        wall = datetime(2020, 1, 1, 13, 4, 5)
+        aware = wall.replace(tzinfo=timezone(timedelta(hours=-7)))
+        assert format_ts(aware) == format_ts(wall) == "2020-01-01 13:04:05"
+
+    def test_correct_after_the_cache_turns_over(self):
+        _wall_text.cache_clear()
+        first = datetime(2020, 1, 1)
+        stamps = [first + timedelta(seconds=s) for s in range(1500)]
+        for ts in [*stamps, first, *reversed(stamps)]:
+            assert format_ts(ts) == ts.strftime(TS_FORMAT), ts
+        assert _wall_text.cache_info().currsize <= 1024
+
+
 @pytest.mark.parametrize("text, expected", [
     ("2009-11-09 10:50:25", datetime(2009, 11, 9, 10, 50, 25)),
     ("0001-01-01 00:00:00", datetime(1, 1, 1)),
@@ -167,35 +200,76 @@ def test_parse_ts_equals_strptime_on_what_format_ts_writes():
         assert parse_ts(text) == datetime.strptime(text, TS_FORMAT) == ts, text
 
 
+START = datetime(2020, 1, 1, 12, 0, 0)
+
+
+def answered_record(**changes):
+    fields = dict(call_id="a1", vendor=55, connect_time=START,
+                  disconnect_time=START + timedelta(seconds=56), duration_s=56,
+                  cause=DisconnectCause.NORMAL_CLEARING)
+    return CallRecord(**{**fields, **changes})
+
+
+def refused_with(message, *args):
+    with pytest.raises(ValueError) as info:
+        CallRecord(*args)
+    assert str(info.value) == message
+
+
 class TestCallRecord:
     def test_valid_record(self):
-        start = datetime(2020, 1, 1, 12, 0, 0)
-        record = CallRecord(
-            call_id="a1",
-            vendor=55,
-            connect_time=start,
-            disconnect_time=start + timedelta(seconds=56),
-            duration_s=56,
-            cause=DisconnectCause.NORMAL_CLEARING,
-        )
+        record = answered_record()
         assert not record.rejected_by_router
+        assert repr(record) == (
+            "CallRecord(call_id='a1', vendor=55, "
+            "connect_time=datetime.datetime(2020, 1, 1, 12, 0), "
+            "disconnect_time=datetime.datetime(2020, 1, 1, 12, 0, 56), duration_s=56, "
+            "cause=<DisconnectCause.NORMAL_CLEARING: 'normal'>, rejected_by_router=False)")
 
     def test_rejects_disconnect_before_connect(self):
-        start = datetime(2020, 1, 1, 12, 0, 0)
-        with pytest.raises(ValueError):
-            CallRecord("a1", 55, start, start - timedelta(seconds=1), 0,
-                       DisconnectCause.OTHER)
+        refused_with("a1: disconnect_time precedes connect_time",
+                     "a1", 55, START, START - timedelta(seconds=1), 0, DisconnectCause.OTHER)
+
+    def test_rejects_negative_duration(self):
+        refused_with("a1: negative duration",
+                     "a1", 55, START, START, -1, DisconnectCause.OTHER)
 
     def test_rejects_duration_mismatch(self):
-        start = datetime(2020, 1, 1, 12, 0, 0)
-        with pytest.raises(ValueError):
-            CallRecord("a1", 55, start, start + timedelta(seconds=10), 9,
-                       DisconnectCause.NORMAL_CLEARING)
+        refused_with("a1: duration_s=9 does not match timestamps (10s apart)",
+                     "a1", 55, START, START + timedelta(seconds=10), 9,
+                     DisconnectCause.NORMAL_CLEARING)
 
     def test_rejects_negative_vendor(self):
-        start = datetime(2020, 1, 1, 12, 0, 0)
-        with pytest.raises(ValueError):
-            CallRecord("a1", -3, start, start, 0, DisconnectCause.OTHER)
+        refused_with("vendor id must be a non-negative integer, got -3",
+                     "a1", -3, START, START, 0, DisconnectCause.OTHER)
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        record = answered_record()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.duration_s = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del record.vendor
+        assert record == answered_record()
+
+    def test_replace_checks_the_new_record(self):
+        record = answered_record()
+        assert dataclasses.replace(record, call_id="b2").call_id == "b2"
+        with pytest.raises(ValueError, match="does not match timestamps"):
+            dataclasses.replace(record, duration_s=record.duration_s + 1)
+
+    def test_equal_fields_give_equal_records_and_hashes(self):
+        record = answered_record()
+        twin = answered_record()
+        assert record == twin and hash(record) == hash(twin)
+        assert record != answered_record(rejected_by_router=True)
+        assert len({record, twin, answered_record(call_id="b2")}) == 2
+
+    def test_weak_reference_and_pickle(self):
+        record = answered_record()
+        assert weakref.ref(record)() is record
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and hash(copy) == hash(record)
+        assert copy.cause is DisconnectCause.NORMAL_CLEARING
 
 
 class TestRouteGroup:

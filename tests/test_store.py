@@ -2,7 +2,6 @@ import csv
 import io
 import random
 import re
-import sys
 from datetime import datetime, timedelta
 
 import pytest
@@ -319,15 +318,21 @@ class TestWrittenFormOnRead:
 
 
 def _writer_text(rows):
-    """What ``csv.writer`` writes of ``rows``, one line each."""
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(rows)
-    return buffer.getvalue()
+    """What ``csv.writer`` writes of ``rows``, one line each, each ended with
+    "\\n": a row is rendered by a writer ending lines with "\\r\\n", which
+    quotes a carriage return on every Python version."""
+    lines = []
+    for row in rows:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\r\n").writerow(row)
+        lines.append(buffer.getvalue()[:-2] + "\n")
+    return "".join(lines)
 
 
 class TestCsvField:
     """``csv_field`` writes a field as the running Python's ``csv.writer``
-    does: its quoting of a carriage return or a NUL differs by version."""
+    does with the "\\r\\n" line terminator; its handling of a NUL differs by
+    version."""
 
     ALPHABET = [",", '"', "\r", "\n", "\0", " ", "\t", "a", "Z", "7", "_", "-",
                 "é", "ß", "Ж", "٥", "²", "中"]
@@ -357,14 +362,6 @@ class TestCsvField:
 
 # text fields a CSV file must quote, or that a hand-written rule gets wrong
 AWKWARD = ["a,b", 'a"b', "a\nb", "a\rb", " x", "é"]
-# csv.writer before 3.13 leaves a carriage return unquoted: its row reads back as two
-READ_BACK = [
-    pytest.param(text, marks=pytest.mark.xfail(
-        sys.version_info < (3, 13), strict=True,
-        reason="csv.writer before 3.13 does not quote a carriage return"))
-    if "\r" in text else text
-    for text in AWKWARD
-]
 
 
 def _cdr_field_list(record):
@@ -406,14 +403,14 @@ class TestAwkwardTextFields:
         assert acd_csv_text(rows) == _writer_text(
             [ACD_CSV_HEADER, *map(_acd_field_list, rows)])
 
-    @pytest.mark.parametrize("call_id", READ_BACK)
+    @pytest.mark.parametrize("call_id", AWKWARD)
     def test_cdr_reads_back(self, tmp_path, call_id):
         records = _awkward_cdrs(call_id)
         path = tmp_path / "cdrs.csv"
         write_cdr_csv(path, records)
         assert read_cdr_csv(path) == (records, [])
 
-    @pytest.mark.parametrize("prefix", [*READ_BACK, "37,410", ""])
+    @pytest.mark.parametrize("prefix", [*AWKWARD, "37,410", ""])
     def test_acd_prefix_reads_back(self, tmp_path, prefix):
         rows = _awkward_acd_rows(prefix)
         path = tmp_path / "acd_vendors.csv"
