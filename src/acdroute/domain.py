@@ -153,9 +153,9 @@ def validate_acd(acd_min: Optional[float]) -> Optional[float]:
 
 def parse_digits(text: str, what: str) -> int:
     """A non-negative integer in the one form ``str`` writes it: ASCII digits
-    without a leading zero. The CSV readers and the JSON codec read ids and
-    counts with it; ``int()`` also reads "+5", " 5 ", "5_5", "05" and
-    non-ASCII digits, so two spellings could name one vendor."""
+    without a leading zero, as the CDR row grammar also reads them. The JSON
+    codec reads ids and counts with it; ``int()`` also reads "+5", " 5 ",
+    "5_5", "05" and non-ASCII digits, so two spellings could name one vendor."""
     if not (text.isascii() and text.isdigit()) or (text[0] == "0" and text != "0"):
         raise ValueError(f"bad {what} {text!r}")
     return int(text)

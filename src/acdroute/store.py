@@ -14,32 +14,27 @@ cache of recent seconds and each cause's token from the member's
 decisions through it as the run makes them, and ``write_cdr_csv`` writes a
 list of records. The acd_vendors file is a rendering of the interval history,
 like the interval tables: ``acd_rows`` turns each closed interval into its
-pair of rows and ``write_acd_csv`` writes them, after the run. A file is read
-back a row at a time, and a row is accepted only in the form its template
-gives it; an acd_vendors file must also hold whole interval pairs.
+pair of rows and ``write_acd_csv`` writes them, after the run; no command
+reads it back. ``read_cdr_csv`` is the one reader. It accepts a CDR row only
+in the form ``cdr_line`` writes it, checked as one match against
+``_CDR_FIELDS``, the row grammar.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional, TextIO, Tuple
 
 from .aggregate import ClosedInterval
-from .domain import CallRecord, DisconnectCause, format_ts, parse_digits, parse_ts, validate_acd
+from .domain import _TS_TEXT, CallRecord, DisconnectCause, format_ts, validate_acd
 
-CDR_CSV_HEADER = [
-    "call_id",
-    "vendor",
-    "connect_time",
-    "disconnect_time",
-    "duration_s",
-    "cause",
-    "rejected",
-]
+CDR_CSV_HEADER = ["call_id", "vendor", "connect_time", "disconnect_time", "duration_s",
+                  "cause", "rejected"]
 
 ACD_CSV_HEADER = ["id", "vendor", "date", "acd_min", "reject_pct", "prefix"]
 
@@ -75,72 +70,6 @@ def cdr_line(record: CallRecord) -> str:
     return f"{csv_field(record.call_id)},{_cdr_tail(record)}\n"
 
 
-def cdr_fields(record: CallRecord) -> List[str]:
-    """The fields of ``cdr_line``, as a CSV reader reads them back."""
-    return [record.call_id, *_cdr_tail(record).split(",")]
-
-
-def _check_written_form(header: List[str], written: List[str],
-                        fields: List[str]) -> None:
-    """Refuse a row whose fields are not ``written``, the row its parsed
-    record is written as (``10`` read from ``010``, ``8.67`` from ``8.670``),
-    so every row a reader accepts re-serialises to itself."""
-    if written == fields:
-        return
-    for name, want, got in zip(header, written, fields):
-        if want != got:
-            raise ValueError(f"{name} {got!r} is not written as {want!r}")
-
-
-def _parse_cdr_fields(fields: List[str]) -> CallRecord:
-    call_id, vendor_s, connect_s, disconnect_s, duration_s, cause_s, rejected_s = fields
-    connect = parse_ts(connect_s)
-    record = CallRecord(
-        call_id=call_id,
-        vendor=parse_digits(vendor_s, "vendor id"),
-        connect_time=connect,
-        # a zero-length leg repeats its connect time: no second parse
-        disconnect_time=connect if disconnect_s == connect_s else parse_ts(disconnect_s),
-        duration_s=parse_digits(duration_s, "duration"),
-        cause=DisconnectCause(cause_s),
-        rejected_by_router=rejected_s == "1",
-    )
-    _check_written_form(CDR_CSV_HEADER, cdr_fields(record), fields)
-    return record
-
-
-def _read_csv(
-    path: Path, header: List[str], parse: Callable[[List[str]], object]
-) -> Tuple[List, List[int], List[Tuple[int, str]]]:
-    """Parse a headed CSV file into (records, their line numbers, errors),
-    where errors are (line_number, message) pairs; well-formed rows are kept
-    even when other rows are malformed. A line the csv module cannot split
-    (a field over its size limit) makes the whole file a ``ValueError``."""
-    records: List = []
-    lines: List[int] = []
-    errors: List[Tuple[int, str]] = []
-    with open(path, "r", newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            for lineno, row in enumerate(reader, start=1):
-                if not row:
-                    continue
-                if lineno == 1:
-                    if row != header:
-                        errors.append((1, f"bad header, want {','.join(header)}"))
-                    continue
-                try:
-                    if len(row) != len(header):
-                        raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                    records.append(parse(row))
-                    lines.append(lineno)
-                except ValueError as exc:
-                    errors.append((lineno, str(exc)))
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    return records, lines, errors
-
-
 def csv_sink(handle: TextIO, header: List[str], line: Callable[[object], str]) -> Callable:
     """Write ``header`` to ``handle``; the returned sink writes each record it
     is given as the line ``line(record)``."""
@@ -156,9 +85,65 @@ def write_cdr_csv(path: Path, records: Iterable[CallRecord]) -> None:
             sink(record)
 
 
+# The row grammar: the six fields of a CDR row after its call id, each in the
+# one form ``cdr_line`` writes it. ``[0-9]``, because ``\d`` in a str pattern
+# also matches non-ASCII digits. No pattern matches a comma, so the six
+# fields joined by commas match ``_CDR_TAIL`` only if each matches its own.
+_CDR_FIELDS = (
+    ("vendor id", "0|[1-9][0-9]*"),
+    ("connect timestamp", _TS_TEXT.pattern),
+    ("disconnect timestamp", _TS_TEXT.pattern),
+    ("duration", "0|[1-9][0-9]*"),
+    ("cause", "|".join(re.escape(cause.value) for cause in DisconnectCause)),
+    ("rejected flag", "[01]"),
+)
+_CDR_TAIL = re.compile(",".join(f"({pattern})" for _, pattern in _CDR_FIELDS))
+_CAUSES = {cause.value: cause for cause in DisconnectCause}
+
+
+def _cdr_record(row: List[str]) -> CallRecord:
+    """The record of a CDR row as ``csv`` splits it; a ``ValueError`` names
+    the first field that breaks the grammar."""
+    if len(row) != len(CDR_CSV_HEADER):
+        raise ValueError(f"expected {len(CDR_CSV_HEADER)} fields, got {len(row)}")
+    fields = _CDR_TAIL.fullmatch(",".join(row[1:]))
+    if fields is None:
+        name, text = next((name, text) for (name, pattern), text in zip(_CDR_FIELDS, row[1:])
+                          if re.fullmatch(pattern, text) is None)
+        raise ValueError(f"bad {name} {text!r}")
+    vendor, connect_s, disconnect_s, duration, cause, rejected = fields.groups()
+    connect = datetime.fromisoformat(connect_s)
+    # a zero-length leg repeats its connect time: no second parse
+    disconnect = connect if disconnect_s == connect_s else datetime.fromisoformat(disconnect_s)
+    return CallRecord(row[0], int(vendor), connect, disconnect, int(duration),
+                      _CAUSES[cause], rejected == "1")
+
+
 def read_cdr_csv(path: Path) -> Tuple[List[CallRecord], List[Tuple[int, str]]]:
-    """Parse a CDR CSV file into (records, errors); see ``_read_csv``."""
-    records, _, errors = _read_csv(path, CDR_CSV_HEADER, _parse_cdr_fields)
+    """Parse a CDR CSV file into (records, errors), where errors are
+    (line_number, message) pairs and a row's line is the file line it starts
+    on; well-formed rows are kept even when other rows are malformed. Line 1
+    must be the header. A line the csv module cannot split (a field over its
+    size limit) makes the whole file a ``ValueError``."""
+    records: List[CallRecord] = []
+    errors: List[Tuple[int, str]] = []
+    end = 0  # the file line the last row read ends on
+    with open(path, "r", newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            if next(reader, None) != CDR_CSV_HEADER:
+                errors.append((1, f"bad header, want {','.join(CDR_CSV_HEADER)}"))
+            end = reader.line_num
+            for row in reader:
+                lineno, end = end + 1, reader.line_num
+                if not row:
+                    continue
+                try:
+                    records.append(_cdr_record(row))
+                except ValueError as exc:
+                    errors.append((lineno, str(exc)))
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {end + 1}: {exc}") from None
     return records, errors
 
 
@@ -179,63 +164,12 @@ class AcdRow:
         validate_acd(self.acd_min)
 
 
-def _acd_head(row: AcdRow) -> str:
-    """The five fields an acd_vendors row holds before its prefix,
-    comma-joined; none needs quoting."""
-    acd = "" if row.acd_min is None else str(row.acd_min)
-    return f"{row.id},{row.vendor},{format_ts(row.date)},{acd},{row.reject_pct:.2f}"
-
-
 def _acd_line(row: AcdRow) -> str:
-    """The row's line of an acd_vendors file, line end included."""
-    return f"{_acd_head(row)},{csv_field(row.prefix)}\n"
-
-
-def _acd_fields(row: AcdRow) -> List[str]:
-    """The fields of ``_acd_line``, as a CSV reader reads them back."""
-    return [*_acd_head(row).split(","), row.prefix]
-
-
-def _parse_acd_fields(fields: List[str]) -> AcdRow:
-    id_s, vendor_s, date_s, acd_s, reject_s, prefix = fields
-    row = AcdRow(
-        id=parse_digits(id_s, "row id"),
-        vendor=parse_digits(vendor_s, "vendor id"),
-        date=parse_ts(date_s),
-        acd_min=None if acd_s == "" else float(acd_s),
-        reject_pct=float(reject_s),
-        prefix=prefix,
-    )
-    _check_written_form(ACD_CSV_HEADER, _acd_fields(row), fields)
-    return row
-
-
-def _acd_pair_problem(rows: List[AcdRow]) -> Optional[Tuple[int, str]]:
-    """The first row that breaks the pairing, as (index, message): ids run
-    1..n with n even, rows 2k-1 and 2k share a date and name two distinct
-    vendors, and dates do not decrease."""
-    for k, row in enumerate(rows):
-        if row.id != k + 1:
-            return k, f"row id {row.id}, want {k + 1}"
-        previous = rows[k - 1] if k else row
-        if k % 2 and (row.date != previous.date or row.vendor == previous.vendor):
-            return k, f"rows {k} and {k + 1} are not a pair (one date, two vendors)"
-        if row.date < previous.date:
-            return k, f"date {format_ts(row.date)} precedes row {k}'s"
-    return (len(rows) - 1, f"row {len(rows)} has no pair") if len(rows) % 2 else None
-
-
-def read_acd_csv(path: Path) -> List[AcdRow]:
-    """The rows of an acd_vendors file; its first malformed line or broken
-    pair is an error."""
-    rows, lines, errors = _read_csv(path, ACD_CSV_HEADER, _parse_acd_fields)
-    problem = None if errors else _acd_pair_problem(rows)
-    if problem is not None:
-        errors = [(lines[problem[0]], problem[1])]
-    if errors:
-        lineno, message = errors[0]
-        raise ValueError(f"{path}: line {lineno}: {message}")
-    return rows
+    """The row's line of an acd_vendors file, line end included; only the
+    prefix can need quoting."""
+    acd = "" if row.acd_min is None else str(row.acd_min)
+    return (f"{row.id},{row.vendor},{format_ts(row.date)},{acd},{row.reject_pct:.2f},"
+            f"{csv_field(row.prefix)}\n")
 
 
 def acd_rows(history: Iterable[ClosedInterval], prefix: str = "") -> List[AcdRow]:

@@ -1,10 +1,13 @@
-"""Shared builders for synthetic CDR streams."""
+"""Shared builders for synthetic CDR streams, and the pair check of an
+acd_vendors file."""
 
+import csv
 from datetime import datetime, timedelta
 
 import pytest
 
 from acdroute.domain import CallRecord, DisconnectCause
+from acdroute.store import ACD_CSV_HEADER
 
 T0 = datetime(2020, 1, 1, 0, 0, 0)
 
@@ -40,6 +43,37 @@ def spread_cdrs(vendor, durations, start=T0, window_s=1200, tag="x"):
         )
         for i, d in enumerate(durations)
     ]
+
+
+def read_acd_csv(path):
+    """The data rows of an acd_vendors file as ``csv`` splits them, once the
+    file holds whole interval pairs: ids run 1..n with n even, rows 2k-1 and
+    2k share a date and name two distinct vendors, and dates never decrease
+    (the fixed-width text sorts as the times do). A broken rule is a
+    ``ValueError`` naming the file line its row starts on."""
+    rows, lines = [], []
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        assert next(reader) == ACD_CSV_HEADER
+        end = reader.line_num
+        for row in reader:
+            rows.append(row)
+            lines.append(end + 1)
+            end = reader.line_num
+    for k, (row_id, vendor, date, *_) in enumerate(rows):
+        _, previous_vendor, previous_date, *_ = rows[k - 1] if k else rows[k]
+        problem = None
+        if row_id != str(k + 1):
+            problem = f"row id {row_id}, want {k + 1}"
+        elif k % 2 and (date != previous_date or vendor == previous_vendor):
+            problem = f"rows {k} and {k + 1} are not a pair (one date, two vendors)"
+        elif date < previous_date:
+            problem = f"date {date} precedes row {k}'s"
+        if problem:
+            raise ValueError(f"{path}: line {lines[k]}: {problem}")
+    if len(rows) % 2:
+        raise ValueError(f"{path}: line {lines[-1]}: row {len(rows)} has no pair")
+    return rows
 
 
 @pytest.fixture

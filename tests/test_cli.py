@@ -13,8 +13,8 @@ from acdroute.aggregate import ClosedInterval
 from acdroute.cli import DECISION_CSV_HEADER, _decision_line, main
 from acdroute.codec import decode
 from acdroute.sim import ScenarioConfig, run_scenario
-from acdroute.store import acd_rows, cdr_line, csv_sink, read_acd_csv, write_cdr_csv
-from conftest import T0, make_cdr
+from acdroute.store import acd_csv_text, acd_rows, cdr_line, csv_sink, write_cdr_csv
+from conftest import T0, make_cdr, read_acd_csv
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
@@ -36,6 +36,23 @@ def interval_records():
             )
             i += 1
     return records
+
+
+@pytest.fixture(autouse=True)
+def acd_files_hold_pairs(tmp_path):
+    """Every acd_vendors file a test's commands write holds whole pairs."""
+    yield
+    for path in tmp_path.rglob("acd_vendors.csv"):
+        read_acd_csv(path)
+
+
+def assert_renders(path: Path, history_path: Path, prefix=""):
+    """The acd_vendors file at ``path`` is the rendering of the interval
+    history saved beside it; its data rows, as ``csv`` splits them."""
+    history = decode(List[ClosedInterval], json.loads(history_path.read_text()))
+    assert history, history_path
+    assert path.read_bytes() == acd_csv_text(acd_rows(history, prefix)).encode("utf-8")
+    return read_acd_csv(path)
 
 
 def snapshot_dir(path: Path) -> dict:
@@ -97,10 +114,10 @@ class TestAggregate:
         assert main(["aggregate", "--cdr", str(cdr_csv), "--prefs", "9,8",
                      "--out", str(out)]) == 0
         assert "1 closed interval(s) from 43 records" in capsys.readouterr().out
-        rows = read_acd_csv(out / "acd_vendors.csv")
-        assert rows[0].vendor == 55
-        assert rows[0].acd_min == pytest.approx(12.94, abs=0.01)
-        assert rows[1].acd_min == pytest.approx(10.93, abs=0.01)
+        rows = assert_renders(out / "acd_vendors.csv", out / "interval_history.json")
+        assert rows[0][1] == "55"
+        assert float(rows[0][3]) == pytest.approx(12.94, abs=0.01)
+        assert float(rows[1][3]) == pytest.approx(10.93, abs=0.01)
         table = (out / "interval_table.csv").read_text(encoding="utf-8")
         assert "12.94" in table and "10.93" in table
 
@@ -224,11 +241,8 @@ class TestSimulate:
                      "--prefix", config["dest_prefix"], "--out", str(agg_dir)]) == 0
         capsys.readouterr()
         for out in (run_dir, agg_dir):
-            history = decode(List[ClosedInterval],
-                             json.loads((out / "interval_history.json").read_text()))
-            assert history, out
-            assert read_acd_csv(out / "acd_vendors.csv") == acd_rows(history,
-                                                                     config["dest_prefix"])
+            assert_renders(out / "acd_vendors.csv", out / "interval_history.json",
+                           config["dest_prefix"])
 
     def test_invalid_scenario_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -3,11 +3,10 @@
 Every case mutates a valid file with its own ``random.Random(seed)``, so a
 failure names the seed that reproduces it. ``aggregate`` and ``report`` run
 through ``main`` and must end with exit code 0, 1 or 2, never an exception.
-A row ``read_cdr_csv`` accepts must re-serialise to its input row, and an
-acd_vendors file ``read_acd_csv`` accepts must write back as its input rows.
-Rows are compared as the csv module splits a line: quoting and line endings
-are CSV's encoding, not the row's values. Scenarios are only decoded, never
-run, so no mutant can start a huge run.
+A row ``read_cdr_csv`` accepts must be its record's row as ``cdr_line``
+writes it. Rows are compared as the csv module splits a line: quoting and
+line endings are CSV's encoding, not the row's values. Scenarios are only
+decoded, never run, so no mutant can start a huge run.
 """
 
 import contextlib
@@ -16,22 +15,15 @@ import io
 import json
 import random
 import signal
-from datetime import datetime, timedelta
+from datetime import datetime
 from pathlib import Path
 
 import pytest
 
 from acdroute.cli import main
 from acdroute.sim import ScenarioConfig
-from acdroute.store import (
-    AcdRow,
-    acd_csv_text,
-    cdr_fields,
-    read_acd_csv,
-    read_cdr_csv,
-    write_cdr_csv,
-)
-from conftest import T0, spread_cdrs
+from acdroute.store import cdr_line, read_cdr_csv, write_cdr_csv
+from conftest import spread_cdrs
 
 SCENARIO = Path(__file__).resolve().parent.parent / "demos" / "scenarios" / "honest_vs_fas.json"
 
@@ -125,9 +117,15 @@ def _mutate_json(rng: random.Random, value) -> str:
 
 
 def _rows(text: str):
-    """The non-empty data rows of a CSV text, by line number as the readers count."""
+    """The non-empty data rows of a CSV text, each by the file line it starts
+    on, as the reader numbers them."""
     reader = csv.reader(io.StringIO(text, newline=""))
-    return {n: row for n, row in enumerate(reader, start=1) if row and n > 1}
+    rows, end = {}, 0
+    for row in reader:
+        if row and end:
+            rows[end + 1] = row
+        end = reader.line_num
+    return rows
 
 
 def _cdr_text(path: Path, records) -> str:
@@ -146,11 +144,6 @@ def inputs(tmp_path_factory):
     late = spread_cdrs(55, [30, 0], start=year_9999, window_s=1800, tag="late")
     last = spread_cdrs(55, [0] * 12 + [520] * 10, start=year_9999, window_s=3500, tag="last") \
         + spread_cdrs(62, [36] * 8 + [0] * 4, start=year_9999, window_s=3500, tag="last")
-    acd = []
-    for k in range(3):
-        at = T0 + timedelta(minutes=10 * k)
-        acd += [AcdRow(2 * k + 1, 55, at, 8.67, 12.77, "37410"),
-                AcdRow(2 * k + 2, 62, at, None, 0.0, "37410")]
     cdrs = [_cdr_text(root / "2020.csv", records), _cdr_text(root / "late.csv", records + late),
             _cdr_text(root / "last.csv", last)]
     assert main(["aggregate", "--cdr", str(root / "2020.csv"), "--prefs", "9,8",
@@ -159,7 +152,6 @@ def inputs(tmp_path_factory):
     assert history
     return {
         "cdrs": cdrs,
-        "acd": acd_csv_text(acd),
         "history": history,
         "scenario": json.loads(SCENARIO.read_text(encoding="utf-8")),
     }
@@ -182,21 +174,8 @@ def test_cdr_rows_read_back_as_written(tmp_path, inputs):
         rows = _rows(text)
         rejected = {lineno for lineno, _ in errors}
         accepted = [row for n, row in rows.items() if n not in rejected]
-        written = [[str(field) for field in cdr_fields(r)] for r in records]
+        written = [next(csv.reader([cdr_line(r)])) for r in records]
         assert written == accepted, f"seed {seed}: {text!r}"
-
-
-def test_acd_files_re_export_as_read(tmp_path, inputs):
-    for seed in range(CASES):
-        text = _mutate_text(random.Random(seed), inputs["acd"])
-        path = _write(tmp_path, "acd_vendors.csv", text)
-        try:
-            rows = read_acd_csv(path)
-        except ValueError:
-            continue
-        exported = acd_csv_text(rows)
-        assert list(_rows(exported).values()) == list(_rows(text).values()), \
-            f"seed {seed}: {text!r}"
 
 
 def test_aggregate_ends_with_an_exit_code(tmp_path, inputs, capsys):

@@ -1,7 +1,6 @@
 import csv
 import io
 import random
-import re
 from datetime import datetime, timedelta
 
 import pytest
@@ -12,7 +11,7 @@ from acdroute.aggregate import (
     VendorIntervalStats,
     vendor_stats,
 )
-from acdroute.domain import RouteGroup, format_ts
+from acdroute.domain import CallRecord, DisconnectCause, RouteGroup, format_ts
 from acdroute.rejection import QualityInput, compute_rejection
 from acdroute.store import (
     ACD_CSV_HEADER,
@@ -20,13 +19,13 @@ from acdroute.store import (
     CDR_CSV_HEADER,
     acd_csv_text,
     acd_rows,
+    cdr_line,
     csv_field,
-    read_acd_csv,
     read_cdr_csv,
     write_acd_csv,
     write_cdr_csv,
 )
-from conftest import T0, make_cdr, spread_cdrs
+from conftest import T0, make_cdr, read_acd_csv, spread_cdrs
 
 GROUP = RouteGroup((55, 62), (9, 8))
 
@@ -160,6 +159,37 @@ class TestCdrCsv:
         assert len(records) == 1
         assert [lineno for lineno, _ in errors] == [3, 4, 5, 6]
 
+    @pytest.mark.parametrize("text", [
+        "",
+        # a blank line 1 is not the header either
+        "\nok1,55,2020-01-01 00:00:00,2020-01-01 00:00:30,30,normal,0\n",
+    ], ids=["zero-bytes", "blank-line-1"])
+    def test_line_1_must_be_the_header(self, tmp_path, text):
+        path = tmp_path / "cdrs.csv"
+        path.write_text(text, encoding="utf-8")
+        _, errors = read_cdr_csv(path)
+        assert errors == [(1, "bad header, want " + ",".join(CDR_CSV_HEADER))]
+
+    def test_errors_name_the_line_a_row_starts_on(self, tmp_path):
+        # each row of a call id holding a line feed spans two file lines
+        good, _, bad = [cdr_line(r) for r in _awkward_cdrs("a\nb")]
+        path = tmp_path / "cdrs.csv"
+        path.write_text(",".join(CDR_CSV_HEADER) + "\n" + good + "short,55\n"
+                        + bad.replace(",55,", ",055,"), encoding="utf-8")
+        records, errors = read_cdr_csv(path)
+        assert len(records) == 1
+        assert [lineno for lineno, _ in errors] == [4, 5]
+
+    @pytest.mark.parametrize("cause", list(DisconnectCause), ids=lambda c: c.value)
+    @pytest.mark.parametrize("at", [datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 30)],
+                             ids=["year-1", "year-9999"])
+    def test_every_cause_and_boundary_year_reads_back(self, tmp_path, cause, at):
+        records = [CallRecord("c1", 55, at, at + timedelta(seconds=29), 29, cause),
+                   CallRecord("c2", 62, at, at, 0, cause, rejected_by_router=True)]
+        path = tmp_path / "cdrs.csv"
+        write_cdr_csv(path, records)
+        assert read_cdr_csv(path) == (records, [])
+
 
 def interval_closing(at, acds):
     """A closed interval of ``GROUP`` ending at ``at`` with this ACD pair."""
@@ -189,25 +219,7 @@ class TestAcdRows:
         text = out.read_text(encoding="utf-8")
         assert text.splitlines()[0] == ",".join(ACD_CSV_HEADER)
         assert ",62,2020-01-01 12:00:00,,0.00,37410" in text
-        rows = read_acd_csv(out)
-        assert rows[1].acd_min is None
-
-    def test_export_import_export_is_byte_identical(self, tmp_path):
-        rng = random.Random(21)
-        rows = []
-        when = datetime(2020, 1, 1, 9, 0, 0)
-        for k in range(10):
-            acd_a = None if rng.random() < 0.2 else round(rng.uniform(0.1, 30), 4)
-            acd_b = None if rng.random() < 0.2 else round(rng.uniform(0.1, 30), 4)
-            at = when + timedelta(minutes=10 * k)
-            rows += [AcdRow(2 * k + 1, 55, at, acd_a, round(rng.uniform(0, 90), 2), "37410"),
-                     AcdRow(2 * k + 2, 62, at, acd_b, 0.0, "37410")]
-        first = tmp_path / "a.csv"
-        write_acd_csv(first, rows)
-        assert read_acd_csv(first) == rows
-        second = tmp_path / "b.csv"
-        write_acd_csv(second, read_acd_csv(first))
-        assert first.read_bytes() == second.read_bytes()
+        assert read_acd_csv(out)[1][3] == ""
 
     def test_reject_pct_bounds(self):
         when = datetime(2020, 1, 1, 9, 0, 0)
@@ -216,8 +228,8 @@ class TestAcdRows:
 
 
 class TestAcdPairsOnRead:
-    """Reading an acd_vendors file back requires whole pairs and names the
-    first offending line."""
+    """The pair check of an acd_vendors file finds each broken pair and
+    names the first offending line."""
 
     READERS = [pytest.param(read_acd_csv, id="read_acd_csv")]
 
@@ -271,50 +283,29 @@ class TestAcdPairsOnRead:
         with pytest.raises(ValueError, match="line 6: date 2020-01-01 09:05:00 precedes row 4"):
             read(self._write(tmp_path, edit))
 
-    @pytest.mark.parametrize("read", READERS)
-    @pytest.mark.parametrize("value", ["nan", "-3", "inf"])
-    def test_acd_is_finite_and_non_negative(self, tmp_path, read, value):
-        def edit(rows):
-            rows[2][3] = value
-            return rows
-
-        with pytest.raises(ValueError, match="line 4: ACD must be a finite non-negative"):
-            read(self._write(tmp_path, edit))
-
 
 CDR_LINE = ["c1", "55", "2020-01-01 00:00:00", "2020-01-01 00:00:10", "10", "normal", "0"]
 
 
 class TestWrittenFormOnRead:
-    """Both CSV readers accept a row only as its writer writes it: integers
+    """The CDR reader accepts a row only as its writer writes it: integers
     are ASCII digits without a sign, spaces, underscores or a leading zero."""
 
     @pytest.mark.parametrize("field, value", [
         (1, "+5_5"), (1, " 55 "), (1, "٥٥"), (1, "055"), (1, "-55"),
         (4, "١٠"), (4, " 10 "), (4, "+10"), (4, "010"), (4, "1_0"), (4, ""),
+        # quoted, so the row still splits into seven fields
+        (1, "5,5"),
     ])
     def test_cdr_integer_fields(self, tmp_path, field, value):
         row = list(CDR_LINE)
         row[field] = value
         path = tmp_path / "cdrs.csv"
         path.write_text("\n".join([",".join(CDR_CSV_HEADER), ",".join(CDR_LINE),
-                                   ",".join(row)]) + "\n", encoding="utf-8")
+                                   ",".join(map(csv_field, row))]) + "\n", encoding="utf-8")
         records, errors = read_cdr_csv(path)
         assert len(records) == 1 and [lineno for lineno, _ in errors] == [3]
         assert repr(value) in errors[0][1]
-
-    @pytest.mark.parametrize("read", TestAcdPairsOnRead.READERS)
-    @pytest.mark.parametrize("field, value", [
-        (0, "+1"), (0, "01"), (0, "١"), (1, " 55"), (1, "5_5"), (1, "055"),
-        (3, "8.670"), (3, "8_67"), (3, " 8.67"), (4, "12.8"), (4, "1.277e1"),
-    ])
-    def test_acd_fields(self, tmp_path, read, field, value):
-        def edit(rows):
-            rows[0][field] = value
-            return rows
-
-        with pytest.raises(ValueError, match=f"line 2: .*{re.escape(repr(value))}"):
-            read(TestAcdPairsOnRead._write(tmp_path, edit))
 
 
 def _writer_text(rows):
@@ -415,4 +406,4 @@ class TestAwkwardTextFields:
         rows = _awkward_acd_rows(prefix)
         path = tmp_path / "acd_vendors.csv"
         write_acd_csv(path, rows)
-        assert read_acd_csv(path) == rows
+        assert read_acd_csv(path) == list(map(_acd_field_list, rows))
