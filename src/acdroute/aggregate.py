@@ -144,6 +144,7 @@ class IntervalAggregator:
     ):
         validate_schedule(tick_period_s, min_age_s, min_calls)
         self.group = group
+        self._vendors = group.vendors
         self.tick_period_s = tick_period_s
         self.min_age_s = min_age_s
         self.min_calls = min_calls
@@ -170,12 +171,13 @@ class IntervalAggregator:
         records of vendors outside the group, or that ended before the open
         interval, are dropped."""
         ended_at = record.disconnect_time
-        if record.vendor in self.group.vendors and ended_at >= self.opened_at:
+        if record.vendor in self._vendors and ended_at >= self.opened_at:
             tick_no = (ended_at - self._anchor) // self._period + 1
-            if tick_no not in self._due:
-                self._due[tick_no] = self._tallies()
+            tallies = self._due.get(tick_no)
+            if tallies is None:
+                tallies = self._due[tick_no] = self._tallies()
                 heapq.heappush(self._due_ticks, tick_no)
-            _count(self._due[tick_no][record.vendor], record)
+            _count(tallies[record.vendor], record)
 
     def tick(self, now: datetime) -> Optional[ClosedInterval]:
         """Take in the CDRs that ended before ``now``; close the interval if it is due.

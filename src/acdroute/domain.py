@@ -206,7 +206,9 @@ class CallRecord:
             raise ValueError(f"{call_id}: disconnect_time precedes connect_time")
         if duration_s < 0:
             raise ValueError(f"{call_id}: negative duration")
-        span = int((disconnect_time - connect_time).total_seconds())
+        # a zero-length leg's disconnect is often its connect object itself
+        span = (0 if disconnect_time is connect_time
+                else int((disconnect_time - connect_time).total_seconds()))
         if span != duration_s:
             raise ValueError(
                 f"{call_id}: duration_s={duration_s} does not match "

@@ -3,9 +3,11 @@
 Drives the whole loop at seconds resolution: a Poisson caller population hits
 a static-preference billing router, each attempt passes the clone interface's
 admission check, the vendor leg answers or fails, each CDR is logged and fed
-to the aggregator, which ticks every period, and freshly closed intervals feed
-new targets back into admission. Everything derives from one seed, so two
-runs of the same scenario are identical event for event.
+to the aggregator, and freshly closed intervals feed new targets back into
+admission. The event loop is one pass over the arrival times, drawn up front:
+each call first runs the aggregator ticks due by its time, and the calls of
+one second share one connect timestamp. Everything derives from one seed, so
+two runs of the same scenario are identical event for event.
 
 Billing's order (``billing_order``) is computed once per run, and each call
 walks it once: the next vendor is tried only while the last response
@@ -22,7 +24,6 @@ the acd_vendors rows and the interval tables are rendered from that.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 import random
@@ -304,11 +305,12 @@ def run_scenario(
 ) -> ScenarioResult:
     """Run one scenario to completion.
 
-    Two interleaved event streams drive the run: call arrivals (Poisson) and
-    aggregator ticks on the configured period. At equal times the tick goes
-    first, so a call arriving exactly on a tick boundary already sees the
-    refreshed targets. Ticking stops at the scenario end; calls still in
-    flight then simply never get aggregated.
+    The run walks the call arrivals (Poisson) in time order and, before each
+    call, runs every aggregator tick due at or before its time, so a call
+    arriving exactly on a tick boundary already sees the refreshed targets.
+    After the last call the remaining ticks run, up to the scenario end:
+    ``int(duration_s // tick_period_s)`` ticks in all. Ticking stops there;
+    calls still in flight then simply never get aggregated.
 
     ``on_cdr`` and ``on_decision`` receive each record, in order, as soon as
     it is made; by default they append to the result's ``cdrs`` and
@@ -357,12 +359,11 @@ def run_scenario(
     normal, no_answer, other = (
         DisconnectCause.NORMAL_CLEARING, DisconnectCause.NO_USER_RESPONDING, DisconnectCause.OTHER)
 
-    def handle_call(t_s: float, call_id: str) -> bool:
+    def handle_call(t_s: float, call_id: str, connect: datetime) -> bool:
         """Walks the billing order until a response ends routing; returns
         True when the call was answered somewhere."""
-        connect = start_time + timedelta(seconds=int(t_s))
         for vendor in order:
-            decision = decide(call_id, vendor, now=t_s)
+            decision = decide(call_id, vendor, t_s)
             accepted = decision.accepted
             on_decision(DecisionRecord(next_seq(), t_s, call_id, vendor, accepted, decision.code))
             if accepted:
@@ -379,7 +380,7 @@ def run_scenario(
             if leg_duration:
                 answered[vendor] += 1
                 answered_minutes[vendor] += leg_duration / 60.0
-                disconnect = connect + timedelta(seconds=leg_duration)
+                disconnect = connect + timedelta(0, leg_duration)
             else:
                 # a zero-length leg ends at its connect time: no second
                 # datetime is built
@@ -392,17 +393,26 @@ def run_scenario(
                 return response is success
         return False
 
-    # one event loop over (time, arrival index) pairs; a tick carries index -1,
-    # so it sorts before an arrival at the same time
-    num_ticks = int(duration_s // tick_period_s)
-    ticks = ((k * tick_period_s, -1) for k in range(1, num_ticks + 1))
-    for t_s, idx in heapq.merge(ticks, ((t, i) for i, t in enumerate(arrivals))):
-        if idx < 0:
-            closed = aggregator.tick(start_time + timedelta(seconds=t_s))
-            if closed is not None and config.admission_enabled:
-                controller.refresh_targets(closed.result)
-        elif not handle_call(t_s, f"c{idx + 1:06d}"):
+    def run_tick(tick_s: int) -> None:
+        closed = aggregator.tick(start_time + timedelta(0, tick_s))
+        if closed is not None and config.admission_enabled:
+            controller.refresh_targets(closed.result)
+
+    # a tick at a call's exact time runs before it; ticks past the last call run last
+    next_tick_s = tick_period_s
+    second, connect = -1, start_time
+    for idx, t_s in enumerate(arrivals, 1):
+        while next_tick_s <= t_s:
+            run_tick(next_tick_s)
+            next_tick_s += tick_period_s
+        if int(t_s) != second:
+            second = int(t_s)
+            connect = start_time + timedelta(0, second)
+        if not handle_call(t_s, f"c{idx:06d}", connect):
             abandoned += 1
+    last_tick_s = int(duration_s // tick_period_s) * tick_period_s
+    for tick_s in range(next_tick_s, last_tick_s + 1, tick_period_s):
+        run_tick(tick_s)
 
     return ScenarioResult(
         config=config,

@@ -239,6 +239,27 @@ class TestCallRecord:
                      "a1", 55, START, START + timedelta(seconds=10), 9,
                      DisconnectCause.NORMAL_CLEARING)
 
+    @pytest.mark.parametrize("connect, twin", [
+        pytest.param(START, datetime(2020, 1, 1, 12, 0, 0), id="naive"),
+        pytest.param(START.replace(tzinfo=timezone.utc), START.replace(tzinfo=timezone.utc),
+                     id="aware"),
+        pytest.param(START.replace(tzinfo=timezone.utc),
+                     START.replace(tzinfo=timezone(timedelta(hours=1))) + timedelta(hours=1),
+                     id="aware-other-offset"),
+    ])
+    def test_zero_length_leg_reads_the_same_from_one_object_or_two(self, connect, twin):
+        """A leg whose disconnect is its connect object is 0 s long without a
+        subtraction; it must be checked exactly as one whose timestamps are
+        equal but distinct objects."""
+        assert twin == connect and twin is not connect
+        for end in (connect, twin):
+            record = CallRecord("a1", 55, connect, end, 0, DisconnectCause.OTHER, True)
+            assert record.duration_s == 0 and record.disconnect_time is end
+            refused_with("a1: duration_s=1 does not match timestamps (0s apart)",
+                         "a1", 55, connect, end, 1, DisconnectCause.NORMAL_CLEARING)
+            refused_with("a1: negative duration",
+                         "a1", 55, connect, end, -1, DisconnectCause.OTHER)
+
     def test_rejects_negative_vendor(self):
         refused_with("vendor id must be a non-negative integer, got -3",
                      "a1", -3, START, START, 0, DisconnectCause.OTHER)

@@ -3,11 +3,13 @@ import random
 import tracemalloc
 from collections import Counter, defaultdict
 from dataclasses import replace
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
 
 from acdroute.admission import AdmissionController
+from acdroute.aggregate import IntervalAggregator
 from acdroute.codec import decode, encode
 from acdroute.domain import classify_response, triggers_failover
 from acdroute.sim import (
@@ -161,6 +163,49 @@ class TestRoutingMatchesBillingRoute:
                     assert billing_route(prefs, history) is None, (call_id, history)
                     seen.add(tuple(code // 100 for _, code in history))
         assert seen == shapes, seen
+
+
+class TestEventOrder:
+    """Ticks and calls interleave in time order: every tick falls on the
+    period grid, a CDR emitted before the tick at T connected before T and
+    one emitted after it connected at T or later, and the run ticks
+    ``int(duration_s // period)`` times, also past the last arrival."""
+
+    @pytest.mark.parametrize("name", ["honest_vs_fas", "preferred_honest", "pure_fas_control"])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["bundled", "sparse-65min"])
+    def test_ticks_and_cdrs_interleave_in_time_order(self, name, sparse, monkeypatch):
+        events = []
+        tick = IntervalAggregator.tick
+
+        def logged_tick(self, now):
+            events.append(("tick", now))
+            return tick(self, now)
+
+        monkeypatch.setattr(IntervalAggregator, "tick", logged_tick)
+        base = ScenarioConfig.load(SCENARIOS / f"{name}.json")
+        if sparse:
+            # 65 min is not a whole number of 10-min periods, and at this rate
+            # the last ticks come after the last call
+            base = replace(base, duration_min=65.0, arrival_rate_per_min=0.1)
+        period = timedelta(seconds=base.tick_period_s)
+        ticks_after_last_cdr = 0
+        for seed in (1, 2, 3):
+            events.clear()
+            run_scenario(replace(base, seed=seed),
+                         on_cdr=lambda record: events.append(("cdr", record.connect_time)))
+            ticks = [at for kind, at in events if kind == "tick"]
+            assert ticks == [base.start_time + k * period for k in range(1, len(ticks) + 1)]
+            assert len(ticks) == int(base.duration_min * 60.0 // base.tick_period_s)
+            last_tick = base.start_time
+            for kind, at in events:
+                if kind == "tick":
+                    last_tick = at
+                else:
+                    assert last_tick <= at < last_tick + period, (seed, at, last_tick)
+            kinds = [kind for kind, _ in events]
+            ticks_after_last_cdr += len(kinds) - 1 - kinds[::-1].index("cdr")
+        if sparse:
+            assert ticks_after_last_cdr >= 3
 
 
 class TestVendorLeg:
