@@ -5,9 +5,9 @@ Subcommands: ``compute`` (one-off rejection calculation), ``aggregate``
 scenario end to end) and ``report`` (re-render a saved interval history).
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
 
-``simulate`` streams each CDR and each admission decision to ``cdrs.csv`` and
-``decisions.csv`` as the run makes it, so its memory does not grow with the
-run's length; the files it writes after the run come from the interval
+``simulate`` writes each attempt as the run makes it, as one row of
+``cdrs.csv`` and one of ``decisions.csv``, so its memory does not grow with
+the run's length; the files it writes after the run come from the interval
 history and the result's counters. ``acd_vendors.csv``, ``interval_history.json``
 and the interval tables are all renderings of that history, written the same
 way by ``simulate`` and ``aggregate``.
@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+from .admission import REJECTION_CODE
 from .aggregate import (
     MIN_INTERVAL_AGE_S,
     MIN_INTERVAL_CALLS,
@@ -31,10 +33,10 @@ from .aggregate import (
     validate_schedule,
 )
 from .codec import decode, encode
-from .domain import RouteGroup, validate_prefs_and_floor, whole_seconds
+from .domain import CallRecord, RouteGroup, validate_prefs_and_floor, whole_seconds
 from .rejection import QualityInput, compute_rejection
 from .report import TABLE_FORMATS, render_calc_breakdown, render_interval_table
-from .sim import DecisionRecord, ScenarioConfig, ScenarioResult, run_scenario
+from .sim import ScenarioConfig, ScenarioResult, run_scenario
 from .store import (
     CDR_CSV_HEADER,
     acd_rows,
@@ -203,11 +205,11 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _decision_line(record: DecisionRecord) -> str:
-    """The decision's row of ``decisions.csv``, line end included."""
-    code = "" if record.code is None else record.code
-    return (f"{record.seq},{record.time_s:.3f},{csv_field(record.call_id)},{record.vendor},"
-            f"{'1' if record.accepted else '0'},{code}\n")
+def _decision_line(seq: int, record: CallRecord, t_s: float) -> str:
+    """The ``seq``-th attempt's row of ``decisions.csv``, line end included:
+    accepted with no code, or refused with the rejection code."""
+    outcome = f"0,{REJECTION_CODE}" if record.rejected_by_router else "1,"
+    return f"{seq},{t_s:.3f},{csv_field(record.call_id)},{record.vendor},{outcome}\n"
 
 
 def _write_summary(out_dir: Path, result: ScenarioResult) -> None:
@@ -246,11 +248,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         (args.out / name).unlink(missing_ok=True)
     with open(args.out / "cdrs.csv", "w", newline="", encoding="utf-8") as cdr_file, \
             open(args.out / "decisions.csv", "w", newline="", encoding="utf-8") as decision_file:
-        result = run_scenario(
-            config,
-            on_cdr=csv_sink(cdr_file, CDR_CSV_HEADER, cdr_line),
-            on_decision=csv_sink(decision_file, DECISION_CSV_HEADER, _decision_line),
-        )
+        write_cdr = csv_sink(cdr_file, CDR_CSV_HEADER, cdr_line)
+        write_decision = csv_sink(decision_file, DECISION_CSV_HEADER, _decision_line)
+        seq = itertools.count().__next__
+
+        def on_cdr(record: CallRecord, t_s: float) -> None:
+            write_cdr(record)
+            write_decision(seq(), record, t_s)
+
+        result = run_scenario(config, on_cdr=on_cdr)
     _write_history_files(args.out, result.interval_history, config.dest_prefix)
     _write_summary(args.out, result)
     targets = ", ".join(

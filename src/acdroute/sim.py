@@ -14,17 +14,17 @@ walks it once: the next vendor is tried only while the last response
 triggers failover. ``billing_route`` picks the same vendors one attempt at a
 time, from a call's history.
 
-Each CDR and each admission decision goes to a sink as soon as it is made.
-The default sinks collect them on the ``ScenarioResult``; a caller that
-streams them elsewhere (the CLI writes them to their CSV files) keeps the
-run's memory bounded by the admission ledger, not by its length.
+Each attempt goes to a sink as one event, its CDR and the call's time, as
+soon as it is made; the CDR's rejected flag is the admission decision. The
+default sink collects the CDRs on the ``ScenarioResult``; a caller that
+streams them elsewhere (the CLI writes each as a CDR row and a decision row)
+keeps the run's memory bounded by the admission ledger, not by its length.
 Of each close the result keeps the ``ClosedInterval`` in its interval history;
 the acd_vendors rows and the interval tables are rendered from that.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from array import array
@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .admission import AdmissionController
 from .aggregate import (
@@ -236,27 +236,15 @@ def billing_route(
     return next((vendor for vendor in billing_order(prefs) if vendor not in tried), None)
 
 
-class DecisionRecord(NamedTuple):
-    """One admission decision, as logged by the simulator; immutable."""
-
-    seq: int
-    time_s: float
-    call_id: str
-    vendor: int
-    accepted: bool
-    code: Optional[int]
-
-
 @dataclass
 class ScenarioResult:
-    """Full trace of one scenario run. ``cdrs`` and ``decision_log`` hold the
-    records only when ``run_scenario`` used its default sinks; the answered
-    counts cover every CDR either way."""
+    """Full trace of one scenario run. ``cdrs`` holds the records only when
+    ``run_scenario`` used its default sink; the answered counts cover every
+    CDR either way."""
 
     config: ScenarioConfig
     cdrs: List[CallRecord]
     interval_history: List[ClosedInterval]
-    decision_log: List[DecisionRecord]
     abandoned_calls: int
     total_calls: int
     answered_calls: Dict[int, int]
@@ -300,8 +288,7 @@ def _shares(totals: Mapping[int, float]) -> Dict[int, float]:
 
 def run_scenario(
     config: ScenarioConfig,
-    on_cdr: Optional[Callable[[CallRecord], object]] = None,
-    on_decision: Optional[Callable[[DecisionRecord], object]] = None,
+    on_cdr: Optional[Callable[[CallRecord, float], object]] = None,
 ) -> ScenarioResult:
     """Run one scenario to completion.
 
@@ -312,9 +299,9 @@ def run_scenario(
     ``int(duration_s // tick_period_s)`` ticks in all. Ticking stops there;
     calls still in flight then simply never get aggregated.
 
-    ``on_cdr`` and ``on_decision`` receive each record, in order, as soon as
-    it is made; by default they append to the result's ``cdrs`` and
-    ``decision_log``. An exception raised by a sink ends the run.
+    ``on_cdr(record, t_s)`` receives each attempt's CDR and its call's time
+    (seconds since the start), in order, as soon as it is made; by default it
+    appends the CDR to the result's ``cdrs``. An exception it raises ends the run.
     """
     traffic_rng = random.Random(config.seed)
     group = config.group
@@ -323,10 +310,7 @@ def run_scenario(
 
     controller = AdmissionController(group, seed=config.seed + 1)
     cdrs: List[CallRecord] = []
-    decision_log: List[DecisionRecord] = []
-    on_cdr = cdrs.append if on_cdr is None else on_cdr
-    on_decision = decision_log.append if on_decision is None else on_decision
-    next_seq = itertools.count().__next__
+    on_cdr = (lambda record, t_s: cdrs.append(record)) if on_cdr is None else on_cdr
     # summed in CDR order, one float per vendor, as summary.json rounds them
     answered = {v: 0 for v in group.vendors}
     answered_minutes = {v: 0.0 for v in group.vendors}
@@ -365,7 +349,6 @@ def run_scenario(
         for vendor in order:
             decision = decide(call_id, vendor, t_s)
             accepted = decision.accepted
-            on_decision(DecisionRecord(next_seq(), t_s, call_id, vendor, accepted, decision.code))
             if accepted:
                 code, leg_duration = vendor_leg(models[vendor], traffic_rng)
             else:
@@ -387,7 +370,7 @@ def run_scenario(
                 disconnect = connect
             record = CallRecord(
                 call_id, vendor, connect, disconnect, leg_duration, cause, not accepted)
-            on_cdr(record)
+            on_cdr(record, t_s)
             add_cdr(record)
             if not triggers_failover(response):
                 return response is success
@@ -418,7 +401,6 @@ def run_scenario(
         config=config,
         cdrs=cdrs,
         interval_history=aggregator.history,
-        decision_log=decision_log,
         abandoned_calls=abandoned,
         total_calls=len(arrivals),
         answered_calls=answered,

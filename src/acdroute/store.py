@@ -2,22 +2,22 @@
 
 Each file has one row template, a function that builds a whole line as one
 f-string: ``cdr_line`` for CDRs, ``_acd_line`` for acd_vendors rows (and
-``cli._decision_line`` for decisions). Their only free text, a call id or a
-prefix, goes through ``csv_field``, which quotes it as a ``csv.writer`` ending
-lines with ``"\\r\\n"`` does, so a carriage return is quoted on every Python
-version and the row reads back whole; every other field is drawn from a fixed
-alphabet that needs no quoting. A CDR row is the highest-volume thing a run
-writes, so its template takes each timestamp's text from ``format_ts``'s
-cache of recent seconds and each cause's token from the member's
-``_value_``, not the ``value`` property.
-``csv_sink`` is the one row writer: ``simulate`` writes its CDRs and
-decisions through it as the run makes them, and ``write_cdr_csv`` writes a
-list of records. The acd_vendors file is a rendering of the interval history,
-like the interval tables: ``acd_rows`` turns each closed interval into its
-pair of rows and ``write_acd_csv`` writes them, after the run; no command
-reads it back. ``read_cdr_csv`` is the one reader. It accepts a CDR row only
-in the form ``cdr_line`` writes it, checked as one match against
-``_CDR_FIELDS``, the row grammar.
+``cli._decision_line`` for an attempt's decision). Their only free text, a
+call id or a prefix, goes through ``csv_field``, which quotes it as a
+``csv.writer`` ending lines with ``"\\r\\n"`` does, so a carriage return is
+quoted on every Python version and the row reads back whole; every other field
+is drawn from a fixed alphabet that needs no quoting. A CDR row is the
+highest-volume thing a run writes, so its template takes each timestamp's text
+from ``format_ts``'s cache of recent seconds and each cause's token from the
+member's ``_value_``, not the ``value`` property.
+``csv_sink`` is the one row writer: ``simulate`` writes each attempt's CDR row
+and decision row through it as the run makes the attempt, and
+``write_cdr_csv`` writes a list of records. The acd_vendors file is a
+rendering of the interval history, like the interval tables: ``acd_rows``
+turns each closed interval into its pair of rows and ``write_acd_csv`` writes
+them, after the run; no command reads it back. ``read_cdr_csv`` is the one
+reader. It accepts a CDR row only in the form ``cdr_line`` writes it, checked
+as one match against ``_CDR_FIELDS``, the row grammar.
 """
 
 from __future__ import annotations
@@ -65,12 +65,12 @@ def cdr_line(record: CallRecord) -> str:
             f"{record.cause._value_},{'1' if record.rejected_by_router else '0'}\n")
 
 
-def csv_sink(handle: TextIO, header: List[str], line: Callable[[object], str]) -> Callable:
-    """Write ``header`` to ``handle``; the returned sink writes each record it
-    is given as the line ``line(record)``."""
+def csv_sink(handle: TextIO, header: List[str], line: Callable[..., str]) -> Callable:
+    """Write ``header`` to ``handle``; the returned sink writes the line
+    ``line(*event)`` for each event it is given."""
     write = handle.write
     write(",".join(map(csv_field, header)) + "\n")
-    return lambda record: write(line(record))
+    return lambda *event: write(line(*event))
 
 
 def write_cdr_csv(path: Path, records: Iterable[CallRecord]) -> None:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import gc
 import io
@@ -303,15 +304,42 @@ def test_streamed_files_equal_the_batch_rendering(tmp_path, capsys, scenario):
     assert main(["simulate", "--scenario", str(scenario), "--seed", "3",
                  "--out", str(out)]) == 0
     capsys.readouterr()
-    result = run_scenario(dataclasses.replace(ScenarioConfig.load(scenario), seed=3))
+    attempts = []
+    run_scenario(dataclasses.replace(ScenarioConfig.load(scenario), seed=3),
+                 on_cdr=lambda record, t_s: attempts.append((record, t_s)))
     batch = tmp_path / "cdrs.csv"
-    write_cdr_csv(batch, result.cdrs)
+    write_cdr_csv(batch, [record for record, _ in attempts])
     assert (out / "cdrs.csv").read_bytes() == batch.read_bytes()
     buffer = io.StringIO()
     sink = csv_sink(buffer, DECISION_CSV_HEADER, _decision_line)
-    for decision in result.decision_log:
-        sink(decision)
+    for seq, (record, t_s) in enumerate(attempts):
+        sink(seq, record, t_s)
     assert (out / "decisions.csv").read_bytes() == buffer.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_decision_rows_align_with_cdr_rows(tmp_path, capsys, scenario, seed):
+    # row i of decisions.csv is the clone interface's decision on the attempt
+    # of row i of cdrs.csv; time_s is the call's time, written to 3 places, so
+    # it may round up to the second after the connect second (59.9996 -> 60.000)
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(scenario), "--seed", str(seed),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    start = ScenarioConfig.load(scenario).start_time
+    with open(out / "decisions.csv", newline="", encoding="utf-8") as handle:
+        decisions = list(csv.DictReader(handle))
+    with open(out / "cdrs.csv", newline="", encoding="utf-8") as handle:
+        cdrs = list(csv.DictReader(handle))
+    assert len(decisions) == len(cdrs) > 0
+    for i, (decision, cdr) in enumerate(zip(decisions, cdrs)):
+        assert decision["seq"] == str(i)
+        assert (decision["call_id"], decision["vendor"]) == (cdr["call_id"], cdr["vendor"])
+        assert decision["accepted"] == str(1 - int(cdr["rejected"]))
+        assert decision["code"] == ("503" if cdr["rejected"] == "1" else "")
+        connect_offset_s = (datetime.fromisoformat(cdr["connect_time"]) - start).total_seconds()
+        assert 0 <= float(decision["time_s"]) - connect_offset_s <= 1, (i, decision, cdr)
 
 
 class TestReport:
