@@ -17,7 +17,6 @@ from acdroute import (
     IntervalAggregator,
     RouteGroup,
     acd_csv_text,
-    acd_rows,
     render_interval_table,
 )
 
@@ -75,7 +74,7 @@ for k in range(1, 22):
 
 print()
 print("acd_vendors table:")
-print(acd_csv_text(acd_rows(agg.history, prefix="37410")))
+print(acd_csv_text(agg.history, prefix="37410"))
 
 print("interval report (csv):")
 print(render_interval_table(agg.history, "csv"))

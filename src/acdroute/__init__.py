@@ -43,12 +43,11 @@ from .sim import (
     run_scenario,
     vendor_leg,
 )
-from .store import AcdRow, acd_csv_text, acd_rows, read_cdr_csv, write_cdr_csv
+from .store import acd_csv_text, read_cdr_csv, write_cdr_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcdRow",
     "AdmissionController",
     "CallRecord",
     "ClosedInterval",
@@ -67,7 +66,6 @@ __all__ = [
     "VendorModel",
     "VendorSpec",
     "acd_csv_text",
-    "acd_rows",
     "billing_route",
     "classify_response",
     "compute_rejection",

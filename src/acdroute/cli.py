@@ -7,10 +7,12 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
 
 ``simulate`` writes each attempt as the run makes it, as one row of
 ``cdrs.csv`` and one of ``decisions.csv``, so its memory does not grow with
-the run's length; the files it writes after the run come from the interval
-history and the result's counters. ``acd_vendors.csv``, ``interval_history.json``
-and the interval tables are all renderings of that history, written the same
-way by ``simulate`` and ``aggregate``.
+the run's length. Every other file a command writes is rendered to text first
+and written by ``_write_files``. ``HISTORY_FILES`` names each file rendered
+from an interval history (the acd_vendors file, ``interval_history.json`` and
+the interval tables) with its renderer; ``simulate`` and ``aggregate`` write
+them all, ``report`` the tables it is asked for, and ``simulate`` removes them
+and ``SUMMARY_FILE`` before its run.
 """
 
 from __future__ import annotations
@@ -18,12 +20,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
-import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .admission import REJECTION_CODE
 from .aggregate import (
     MIN_INTERVAL_AGE_S,
     MIN_INTERVAL_CALLS,
@@ -32,22 +32,44 @@ from .aggregate import (
     replay_cdrs,
     validate_schedule,
 )
-from .codec import decode, encode
+from .codec import encode, json_text, load_json
 from .domain import CallRecord, RouteGroup, validate_prefs_and_floor, whole_seconds
 from .rejection import QualityInput, compute_rejection
 from .report import TABLE_FORMATS, render_calc_breakdown, render_interval_table
 from .sim import ScenarioConfig, ScenarioResult, run_scenario
 from .store import (
     CDR_CSV_HEADER,
-    acd_rows,
+    DECISION_CSV_HEADER,
+    acd_csv_text,
     cdr_line,
-    csv_field,
     csv_sink,
+    decision_line,
     read_cdr_csv,
-    write_acd_csv,
 )
 
-DECISION_CSV_HEADER = ["seq", "time_s", "call_id", "vendor", "accepted", "code"]
+
+TABLE_FILES = {fmt: f"interval_table.{fmt}" for fmt in TABLE_FORMATS}
+# each file rendered from an interval history, by name: (history, prefix) -> text
+HISTORY_FILES: Dict[str, Callable[[List[ClosedInterval], str], str]] = {
+    "acd_vendors.csv": acd_csv_text,
+    "interval_history.json": lambda history, prefix: json_text(encode(history)),
+    **{name: lambda history, prefix, fmt=fmt: render_interval_table(history, fmt)
+       for fmt, name in TABLE_FILES.items()},
+}
+SUMMARY_FILE = "summary.json"
+
+
+def _write_files(out_dir: Path, files: Dict[str, str]) -> None:
+    """Write each named text into ``out_dir``, made if missing, as UTF-8 with
+    its line ends as they are."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out_dir / name).write_text(text, encoding="utf-8", newline="")
+
+
+def _history_files(history: List[ClosedInterval], prefix: str = "",
+                   names: Iterable[str] = HISTORY_FILES) -> Dict[str, str]:
+    return {name: HISTORY_FILES[name](history, prefix) for name in names}
 
 
 def _pair(text: str, kind, name: str) -> Tuple:
@@ -139,29 +161,11 @@ def cmd_compute(args: argparse.Namespace) -> int:
         f"reject_pct: {result.reject_pct[0]:.2f} / {result.reject_pct[1]:.2f}\n"
     )
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "calc.txt").write_text(text, encoding="utf-8")
-        (args.out / "calc.html").write_text(
-            render_calc_breakdown(result, quality, format="html"), encoding="utf-8"
-        )
+        _write_files(args.out, {
+            "calc.txt": text,
+            "calc.html": render_calc_breakdown(result, quality, format="html"),
+        })
     return 0
-
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def _write_tables(out_dir: Path, history: List[ClosedInterval], formats=TABLE_FORMATS) -> None:
-    for fmt in formats:
-        (out_dir / f"interval_table.{fmt}").write_text(
-            render_interval_table(history, fmt), encoding="utf-8"
-        )
-
-
-def _write_history_files(out_dir: Path, history: List[ClosedInterval], prefix: str) -> None:
-    write_acd_csv(out_dir / "acd_vendors.csv", acd_rows(history, prefix))
-    _write_json(out_dir / "interval_history.json", encode(history))
-    _write_tables(out_dir, history)
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
@@ -181,10 +185,9 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         if len(vendors) != 2:
             raise ValueError(f"file holds {len(vendors)} vendor id(s); pass --vendors V,W")
         group = RouteGroup(vendors, args.prefs, args.load_min)
-    args.out.mkdir(parents=True, exist_ok=True)
     if not records:
         # nothing to replay: emit empty artifacts
-        _write_history_files(args.out, [], args.prefix)
+        _write_files(args.out, _history_files([], args.prefix))
         print("0 closed intervals from 0 records")
         return 0
     history = replay_cdrs(
@@ -194,7 +197,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         min_age_s=min_age_s,
         min_calls=args.min_calls,
     )
-    _write_history_files(args.out, history, args.prefix)
+    _write_files(args.out, _history_files(history, args.prefix))
     print(f"{len(history)} closed interval(s) from {len(records)} records")
     for interval in history:
         pcts = ", ".join(
@@ -205,17 +208,10 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _decision_line(seq: int, record: CallRecord, t_s: float) -> str:
-    """The ``seq``-th attempt's row of ``decisions.csv``, line end included:
-    accepted with no code, or refused with the rejection code."""
-    outcome = f"0,{REJECTION_CODE}" if record.rejected_by_router else "1,"
-    return f"{seq},{t_s:.3f},{csv_field(record.call_id)},{record.vendor},{outcome}\n"
-
-
-def _write_summary(out_dir: Path, result: ScenarioResult) -> None:
+def _summary(result: ScenarioResult) -> dict:
     vendors = result.config.group.vendors
     answered, answered_minutes = result.answered_calls, result.answered_minutes
-    summary = {
+    return {
         "seed": result.config.seed,
         "admission_enabled": result.config.admission_enabled,
         "total_calls": result.total_calls,
@@ -229,7 +225,6 @@ def _write_summary(out_dir: Path, result: ScenarioResult) -> None:
             for v, share in sorted(result.answered_minutes_share().items())
         },
     }
-    _write_json(out_dir / "summary.json", summary)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -243,13 +238,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     # the files written after the run go first, so a run that fails into a
     # reused --out leaves none of an earlier run's beside its own
-    for name in ("acd_vendors.csv", "interval_history.json", "summary.json",
-                 *(f"interval_table.{fmt}" for fmt in TABLE_FORMATS)):
+    for name in (*HISTORY_FILES, SUMMARY_FILE):
         (args.out / name).unlink(missing_ok=True)
     with open(args.out / "cdrs.csv", "w", newline="", encoding="utf-8") as cdr_file, \
             open(args.out / "decisions.csv", "w", newline="", encoding="utf-8") as decision_file:
         write_cdr = csv_sink(cdr_file, CDR_CSV_HEADER, cdr_line)
-        write_decision = csv_sink(decision_file, DECISION_CSV_HEADER, _decision_line)
+        write_decision = csv_sink(decision_file, DECISION_CSV_HEADER, decision_line)
         seq = itertools.count().__next__
 
         def on_cdr(record: CallRecord, t_s: float) -> None:
@@ -257,8 +251,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             write_decision(seq(), record, t_s)
 
         result = run_scenario(config, on_cdr=on_cdr)
-    _write_history_files(args.out, result.interval_history, config.dest_prefix)
-    _write_summary(args.out, result)
+    _write_files(args.out, {**_history_files(result.interval_history, config.dest_prefix),
+                            SUMMARY_FILE: json_text(_summary(result))})
     targets = ", ".join(
         f"{v}: {t:.2f}%" for v, t in sorted(result.final_targets().items())
     )
@@ -276,10 +270,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     for fmt in formats:
         if fmt not in TABLE_FORMATS:
             raise ValueError(f"unknown format {fmt!r}, want a subset of {TABLE_FORMATS}")
-    payload = json.loads(args.history.read_text(encoding="utf-8"))
-    history = decode(List[ClosedInterval], payload)
-    args.out.mkdir(parents=True, exist_ok=True)
-    _write_tables(args.out, history, formats)
+    history = load_json(List[ClosedInterval], args.history)
+    _write_files(args.out, _history_files(history, names=map(TABLE_FILES.get, formats)))
     print(f"rendered {len(history)} interval(s) as {', '.join(formats)}")
     return 0
 

@@ -5,15 +5,19 @@ each JSON value against its field's type hint, so malformed input fails with
 a one-line ``ValueError`` naming its path, never a ``KeyError``/``TypeError``.
 A class may define ``_decode_defaults(data, path)`` to fill aliases and defaults
 that depend on other keys into the raw JSON object before it is checked.
+``load_json`` is the one reader of a JSON input file, and its errors name the
+file; ``json_text`` is the one layout of a JSON output file.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import reprlib
 import sys
 import typing
 from datetime import datetime
+from pathlib import Path
 from typing import Any, Union
 
 from .domain import format_ts, parse_digits, parse_ts
@@ -73,6 +77,23 @@ def decode(kind: Any, data: Any, path: str = "$") -> Any:
     if type(data) is not kind:
         raise _mismatch(path, _JSON_NAMES[kind], data)
     return data
+
+
+def json_text(payload: Any) -> str:
+    """The text of a JSON output file holding ``payload``."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def load_json(kind: Any, path: Path) -> Any:
+    """Build a value of type ``kind`` from the JSON file at ``path``. A file
+    that is not UTF-8, not JSON, nested deeper than the parser goes, or not
+    a ``kind`` is a one-line ``ValueError`` that names it."""
+    try:
+        return decode(kind, json.loads(Path(path).read_text(encoding="utf-8")))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _decode_object(cls: Any, data: Any, path: str) -> Any:

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from html import escape
 from typing import Dict, List, Optional, Sequence
 
 from .aggregate import ClosedInterval
+from .codec import json_text
 from .domain import format_ts
 from .rejection import QualityInput, RejectionResult, round_half_up
 
@@ -88,7 +88,7 @@ def render_interval_table(history: Sequence[ClosedInterval], format: str) -> str
         return buffer.getvalue()
     if format == "json":
         payload = {"columns": INTERVAL_COLUMNS, "rows": rows}
-        return json.dumps(payload, indent=2) + "\n"
+        return json_text(payload)
     return _interval_html(rows, history)
 
 

@@ -25,7 +25,6 @@ the acd_vendors rows and the interval tables are rendered from that.
 
 from __future__ import annotations
 
-import json
 import random
 from array import array
 from collections import Counter
@@ -43,7 +42,7 @@ from .aggregate import (
     IntervalAggregator,
     validate_schedule,
 )
-from .codec import decode
+from .codec import decode, load_json
 from .domain import (
     DEFAULT_LOAD_MIN,
     CallRecord,
@@ -212,7 +211,7 @@ class ScenarioConfig:
 
     @classmethod
     def load(cls, path: Path) -> "ScenarioConfig":
-        return decode(cls, json.loads(Path(path).read_text(encoding="utf-8")))
+        return load_json(cls, path)
 
 
 def billing_order(prefs: Mapping[int, int]) -> List[int]:

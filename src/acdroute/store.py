@@ -1,23 +1,22 @@
-"""Flat-file persistence: the CDR CSV files and the acd_vendors file.
+"""Flat-file persistence: every CSV row template, and the one CDR reader.
 
-Each file has one row template, a function that builds a whole line as one
-f-string: ``cdr_line`` for CDRs, ``_acd_line`` for acd_vendors rows (and
-``cli._decision_line`` for an attempt's decision). Their only free text, a
-call id or a prefix, goes through ``csv_field``, which quotes it as a
+Each CSV file has one row template, which builds a whole line as one
+f-string: ``cdr_line`` for CDRs, ``decision_line`` for an attempt's decision,
+and the acd_vendors row inside ``acd_csv_text``. Their only free text, a call
+id or a prefix, goes through ``csv_field``, which quotes it as a
 ``csv.writer`` ending lines with ``"\\r\\n"`` does, so a carriage return is
 quoted on every Python version and the row reads back whole; every other field
 is drawn from a fixed alphabet that needs no quoting. A CDR row is the
 highest-volume thing a run writes, so its template takes each timestamp's text
 from ``format_ts``'s cache of recent seconds and each cause's token from the
 member's ``_value_``, not the ``value`` property.
-``csv_sink`` is the one row writer: ``simulate`` writes each attempt's CDR row
-and decision row through it as the run makes the attempt, and
-``write_cdr_csv`` writes a list of records. The acd_vendors file is a
-rendering of the interval history, like the interval tables: ``acd_rows``
-turns each closed interval into its pair of rows and ``write_acd_csv`` writes
-them, after the run; no command reads it back. ``read_cdr_csv`` is the one
-reader. It accepts a CDR row only in the form ``cdr_line`` writes it, checked
-as one match against ``_CDR_FIELDS``, the row grammar.
+``csv_sink`` writes rows as they are made: ``simulate`` writes each attempt's
+CDR row and decision row through it as the run makes the attempt, and
+``write_cdr_csv`` writes a list of records. ``acd_csv_text`` renders an
+interval history as the acd_vendors file, each closed interval as its pair of
+rows, after the run; no command reads that file back. ``read_cdr_csv`` is the
+one reader. It accepts a CDR row only in the form ``cdr_line`` writes it,
+checked as one match against ``_CDR_FIELDS``, the row grammar.
 """
 
 from __future__ import annotations
@@ -25,18 +24,20 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, TextIO, Tuple
+from typing import Callable, Iterable, List, TextIO, Tuple
 
+from .admission import REJECTION_CODE
 from .aggregate import ClosedInterval
-from .domain import _TS_TEXT, CallRecord, DisconnectCause, format_ts, validate_acd
+from .domain import _TS_TEXT, CallRecord, DisconnectCause, format_ts
 
 CDR_CSV_HEADER = ["call_id", "vendor", "connect_time", "disconnect_time", "duration_s",
                   "cause", "rejected"]
 
 ACD_CSV_HEADER = ["id", "vendor", "date", "acd_min", "reject_pct", "prefix"]
+
+DECISION_CSV_HEADER = ["seq", "time_s", "call_id", "vendor", "accepted", "code"]
 
 
 def csv_field(text: str) -> str:
@@ -63,6 +64,13 @@ def cdr_line(record: CallRecord) -> str:
     return (f"{csv_field(record.call_id)},{record.vendor},{format_ts(record.connect_time)},"
             f"{format_ts(record.disconnect_time)},{record.duration_s},"
             f"{record.cause._value_},{'1' if record.rejected_by_router else '0'}\n")
+
+
+def decision_line(seq: int, record: CallRecord, t_s: float) -> str:
+    """The ``seq``-th attempt's row of ``decisions.csv``, line end included:
+    accepted with no code, or refused with the rejection code."""
+    outcome = f"0,{REJECTION_CODE}" if record.rejected_by_router else "1,"
+    return f"{seq},{t_s:.3f},{csv_field(record.call_id)},{record.vendor},{outcome}\n"
 
 
 def csv_sink(handle: TextIO, header: List[str], line: Callable[..., str]) -> Callable:
@@ -119,7 +127,8 @@ def read_cdr_csv(path: Path) -> Tuple[List[CallRecord], List[Tuple[int, str]]]:
     (line_number, message) pairs and a row's line is the file line it starts
     on; well-formed rows are kept even when other rows are malformed. Line 1
     must be the header. A line the csv module cannot split (a field over its
-    size limit) makes the whole file a ``ValueError``."""
+    size limit) or a byte that is not UTF-8 makes the whole file a
+    ``ValueError`` naming the file."""
     records: List[CallRecord] = []
     errors: List[Tuple[int, str]] = []
     end = 0  # the file line the last row read ends on
@@ -139,53 +148,22 @@ def read_cdr_csv(path: Path) -> Tuple[List[CallRecord], List[Tuple[int, str]]]:
                     errors.append((lineno, str(exc)))
         except csv.Error as exc:
             raise ValueError(f"{path}: line {end + 1}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            # the reader decodes ahead of its rows, so no row's line is known
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return records, errors
 
 
-@dataclass(frozen=True)
-class AcdRow:
-    """One vendor's line of a closed interval, as persisted."""
-
-    id: int
-    vendor: int
-    date: datetime
-    acd_min: Optional[float]
-    reject_pct: float
-    prefix: str = ""
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.reject_pct <= 100.0:
-            raise ValueError(f"reject_pct out of [0, 100]: {self.reject_pct}")
-        validate_acd(self.acd_min)
-
-
-def _acd_line(row: AcdRow) -> str:
-    """The row's line of an acd_vendors file, line end included; only the
-    prefix can need quoting."""
-    acd = "" if row.acd_min is None else str(row.acd_min)
-    return (f"{row.id},{row.vendor},{format_ts(row.date)},{acd},{row.reject_pct:.2f},"
-            f"{csv_field(row.prefix)}\n")
-
-
-def acd_rows(history: Iterable[ClosedInterval], prefix: str = "") -> List[AcdRow]:
-    """The acd_vendors rows of an interval history: each closed interval's
-    two vendors in group order, dated at its close, numbered 1..2n."""
-    rows: List[AcdRow] = []
+def acd_csv_text(history: Iterable[ClosedInterval], prefix: str = "") -> str:
+    """The acd_vendors file of an interval history: each closed interval's
+    two vendors in group order, dated at its close, numbered 1..2n. A row's
+    template is one f-string; only the prefix can need quoting."""
+    lines = [",".join(ACD_CSV_HEADER) + "\n"]
+    prefix = csv_field(prefix)
     for closed in history:
+        date = format_ts(closed.closed_at)
         for vendor, stats, reject_pct in zip(closed.vendors, closed.stats,
                                              closed.result.reject_pct):
-            rows.append(AcdRow(len(rows) + 1, vendor, closed.closed_at, stats.acd_min,
-                               reject_pct, prefix))
-    return rows
-
-
-def acd_csv_text(rows: Iterable[AcdRow]) -> str:
-    buffer = io.StringIO()
-    sink = csv_sink(buffer, ACD_CSV_HEADER, _acd_line)
-    for row in rows:
-        sink(row)
-    return buffer.getvalue()
-
-
-def write_acd_csv(path: Path, rows: Iterable[AcdRow]) -> None:
-    Path(path).write_text(acd_csv_text(rows), encoding="utf-8", newline="")
+            acd = "" if stats.acd_min is None else str(stats.acd_min)
+            lines.append(f"{len(lines)},{vendor},{date},{acd},{reject_pct:.2f},{prefix}\n")
+    return "".join(lines)

@@ -1,4 +1,6 @@
+import csv
 import gc
+import io
 import itertools
 import json
 import random
@@ -15,7 +17,7 @@ from acdroute.aggregate import (
 )
 from acdroute.codec import decode, encode
 from acdroute.domain import RouteGroup
-from acdroute.store import acd_rows
+from acdroute.store import acd_csv_text
 from conftest import T0, make_cdr, spread_cdrs
 
 GROUP = RouteGroup((55, 62), (9, 8))
@@ -160,6 +162,12 @@ GOLDEN_V55 = [520, 520, 520, 520, 521] + [0] * 10
 GOLDEN_V62 = [36] + [0] * 5
 
 
+def acd_data_rows(history, prefix=""):
+    """The data rows of the acd_vendors file of ``history``, as ``csv``
+    splits them."""
+    return list(csv.reader(io.StringIO(acd_csv_text(history, prefix))))[1:]
+
+
 class TestCloseInterval:
     def test_golden_close(self):
         cdrs = spread_cdrs(55, GOLDEN_V55) + spread_cdrs(62, GOLDEN_V62)
@@ -170,11 +178,11 @@ class TestCloseInterval:
         assert closed.stats[0].acd_min == pytest.approx(8.67, abs=1e-9)
         assert closed.stats[1].acd_min == pytest.approx(0.6, abs=1e-9)
         assert closed.result.reject_pct == (12.77, 0.0)
-        rows = acd_rows(agg.history, "37410")
+        rows = acd_data_rows(agg.history, "37410")
         assert len(rows) == 2
-        assert rows[0].vendor == 55 and rows[0].reject_pct == 12.77
-        assert rows[1].vendor == 62 and rows[1].reject_pct == 0.0
-        assert rows[0].prefix == "37410"
+        assert rows[0][1] == "55" and rows[0][4] == "12.77"
+        assert rows[1][1] == "62" and rows[1][4] == "0.00"
+        assert rows[0][5] == "37410"
         # next interval opens exactly where this one closed
         assert agg.opened_at == closed.closed_at
 
@@ -185,8 +193,8 @@ class TestCloseInterval:
         assert closed is not None
         assert closed.stats[1].acd_min is None
         assert closed.result.reject_pct == (0.0, 0.0)
-        rows = acd_rows(agg.history)
-        assert rows[1].acd_min is None and rows[1].reject_pct == 0.0
+        rows = acd_data_rows(agg.history)
+        assert rows[1][3] == "" and rows[1][4] == "0.00"
 
     def test_derived_counters_from_cdr_flags(self):
         cdrs = spread_cdrs(55, [60] * 25)

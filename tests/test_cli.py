@@ -11,10 +11,17 @@ from typing import List
 import pytest
 
 from acdroute.aggregate import ClosedInterval
-from acdroute.cli import DECISION_CSV_HEADER, _decision_line, main
+from acdroute.cli import main
 from acdroute.codec import decode
 from acdroute.sim import ScenarioConfig, run_scenario
-from acdroute.store import acd_csv_text, acd_rows, cdr_line, csv_sink, write_cdr_csv
+from acdroute.store import (
+    DECISION_CSV_HEADER,
+    acd_csv_text,
+    cdr_line,
+    csv_sink,
+    decision_line,
+    write_cdr_csv,
+)
 from conftest import T0, make_cdr, read_acd_csv
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -52,7 +59,7 @@ def assert_renders(path: Path, history_path: Path, prefix=""):
     history saved beside it; its data rows, as ``csv`` splits them."""
     history = decode(List[ClosedInterval], json.loads(history_path.read_text()))
     assert history, history_path
-    assert path.read_bytes() == acd_csv_text(acd_rows(history, prefix)).encode("utf-8")
+    assert path.read_bytes() == acd_csv_text(history, prefix).encode("utf-8")
     return read_acd_csv(path)
 
 
@@ -245,6 +252,23 @@ class TestSimulate:
             assert_renders(out / "acd_vendors.csv", out / "interval_history.json",
                            config["dest_prefix"])
 
+    @pytest.mark.parametrize("prefix", ['37\r\n4,1"0', "\r"], ids=["crlf-comma-quote", "cr"])
+    def test_awkward_prefix_renders_and_reads_back(self, tmp_path, capsys, prefix):
+        # the prefix is free text: simulate takes it from the scenario and
+        # aggregate from --prefix, and both files read back with it whole
+        config = json.loads((SCENARIOS / "preferred_honest.json").read_text())
+        config["dest_prefix"] = prefix
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(config), encoding="utf-8")
+        run_dir, agg_dir = tmp_path / "run", tmp_path / "agg"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(run_dir)]) == 0
+        assert main(["aggregate", "--cdr", str(run_dir / "cdrs.csv"), "--prefs", "9,8",
+                     "--prefix", prefix, "--out", str(agg_dir)]) == 0
+        capsys.readouterr()
+        for out in (run_dir, agg_dir):
+            rows = assert_renders(out / "acd_vendors.csv", out / "interval_history.json", prefix)
+            assert {row[5] for row in rows} == {prefix}
+
     def test_invalid_scenario_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         config = json.loads((SCENARIOS / "honest_vs_fas.json").read_text())
@@ -311,7 +335,7 @@ def test_streamed_files_equal_the_batch_rendering(tmp_path, capsys, scenario):
     write_cdr_csv(batch, [record for record, _ in attempts])
     assert (out / "cdrs.csv").read_bytes() == batch.read_bytes()
     buffer = io.StringIO()
-    sink = csv_sink(buffer, DECISION_CSV_HEADER, _decision_line)
+    sink = csv_sink(buffer, DECISION_CSV_HEADER, decision_line)
     for seq, (record, t_s) in enumerate(attempts):
         sink(seq, record, t_s)
     assert (out / "decisions.csv").read_bytes() == buffer.getvalue().encode("utf-8")
@@ -525,6 +549,31 @@ class TestMalformedInput:
         assert main(["aggregate", "--cdr", str(cdr_csv), "--prefs", "9,8",
                      "--out", str(tmp_path / "out")]) == 2
         assert_one_line_error(capsys)
+
+    def test_cdr_file_not_utf8_on_aggregate(self, tmp_path, capsys):
+        # past the reader's first decoded chunk, so the error is not on line 1
+        cdr_csv = tmp_path / "cdrs.csv"
+        _write_interval_csv(cdr_csv)
+        with open(cdr_csv, "ab") as handle:
+            handle.write(b"ok,55,2020-01-01 00:00:00,2020-01-01 00:00:30,30,normal,0\n" * 200
+                         + b"c\xff,55,2020-01-01 00:00:00,2020-01-01 00:00:30,30,normal,0\n")
+        assert main(["aggregate", "--cdr", str(cdr_csv), "--prefs", "9,8",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cdr_csv}: not UTF-8") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("data", [b"[" * 100_000, b"{\n", b'\xff{"seed": 1}'],
+                             ids=["deeply-nested", "truncated", "not-utf8"])
+    @pytest.mark.parametrize("command, flag", [("simulate", "--scenario"),
+                                               ("report", "--history")])
+    def test_unreadable_json_names_the_file(self, tmp_path, capsys, command, flag, data):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        assert main([command, flag, str(bad), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
 
     def test_tenth_of_a_minute_is_six_seconds(self, tmp_path, capsys):
         cdr_csv = tmp_path / "cdrs.csv"

@@ -15,14 +15,11 @@ from acdroute.domain import CallRecord, DisconnectCause, RouteGroup, format_ts
 from acdroute.rejection import QualityInput, compute_rejection
 from acdroute.store import (
     ACD_CSV_HEADER,
-    AcdRow,
     CDR_CSV_HEADER,
     acd_csv_text,
-    acd_rows,
     cdr_line,
     csv_field,
     read_cdr_csv,
-    write_acd_csv,
     write_cdr_csv,
 )
 from conftest import T0, make_cdr, read_acd_csv, spread_cdrs
@@ -199,32 +196,34 @@ def interval_closing(at, acds):
                           compute_rejection(QualityInput(acds, GROUP.prefs)))
 
 
+def write_acd_file(path, history, prefix=""):
+    path.write_text(acd_csv_text(history, prefix), encoding="utf-8", newline="")
+    return path
+
+
 class TestAcdRows:
     """The acd_vendors table, rendered from the interval history."""
 
-    def test_pair_insert_assigns_sequential_ids(self):
+    def test_pair_insert_assigns_sequential_ids(self, tmp_path):
         when = datetime(2020, 1, 1, 17, 13, 6)
         history = [interval_closing(when, (8.67, 0.6)),
                    interval_closing(when + timedelta(minutes=10), (None, 5.33))]
-        rows = acd_rows(history, "37410")
-        assert [(row.id, row.vendor) for row in rows] == [(1, 55), (2, 62), (3, 55), (4, 62)]
-        assert [row.date for row in rows] == [when] * 2 + [when + timedelta(minutes=10)] * 2
-        assert (rows[0].acd_min, rows[0].reject_pct) == (8.67, 12.77)
-        assert rows[2].acd_min is None and {row.prefix for row in rows} == {"37410"}
+        rows = read_acd_csv(write_acd_file(tmp_path / "acd.csv", history, "37410"))
+        assert [(row_id, vendor) for row_id, vendor, *_ in rows] == [
+            ("1", "55"), ("2", "62"), ("3", "55"), ("4", "62")]
+        assert [row[2] for row in rows] == ["2020-01-01 17:13:06"] * 2 + [
+            "2020-01-01 17:23:06"] * 2
+        assert rows[0][3:5] == ["8.67", "12.77"]
+        assert rows[2][3] == "" and {row[5] for row in rows} == {"37410"}
 
     def test_absent_acd_round_trips_as_empty_field(self, tmp_path):
         when = datetime(2020, 1, 1, 12, 0, 0)
-        out = tmp_path / "acd.csv"
-        write_acd_csv(out, acd_rows([interval_closing(when, (1.29, None))], "37410"))
+        out = write_acd_file(tmp_path / "acd.csv", [interval_closing(when, (1.29, None))],
+                             "37410")
         text = out.read_text(encoding="utf-8")
         assert text.splitlines()[0] == ",".join(ACD_CSV_HEADER)
         assert ",62,2020-01-01 12:00:00,,0.00,37410" in text
         assert read_acd_csv(out)[1][3] == ""
-
-    def test_reject_pct_bounds(self):
-        when = datetime(2020, 1, 1, 9, 0, 0)
-        with pytest.raises(ValueError):
-            AcdRow(1, 55, when, 1.0, 101.0)
 
 
 class TestAcdPairsOnRead:
@@ -240,7 +239,7 @@ class TestAcdPairsOnRead:
         when = datetime(2020, 1, 1, 9, 0, 0)
         history = [interval_closing(when + timedelta(minutes=10 * k), (8.67, 0.6))
                    for k in range(3)]
-        header, *rows = [line.split(",") for line in acd_csv_text(acd_rows(history)).splitlines()]
+        header, *rows = [line.split(",") for line in acd_csv_text(history).splitlines()]
         rows = edit(rows)
         path = tmp_path / "acd_vendors.csv"
         path.write_text("".join(",".join(f) + "\n" for f in [header] + rows), encoding="utf-8")
@@ -363,10 +362,17 @@ def _cdr_field_list(record):
             record.cause.value, "1" if record.rejected_by_router else "0"]
 
 
-def _acd_field_list(row):
-    return [str(row.id), str(row.vendor), format_ts(row.date),
-            "" if row.acd_min is None else str(row.acd_min),
-            f"{row.reject_pct:.2f}", row.prefix]
+def _acd_field_lists(history, prefix):
+    """The fields of each acd_vendors row of ``history``, spelt out: the
+    reference for the row template."""
+    rows = []
+    for closed in history:
+        for vendor, stats, reject_pct in zip(closed.vendors, closed.stats,
+                                             closed.result.reject_pct):
+            rows.append([str(len(rows) + 1), str(vendor), format_ts(closed.closed_at),
+                         "" if stats.acd_min is None else str(stats.acd_min),
+                         f"{reject_pct:.2f}", prefix])
+    return rows
 
 
 def _awkward_cdrs(call_id):
@@ -375,8 +381,9 @@ def _awkward_cdrs(call_id):
             make_cdr(call_id, 55, at, 0, rejected=True)]
 
 
-def _awkward_acd_rows(prefix):
-    return [AcdRow(1, 55, T0, 8.67, 12.5, prefix), AcdRow(2, 62, T0, None, 0.0, prefix)]
+# two intervals: a reject_pct above 0, an absent ACD, and ids 1..4
+AWKWARD_HISTORY = [interval_closing(T0 + timedelta(minutes=20), (8.67, 0.6)),
+                   interval_closing(T0 + timedelta(minutes=40), (8.67, None))]
 
 
 class TestAwkwardTextFields:
@@ -390,9 +397,8 @@ class TestAwkwardTextFields:
         write_cdr_csv(path, records)
         assert path.read_bytes().decode("utf-8") == _writer_text(
             [CDR_CSV_HEADER, *map(_cdr_field_list, records)])
-        rows = _awkward_acd_rows(text)
-        assert acd_csv_text(rows) == _writer_text(
-            [ACD_CSV_HEADER, *map(_acd_field_list, rows)])
+        assert acd_csv_text(AWKWARD_HISTORY, text) == _writer_text(
+            [ACD_CSV_HEADER, *_acd_field_lists(AWKWARD_HISTORY, text)])
 
     @pytest.mark.parametrize("call_id", AWKWARD)
     def test_cdr_reads_back(self, tmp_path, call_id):
@@ -403,7 +409,5 @@ class TestAwkwardTextFields:
 
     @pytest.mark.parametrize("prefix", [*AWKWARD, "37,410", ""])
     def test_acd_prefix_reads_back(self, tmp_path, prefix):
-        rows = _awkward_acd_rows(prefix)
-        path = tmp_path / "acd_vendors.csv"
-        write_acd_csv(path, rows)
-        assert read_acd_csv(path) == list(map(_acd_field_list, rows))
+        path = write_acd_file(tmp_path / "acd_vendors.csv", AWKWARD_HISTORY, prefix)
+        assert read_acd_csv(path) == _acd_field_lists(AWKWARD_HISTORY, prefix)
