@@ -5,21 +5,21 @@ Subcommands: ``compute`` (one-off rejection calculation), ``aggregate``
 scenario end to end) and ``report`` (re-render a saved interval history).
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
 
-``simulate`` writes each attempt as the run makes it, as one row of
-``cdrs.csv`` and one of ``decisions.csv``, so its memory does not grow with
-the run's length. Every other file a command writes is rendered to text first
-and written by ``_write_files``. ``HISTORY_FILES`` names each file rendered
-from an interval history (the acd_vendors file, ``interval_history.json`` and
-the interval tables) with its renderer; ``simulate`` and ``aggregate`` write
-them all, ``report`` the tables it is asked for, and ``simulate`` removes them
-and ``SUMMARY_FILE`` before its run.
+``simulate`` runs the scenario into ``store.attempt_log``'s sink, which
+writes each attempt as one row of ``cdrs.csv`` and one of ``decisions.csv``,
+a block of rows at a time, so the run's memory does not grow with its length.
+Every other file a command writes is rendered to text first and written by
+``_write_files``. ``HISTORY_FILES`` names each file rendered from an interval
+history (the acd_vendors file, ``interval_history.json`` and the interval
+tables) with its renderer; ``simulate`` and ``aggregate`` write them all,
+``report`` the tables it is asked for, and ``simulate`` removes them and
+``SUMMARY_FILE`` before its run.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import sys
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -33,19 +33,11 @@ from .aggregate import (
     validate_schedule,
 )
 from .codec import encode, json_text, load_json
-from .domain import CallRecord, RouteGroup, validate_prefs_and_floor, whole_seconds
+from .domain import RouteGroup, validate_prefs_and_floor, whole_seconds
 from .rejection import QualityInput, compute_rejection
 from .report import TABLE_FORMATS, render_calc_breakdown, render_interval_table
 from .sim import ScenarioConfig, ScenarioResult, run_scenario
-from .store import (
-    CDR_CSV_HEADER,
-    DECISION_CSV_HEADER,
-    acd_csv_text,
-    cdr_line,
-    csv_sink,
-    decision_line,
-    read_cdr_csv,
-)
+from .store import acd_csv_text, attempt_log, read_cdr_csv
 
 
 TABLE_FILES = {fmt: f"interval_table.{fmt}" for fmt in TABLE_FORMATS}
@@ -240,16 +232,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # reused --out leaves none of an earlier run's beside its own
     for name in (*HISTORY_FILES, SUMMARY_FILE):
         (args.out / name).unlink(missing_ok=True)
-    with open(args.out / "cdrs.csv", "w", newline="", encoding="utf-8") as cdr_file, \
-            open(args.out / "decisions.csv", "w", newline="", encoding="utf-8") as decision_file:
-        write_cdr = csv_sink(cdr_file, CDR_CSV_HEADER, cdr_line)
-        write_decision = csv_sink(decision_file, DECISION_CSV_HEADER, decision_line)
-        seq = itertools.count().__next__
-
-        def on_cdr(record: CallRecord, t_s: float) -> None:
-            write_cdr(record)
-            write_decision(seq(), record, t_s)
-
+    with attempt_log(args.out / "cdrs.csv", args.out / "decisions.csv") as on_cdr:
         result = run_scenario(config, on_cdr=on_cdr)
     _write_files(args.out, {**_history_files(result.interval_history, config.dest_prefix),
                             SUMMARY_FILE: json_text(_summary(result))})

@@ -12,13 +12,17 @@ two runs of the same scenario are identical event for event.
 Billing's order (``billing_order``) is computed once per run, and each call
 walks it once: the next vendor is tried only while the last response
 triggers failover. ``billing_route`` picks the same vendors one attempt at a
-time, from a call's history.
+time, from a call's history. A run sees only a few response codes (200, each
+vendor model's failure code and the clone interface's ``REJECTION_CODE``), so
+each is classified once per run, into the CDR's cause, whether it ends
+routing and whether the call was answered.
 
 Each attempt goes to a sink as one event, its CDR and the call's time, as
 soon as it is made; the CDR's rejected flag is the admission decision. The
 default sink collects the CDRs on the ``ScenarioResult``; a caller that
-streams them elsewhere (the CLI writes each as a CDR row and a decision row)
-keeps the run's memory bounded by the admission ledger, not by its length.
+streams them elsewhere (the CLI's ``store.attempt_log`` writes each as a CDR
+row and a decision row) keeps the run's memory bounded by the admission
+ledger, not by its length.
 Of each close the result keeps the ``ClosedInterval`` in its interval history;
 the acd_vendors rows and the interval tables are rendered from that.
 """
@@ -33,7 +37,7 @@ from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .admission import AdmissionController
+from .admission import REJECTION_CODE, AdmissionController
 from .aggregate import (
     MIN_INTERVAL_AGE_S,
     MIN_INTERVAL_CALLS,
@@ -53,6 +57,7 @@ from .domain import (
     triggers_failover,
     whole_seconds,
 )
+from .store import csv_field
 
 DEFAULT_START = datetime(2020, 1, 1, 0, 0, 0)
 
@@ -192,6 +197,9 @@ class ScenarioConfig:
         if self.duration_min <= 0:
             raise ValueError("scenario duration must be positive")
         validate_schedule(self.tick_period_s, self.min_age_s, self.min_calls)
+        # the acd_vendors rows carry the prefix: text the CSV writer refuses
+        # fails here, before the run, not when the rows are written
+        csv_field(self.dest_prefix)
 
     @property
     def group(self) -> RouteGroup:
@@ -338,9 +346,17 @@ def run_scenario(
     start_time = config.start_time
     decide = controller.decide
     add_cdr = aggregator.add_cdr
-    success = ResponseClass.SUCCESS
-    normal, no_answer, other = (
-        DisconnectCause.NORMAL_CLEARING, DisconnectCause.NO_USER_RESPONDING, DisconnectCause.OTHER)
+    other = DisconnectCause.OTHER
+    # every code the run can see, classified once: a leg answers 200 or its
+    # model's failure code, and the clone interface refuses with
+    # REJECTION_CODE; code -> (cause if accepted, ends routing, answered)
+    outcomes = {}
+    for code in (200, REJECTION_CODE, *(model.failure_code for model in models.values())):
+        response = classify_response(code)
+        success = response is ResponseClass.SUCCESS
+        outcomes[code] = (
+            DisconnectCause.NORMAL_CLEARING if success else DisconnectCause.NO_USER_RESPONDING,
+            not triggers_failover(response), success)
 
     def handle_call(t_s: float, call_id: str, connect: datetime) -> bool:
         """Walks the billing order until a response ends routing; returns
@@ -352,13 +368,9 @@ def run_scenario(
                 code, leg_duration = vendor_leg(models[vendor], traffic_rng)
             else:
                 code, leg_duration = decision.code, 0
-            response = classify_response(code)
+            cause, ends_routing, connected = outcomes[code]
             if not accepted:
                 cause = other
-            elif response is success:
-                cause = normal
-            else:
-                cause = no_answer
             if leg_duration:
                 answered[vendor] += 1
                 answered_minutes[vendor] += leg_duration / 60.0
@@ -371,8 +383,8 @@ def run_scenario(
                 call_id, vendor, connect, disconnect, leg_duration, cause, not accepted)
             on_cdr(record, t_s)
             add_cdr(record)
-            if not triggers_failover(response):
-                return response is success
+            if ends_routing:
+                return connected
         return False
 
     def run_tick(tick_s: int) -> None:

@@ -1,17 +1,19 @@
-"""Flat-file persistence: every CSV row template, and the one CDR reader.
+"""Flat-file persistence: every CSV row template, the streamed attempt log,
+and the one CDR reader.
 
 Each CSV file has one row template, which builds a whole line as one
-f-string: ``cdr_line`` for CDRs, ``decision_line`` for an attempt's decision,
-and the acd_vendors row inside ``acd_csv_text``. Their only free text, a call
-id or a prefix, goes through ``csv_field``, which quotes it as a
-``csv.writer`` ending lines with ``"\\r\\n"`` does, so a carriage return is
-quoted on every Python version and the row reads back whole; every other field
-is drawn from a fixed alphabet that needs no quoting. A CDR row is the
-highest-volume thing a run writes, so its template takes each timestamp's text
-from ``format_ts``'s cache of recent seconds and each cause's token from the
-member's ``_value_``, not the ``value`` property.
-``csv_sink`` writes rows as they are made: ``simulate`` writes each attempt's
-CDR row and decision row through it as the run makes the attempt, and
+f-string: ``cdr_row`` for CDRs, the decision row inside ``attempt_log``, and
+the acd_vendors row inside ``acd_csv_text``. Their only free text, a call id
+or a prefix, goes through ``csv_field``, which quotes it as a ``csv.writer``
+ending lines with ``"\\r\\n"`` does, so a carriage return is quoted on every
+Python version and the row reads back whole; every other field is drawn from
+a fixed alphabet that needs no quoting. ``cdr_row`` takes the text of the
+call id and of the two timestamps ready made: ``cdr_line`` renders them for
+one record, from ``format_ts``'s cache of recent seconds, and ``attempt_log``
+renders each only when its source object changes.
+
+``attempt_log`` is ``simulate``'s sink: it writes each attempt's CDR row and
+decision row as the run makes the attempt, in blocks of ``ROW_BLOCK`` rows.
 ``write_cdr_csv`` writes a list of records. ``acd_csv_text`` renders an
 interval history as the acd_vendors file, each closed interval as its pair of
 rows, after the run; no command reads that file back. ``read_cdr_csv`` is the
@@ -24,9 +26,10 @@ from __future__ import annotations
 import csv
 import io
 import re
+from contextlib import contextmanager
 from datetime import datetime
 from pathlib import Path
-from typing import Callable, Iterable, List, TextIO, Tuple
+from typing import Callable, Iterable, Iterator, List, Tuple
 
 from .admission import REJECTION_CODE
 from .aggregate import ClosedInterval
@@ -46,46 +49,109 @@ def csv_field(text: str) -> str:
     quotes a carriage return on every Python version (before 3.13, one ending
     lines with ``"\\n"`` leaves it bare, and a reader then splits the row
     there). Letters and digits are written as they are; other text is
-    rendered by the writer, since its rules differ between versions (3.10
-    refuses a NUL)."""
+    rendered by the writer, since its rules differ between versions. Text
+    the writer refuses (3.10 refuses a NUL) is a ``ValueError``."""
     if text.isalnum():
         return text
     buffer = io.StringIO()
-    # a second, empty field: a row of one empty field is written as ""
-    csv.writer(buffer, lineterminator="\r\n").writerow((text, ""))
+    try:
+        # a second, empty field: a row of one empty field is written as ""
+        csv.writer(buffer, lineterminator="\r\n").writerow((text, ""))
+    except csv.Error as exc:
+        raise ValueError(f"cannot write {text!r} as a CSV field: {exc}") from None
     return buffer.getvalue()[:-3]
+
+
+def cdr_row(record: CallRecord, call_text: str, connect_text: str, disconnect_text: str) -> str:
+    """The CDR row template: ``record``'s row of a CDR CSV file, line end
+    included, from the text of its call id (as ``csv_field`` writes it) and
+    of its two timestamps (as ``format_ts`` writes them)."""
+    # ``_value_`` is the member's plain attribute; the ``value`` property
+    # costs ~15x as much to read
+    return (f"{call_text},{record.vendor},{connect_text},{disconnect_text},{record.duration_s},"
+            f"{record.cause._value_},{'1' if record.rejected_by_router else '0'}\n")
 
 
 def cdr_line(record: CallRecord) -> str:
     """The CDR's row of a CDR CSV file, line end included; only the call id
     can need quoting."""
-    # ``_value_`` is the member's plain attribute; the ``value`` property
-    # costs ~15x as much to read
-    return (f"{csv_field(record.call_id)},{record.vendor},{format_ts(record.connect_time)},"
-            f"{format_ts(record.disconnect_time)},{record.duration_s},"
-            f"{record.cause._value_},{'1' if record.rejected_by_router else '0'}\n")
-
-
-def decision_line(seq: int, record: CallRecord, t_s: float) -> str:
-    """The ``seq``-th attempt's row of ``decisions.csv``, line end included:
-    accepted with no code, or refused with the rejection code."""
-    outcome = f"0,{REJECTION_CODE}" if record.rejected_by_router else "1,"
-    return f"{seq},{t_s:.3f},{csv_field(record.call_id)},{record.vendor},{outcome}\n"
-
-
-def csv_sink(handle: TextIO, header: List[str], line: Callable[..., str]) -> Callable:
-    """Write ``header`` to ``handle``; the returned sink writes the line
-    ``line(*event)`` for each event it is given."""
-    write = handle.write
-    write(",".join(map(csv_field, header)) + "\n")
-    return lambda *event: write(line(*event))
+    return cdr_row(record, csv_field(record.call_id), format_ts(record.connect_time),
+                   format_ts(record.disconnect_time))
 
 
 def write_cdr_csv(path: Path, records: Iterable[CallRecord]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        sink = csv_sink(handle, CDR_CSV_HEADER, cdr_line)
-        for record in records:
-            sink(record)
+        handle.write(",".join(CDR_CSV_HEADER) + "\n" + "".join(map(cdr_line, records)))
+
+
+# rows a streamed file holds back before writing them as one text: enough to
+# spread a write's cost over many rows, few enough that the pending rows
+# (~90 bytes an attempt over both files, ~0.2 MB in all) do not show in a
+# run's memory
+ROW_BLOCK = 1024
+
+
+@contextmanager
+def attempt_log(cdr_path: Path,
+                decision_path: Path) -> Iterator[Callable[[CallRecord, float], None]]:
+    """Open a CDR CSV file and a decisions file, write their headers, and
+    yield the sink ``on_cdr(record, t_s)`` that ``run_scenario`` hands each
+    attempt to: it appends the attempt's CDR row to the first file and its
+    decision row, numbered from 0, to the second.
+
+    The rows are written ``ROW_BLOCK`` at a time, each block as one text. On
+    exit, normal or by an exception, the rows still pending are written and
+    both files are closed, so each file holds whole rows only.
+
+    An attempt's text pieces are built only when the object they come from
+    changes: the call id's ``csv_field`` text, keyed by the call id; the
+    ``time_s`` text, keyed by ``t_s``; the connect text, keyed by the connect
+    time. A key is compared by identity, which holds for any caller: equal
+    floats (``0.0``, ``-0.0``) or equal aware datetimes (one instant under two
+    offsets) can have different texts. A zero-length leg's disconnect text is
+    its connect text.
+    """
+    with open(cdr_path, "w", newline="", encoding="utf-8") as cdr_file, \
+            open(decision_path, "w", newline="", encoding="utf-8") as decision_file:
+        cdr_file.write(",".join(CDR_CSV_HEADER) + "\n")
+        decision_file.write(",".join(DECISION_CSV_HEADER) + "\n")
+        cdr_rows: List[str] = []
+        decision_rows: List[str] = []
+        refused = f"0,{REJECTION_CODE}"
+        seq = 0
+        call_id = call_text = t_s_key = t_text = connect = connect_text = None
+
+        def write_pending() -> None:
+            # each list is emptied before its text is written, so a failed
+            # write is never repeated
+            for handle, rows in ((cdr_file, cdr_rows), (decision_file, decision_rows)):
+                text = "".join(rows)
+                rows.clear()
+                handle.write(text)
+
+        def on_cdr(record: CallRecord, t_s: float) -> None:
+            nonlocal seq, call_id, call_text, t_s_key, t_text, connect, connect_text
+            if record.call_id is not call_id:
+                call_id = record.call_id
+                call_text = csv_field(call_id)
+            if t_s is not t_s_key:
+                t_s_key, t_text = t_s, f"{t_s:.3f}"
+            if record.connect_time is not connect:
+                connect = record.connect_time
+                connect_text = format_ts(connect)
+            disconnect = record.disconnect_time
+            cdr_rows.append(cdr_row(record, call_text, connect_text, connect_text
+                                    if disconnect is connect else format_ts(disconnect)))
+            decision_rows.append(f"{seq},{t_text},{call_text},{record.vendor},"
+                                 f"{refused if record.rejected_by_router else '1,'}\n")
+            seq += 1
+            if len(cdr_rows) == ROW_BLOCK:
+                write_pending()
+
+        try:
+            yield on_cdr
+        finally:
+            write_pending()
 
 
 # The row grammar: the six fields of a CDR row after its call id, each in the

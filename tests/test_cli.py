@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import random
+import sys
 from datetime import datetime, timedelta
 from pathlib import Path
 from typing import List
@@ -14,14 +15,7 @@ from acdroute.aggregate import ClosedInterval
 from acdroute.cli import main
 from acdroute.codec import decode
 from acdroute.sim import ScenarioConfig, run_scenario
-from acdroute.store import (
-    DECISION_CSV_HEADER,
-    acd_csv_text,
-    cdr_line,
-    csv_sink,
-    decision_line,
-    write_cdr_csv,
-)
+from acdroute.store import DECISION_CSV_HEADER, acd_csv_text, cdr_row, write_cdr_csv
 from conftest import T0, make_cdr, read_acd_csv
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -269,6 +263,32 @@ class TestSimulate:
             rows = assert_renders(out / "acd_vendors.csv", out / "interval_history.json", prefix)
             assert {row[5] for row in rows} == {prefix}
 
+    def test_nul_in_prefix(self, tmp_path, capsys):
+        # 3.10's csv.writer refuses a NUL: both commands end with exit 2 and
+        # one line, writing nothing; later versions write it as other text
+        config = json.loads((SCENARIOS / "preferred_honest.json").read_text())
+        config["dest_prefix"], config["duration_min"] = "a\0b", 60
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(config), encoding="utf-8")
+        cdrs = tmp_path / "cdrs.csv"
+        write_cdr_csv(cdrs, interval_records())
+        run_dir, agg_dir = tmp_path / "run", tmp_path / "agg"
+        codes = [main(["simulate", "--scenario", str(scenario), "--out", str(run_dir)]),
+                 main(["aggregate", "--cdr", str(cdrs), "--prefs", "9,8",
+                       "--prefix", "a\0b", "--out", str(agg_dir)])]
+        if sys.version_info < (3, 11):
+            assert codes == [2, 2]
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 2 and all(line.startswith("error: ") for line in err), err
+            assert not run_dir.exists() and not agg_dir.exists()
+        else:
+            assert codes == [0, 0]
+            capsys.readouterr()
+            for out in (run_dir, agg_dir):
+                rows = assert_renders(out / "acd_vendors.csv", out / "interval_history.json",
+                                      "a\0b")
+                assert {row[5] for row in rows} == {"a\0b"}
+
     def test_invalid_scenario_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         config = json.loads((SCENARIOS / "honest_vs_fas.json").read_text())
@@ -304,20 +324,28 @@ class TestSimulate:
     def test_sink_error_closes_both_files(self, tmp_path, capsys, monkeypatch):
         calls = []
 
-        def failing_line(record):
+        def failing_row(record, *texts):
             calls.append(record)
             if len(calls) == 500:
                 raise OSError("disk quota exceeded")
-            return cdr_line(record)
+            return cdr_row(record, *texts)
 
-        monkeypatch.setattr("acdroute.cli.cdr_line", failing_line)
+        monkeypatch.setattr("acdroute.store.cdr_row", failing_row)
         out = tmp_path / "run"
         assert main(["simulate", "--scenario", str(SCENARIOS / "pure_fas_control.json"),
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: disk quota exceeded\n"
         gc.collect()
-        # the rows written before the error are whole rows
-        assert len((out / "cdrs.csv").read_text(encoding="utf-8").splitlines()) == 500
+        # the rows made before the error are written, as whole rows: 499
+        # attempts under each header
+        cdr_text = (out / "cdrs.csv").read_text(encoding="utf-8")
+        assert cdr_text.endswith("\n") and len(cdr_text.splitlines()) == 500
+        with open(out / "decisions.csv", newline="", encoding="utf-8") as handle:
+            decisions = list(csv.reader(handle))
+        assert decisions[0] == DECISION_CSV_HEADER
+        assert [row[0] for row in decisions[1:]] == [str(seq) for seq in range(499)]
+        assert {len(row) for row in decisions} == {len(DECISION_CSV_HEADER)}
+        assert (out / "decisions.csv").read_bytes().endswith(b"\n")
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
@@ -334,10 +362,14 @@ def test_streamed_files_equal_the_batch_rendering(tmp_path, capsys, scenario):
     batch = tmp_path / "cdrs.csv"
     write_cdr_csv(batch, [record for record, _ in attempts])
     assert (out / "cdrs.csv").read_bytes() == batch.read_bytes()
+    # the decision rows, spelt out field by field
     buffer = io.StringIO()
-    sink = csv_sink(buffer, DECISION_CSV_HEADER, decision_line)
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(DECISION_CSV_HEADER)
     for seq, (record, t_s) in enumerate(attempts):
-        sink(seq, record, t_s)
+        rejected = record.rejected_by_router
+        writer.writerow([seq, f"{t_s:.3f}", record.call_id, record.vendor,
+                         0 if rejected else 1, 503 if rejected else ""])
     assert (out / "decisions.csv").read_bytes() == buffer.getvalue().encode("utf-8")
 
 

@@ -1,7 +1,7 @@
 import csv
 import io
 import random
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -16,7 +16,10 @@ from acdroute.rejection import QualityInput, compute_rejection
 from acdroute.store import (
     ACD_CSV_HEADER,
     CDR_CSV_HEADER,
+    DECISION_CSV_HEADER,
+    ROW_BLOCK,
     acd_csv_text,
+    attempt_log,
     cdr_line,
     csv_field,
     read_cdr_csv,
@@ -345,7 +348,7 @@ class TestCsvField:
         for text in texts:
             try:
                 got = csv_field(text)
-            except csv.Error:
+            except ValueError:  # what the writer refuses
                 got = csv.Error
             assert [got] * 3 == self._written_as(text), repr(text)
 
@@ -411,3 +414,119 @@ class TestAwkwardTextFields:
     def test_acd_prefix_reads_back(self, tmp_path, prefix):
         path = write_acd_file(tmp_path / "acd_vendors.csv", AWKWARD_HISTORY, prefix)
         assert read_acd_csv(path) == _acd_field_lists(AWKWARD_HISTORY, prefix)
+
+
+def _attempts(n):
+    """``n`` attempts as ``run_scenario`` hands them to its sink: two per
+    call, which share the call id and time objects, and one connect time per
+    second; some refused, some answered."""
+    attempts = []
+    for i in range(n):
+        if i % 2 == 0:
+            call_id, t_s = f"c{i // 2:06d}", i / 3
+            connect = T0 + timedelta(0, int(t_s))
+        rejected = i % 5 == 0
+        duration = 0 if rejected or i % 3 == 0 else i % 7 + 1
+        disconnect = connect + timedelta(0, duration) if duration else connect
+        cause = (DisconnectCause.OTHER if rejected else DisconnectCause.NORMAL_CLEARING
+                 if duration else DisconnectCause.NO_USER_RESPONDING)
+        attempts.append((CallRecord(call_id, 55 + i % 2, connect, disconnect, duration, cause,
+                                    rejected), t_s))
+    return attempts
+
+
+def _log_attempts(tmp_path, attempts):
+    """The text of ``cdrs.csv`` and the rows of ``decisions.csv``, as ``csv``
+    splits them, after ``attempt_log`` was given ``attempts``."""
+    cdrs, decisions = tmp_path / "cdrs.csv", tmp_path / "decisions.csv"
+    with attempt_log(cdrs, decisions) as on_cdr:
+        for record, t_s in attempts:
+            on_cdr(record, t_s)
+    with open(decisions, newline="", encoding="utf-8") as handle:
+        decision_rows = list(csv.reader(handle))
+    assert decision_rows[0] == DECISION_CSV_HEADER
+    return cdrs.read_bytes().decode("utf-8"), decision_rows[1:]
+
+
+def _decision_fields(seq, record, t_s):
+    """The fields of an attempt's ``decisions.csv`` row, spelt out."""
+    rejected = record.rejected_by_router
+    return [str(seq), f"{t_s:.3f}", record.call_id, str(record.vendor),
+            "0" if rejected else "1", "503" if rejected else ""]
+
+
+class TestAttemptLog:
+    """``simulate``'s sink: one CDR row and one decision row per attempt,
+    written a block of rows at a time."""
+
+    @pytest.mark.parametrize("n", [blocks * ROW_BLOCK + extra for blocks in (1, 2, 3)
+                                   for extra in (-1, 0, 1)])
+    def test_every_row_is_written_in_order(self, tmp_path, n):
+        attempts = _attempts(n)
+        cdr_text, decisions = _log_attempts(tmp_path, attempts)
+        assert cdr_text == ",".join(CDR_CSV_HEADER) + "\n" + "".join(
+            cdr_line(record) for record, _ in attempts)
+        assert decisions == [_decision_fields(seq, record, t_s)
+                             for seq, (record, t_s) in enumerate(attempts)]
+        # row i of decisions.csv is the decision on row i of cdrs.csv
+        cdrs = list(csv.reader(io.StringIO(cdr_text)))[1:]
+        assert len(cdrs) == len(decisions) == n
+        for decision, cdr in zip(decisions, cdrs):
+            assert decision[2:5] == [cdr[0], cdr[1], "0" if cdr[6] == "1" else "1"]
+
+    def test_each_text_follows_its_own_source(self, tmp_path):
+        # one call id object with other connect times and call times; keys
+        # that compare equal but are written otherwise (0.0 and -0.0, one
+        # instant under two offsets); equal but distinct keys. Each leg's
+        # disconnect is a new object, equal to its connect when 0 s long.
+        call_id = "a,b"
+        later = T0 + timedelta(0, 1)
+        instant = datetime(2020, 1, 1, 12, 0, 0, tzinfo=timezone.utc)
+        shifted = instant.astimezone(timezone(timedelta(hours=1)))
+        assert shifted == instant
+        zero, minus_zero, t1, t2 = 0.0, -0.0, 1.0005, 1.0004
+        legs = [(call_id, T0, 0, zero), (call_id, T0, 5, minus_zero),
+                (call_id, later, 0, minus_zero), (call_id, datetime(2020, 1, 1, 0, 0, 1), 2, t1),
+                (call_id, instant, 3, t1), (call_id, shifted, 0, t1),
+                ("".join(["a,", "b"]), shifted, 0, t2)]
+        attempts = [(CallRecord(cid, 55 + i % 2, connect, connect + timedelta(0, duration),
+                                duration, DisconnectCause.NORMAL_CLEARING if duration
+                                else DisconnectCause.OTHER, not duration), t_s)
+                    for i, (cid, connect, duration, t_s) in enumerate(legs)]
+        records = [record for record, _ in attempts]
+        cdr_text, decisions = _log_attempts(tmp_path, attempts)
+
+        def wall(ts):
+            return f"{ts:%Y-%m-%d %H:%M:%S}"
+
+        assert cdr_text.splitlines(keepends=True)[1:] == [cdr_line(r) for r in records]
+        assert cdr_text == _writer_text([CDR_CSV_HEADER, *(
+            [r.call_id, str(r.vendor), wall(r.connect_time), wall(r.disconnect_time),
+             str(r.duration_s), r.cause.value, "1" if r.rejected_by_router else "0"]
+            for r in records)])
+        assert [row[2] for row in csv.reader(io.StringIO(cdr_text))][1:] == [
+            "2020-01-01 00:00:00", "2020-01-01 00:00:00", "2020-01-01 00:00:01",
+            "2020-01-01 00:00:01", "2020-01-01 12:00:00", "2020-01-01 13:00:00",
+            "2020-01-01 13:00:00"]
+        assert decisions == [_decision_fields(seq, record, t_s)
+                             for seq, (record, t_s) in enumerate(attempts)]
+        assert [row[1] for row in decisions] == ["0.000", "-0.000", "-0.000", "1.000",
+                                                 "1.000", "1.000", "1.000"]
+
+    def test_rows_made_before_an_error_are_written(self, tmp_path):
+        # the first block is written as it fills, the rest as the error ends
+        # the run
+        attempts = _attempts(ROW_BLOCK + 10)
+        rows = [cdr_line(record) for record, _ in attempts]
+        cdrs, decisions = tmp_path / "cdrs.csv", tmp_path / "decisions.csv"
+        with pytest.raises(OSError, match="disk quota exceeded"):
+            with attempt_log(cdrs, decisions) as on_cdr:
+                for record, t_s in attempts:
+                    on_cdr(record, t_s)
+                assert cdrs.read_text(encoding="utf-8").splitlines(keepends=True)[1:] == (
+                    rows[:ROW_BLOCK])
+                raise OSError("disk quota exceeded")
+        assert cdrs.read_text(encoding="utf-8").splitlines(keepends=True)[1:] == rows
+        assert decisions.read_text(encoding="utf-8").splitlines(keepends=True)[1:] == [
+            ",".join(_decision_fields(seq, record, t_s)) + "\n"
+            for seq, (record, t_s) in enumerate(attempts)]
