@@ -8,6 +8,7 @@ this script prints the same numbers.
 """
 
 from acdroute import (
+    REJECTION_CODE,
     AdmissionController,
     QualityInput,
     RouteGroup,
@@ -29,8 +30,7 @@ controller.refresh_targets(target)
 n = 100_000
 rejected = 0
 for i in range(n):
-    decision = controller.decide(f"c{i}", 55, now=float(i))
-    if not decision.accepted:
+    if not controller.decide(f"c{i}", 55, now=float(i)):
         rejected += 1
 print(f"{n} arrivals on clone 55 -> {rejected} rejected "
       f"({100 * rejected / n:.3f}% vs target {target.reject_pct_exact[0]:.3f}%)")
@@ -53,12 +53,10 @@ for i in range(400):
         vendor = billing_route(prefs, history)
         if vendor is None:
             break
-        decision = fresh.decide(call_id, vendor, now=float(i))
-        path.append((vendor, "accept" if decision.accepted else f"reject {decision.code}"))
-        if decision.accepted:
-            history.append((vendor, 200))  # pretend the vendor answers
-        else:
-            history.append((vendor, decision.code))
+        accepted = fresh.decide(call_id, vendor, now=float(i))
+        path.append((vendor, "accept" if accepted else f"reject {REJECTION_CODE}"))
+        # an accepted call: pretend the vendor answers
+        history.append((vendor, 200 if accepted else REJECTION_CODE))
     if len(path) > 1 and shown < 5:
         print(f"{call_id}: {path}")
         shown += 1

@@ -8,7 +8,7 @@ from low-quality or false-answer routes. A deterministic traffic simulator
 closes the loop for experiments and tests.
 """
 
-from .admission import REJECTION_CODE, AdmissionController, Decision
+from .admission import REJECTION_CODE, AdmissionController
 from .aggregate import (
     ClosedInterval,
     IntervalAggregator,
@@ -51,7 +51,6 @@ __all__ = [
     "AdmissionController",
     "CallRecord",
     "ClosedInterval",
-    "Decision",
     "DisconnectCause",
     "DurationSpec",
     "IntervalAggregator",

@@ -2,8 +2,10 @@
 
 Each vendor is impersonated by a clone interface; billing still routes by
 static preference, but the clone may refuse the call with a failover-class
-code so billing retries on the other route. A call is only ever refused once:
-its retry must go through, otherwise the caller would lose the call entirely.
+code so billing retries on the other route. ``AdmissionController.decide``
+answers yes (pass) or no (refuse), and a refusal always carries
+``REJECTION_CODE``. A call is only ever refused once: its retry must go
+through, otherwise the caller would lose the call entirely.
 
 The at-most-once ledger maps each refused call id to its expiry; an id is
 live iff its expiry is greater than ``now``. Entries share one TTL, and expired
@@ -15,43 +17,16 @@ from __future__ import annotations
 
 import random
 import threading
-import time
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .domain import RouteGroup, classify_response, triggers_failover
+from .domain import RouteGroup
 from .rejection import RejectionResult
 
 # 5xx so billing treats the clone as a failed route and tries the next one
 REJECTION_CODE = 503
 # how long a rejected call id is remembered, so its retry is never rejected
 SEEN_TTL_S = 3600.0
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Outcome of one admission check."""
-
-    accepted: bool
-    code: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if not self.accepted:
-            if self.code is None or not triggers_failover(classify_response(self.code)):
-                raise ValueError("a rejection must carry a failover-class code")
-
-    @classmethod
-    def accept(cls) -> "Decision":
-        return _ACCEPT
-
-    @classmethod
-    def reject(cls) -> "Decision":
-        return _REJECT
-
-
-_ACCEPT = Decision(accepted=True)
-_REJECT = Decision(accepted=False, code=REJECTION_CODE)
 
 
 class AdmissionController:
@@ -75,34 +50,30 @@ class AdmissionController:
         self._received: Dict[int, int] = {v: 0 for v in self.vendors}
         self._rejected: Dict[int, int] = {v: 0 for v in self.vendors}
 
-    def decide(self, call_id: str, vendor: int, now: Optional[float] = None) -> Decision:
-        """Accept or reject one call attempt on a clone interface, and count
-        it: authorized and rejected calls are counted separately (received
-        does not include rejected).
+    def decide(self, call_id: str, vendor: int, now: float) -> bool:
+        """Pass (True) or refuse (False) one call attempt on a clone
+        interface, and count it: authorized and rejected calls are counted
+        separately (received does not include rejected).
 
         ``now`` is seconds on whatever clock drives the system (simulated or
-        wall); it defaults to wall time and only matters for the rejection
-        ledger's TTL.
+        wall); it only matters for the rejection ledger's TTL.
         """
-        if now is None:
-            now = time.time()
         with self._lock:
             if vendor not in self._targets:
                 raise ValueError(f"vendor {vendor} is not one of the configured clones")
             seen = self._seen
-            decision = _ACCEPT
             target = self._targets[vendor]
             # a call live in the ledger (expiry > now) was rejected once: its retry must pass
-            if seen.get(call_id, now) <= now and target is not None and target > 0.0:
-                if self._rng.random() < target / 100.0:
-                    while seen and next(iter(seen.values())) <= now:
-                        seen.popitem(last=False)
-                    seen.pop(call_id, None)  # so a re-rejected id moves to the newest end
-                    seen[call_id] = now + SEEN_TTL_S
-                    decision = _REJECT
-            counts = self._received if decision.accepted else self._rejected
-            counts[vendor] += 1
-            return decision
+            if (seen.get(call_id, now) <= now and target is not None and target > 0.0
+                    and self._rng.random() < target / 100.0):
+                while seen and next(iter(seen.values())) <= now:
+                    seen.popitem(last=False)
+                seen.pop(call_id, None)  # so a re-rejected id moves to the newest end
+                seen[call_id] = now + SEEN_TTL_S
+                self._rejected[vendor] += 1
+                return False
+            self._received[vendor] += 1
+            return True
 
     def refresh_targets(self, result: RejectionResult) -> None:
         """Swap in a just-closed interval's targets atomically.

@@ -10,12 +10,14 @@ one second share one connect timestamp. Everything derives from one seed, so
 two runs of the same scenario are identical event for event.
 
 Billing's order (``billing_order``) is computed once per run, and each call
-walks it once: the next vendor is tried only while the last response
-triggers failover. ``billing_route`` picks the same vendors one attempt at a
-time, from a call's history. A run sees only a few response codes (200, each
-vendor model's failure code and the clone interface's ``REJECTION_CODE``), so
-each is classified once per run, into the CDR's cause, whether it ends
-routing and whether the call was answered.
+walks it once. An attempt has one of three outcomes: the clone interface
+refuses it (``REJECTION_CODE``, cause ``other``), the vendor leg fails (the
+model's failure code, no duration, cause ``no_answer``), or the vendor
+answers (200, at least one second, cause ``normal``). A refusal and a failure
+both trigger failover (``VendorModel`` refuses a failure code that would
+not), so billing tries the next vendor until one answers. ``billing_route``
+is the one definition of that failover: it picks the same vendors one
+attempt at a time, from a call's response codes.
 
 Each attempt goes to a sink as one event, its CDR and the call's time, as
 soon as it is made; the CDR's rejected flag is the admission decision. The
@@ -37,7 +39,7 @@ from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .admission import REJECTION_CODE, AdmissionController
+from .admission import AdmissionController
 from .aggregate import (
     MIN_INTERVAL_AGE_S,
     MIN_INTERVAL_CALLS,
@@ -51,7 +53,6 @@ from .domain import (
     DEFAULT_LOAD_MIN,
     CallRecord,
     DisconnectCause,
-    ResponseClass,
     RouteGroup,
     classify_response,
     triggers_failover,
@@ -196,6 +197,11 @@ class ScenarioConfig:
             raise ValueError("arrival rate must be positive")
         if self.duration_min <= 0:
             raise ValueError("scenario duration must be positive")
+        # every tick and connect time falls in [start, start + duration]
+        try:
+            self.start_time + timedelta(minutes=self.duration_min)
+        except OverflowError:
+            raise ValueError("scenario ends after the year 9999") from None
         validate_schedule(self.tick_period_s, self.min_age_s, self.min_calls)
         # the acd_vendors rows carry the prefix: text the CSV writer refuses
         # fails here, before the run, not when the rows are written
@@ -346,45 +352,30 @@ def run_scenario(
     start_time = config.start_time
     decide = controller.decide
     add_cdr = aggregator.add_cdr
+    normal = DisconnectCause.NORMAL_CLEARING
+    no_answer = DisconnectCause.NO_USER_RESPONDING
     other = DisconnectCause.OTHER
-    # every code the run can see, classified once: a leg answers 200 or its
-    # model's failure code, and the clone interface refuses with
-    # REJECTION_CODE; code -> (cause if accepted, ends routing, answered)
-    outcomes = {}
-    for code in (200, REJECTION_CODE, *(model.failure_code for model in models.values())):
-        response = classify_response(code)
-        success = response is ResponseClass.SUCCESS
-        outcomes[code] = (
-            DisconnectCause.NORMAL_CLEARING if success else DisconnectCause.NO_USER_RESPONDING,
-            not triggers_failover(response), success)
 
     def handle_call(t_s: float, call_id: str, connect: datetime) -> bool:
-        """Walks the billing order until a response ends routing; returns
-        True when the call was answered somewhere."""
+        """Walks the billing order until a vendor answers; returns True when
+        the call was answered somewhere."""
         for vendor in order:
-            decision = decide(call_id, vendor, t_s)
-            accepted = decision.accepted
-            if accepted:
-                code, leg_duration = vendor_leg(models[vendor], traffic_rng)
-            else:
-                code, leg_duration = decision.code, 0
-            cause, ends_routing, connected = outcomes[code]
-            if not accepted:
-                cause = other
+            accepted = decide(call_id, vendor, t_s)
+            leg_duration = vendor_leg(models[vendor], traffic_rng)[1] if accepted else 0
             if leg_duration:
                 answered[vendor] += 1
                 answered_minutes[vendor] += leg_duration / 60.0
-                disconnect = connect + timedelta(0, leg_duration)
+                record = CallRecord(call_id, vendor, connect, connect + timedelta(0, leg_duration),
+                                    leg_duration, normal, False)
             else:
-                # a zero-length leg ends at its connect time: no second
-                # datetime is built
-                disconnect = connect
-            record = CallRecord(
-                call_id, vendor, connect, disconnect, leg_duration, cause, not accepted)
+                # refused by the clone or failed at the vendor: both fail over,
+                # and the zero-length leg ends at its connect time
+                record = CallRecord(call_id, vendor, connect, connect, 0,
+                                    no_answer if accepted else other, not accepted)
             on_cdr(record, t_s)
             add_cdr(record)
-            if ends_routing:
-                return connected
+            if leg_duration:
+                return True
         return False
 
     def run_tick(tick_s: int) -> None:

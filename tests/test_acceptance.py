@@ -121,8 +121,7 @@ def test_criterion_5_admission_statistics():
     n = 100_000
     rejected_ids = []
     for i in range(n):
-        decision = controller.decide(f"c{i}", 55, now=float(i))
-        if not decision.accepted:
+        if not controller.decide(f"c{i}", 55, now=float(i)):
             rejected_ids.append(f"c{i}")
     rate = 100.0 * len(rejected_ids) / n
     assert rate == pytest.approx(12.77, abs=0.3), f"empirical rate {rate:.3f}"

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from acdroute.admission import REJECTION_CODE, SEEN_TTL_S, AdmissionController, Decision
+from acdroute.admission import REJECTION_CODE, SEEN_TTL_S, AdmissionController
 from acdroute.domain import RouteGroup, classify_response, triggers_failover
 from acdroute.rejection import QualityInput, compute_rejection
 
@@ -16,29 +16,22 @@ def controller(seed=0):
     return AdmissionController(RouteGroup((55, 62), (9, 8)), seed=seed)
 
 
-class TestDecision:
-    def test_reject_requires_failover_code(self):
-        with pytest.raises(ValueError):
-            Decision(accepted=False, code=200)
-        with pytest.raises(ValueError):
-            Decision(accepted=False, code=None)
-        d = Decision.reject()
-        assert d.code == REJECTION_CODE
-        assert triggers_failover(classify_response(d.code))
-
-
 class TestDecide:
+    def test_refusal_code_triggers_failover(self):
+        # a refused attempt is answered with REJECTION_CODE: billing must retry
+        assert triggers_failover(classify_response(REJECTION_CODE))
+
     def test_cold_start_accepts_everything(self):
         c = controller()
         for i in range(500):
-            assert c.decide(f"c{i}", 55, now=float(i)).accepted
-            assert c.decide(f"c{i}", 62, now=float(i)).accepted
+            assert c.decide(f"c{i}", 55, now=float(i))
+            assert c.decide(f"c{i}", 62, now=float(i))
 
     def test_zero_target_vendor_always_accepts(self):
         c = controller()
         c.refresh_targets(GOLDEN)
         for i in range(2000):
-            assert c.decide(f"c{i}", 62, now=float(i)).accepted
+            assert c.decide(f"c{i}", 62, now=float(i))
 
     def test_unknown_vendor_is_config_error(self):
         c = controller()
@@ -58,9 +51,9 @@ class TestDecide:
             first = c.decide(call_id, 62, now=float(i))
             c.refresh_targets(forced)
             second = c.decide(call_id, 62, now=float(i))
-            if not first.accepted:
+            if not first:
                 rejected_ids.add(call_id)
-            if not second.accepted:
+            if not second:
                 if call_id in rejected_ids:
                     double += 1
                 rejected_ids.add(call_id)
@@ -75,10 +68,10 @@ class TestDecide:
         for i in range(200):
             call_id = f"c{i}"
             first = c.decide(call_id, 55, now=float(i))
-            if not first.accepted:
+            if not first:
                 saw_reject = True
-                assert c.decide(call_id, 62, now=float(i)).accepted
-                assert c.decide(call_id, 55, now=float(i)).accepted
+                assert c.decide(call_id, 62, now=float(i))
+                assert c.decide(call_id, 55, now=float(i))
         assert saw_reject
 
     def test_ledger_entry_expires_after_ttl(self):
@@ -89,12 +82,12 @@ class TestDecide:
         # hammer until the draw rejects once
         t = 0.0
         call_id = "sticky"
-        while c.decide(call_id, 62, now=t).accepted:
+        while c.decide(call_id, 62, now=t):
             t += 1.0
         # within TTL the retry passes, after TTL it may be rejected again
-        assert c.decide(call_id, 62, now=t + SEEN_TTL_S - 1.0).accepted
+        assert c.decide(call_id, 62, now=t + SEEN_TTL_S - 1.0)
         later = t + SEEN_TTL_S + 1.0
-        outcomes = {c.decide(call_id, 62, now=later + i).accepted for i in range(200)}
+        outcomes = {c.decide(call_id, 62, now=later + i) for i in range(200)}
         assert False in outcomes
 
     def test_ledger_matches_reference_across_expiries(self):
@@ -136,7 +129,7 @@ class TestDecide:
             call_id = f"c{draw.randrange(4000)}"
             attempts = 2 if draw.random() < 0.3 else 1  # sometimes an immediate retry
             for _ in range(attempts):
-                accepted = c.decide(call_id, 62, now=now).accepted
+                accepted = c.decide(call_id, 62, now=now)
                 assert accepted == ref_decide(call_id, now), (step, call_id)
                 if not accepted:
                     live_expiries.append(now + SEEN_TTL_S)
@@ -153,8 +146,7 @@ class TestDecide:
         n = 100_000
         rejected = 0
         for i in range(n):
-            decision = c.decide(f"c{i}", 55, now=float(i))
-            if not decision.accepted:
+            if not c.decide(f"c{i}", 55, now=float(i)):
                 rejected += 1
         rate = 100.0 * rejected / n
         assert rate == pytest.approx(12.77, abs=0.3)
@@ -164,7 +156,8 @@ class TestCounters:
     def test_accepts_and_rejects_counted_separately(self):
         c = controller(seed=4)
         c.refresh_targets(compute_rejection(QualityInput((5.0, 5.0), (9, 8), 0.1)))
-        outcomes = [c.decide(f"c{i}", 55, now=float(i)).accepted for i in range(40)]
+        outcomes = [c.decide(f"c{i}", 55, now=float(i)) for i in range(40)]
+        assert {type(outcome) for outcome in outcomes} == {bool}
         received, rejected = c.counters
         assert 0 < outcomes.count(False) < 40
         assert received == {55: outcomes.count(True), 62: 0}
@@ -177,7 +170,7 @@ class TestCounters:
 
     def test_snapshot_resets(self):
         c = controller()
-        assert c.decide("c1", 62, now=0.0).accepted
+        assert c.decide("c1", 62, now=0.0)
         snap = c.snapshot_and_reset_counters()
         assert snap == ({55: 0, 62: 1}, {55: 0, 62: 0})
         received, rejected = c.counters
@@ -190,8 +183,7 @@ class TestCounters:
         log = []
         for i in range(10_000):
             vendor = rng.choice((55, 62))
-            decision = c.decide(f"c{i}", vendor, now=float(i))
-            log.append((vendor, decision.accepted))
+            log.append((vendor, c.decide(f"c{i}", vendor, now=float(i))))
         received, rejected = c.counters
         # independent recount of the log
         for vendor in (55, 62):
@@ -221,7 +213,7 @@ class TestDeterminism:
         def run(seed):
             c = controller(seed=seed)
             c.refresh_targets(GOLDEN)
-            return [c.decide(f"c{i}", 55, now=float(i)).accepted for i in range(2000)]
+            return [c.decide(f"c{i}", 55, now=float(i)) for i in range(2000)]
 
         assert run(5) == run(5)
         assert run(5) != run(6)

@@ -554,9 +554,13 @@ class TestMalformedInput:
         config.update(start_time="9999-12-31 23:00:00", duration_min=120)
         late = tmp_path / "late.json"
         late.write_text(json.dumps(config), encoding="utf-8")
-        assert main(["simulate", "--scenario", str(late),
-                     "--out", str(tmp_path / "out")]) == 2
-        assert_one_line_error(capsys)
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(late), "--out", str(out)]) == 2
+        # refused when the scenario is read: the message names the file, and
+        # not one row of the run is written
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {late}: ") and err.count("\n") == 1, err
+        assert not (out / "cdrs.csv").exists()
 
     @pytest.mark.parametrize("rows, flags", [
         ("year-9999", []),

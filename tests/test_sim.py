@@ -11,7 +11,7 @@ import pytest
 from acdroute.admission import REJECTION_CODE, AdmissionController
 from acdroute.aggregate import IntervalAggregator
 from acdroute.codec import decode, encode
-from acdroute.domain import classify_response, triggers_failover
+from acdroute.domain import DisconnectCause, classify_response, triggers_failover
 from acdroute.sim import (
     DurationSpec,
     ScenarioConfig,
@@ -140,13 +140,23 @@ class TestRoutingMatchesBillingRoute:
     # at the other route; the pure false-answer route answers every call
     ALL_SHAPES = {(2,), (4, 2), (4, 4), (5, 2), (5, 4)}
 
-    @pytest.mark.parametrize("name, shapes", [
-        pytest.param("honest_vs_fas", ALL_SHAPES, id="honest_vs_fas"),
-        pytest.param("preferred_honest", ALL_SHAPES, id="preferred_honest"),
-        pytest.param("pure_fas_control", {(2,)}, id="pure_fas_control"),
+    @pytest.mark.parametrize("name, failure_codes, shapes", [
+        pytest.param("honest_vs_fas", {}, ALL_SHAPES, id="honest_vs_fas"),
+        pytest.param("preferred_honest", {}, ALL_SHAPES, id="preferred_honest"),
+        # the preferred honest vendor fails with the clone's refusal code, so
+        # a refusal and a failure send billing the same code and only the
+        # rejected flag tells them apart (with admission off every 503 is a
+        # failure, with it on some are refusals)
+        pytest.param("preferred_honest", {55: REJECTION_CODE}, {(2,), (5, 2), (5, 4)},
+                     id="preferred_honest-fails-503"),
+        pytest.param("pure_fas_control", {}, {(2,)}, id="pure_fas_control"),
     ])
-    def test_each_attempt_is_billing_routes_choice(self, name, shapes):
+    def test_each_attempt_is_billing_routes_choice(self, name, failure_codes, shapes):
         base = ScenarioConfig.load(SCENARIOS / f"{name}.json")
+        base = replace(base, vendors=tuple(
+            replace(spec, model=replace(spec.model, failure_code=failure_codes[spec.vendor]))
+            if spec.vendor in failure_codes else spec
+            for spec in base.vendors))
         prefs = {spec.vendor: spec.pref for spec in base.vendors}
         models = {spec.vendor: spec.model for spec in base.vendors}
         seen = set()
@@ -155,12 +165,15 @@ class TestRoutingMatchesBillingRoute:
                 result = run_scenario(replace(base, seed=seed, admission_enabled=admission))
                 calls = defaultdict(list)
                 for record in result.cdrs:
+                    # the three outcomes of an attempt: refused, answered, failed
                     if record.rejected_by_router:
-                        code = REJECTION_CODE
+                        code, cause = REJECTION_CODE, DisconnectCause.OTHER
                     elif record.duration_s > 0:
-                        code = 200
+                        code, cause = 200, DisconnectCause.NORMAL_CLEARING
                     else:
                         code = models[record.vendor].failure_code
+                        cause = DisconnectCause.NO_USER_RESPONDING
+                    assert record.cause is cause, record
                     calls[record.call_id].append((record.vendor, code))
                 assert len(calls) == result.total_calls
                 for call_id, history in calls.items():
@@ -288,6 +301,12 @@ class TestScenarioConfig:
                 vendors=(VendorSpec(71, 9, FAS), VendorSpec(72, 9, HONEST)),
             )
 
+    def test_duration_past_year_9999_rejected(self):
+        # the duration's timedelta itself overflows (test_cli covers a start
+        # late in 9999); run, this would draw arrivals until memory ran out
+        with pytest.raises(ValueError, match="after the year 9999"):
+            replace(fas_preferred_config(), duration_min=1e300)
+
 
 class TestClosedLoop:
     def test_fraud_route_gets_squeezed_to_its_floor_share(self):
@@ -400,9 +419,8 @@ class TestTraceInvariants:
                    and refreshes[next_refresh][0] <= t_s):
                 fresh.refresh_targets(refreshes[next_refresh][1])
                 next_refresh += 1
-            decision = fresh.decide(record.call_id, record.vendor, now=t_s)
-            assert decision.accepted == (not record.rejected_by_router)
-            assert decision.code == (REJECTION_CODE if record.rejected_by_router else None)
+            accepted = fresh.decide(record.call_id, record.vendor, now=t_s)
+            assert accepted == (not record.rejected_by_router)
 
     def test_same_seed_identical_runs(self):
         a, a_attempts = run_collecting(fas_preferred_config(duration=90.0))
