@@ -20,9 +20,7 @@ from .codec import decode, encode
 from .domain import (
     CallRecord,
     DisconnectCause,
-    ResponseClass,
     RouteGroup,
-    classify_response,
     triggers_failover,
 )
 from .rejection import (
@@ -57,7 +55,6 @@ __all__ = [
     "QualityInput",
     "REJECTION_CODE",
     "RejectionResult",
-    "ResponseClass",
     "RouteGroup",
     "ScenarioConfig",
     "ScenarioResult",
@@ -66,7 +63,6 @@ __all__ = [
     "VendorSpec",
     "acd_csv_text",
     "billing_route",
-    "classify_response",
     "compute_rejection",
     "decode",
     "encode",

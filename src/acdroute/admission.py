@@ -1,8 +1,8 @@
 """Per-call admission decisions at the clone interfaces.
 
 Each vendor is impersonated by a clone interface; billing still routes by
-static preference, but the clone may refuse the call with a failover-class
-code so billing retries on the other route. ``AdmissionController.decide``
+static preference, but the clone may refuse the call with a 4xx-6xx code
+so billing retries on the other route. ``AdmissionController.decide``
 answers yes (pass) or no (refuse), and a refusal always carries
 ``REJECTION_CODE``. A call is only ever refused once: its retry must go
 through, otherwise the caller would lose the call entirely.
@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .domain import RouteGroup
 from .rejection import RejectionResult
@@ -37,15 +37,15 @@ class AdmissionController:
     from concurrent call-handling contexts; a decision never observes a torn
     target pair, and is counted under the same lock that made it, so an
     interval snapshot never splits a decision from its count. Targets start
-    absent (cold start) and every call is accepted until the first interval
-    closes.
+    at 0 (cold start), so every call is accepted, without a draw from the
+    rng, until the first interval closes.
     """
 
     def __init__(self, group: RouteGroup, seed: int = 0):
         self.vendors = group.vendors
         self._lock = threading.Lock()
         self._rng = random.Random(seed)
-        self._targets: Dict[int, Optional[float]] = {v: None for v in self.vendors}
+        self._targets: Dict[int, float] = {v: 0.0 for v in self.vendors}
         self._seen: "OrderedDict[str, float]" = OrderedDict()
         self._received: Dict[int, int] = {v: 0 for v in self.vendors}
         self._rejected: Dict[int, int] = {v: 0 for v in self.vendors}
@@ -64,7 +64,7 @@ class AdmissionController:
             seen = self._seen
             target = self._targets[vendor]
             # a call live in the ledger (expiry > now) was rejected once: its retry must pass
-            if (seen.get(call_id, now) <= now and target is not None and target > 0.0
+            if (seen.get(call_id, now) <= now and target > 0.0
                     and self._rng.random() < target / 100.0):
                 while seen and next(iter(seen.values())) <= now:
                     seen.popitem(last=False)
@@ -87,7 +87,7 @@ class AdmissionController:
             }
 
     @property
-    def targets(self) -> Dict[int, Optional[float]]:
+    def targets(self) -> Dict[int, float]:
         with self._lock:
             return dict(self._targets)
 

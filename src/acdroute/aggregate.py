@@ -26,6 +26,7 @@ from .rejection import QualityInput, RejectionResult, compute_rejection
 TICK_PERIOD_S = 600
 MIN_INTERVAL_AGE_S = 1200
 MIN_INTERVAL_CALLS = 20
+_MAX_PERIOD_S = timedelta.max // timedelta(seconds=1)
 
 # received/rejected counter maps, keyed by vendor id
 CounterSnapshot = Tuple[Dict[int, int], Dict[int, int]]
@@ -33,12 +34,17 @@ CounterSnapshot = Tuple[Dict[int, int], Dict[int, int]]
 
 def validate_schedule(tick_period_s: int, min_age_s: int, min_calls: int) -> None:
     """The interval schedule rule: a positive tick period and minimum age,
-    and at least one ended call per interval."""
+    neither longer than a timedelta holds, and at least one ended call per
+    interval."""
     if tick_period_s <= 0 or min_age_s <= 0 or min_calls < 1:
         raise ValueError(
             "interval schedule needs tick period > 0, minimum age > 0 and "
             f"minimum calls >= 1, got {tick_period_s} s, {min_age_s} s, {min_calls}"
         )
+    for name, seconds in (("tick period", tick_period_s), ("minimum age", min_age_s)):
+        if seconds > _MAX_PERIOD_S:
+            raise ValueError(f"interval schedule needs a {name} of at most {_MAX_PERIOD_S} s "
+                             f"({timedelta.max.days} days), the longest a timedelta holds")
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .aggregate import (
     validate_schedule,
 )
 from .codec import encode, json_text, load_json
-from .domain import RouteGroup, validate_prefs_and_floor, whole_seconds
+from .domain import DEFAULT_LOAD_MIN, RouteGroup, validate_prefs_and_floor, whole_seconds
 from .rejection import QualityInput, compute_rejection
 from .report import TABLE_FORMATS, render_calc_breakdown, render_interval_table
 from .sim import ScenarioConfig, ScenarioResult, run_scenario
@@ -97,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="per-route ACD in minutes, e.g. 8.67,0.6")
     p_compute.add_argument("--pref", type=_int_pair, required=True, metavar="P,Q",
                            help="per-route billing preference (1-9), e.g. 9,8")
-    p_compute.add_argument("--load-min", type=float, default=0.1,
-                           help="minimum load share of the weaker route (default 0.1)")
+    p_compute.add_argument("--load-min", type=float, default=DEFAULT_LOAD_MIN,
+                           help="minimum load share of the weaker route (default %(default)s)")
     p_compute.add_argument("--out", type=Path, default=None,
                            help="directory for calc.txt and calc.html (optional)")
     p_compute.set_defaults(func=cmd_compute)
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_agg.add_argument("--vendors", type=_int_pair, default=None, metavar="V,W",
                        help="vendor ids matching --prefs order "
                        "(default: the file's two vendor ids, ascending)")
-    p_agg.add_argument("--load-min", type=float, default=0.1)
+    p_agg.add_argument("--load-min", type=float, default=DEFAULT_LOAD_MIN)
     p_agg.add_argument("--tick-min", type=float, default=TICK_PERIOD_S / 60,
                        help="tick period in minutes (default 10)")
     p_agg.add_argument("--min-age-min", type=float, default=MIN_INTERVAL_AGE_S / 60,
@@ -182,13 +182,11 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         _write_files(args.out, _history_files([], args.prefix))
         print("0 closed intervals from 0 records")
         return 0
-    history = replay_cdrs(
-        records,
-        group,
-        tick_period_s=tick_period_s,
-        min_age_s=min_age_s,
-        min_calls=args.min_calls,
-    )
+    try:
+        history = replay_cdrs(records, group, tick_period_s=tick_period_s,
+                              min_age_s=min_age_s, min_calls=args.min_calls)
+    except OverflowError:  # datetime arithmetic on a tick past the last datetime
+        raise ValueError(f"{args.cdr}: the tick schedule runs past the year 9999") from None
     _write_files(args.out, _history_files(history, args.prefix))
     print(f"{len(history)} closed interval(s) from {len(records)} records")
     for interval in history:

@@ -1,4 +1,5 @@
-"""Shared vocabulary: vendors, route groups, signaling response classes, call records, time."""
+"""Shared vocabulary: vendors, route groups, the failover rule on signaling
+status codes, call records, time."""
 
 from __future__ import annotations
 
@@ -52,44 +53,19 @@ def parse_ts(text: str) -> datetime:
     return datetime.fromisoformat(text)
 
 
-class ResponseClass(Enum):
-    """Signaling response family, keyed by the hundreds digit of the status code."""
+def triggers_failover(code: int) -> bool:
+    """Whether a final response with this 3-digit signaling status code makes
+    billing try the next route.
 
-    PROVISIONAL = 1
-    SUCCESS = 2
-    REDIRECT = 3
-    CLIENT_ERROR = 4
-    SERVER_ERROR = 5
-    GLOBAL_FAILURE = 6
-
-
-# indexed by the hundreds digit; the members above are declared in digit order
-_CLASS_BY_DIGIT = (None, *ResponseClass)
-
-# a tuple, not a frozenset: membership then compares by identity first,
-# where a set would call the members' Python-level ``Enum.__hash__``
-_FAILOVER_CLASSES = (
-    ResponseClass.CLIENT_ERROR, ResponseClass.SERVER_ERROR, ResponseClass.GLOBAL_FAILURE
-)
-
-
-def classify_response(code: int) -> ResponseClass:
-    """Map a 3-digit signaling status code to its response class."""
+    Only a 4xx, 5xx or 6xx failure does. A success never does, which is
+    exactly the loophole a false-answer vendor exploits: signal "answered"
+    immediately and no backup route is ever attempted.
+    """
     if not isinstance(code, int) or isinstance(code, bool):
         raise ValueError(f"response code must be an integer, got {code!r}")
     if not 100 <= code <= 699:
         raise ValueError(f"response code out of range 100-699: {code}")
-    return _CLASS_BY_DIGIT[code // 100]
-
-
-def triggers_failover(response_class: ResponseClass) -> bool:
-    """Whether a final response of this class makes billing try the next route.
-
-    Only the 4xx/5xx/6xx families do. A success never does, which is exactly
-    the loophole a false-answer vendor exploits: signal "answered" immediately
-    and no backup route is ever attempted.
-    """
-    return response_class in _FAILOVER_CLASSES
+    return code >= 400
 
 
 class DisconnectCause(Enum):

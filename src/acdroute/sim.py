@@ -54,7 +54,6 @@ from .domain import (
     CallRecord,
     DisconnectCause,
     RouteGroup,
-    classify_response,
     triggers_failover,
     whole_seconds,
 )
@@ -120,11 +119,11 @@ class VendorModel:
     """Behavior of one simulated vendor.
 
     An honest vendor answers a fraction of calls (its ASR) and signals real
-    failures with a failover-class code. A false-answer vendor signals success
-    on essentially every call and plays a fake greeting, so the deceived
-    caller hangs up within seconds; its duration spec models that hold time.
-    Non-answers of a false-answer vendor surface as proxy-side timeouts, never
-    as a failure signal of its own.
+    failures with a 4xx-6xx code, which fails over. A false-answer vendor
+    signals success on essentially every call and plays a fake greeting, so
+    the deceived caller hangs up within seconds; its duration spec models
+    that hold time. Non-answers of a false-answer vendor surface as
+    proxy-side timeouts, never as a failure signal of its own.
     """
 
     kind: str
@@ -141,7 +140,7 @@ class VendorModel:
             raise ValueError("an honest vendor answers strictly less than everything")
         if self.kind == FALSE_ANSWER and self.answer_prob <= 0.9:
             raise ValueError("a false-answer vendor answers (almost) everything")
-        if not triggers_failover(classify_response(self.failure_code)):
+        if not triggers_failover(self.failure_code):
             raise ValueError(f"failure code {self.failure_code} would not trigger failover")
 
     @staticmethod
@@ -243,7 +242,7 @@ def billing_route(
     Returns the next vendor to try, or None when routing is finished: either
     the call connected, or every route failed and the call is abandoned.
     """
-    if attempt_history and not triggers_failover(classify_response(attempt_history[-1][1])):
+    if attempt_history and not triggers_failover(attempt_history[-1][1]):
         return None
     tried = {vendor for vendor, _ in attempt_history}
     return next((vendor for vendor in billing_order(prefs) if vendor not in tried), None)

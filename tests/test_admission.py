@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from acdroute.admission import REJECTION_CODE, SEEN_TTL_S, AdmissionController
-from acdroute.domain import RouteGroup, classify_response, triggers_failover
+from acdroute.domain import RouteGroup, triggers_failover
 from acdroute.rejection import QualityInput, compute_rejection
 
 GOLDEN = compute_rejection(QualityInput((8.67, 0.6), (9, 8), 0.1))  # 12.77 on 55
@@ -19,13 +19,19 @@ def controller(seed=0):
 class TestDecide:
     def test_refusal_code_triggers_failover(self):
         # a refused attempt is answered with REJECTION_CODE: billing must retry
-        assert triggers_failover(classify_response(REJECTION_CODE))
+        assert triggers_failover(REJECTION_CODE)
 
     def test_cold_start_accepts_everything(self):
+        # no evidence yet is a 0% target, the same as a refreshed one: every
+        # call passes without drawing from the rng, so the refusal stream of
+        # a run does not depend on how many calls came before the first close
         c = controller()
+        assert c.targets == {55: 0.0, 62: 0.0}
+        state = c._rng.getstate()
         for i in range(500):
             assert c.decide(f"c{i}", 55, now=float(i))
             assert c.decide(f"c{i}", 62, now=float(i))
+        assert c._rng.getstate() == state
 
     def test_zero_target_vendor_always_accepts(self):
         c = controller()

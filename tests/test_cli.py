@@ -440,6 +440,8 @@ class TestMalformedInput:
         ("min_interval_min", 20.0001),
         ("min_interval_min", -10.0),      # the interval schedule rule
         ("min_calls", 0),
+        ("tick_period_min", 1e300),       # longer than a timedelta holds
+        ("min_interval_min", 1e300),
     ])
     def test_bad_scenario_field(self, tmp_path, capsys, field, value):
         config = json.loads((SCENARIOS / "honest_vs_fas.json").read_text())
@@ -448,7 +450,10 @@ class TestMalformedInput:
         bad.write_text(json.dumps(config), encoding="utf-8")
         assert main(["simulate", "--scenario", str(bad),
                      "--out", str(tmp_path / "out")]) == 2
-        assert_one_line_error(capsys)
+        # refused when the scenario is read, before a row is written
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
 
     def test_misspelt_vendor_model_key(self, tmp_path, capsys):
         config = json.loads((SCENARIOS / "honest_vs_fas.json").read_text())
@@ -513,8 +518,11 @@ class TestMalformedInput:
         ("records", ["--min-calls", "-3"]),
         ("header-only", ["--tick-min", "0"]),
         ("header-only", ["--min-calls", "0"]),
+        # whole numbers of seconds, but longer than a timedelta holds
+        ("records", ["--tick-min", "1e300"]),
+        ("records", ["--min-age-min", "1e300"]),
     ], ids=["negative-age", "zero-age", "zero-calls", "negative-calls",
-            "header-only-zero-tick", "header-only-zero-calls"])
+            "header-only-zero-tick", "header-only-zero-calls", "huge-tick", "huge-age"])
     def test_bad_schedule_flags_on_aggregate(self, tmp_path, capsys, rows, flags):
         cdr_csv = tmp_path / "cdrs.csv"
         if rows == "records":
@@ -523,7 +531,8 @@ class TestMalformedInput:
             write_cdr_csv(cdr_csv, [])
         assert main(["aggregate", "--cdr", str(cdr_csv), "--prefs", "9,8", *flags,
                      "--out", str(tmp_path / "out")]) == 2
-        assert_one_line_error(capsys)
+        err = capsys.readouterr().err
+        assert err.startswith("error: interval schedule needs ") and err.count("\n") == 1, err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("family, params", [
@@ -564,8 +573,9 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("rows, flags", [
         ("year-9999", []),
-        ("records", ["--tick-min", "1e300"]),
-    ], ids=["cdrs-end-in-year-9999", "huge-tick"])
+        ("records", ["--tick-min", "1e10"]),
+        ("records", ["--min-age-min", "1e10"]),
+    ], ids=["cdrs-end-in-year-9999", "huge-tick", "huge-age"])
     def test_unrepresentable_time_on_aggregate(self, tmp_path, capsys, rows, flags):
         cdr_csv = tmp_path / "cdrs.csv"
         if rows == "records":
@@ -573,9 +583,26 @@ class TestMalformedInput:
         else:
             end = datetime(9999, 12, 31, 23, 50, 10)
             write_cdr_csv(cdr_csv, [make_cdr("a", 55, end, 10), make_cdr("b", 62, end, 20)])
+        out = tmp_path / "out"
         assert main(["aggregate", "--cdr", str(cdr_csv), "--prefs", "9,8", *flags,
-                     "--out", str(tmp_path / "out")]) == 2
-        assert_one_line_error(capsys)
+                     "--out", str(out)]) == 2
+        # each period fits a timedelta, but a tick of the schedule would fall
+        # after the last datetime: the message names the file and says so
+        err = capsys.readouterr().err
+        assert err == f"error: {cdr_csv}: the tick schedule runs past the year 9999\n", err
+        assert not out.exists()
+
+    def test_schedule_ending_in_year_9999_on_aggregate(self, tmp_path, capsys):
+        # one call a minute from 22:00 on the last day: every tick the replay
+        # needs falls before the year 10000, so the log replays as usual
+        start = datetime(9999, 12, 31, 22, 0, 0)
+        cdr_csv = tmp_path / "cdrs.csv"
+        write_cdr_csv(cdr_csv, [make_cdr(f"c{i}", (62, 55)[i % 2],
+                                         start + timedelta(seconds=60 * i + 30), 30)
+                                for i in range(60)])
+        assert main(["aggregate", "--cdr", str(cdr_csv), "--prefs", "9,8",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert "3 closed interval(s) from 60 records" in capsys.readouterr().out
 
     def test_field_over_the_csv_size_limit(self, tmp_path, capsys):
         cdr_csv = tmp_path / "cdrs.csv"

@@ -10,9 +10,7 @@ from acdroute.domain import (
     TS_FORMAT,
     CallRecord,
     DisconnectCause,
-    ResponseClass,
     RouteGroup,
-    classify_response,
     format_ts,
     parse_ts,
     triggers_failover,
@@ -22,48 +20,29 @@ from acdroute.domain import (
 )
 
 
-def test_classify_known_codes():
-    assert classify_response(180) is ResponseClass.PROVISIONAL
-    assert classify_response(200) is ResponseClass.SUCCESS
-    assert classify_response(301) is ResponseClass.REDIRECT
-    assert classify_response(486) is ResponseClass.CLIENT_ERROR
-    assert classify_response(503) is ResponseClass.SERVER_ERROR
-    assert classify_response(600) is ResponseClass.GLOBAL_FAILURE
-
-
 @pytest.mark.parametrize("code", [99, 700, 0, -180, 1000])
 def test_classify_rejects_out_of_range(code):
-    with pytest.raises(ValueError):
-        classify_response(code)
+    with pytest.raises(ValueError, match="out of range 100-699"):
+        triggers_failover(code)
 
 
 def test_classify_rejects_non_integers():
-    with pytest.raises(ValueError):
-        classify_response(200.5)
-    with pytest.raises(ValueError):
-        classify_response("200")
-    with pytest.raises(ValueError):
-        classify_response(True)
-
-
-def test_classify_constant_on_each_hundred_block():
-    # total on [100, 699], same class across each block
-    for code in range(100, 700):
-        assert classify_response(code) is ResponseClass(code // 100)
+    for code in (200.5, "200", True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            triggers_failover(code)
 
 
 def test_failover_iff_code_at_least_400():
+    # total on [100, 699]: every code there is classified, none refused
     for code in range(100, 700):
-        assert triggers_failover(classify_response(code)) == (code >= 400)
+        assert triggers_failover(code) is (code >= 400)
 
 
 def test_failover_mapping():
-    assert triggers_failover(ResponseClass.SERVER_ERROR)
-    assert triggers_failover(ResponseClass.CLIENT_ERROR)
-    assert triggers_failover(ResponseClass.GLOBAL_FAILURE)
-    assert not triggers_failover(ResponseClass.SUCCESS)
-    assert not triggers_failover(ResponseClass.PROVISIONAL)
-    assert not triggers_failover(ResponseClass.REDIRECT)
+    # one code of each hundred block: provisional, success and redirect
+    # never fail over; client, server and global failures do
+    assert [triggers_failover(code) for code in (180, 200, 301, 486, 503, 600)] == [
+        False, False, False, True, True, True]
 
 
 def test_preference_bounds():

@@ -11,7 +11,7 @@ import pytest
 from acdroute.admission import REJECTION_CODE, AdmissionController
 from acdroute.aggregate import IntervalAggregator
 from acdroute.codec import decode, encode
-from acdroute.domain import DisconnectCause, classify_response, triggers_failover
+from acdroute.domain import DisconnectCause, triggers_failover
 from acdroute.sim import (
     DurationSpec,
     ScenarioConfig,
@@ -99,7 +99,7 @@ class TestBillingRoute:
             ]
             expected = reference_billing_route(prefs, history)
             assert billing_route(prefs, history) == expected, (prefs, history)
-            if history and not triggers_failover(classify_response(history[-1][1])):
+            if history and not triggers_failover(history[-1][1]):
                 seen["routing ended"] += 1
             elif expected is None:
                 seen["all tried"] += 1
@@ -118,7 +118,7 @@ def reference_billing_route(prefs, attempt_history):
     with the highest preference, unless the last response ended routing."""
     if attempt_history:
         last_code = attempt_history[-1][1]
-        if not triggers_failover(classify_response(last_code)):
+        if not triggers_failover(last_code):
             return None
     tried = {vendor for vendor, _ in attempt_history}
     remaining = [vendor for vendor in prefs if vendor not in tried]
@@ -135,7 +135,7 @@ class TestRoutingMatchesBillingRoute:
     attempts must be exactly the ones ``billing_route`` picks, one at a time,
     from the responses the call got."""
 
-    # the response classes of a call's attempts, in order: answered at once;
+    # the hundreds digits of a call's response codes, in order: answered at once;
     # rejected (503) or unanswered (4xx) and then answered or unanswered
     # at the other route; the pure false-answer route answers every call
     ALL_SHAPES = {(2,), (4, 2), (4, 4), (5, 2), (5, 4)}
