@@ -16,6 +16,7 @@ from acdroute import (
     DisconnectCause,
     IntervalAggregator,
     RouteGroup,
+    Schedule,
     acd_csv_text,
     render_interval_table,
 )
@@ -23,7 +24,11 @@ from acdroute import (
 rng = random.Random(2)
 start = datetime(2020, 3, 2, 9, 0, 0)
 
-agg = IntervalAggregator(RouteGroup(vendors=(55, 62), prefs=(9, 8)), opened_at=start)
+# the paper's schedule, which is also the default: a tick every 10 minutes, an
+# interval closes once it is 20 minutes old with at least 20 ended calls
+schedule = Schedule(tick_period_s=600, min_age_s=1200, min_calls=20)
+agg = IntervalAggregator(RouteGroup(vendors=(55, 62), prefs=(9, 8)), opened_at=start,
+                         schedule=schedule)
 
 # Vendor 55 answers ~70% of its calls with long conversations; vendor 62
 # answers everything but holds callers for seconds only. Each CDR goes to the
@@ -57,7 +62,7 @@ print(f"{i} CDRs over 3 hours")
 # interval: quiet stretches leave it open, so closes land on 20-, 30- or
 # 40-minute boundaries.
 for k in range(1, 22):
-    now = start + timedelta(minutes=10 * k)
+    now = start + timedelta(seconds=schedule.tick_period_s * k)
     closed = agg.tick(now)
     if closed is None:
         print(f"{now:%H:%M}  open (not old or busy enough yet)")

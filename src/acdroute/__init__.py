@@ -12,6 +12,7 @@ from .admission import REJECTION_CODE, AdmissionController
 from .aggregate import (
     ClosedInterval,
     IntervalAggregator,
+    Schedule,
     VendorIntervalStats,
     replay_cdrs,
     vendor_stats,
@@ -58,6 +59,7 @@ __all__ = [
     "RouteGroup",
     "ScenarioConfig",
     "ScenarioResult",
+    "Schedule",
     "VendorIntervalStats",
     "VendorModel",
     "VendorSpec",

@@ -2,7 +2,8 @@
 
 CDRs are fed to the aggregator as they end and counted, by vendor and duration
 bucket, toward the first tick after they ended, which adds the counts into the
-open interval's: the aggregator keeps no CDR. An interval only closes on a
+open interval's: the aggregator keeps no CDR. A ``Schedule`` holds the tick
+period and the two minima, validated once. An interval only closes on a
 tick, once it is old enough *and* has seen enough ended calls; otherwise it
 stays open and is re-examined on the next tick, so closed intervals span a
 whole number of tick periods. Closing an interval computes both vendors'
@@ -20,31 +21,47 @@ from datetime import datetime, timedelta
 from operator import add
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .domain import CallRecord, RouteGroup
+from .domain import CallRecord, RouteGroup, whole_seconds
 from .rejection import QualityInput, RejectionResult, compute_rejection
 
-TICK_PERIOD_S = 600
-MIN_INTERVAL_AGE_S = 1200
-MIN_INTERVAL_CALLS = 20
 _MAX_PERIOD_S = timedelta.max // timedelta(seconds=1)
 
 # received/rejected counter maps, keyed by vendor id
 CounterSnapshot = Tuple[Dict[int, int], Dict[int, int]]
 
 
-def validate_schedule(tick_period_s: int, min_age_s: int, min_calls: int) -> None:
-    """The interval schedule rule: a positive tick period and minimum age,
-    neither longer than a timedelta holds, and at least one ended call per
-    interval."""
-    if tick_period_s <= 0 or min_age_s <= 0 or min_calls < 1:
-        raise ValueError(
-            "interval schedule needs tick period > 0, minimum age > 0 and "
-            f"minimum calls >= 1, got {tick_period_s} s, {min_age_s} s, {min_calls}"
-        )
-    for name, seconds in (("tick period", tick_period_s), ("minimum age", min_age_s)):
-        if seconds > _MAX_PERIOD_S:
-            raise ValueError(f"interval schedule needs a {name} of at most {_MAX_PERIOD_S} s "
-                             f"({timedelta.max.days} days), the longest a timedelta holds")
+@dataclass(frozen=True)
+class Schedule:
+    """The interval schedule: a tick every ``tick_period_s``, and an interval
+    closes on a tick once it is at least ``min_age_s`` old and has at least
+    ``min_calls`` ended calls.
+
+    Validated once: a positive tick period and minimum age, neither longer
+    than a timedelta holds, and at least one ended call per interval. The
+    grid's anchor is not part of it: each run or replay sets its own.
+    """
+
+    tick_period_s: int = 600
+    min_age_s: int = 1200
+    min_calls: int = 20
+
+    def __post_init__(self) -> None:
+        if self.tick_period_s <= 0 or self.min_age_s <= 0 or self.min_calls < 1:
+            raise ValueError(
+                "interval schedule needs tick period > 0, minimum age > 0 and minimum calls "
+                f">= 1, got {self.tick_period_s} s, {self.min_age_s} s, {self.min_calls}"
+            )
+        for name, seconds in (("tick period", self.tick_period_s),
+                              ("minimum age", self.min_age_s)):
+            if seconds > _MAX_PERIOD_S:
+                raise ValueError(f"interval schedule needs a {name} of at most {_MAX_PERIOD_S} s "
+                                 f"({timedelta.max.days} days), the longest a timedelta holds")
+
+    @classmethod
+    def from_minutes(cls, tick_min: float, min_age_min: float, min_calls: int) -> "Schedule":
+        """The schedule as scenario files and ``aggregate``'s flags give it,
+        its two periods in minutes, each a whole number of seconds."""
+        return cls(whole_seconds(tick_min), whole_seconds(min_age_min), min_calls)
 
 
 @dataclass(frozen=True)
@@ -128,7 +145,8 @@ class IntervalAggregator:
     """Owns the open interval and turns scheduler ticks into closed intervals.
 
     Single-writer: one aggregator instance per routing group, ticks serialized
-    with CDR ingestion by the caller, never going back in time. A CDR counts
+    with CDR ingestion by the caller, never going back in time. Ticks fall on
+    ``schedule``'s grid, anchored at the first ``opened_at``. A CDR counts
     in the interval open at the first tick after its disconnect time, unless
     it ended before that interval opened. It keeps no CDR, only per-vendor
     tallies: one per tick that has CDRs due, and the open interval's.
@@ -143,24 +161,19 @@ class IntervalAggregator:
         self,
         group: RouteGroup,
         opened_at: datetime,
-        tick_period_s: int = TICK_PERIOD_S,
-        min_age_s: int = MIN_INTERVAL_AGE_S,
-        min_calls: int = MIN_INTERVAL_CALLS,
+        schedule: Schedule = Schedule(),
         counter_source: Optional[Callable[[], CounterSnapshot]] = None,
     ):
-        validate_schedule(tick_period_s, min_age_s, min_calls)
         self.group = group
         self._vendors = group.vendors
-        self.tick_period_s = tick_period_s
-        self.min_age_s = min_age_s
-        self.min_calls = min_calls
+        self.schedule = schedule
         self.opened_at = opened_at
         self.history: List[ClosedInterval] = []
         self._counter_source = counter_source
         self._ticked_at = opened_at
         # tick n falls at anchor + n periods; opened_at stays on that grid
         self._anchor = opened_at
-        self._period = timedelta(seconds=tick_period_s)
+        self._period = timedelta(seconds=schedule.tick_period_s)
         self._due: Dict[int, Dict[int, Tally]] = {}  # tick number -> vendor -> tally
         self._due_ticks: List[int] = []  # a min-heap of _due's keys
         self._open = self._tallies()
@@ -189,20 +202,23 @@ class IntervalAggregator:
         """Take in the CDRs that ended before ``now``; close the interval if it is due.
 
         Returns the closed interval, or None when it stays open: it is younger
-        than ``min_age_s`` or has fewer than ``min_calls`` ended calls.
+        than the schedule's ``min_age_s`` or has fewer than its ``min_calls``
+        ended calls.
         """
+        schedule = self.schedule
         if now < self._ticked_at:
             raise ValueError(f"tick time {now} precedes the last tick at {self._ticked_at}")
         offset_s = (now - self.opened_at).total_seconds()
-        if offset_s % self.tick_period_s:
-            raise ValueError(f"tick at {now} is not aligned to the {self.tick_period_s}s schedule")
+        if offset_s % schedule.tick_period_s:
+            raise ValueError(
+                f"tick at {now} is not aligned to the {schedule.tick_period_s}s schedule")
         self._ticked_at = now
         tick_no = (now - self._anchor) // self._period
         while self._due_ticks and self._due_ticks[0] <= tick_no:
             due = self._due.pop(heapq.heappop(self._due_ticks))
             for v, tally in self._open.items():
                 tally[:] = map(add, tally, due[v])
-        if offset_s < self.min_age_s or self._ended() < self.min_calls:
+        if offset_s < schedule.min_age_s or self._ended() < schedule.min_calls:
             return None
         return self._close(now)
 
@@ -212,12 +228,13 @@ class IntervalAggregator:
         ended calls, it is the next to take in a CDR. A CDR added after the
         tick at ``now`` may be due at a tick already past; the tick after
         ``now`` takes it in."""
-        period = self._period
+        schedule, period = self.schedule, self._period
         after = now + period
-        if self._due_ticks and self._ended() < self.min_calls:
+        if self._due_ticks and self._ended() < schedule.min_calls:
             after = max(after, self._anchor + period * self._due_ticks[0])
         try:
-            return max(after, self.opened_at + period * -(-self.min_age_s // self.tick_period_s))
+            return max(after, self.opened_at
+                       + period * -(-schedule.min_age_s // schedule.tick_period_s))
         except OverflowError:  # it grows old enough only after year 9999
             return after
 
@@ -250,9 +267,7 @@ class IntervalAggregator:
 def replay_cdrs(
     records: Sequence[CallRecord],
     group: RouteGroup,
-    tick_period_s: int = TICK_PERIOD_S,
-    min_age_s: int = MIN_INTERVAL_AGE_S,
-    min_calls: int = MIN_INTERVAL_CALLS,
+    schedule: Schedule = Schedule(),
 ) -> List[ClosedInterval]:
     """Replay the tick schedule over a batch of historical CDRs.
 
@@ -267,20 +282,14 @@ def replay_cdrs(
     start = min(r.connect_time for r in ours)
     last_end = max(r.disconnect_time for r in ours)
 
-    agg = IntervalAggregator(
-        group,
-        opened_at=start,
-        tick_period_s=tick_period_s,
-        min_age_s=min_age_s,
-        min_calls=min_calls,
-    )
+    agg = IntervalAggregator(group, opened_at=start, schedule=schedule)
     for record in ours:
         agg.add_cdr(record)
     # once a tick falls this far past the last CDR, the open interval's call
     # count is frozen and the age condition has been evaluated at least once,
     # so any still-open interval can never close
-    horizon = last_end + timedelta(seconds=min_age_s + tick_period_s)
-    now = start + timedelta(seconds=tick_period_s)
+    horizon = last_end + timedelta(seconds=schedule.min_age_s + schedule.tick_period_s)
+    now = start + timedelta(seconds=schedule.tick_period_s)
     while now <= horizon:
         agg.tick(now)
         now = agg.next_tick(now)

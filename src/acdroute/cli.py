@@ -13,7 +13,8 @@ Every other file a command writes is rendered to text first and written by
 history (the acd_vendors file, ``interval_history.json`` and the interval
 tables) with its renderer; ``simulate`` and ``aggregate`` write them all,
 ``report`` the tables it is asked for, and ``simulate`` removes them and
-``SUMMARY_FILE`` before its run.
+``SUMMARY_FILE`` before its run. ``aggregate`` builds its ``Schedule`` from
+its minute flags, as a scenario does from its fields.
 """
 
 from __future__ import annotations
@@ -24,16 +25,9 @@ import sys
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .aggregate import (
-    MIN_INTERVAL_AGE_S,
-    MIN_INTERVAL_CALLS,
-    TICK_PERIOD_S,
-    ClosedInterval,
-    replay_cdrs,
-    validate_schedule,
-)
+from .aggregate import ClosedInterval, Schedule, replay_cdrs
 from .codec import encode, json_text, load_json
-from .domain import DEFAULT_LOAD_MIN, RouteGroup, validate_prefs_and_floor, whole_seconds
+from .domain import DEFAULT_LOAD_MIN, RouteGroup, validate_prefs_and_floor
 from .rejection import QualityInput, compute_rejection
 from .report import TABLE_FORMATS, render_calc_breakdown, render_interval_table
 from .sim import ScenarioConfig, ScenarioResult, run_scenario
@@ -113,12 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="vendor ids matching --prefs order "
                        "(default: the file's two vendor ids, ascending)")
     p_agg.add_argument("--load-min", type=float, default=DEFAULT_LOAD_MIN)
-    p_agg.add_argument("--tick-min", type=float, default=TICK_PERIOD_S / 60,
-                       help="tick period in minutes (default 10)")
-    p_agg.add_argument("--min-age-min", type=float, default=MIN_INTERVAL_AGE_S / 60,
-                       help="minimum interval age in minutes (default 20)")
-    p_agg.add_argument("--min-calls", type=int, default=MIN_INTERVAL_CALLS,
-                       help="minimum ended calls per interval (default 20)")
+    p_agg.add_argument("--tick-min", type=float, default=Schedule.tick_period_s / 60,
+                       help="tick period in minutes (default %(default)g)")
+    p_agg.add_argument("--min-age-min", type=float, default=Schedule.min_age_s / 60,
+                       help="minimum interval age in minutes (default %(default)g)")
+    p_agg.add_argument("--min-calls", type=int, default=Schedule.min_calls,
+                       help="minimum ended calls per interval (default %(default)s)")
     p_agg.add_argument("--prefix", default="", help="destination prefix for rows")
     p_agg.add_argument("--out", type=Path, required=True, help="output directory")
     p_agg.set_defaults(func=cmd_aggregate)
@@ -161,11 +155,10 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    tick_period_s = whole_seconds(args.tick_min)
-    min_age_s = whole_seconds(args.min_age_min)
-    validate_schedule(tick_period_s, min_age_s, args.min_calls)
+    # the flags are checked before the file is read, so a header-only file
+    # cannot hide a bad one
+    schedule = Schedule.from_minutes(args.tick_min, args.min_age_min, args.min_calls)
     validate_prefs_and_floor(args.prefs, args.load_min)
-    # checked before the file is read, so a header-only file cannot hide it
     group = None if args.vendors is None else RouteGroup(args.vendors, args.prefs, args.load_min)
     records, errors = read_cdr_csv(args.cdr)
     if errors:
@@ -183,8 +176,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         print("0 closed intervals from 0 records")
         return 0
     try:
-        history = replay_cdrs(records, group, tick_period_s=tick_period_s,
-                              min_age_s=min_age_s, min_calls=args.min_calls)
+        history = replay_cdrs(records, group, schedule)
     except OverflowError:  # datetime arithmetic on a tick past the last datetime
         raise ValueError(f"{args.cdr}: the tick schedule runs past the year 9999") from None
     _write_files(args.out, _history_files(history, args.prefix))
@@ -230,8 +222,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # reused --out leaves none of an earlier run's beside its own
     for name in (*HISTORY_FILES, SUMMARY_FILE):
         (args.out / name).unlink(missing_ok=True)
-    with attempt_log(args.out / "cdrs.csv", args.out / "decisions.csv") as on_cdr:
-        result = run_scenario(config, on_cdr=on_cdr)
+    try:
+        with attempt_log(args.out / "cdrs.csv", args.out / "decisions.csv") as on_cdr:
+            result = run_scenario(config, on_cdr=on_cdr)
+    except OverflowError:  # an answered leg's disconnect time past the last datetime
+        raise ValueError(f"{args.scenario}: a call leg ends past the year 9999") from None
     _write_files(args.out, {**_history_files(result.interval_history, config.dest_prefix),
                             SUMMARY_FILE: json_text(_summary(result))})
     targets = ", ".join(

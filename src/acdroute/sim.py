@@ -7,7 +7,8 @@ to the aggregator, and freshly closed intervals feed new targets back into
 admission. The event loop is one pass over the arrival times, drawn up front:
 each call first runs the aggregator ticks due by its time, and the calls of
 one second share one connect timestamp. Everything derives from one seed, so
-two runs of the same scenario are identical event for event.
+two runs of the same scenario are identical event for event. The aggregator
+ticks on the scenario's ``schedule``, anchored at its ``start_time``.
 
 Billing's order (``billing_order``) is computed once per run, and each call
 walks it once. An attempt has one of three outcomes: the clone interface
@@ -40,14 +41,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .admission import AdmissionController
-from .aggregate import (
-    MIN_INTERVAL_AGE_S,
-    MIN_INTERVAL_CALLS,
-    TICK_PERIOD_S,
-    ClosedInterval,
-    IntervalAggregator,
-    validate_schedule,
-)
+from .aggregate import ClosedInterval, IntervalAggregator, Schedule
 from .codec import decode, load_json
 from .domain import (
     DEFAULT_LOAD_MIN,
@@ -55,11 +49,13 @@ from .domain import (
     DisconnectCause,
     RouteGroup,
     triggers_failover,
-    whole_seconds,
 )
 from .store import csv_field
 
 DEFAULT_START = datetime(2020, 1, 1, 0, 0, 0)
+# arrival_rate_per_min x duration_min may ask for at most this many calls: a
+# run holds every arrival time, 8 bytes each, before its first call
+MAX_EXPECTED_CALLS = 10_000_000
 
 # the parameters each duration family reads; the others must stay 0
 _DURATION_PARAMS = {
@@ -181,9 +177,9 @@ class ScenarioConfig:
     duration_min: float
     vendors: Tuple[VendorSpec, VendorSpec]
     load_min: float = DEFAULT_LOAD_MIN
-    tick_period_min: float = TICK_PERIOD_S / 60
-    min_interval_min: float = MIN_INTERVAL_AGE_S / 60
-    min_calls: int = MIN_INTERVAL_CALLS
+    tick_period_min: float = Schedule.tick_period_s / 60
+    min_interval_min: float = Schedule.min_age_s / 60
+    min_calls: int = Schedule.min_calls
     admission_enabled: bool = True
     start_time: datetime = DEFAULT_START
     dest_prefix: str = ""
@@ -201,7 +197,11 @@ class ScenarioConfig:
             self.start_time + timedelta(minutes=self.duration_min)
         except OverflowError:
             raise ValueError("scenario ends after the year 9999") from None
-        validate_schedule(self.tick_period_s, self.min_age_s, self.min_calls)
+        calls = self.arrival_rate_per_min * self.duration_min
+        if calls > MAX_EXPECTED_CALLS:
+            raise ValueError(f"scenario expects {calls:.3g} calls (arrival_rate_per_min x "
+                             f"duration_min), more than the {MAX_EXPECTED_CALLS:,} a run holds")
+        self.schedule  # validates the interval schedule
         # the acd_vendors rows carry the prefix: text the CSV writer refuses
         # fails here, before the run, not when the rows are written
         csv_field(self.dest_prefix)
@@ -215,12 +215,8 @@ class ScenarioConfig:
         )
 
     @property
-    def tick_period_s(self) -> int:
-        return whole_seconds(self.tick_period_min)
-
-    @property
-    def min_age_s(self) -> int:
-        return whole_seconds(self.min_interval_min)
+    def schedule(self) -> Schedule:
+        return Schedule.from_minutes(self.tick_period_min, self.min_interval_min, self.min_calls)
 
     @classmethod
     def load(cls, path: Path) -> "ScenarioConfig":
@@ -326,15 +322,10 @@ def run_scenario(
     # summed in CDR order, one float per vendor, as summary.json rounds them
     answered = {v: 0 for v in group.vendors}
     answered_minutes = {v: 0.0 for v in group.vendors}
-    tick_period_s = config.tick_period_s
-    aggregator = IntervalAggregator(
-        group,
-        opened_at=config.start_time,
-        tick_period_s=tick_period_s,
-        min_age_s=config.min_age_s,
-        min_calls=config.min_calls,
-        counter_source=controller.snapshot_and_reset_counters,
-    )
+    schedule = config.schedule
+    tick_period_s = schedule.tick_period_s
+    aggregator = IntervalAggregator(group, opened_at=config.start_time, schedule=schedule,
+                                    counter_source=controller.snapshot_and_reset_counters)
 
     # every arrival is drawn before the first call is handled: vendor legs
     # draw from the same generator, so the order of draws fixes the traffic;

@@ -12,6 +12,7 @@ import pytest
 from acdroute.aggregate import (
     ClosedInterval,
     IntervalAggregator,
+    Schedule,
     replay_cdrs,
     vendor_stats,
 )
@@ -102,6 +103,36 @@ class TestVendorStats:
                 )
 
 
+class TestSchedule:
+    @pytest.mark.parametrize("values, message", [
+        ((0, 1200, 20), "interval schedule needs tick period > 0, minimum age > 0 and "
+                        "minimum calls >= 1, got 0 s, 1200 s, 20"),
+        ((600, -600, 20), "interval schedule needs tick period > 0, minimum age > 0 and "
+                          "minimum calls >= 1, got 600 s, -600 s, 20"),
+        ((600, 1200, 0), "interval schedule needs tick period > 0, minimum age > 0 and "
+                         "minimum calls >= 1, got 600 s, 1200 s, 0"),
+        ((86_400_000_000_000, 1200, 20),
+         "interval schedule needs a tick period of at most 86399999999999 s "
+         "(999999999 days), the longest a timedelta holds"),
+        ((600, 86_400_000_000_000, 20),
+         "interval schedule needs a minimum age of at most 86399999999999 s "
+         "(999999999 days), the longest a timedelta holds"),
+    ], ids=["zero-tick", "negative-age", "zero-calls", "huge-tick", "huge-age"])
+    def test_refuses_a_bad_schedule(self, values, message):
+        with pytest.raises(ValueError) as refused:
+            Schedule(*values)
+        assert str(refused.value) == message
+
+    def test_from_minutes(self):
+        assert Schedule() == Schedule(tick_period_s=600, min_age_s=1200, min_calls=20)
+        assert Schedule.from_minutes(10, 20, 20) == Schedule()
+        assert Schedule.from_minutes(0.1, 0.25, 1) == Schedule(6, 15, 1)
+        with pytest.raises(ValueError, match="^10.004 min is not a whole number of seconds$"):
+            Schedule.from_minutes(10.004, 20, 20)
+        with pytest.raises(ValueError, match="^interval schedule needs tick period > 0"):
+            Schedule.from_minutes(0, 20, 20)
+
+
 class TestTickDecision:
     """The close rule: an interval closes on a tick iff it is at least
     ``min_age_s`` old and at least ``min_calls`` of its calls ended."""
@@ -128,7 +159,7 @@ class TestTickDecision:
             agg.tick(T0 - timedelta(seconds=1))
 
     def test_next_tick_is_after_now_when_a_late_cdr_is_due_at_a_past_tick(self):
-        agg = _aggregator([], min_calls=100)
+        agg = _aggregator([], schedule=Schedule(min_calls=100))
         now = T0 + timedelta(minutes=30)
         assert agg.tick(now) is None
         # ends inside the open interval, so it is counted toward tick 1 (00:10)
@@ -137,7 +168,7 @@ class TestTickDecision:
 
     def test_next_tick_never_goes_back(self):
         rng = random.Random(31)
-        agg = _aggregator([], min_calls=5)
+        agg = _aggregator([], schedule=Schedule(min_calls=5))
         now = T0 + timedelta(minutes=10)
         for i in range(300):
             agg.tick(now)
@@ -398,7 +429,7 @@ class TestPushFedOracle:
 HUGE_AGE_S = 600 * 3000
 
 
-def _counted_replay(monkeypatch, cdrs, **kwargs):
+def _counted_replay(monkeypatch, cdrs, schedule):
     """``replay_cdrs``' history, and the number of ticks it made."""
     ticks = []
     tick = IntervalAggregator.tick
@@ -409,7 +440,7 @@ def _counted_replay(monkeypatch, cdrs, **kwargs):
 
     with monkeypatch.context() as patch:
         patch.setattr(IntervalAggregator, "tick", counted)
-        history = replay_cdrs(cdrs, GROUP, **kwargs)
+        history = replay_cdrs(cdrs, GROUP, schedule)
     return history, len(ticks)
 
 
@@ -431,7 +462,7 @@ class TestReplay:
         # interval after that close could only grow old after year 9999
         cdrs = spread_cdrs(55, [30] * 25, window_s=300)
         for min_age_s in (1200, 600 * 144 * 365 * 7000):
-            history = replay_cdrs(cdrs, GROUP, min_age_s=min_age_s)
+            history = replay_cdrs(cdrs, GROUP, Schedule(min_age_s=min_age_s))
             assert len(history) == 1
             assert history[0].closed_at - history[0].opened_at >= timedelta(seconds=min_age_s)
 
@@ -461,7 +492,8 @@ class TestReplay:
             if not cdrs:
                 continue
             start = min(r.connect_time for r in cdrs)
-            agg = IntervalAggregator(GROUP, opened_at=start, min_age_s=min_age_s)
+            schedule = Schedule(min_age_s=min_age_s)
+            agg = IntervalAggregator(GROUP, opened_at=start, schedule=schedule)
             for record in cdrs:
                 agg.add_cdr(record)
             now = start + timedelta(seconds=600)
@@ -469,10 +501,11 @@ class TestReplay:
             while now <= last_end + timedelta(seconds=min_age_s + 600):
                 agg.tick(now)
                 now += timedelta(seconds=600)
-            history, ticks = _counted_replay(monkeypatch, cdrs, min_age_s=min_age_s)
+            history, ticks = _counted_replay(monkeypatch, cdrs, schedule)
             assert encode(history) == encode(agg.history), f"run {run}, age {min_age_s} s"
             if min_age_s == HUGE_AGE_S:
-                _, older_ticks = _counted_replay(monkeypatch, cdrs, min_age_s=1000 * min_age_s)
+                _, older_ticks = _counted_replay(monkeypatch, cdrs,
+                                                Schedule(min_age_s=1000 * min_age_s))
                 assert older_ticks == ticks, f"run {run}"
             closes += len(history)
         assert closes >= 60

@@ -11,7 +11,7 @@ from typing import List
 
 import pytest
 
-from acdroute.aggregate import ClosedInterval
+from acdroute.aggregate import ClosedInterval, Schedule
 from acdroute.cli import main
 from acdroute.codec import decode
 from acdroute.sim import ScenarioConfig, run_scenario
@@ -166,6 +166,30 @@ class TestAggregate:
         assert main(["aggregate", "--cdr", str(tmp_path / "nope.csv"),
                      "--prefs", "9,8", "--out", str(tmp_path / "out")]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("minutes", [None, (5, 15, 7), (0.1, 0.25, 1)],
+                             ids=["defaults", "custom", "fractional"])
+    def test_scenario_and_flags_build_one_schedule(self, tmp_path, capsys, monkeypatch,
+                                                   minutes):
+        config = ScenarioConfig.load(SCENARIOS / "honest_vs_fas.json")
+        flags = []
+        if minutes is not None:
+            tick_min, min_age_min, min_calls = minutes
+            config = dataclasses.replace(config, tick_period_min=tick_min,
+                                         min_interval_min=min_age_min, min_calls=min_calls)
+            flags = ["--tick-min", str(tick_min), "--min-age-min", str(min_age_min),
+                     "--min-calls", str(min_calls)]
+        schedules = []
+        monkeypatch.setattr("acdroute.cli.replay_cdrs",
+                            lambda records, group, schedule: schedules.append(schedule) or [])
+        cdr_csv = tmp_path / "cdrs.csv"
+        _write_interval_csv(cdr_csv)
+        assert main(["aggregate", "--cdr", str(cdr_csv), "--prefs", "9,8", *flags,
+                     "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert schedules == [config.schedule]
+        if minutes is None:
+            assert config.schedule == Schedule(600, 1200, 20)
 
 
 class TestSimulate:
@@ -442,8 +466,12 @@ class TestMalformedInput:
         ("min_calls", 0),
         ("tick_period_min", 1e300),       # longer than a timedelta holds
         ("min_interval_min", 1e300),
+        ("arrival_rate_per_min", 1e12),   # more calls than a run holds
     ])
-    def test_bad_scenario_field(self, tmp_path, capsys, field, value):
+    def test_bad_scenario_field(self, tmp_path, capsys, monkeypatch, field, value):
+        # a scenario that got through would run; the huge one until memory ran out
+        monkeypatch.setattr("acdroute.cli.run_scenario",
+                            lambda *args, **kwargs: pytest.fail("the scenario was run"))
         config = json.loads((SCENARIOS / "honest_vs_fas.json").read_text())
         config[field] = value
         bad = tmp_path / "bad.json"
@@ -570,6 +598,17 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {late}: ") and err.count("\n") == 1, err
         assert not (out / "cdrs.csv").exists()
+
+    def test_call_leg_past_year_9999_on_simulate(self, tmp_path, capsys):
+        # the scenario ends before the year 10000, but an answered leg of a
+        # late call does not
+        config = json.loads((SCENARIOS / "preferred_honest.json").read_text())
+        config.update(start_time="9999-12-31 22:00:00", duration_min=119)
+        late = tmp_path / "late.json"
+        late.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["simulate", "--scenario", str(late), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {late}: a call leg ends past the year 9999\n", err
 
     @pytest.mark.parametrize("rows, flags", [
         ("year-9999", []),

@@ -13,6 +13,7 @@ from acdroute.aggregate import IntervalAggregator
 from acdroute.codec import decode, encode
 from acdroute.domain import DisconnectCause, triggers_failover
 from acdroute.sim import (
+    MAX_EXPECTED_CALLS,
     DurationSpec,
     ScenarioConfig,
     VendorModel,
@@ -206,7 +207,7 @@ class TestEventOrder:
             # 65 min is not a whole number of 10-min periods, and at this rate
             # the last ticks come after the last call
             base = replace(base, duration_min=65.0, arrival_rate_per_min=0.1)
-        period = timedelta(seconds=base.tick_period_s)
+        period = timedelta(seconds=base.schedule.tick_period_s)
         ticks_after_last_cdr = 0
         for seed in (1, 2, 3):
             events.clear()
@@ -214,7 +215,7 @@ class TestEventOrder:
                          on_cdr=lambda record, t_s: events.append(("cdr", record.connect_time)))
             ticks = [at for kind, at in events if kind == "tick"]
             assert ticks == [base.start_time + k * period for k in range(1, len(ticks) + 1)]
-            assert len(ticks) == int(base.duration_min * 60.0 // base.tick_period_s)
+            assert len(ticks) == int(base.duration_min * 60.0 // base.schedule.tick_period_s)
             last_tick = base.start_time
             for kind, at in events:
                 if kind == "tick":
@@ -300,6 +301,13 @@ class TestScenarioConfig:
                 seed=1, arrival_rate_per_min=10, duration_min=60,
                 vendors=(VendorSpec(71, 9, FAS), VendorSpec(72, 9, HONEST)),
             )
+
+    def test_expected_calls_are_bounded(self):
+        config = replace(fas_preferred_config(), duration_min=1000.0)
+        assert replace(config, arrival_rate_per_min=MAX_EXPECTED_CALLS / 1000.0)
+        with pytest.raises(ValueError, match="^scenario expects 1e\\+07 calls .* more than "
+                                             "the 10,000,000 a run holds$"):
+            replace(config, arrival_rate_per_min=MAX_EXPECTED_CALLS / 1000.0 + 0.001)
 
     def test_duration_past_year_9999_rejected(self):
         # the duration's timedelta itself overflows (test_cli covers a start

@@ -8,6 +8,7 @@ import pytest
 from acdroute.aggregate import (
     ClosedInterval,
     IntervalAggregator,
+    Schedule,
     VendorIntervalStats,
     vendor_stats,
 )
@@ -34,8 +35,7 @@ def close_window(records, start, end):
     """Feed ``records`` to an aggregator opened at ``start`` whose only tick,
     at ``end``, closes the interval if it saw any ended call."""
     span_s = int((end - start).total_seconds())
-    agg = IntervalAggregator(GROUP, opened_at=start, tick_period_s=span_s,
-                             min_age_s=span_s, min_calls=1)
+    agg = IntervalAggregator(GROUP, opened_at=start, schedule=Schedule(span_s, span_s, 1))
     for record in records:
         agg.add_cdr(record)
     return agg.tick(end)
