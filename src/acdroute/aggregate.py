@@ -2,15 +2,17 @@
 
 CDRs are fed to the aggregator as they end and counted, by vendor and duration
 bucket, toward the first tick after they ended, which adds the counts into the
-open interval's: the aggregator keeps no CDR. A ``Schedule`` holds the tick
-period and the two minima, validated once. An interval only closes on a
-tick, once it is old enough *and* has seen enough ended calls; otherwise it
-stays open and is re-examined on the next tick, so closed intervals span a
-whole number of tick periods. Closing an interval computes both vendors'
-statistics, runs the rejection rule on the ACD pair, appends the result to the
-history, and opens the next interval at the exact close time so intervals
-partition the CDR timeline. The history is the one record of what closed: the
-CLI renders the acd_vendors file and the interval tables from it.
+open interval's: the aggregator keeps no CDR. The simulator feeds each leg's
+end in whole seconds from the anchor (``add_ended``), a replay each
+``CallRecord`` (``add_cdr``). A ``Schedule`` holds the tick period and the two
+minima, validated once. An interval only closes on a tick, once it is old
+enough *and* has seen enough ended calls; otherwise it stays open and is
+re-examined on the next tick, so closed intervals span a whole number of tick
+periods. Closing an interval computes both vendors' statistics, runs the
+rejection rule on the ACD pair, appends the result to the history, and opens
+the next interval at the exact close time so intervals partition the CDR
+timeline. The history is the one record of what closed: the CLI renders the
+acd_vendors file and the interval tables from it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .domain import CallRecord, RouteGroup, whole_seconds
 from .rejection import QualityInput, RejectionResult, compute_rejection
 
-_MAX_PERIOD_S = timedelta.max // timedelta(seconds=1)
+_SECOND = timedelta(seconds=1)
+_MAX_PERIOD_S = timedelta.max // _SECOND
 
 # received/rejected counter maps, keyed by vendor id
 CounterSnapshot = Tuple[Dict[int, int], Dict[int, int]]
@@ -89,14 +92,13 @@ class VendorIntervalStats:
 Tally = List[int]
 
 
-def _count(tally: Tally, record: CallRecord) -> None:
-    """Count one CDR into its vendor's tally; the one place durations are
-    bucketed. A router-rejected attempt never reached the vendor, so it counts
-    as a rejection only."""
-    if record.rejected_by_router:
+def _count(tally: Tally, d: int, rejected: bool) -> None:
+    """Count one CDR, ``d`` seconds long, into its vendor's tally; the one
+    place durations are bucketed. A router-rejected attempt never reached the
+    vendor, so it counts as a rejection only."""
+    if rejected:
         tally[5] += 1
     else:
-        d = record.duration_s
         tally[0 if d == 0 else 1 if d <= 5 else 2 if d <= 30 else 3] += 1
         tally[4] += d
 
@@ -123,7 +125,7 @@ def vendor_stats(cdrs: Sequence[CallRecord], vendor: int) -> VendorIntervalStats
     tally = [0] * 6
     for record in cdrs:
         if record.vendor == vendor:
-            _count(tally, record)
+            _count(tally, record.duration_s, record.rejected_by_router)
     return _stats(vendor, tally)
 
 
@@ -171,9 +173,11 @@ class IntervalAggregator:
         self.history: List[ClosedInterval] = []
         self._counter_source = counter_source
         self._ticked_at = opened_at
-        # tick n falls at anchor + n periods; opened_at stays on that grid
+        # tick n falls at anchor + n periods; opened_at is tick _open_tick
         self._anchor = opened_at
         self._period = timedelta(seconds=schedule.tick_period_s)
+        self._period_s = schedule.tick_period_s
+        self._open_tick = 0
         self._due: Dict[int, Dict[int, Tally]] = {}  # tick number -> vendor -> tally
         self._due_ticks: List[int] = []  # a min-heap of _due's keys
         self._open = self._tallies()
@@ -186,17 +190,21 @@ class IntervalAggregator:
         return sum(sum(tally[:4]) for tally in self._open.values())
 
     def add_cdr(self, record: CallRecord) -> None:
-        """Count one CDR toward the first tick after its disconnect time;
-        records of vendors outside the group, or that ended before the open
-        interval, are dropped."""
-        ended_at = record.disconnect_time
-        if record.vendor in self._vendors and ended_at >= self.opened_at:
-            tick_no = (ended_at - self._anchor) // self._period + 1
+        """``add_ended`` for one CDR; a record of another vendor is dropped."""
+        if record.vendor in self._vendors:
+            self.add_ended(record.vendor, (record.disconnect_time - self._anchor) // _SECOND,
+                           record.duration_s, record.rejected_by_router)
+
+    def add_ended(self, vendor: int, end_s: int, duration_s: int, rejected: bool) -> None:
+        """Count a group vendor's leg toward the first tick after it ended,
+        ``end_s`` s after the anchor, unless it ended before the open interval."""
+        tick_no = end_s // self._period_s + 1
+        if tick_no > self._open_tick:
             tallies = self._due.get(tick_no)
             if tallies is None:
                 tallies = self._due[tick_no] = self._tallies()
                 heapq.heappush(self._due_ticks, tick_no)
-            _count(tallies[record.vendor], record)
+            _count(tallies[vendor], duration_s, rejected)
 
     def tick(self, now: datetime) -> Optional[ClosedInterval]:
         """Take in the CDRs that ended before ``now``; close the interval if it is due.
@@ -220,6 +228,7 @@ class IntervalAggregator:
                 tally[:] = map(add, tally, due[v])
         if offset_s < schedule.min_age_s or self._ended() < schedule.min_calls:
             return None
+        self._open_tick = tick_no
         return self._close(now)
 
     def next_tick(self, now: datetime) -> datetime:

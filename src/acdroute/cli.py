@@ -3,7 +3,8 @@
 Subcommands: ``compute`` (one-off rejection calculation), ``aggregate``
 (replay a CDR CSV through the interval machinery), ``simulate`` (run a
 scenario end to end) and ``report`` (re-render a saved interval history).
-Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
+Exit codes: 0 success, 1 runtime failure (a closed stdout, ``| head``, too:
+no error line, after every file is written), 2 usage or validation error.
 
 ``simulate`` runs the scenario into ``store.attempt_log``'s sink, which
 writes each attempt as one row of ``cdrs.csv`` and one of ``decisions.csv``,
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -142,15 +144,15 @@ def cmd_compute(args: argparse.Namespace) -> int:
     quality = QualityInput(acd_min=args.acd, prefs=args.pref, load_min=args.load_min)
     result = compute_rejection(quality)
     text = render_calc_breakdown(result, quality, format="txt")
-    sys.stdout.write(text)
-    sys.stdout.write(
-        f"reject_pct: {result.reject_pct[0]:.2f} / {result.reject_pct[1]:.2f}\n"
-    )
     if args.out is not None:
         _write_files(args.out, {
             "calc.txt": text,
             "calc.html": render_calc_breakdown(result, quality, format="html"),
         })
+    sys.stdout.write(text)
+    sys.stdout.write(
+        f"reject_pct: {result.reject_pct[0]:.2f} / {result.reject_pct[1]:.2f}\n"
+    )
     return 0
 
 
@@ -256,7 +258,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:  # the rest goes to devnull, as Python's docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, OSError) else 2

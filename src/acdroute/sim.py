@@ -20,12 +20,13 @@ not), so billing tries the next vendor until one answers. ``billing_route``
 is the one definition of that failover: it picks the same vendors one
 attempt at a time, from a call's response codes.
 
-Each attempt goes to a sink as one event, its CDR and the call's time, as
-soon as it is made; the CDR's rejected flag is the admission decision. The
-default sink collects the CDRs on the ``ScenarioResult``; a caller that
-streams them elsewhere (the CLI's ``store.attempt_log`` writes each as a CDR
-row and a decision row) keeps the run's memory bounded by the admission
-ledger, not by its length.
+Each attempt goes to a sink as one event as soon as it is made: its CDR's
+fields but the disconnect time, and the call's time; the rejected flag is the
+admission decision. Only a sink builds a ``CallRecord`` or a disconnect time;
+the aggregator takes each leg's end in whole seconds (``add_ended``). The
+default sink collects the CDRs on the ``ScenarioResult``; one that streams
+them (the CLI's ``store.attempt_log`` writes a CDR row and a decision row)
+keeps the run's memory bounded by the admission ledger, not by its length.
 Of each close the result keeps the ``ClosedInterval`` in its interval history;
 the acd_vendors rows and the interval tables are rendered from that.
 """
@@ -296,7 +297,8 @@ def _shares(totals: Mapping[int, float]) -> Dict[int, float]:
 
 def run_scenario(
     config: ScenarioConfig,
-    on_cdr: Optional[Callable[[CallRecord, float], object]] = None,
+    on_cdr: Optional[Callable[[str, int, datetime, int, DisconnectCause, bool, float],
+                              object]] = None,
 ) -> ScenarioResult:
     """Run one scenario to completion.
 
@@ -307,9 +309,12 @@ def run_scenario(
     ``int(duration_s // tick_period_s)`` ticks in all. Ticking stops there;
     calls still in flight then simply never get aggregated.
 
-    ``on_cdr(record, t_s)`` receives each attempt's CDR and its call's time
-    (seconds since the start), in order, as soon as it is made; by default it
-    appends the CDR to the result's ``cdrs``. An exception it raises ends the run.
+    ``on_cdr(call_id, vendor, connect, duration_s, cause, rejected, t_s)``
+    gets each attempt as soon as it is made: its CDR less the disconnect time
+    (``connect`` plus ``duration_s``), and the call's time in seconds since
+    the start; by default it appends the ``CallRecord`` to ``cdrs``. An
+    exception it raises ends the run, as the ``OverflowError`` of a leg
+    ending past the year 9999 does in a sink that builds its disconnect time.
     """
     traffic_rng = random.Random(config.seed)
     group = config.group
@@ -318,7 +323,11 @@ def run_scenario(
 
     controller = AdmissionController(group, seed=config.seed + 1)
     cdrs: List[CallRecord] = []
-    on_cdr = (lambda record, t_s: cdrs.append(record)) if on_cdr is None else on_cdr
+    if on_cdr is None:
+        def on_cdr(call_id, vendor, connect, duration_s, cause, rejected, t_s):
+            disconnect = connect + timedelta(0, duration_s) if duration_s else connect
+            cdrs.append(CallRecord(call_id, vendor, connect, disconnect, duration_s, cause,
+                                   rejected))
     # summed in CDR order, one float per vendor, as summary.json rounds them
     answered = {v: 0 for v in group.vendors}
     answered_minutes = {v: 0.0 for v in group.vendors}
@@ -341,29 +350,27 @@ def run_scenario(
     abandoned = 0
     start_time = config.start_time
     decide = controller.decide
-    add_cdr = aggregator.add_cdr
+    add_ended = aggregator.add_ended
     normal = DisconnectCause.NORMAL_CLEARING
     no_answer = DisconnectCause.NO_USER_RESPONDING
     other = DisconnectCause.OTHER
 
-    def handle_call(t_s: float, call_id: str, connect: datetime) -> bool:
+    def handle_call(t_s: float, call_id: str, second: int, connect: datetime) -> bool:
         """Walks the billing order until a vendor answers; returns True when
-        the call was answered somewhere."""
+        the call was answered somewhere. Each leg connects ``second`` s in."""
         for vendor in order:
             accepted = decide(call_id, vendor, t_s)
             leg_duration = vendor_leg(models[vendor], traffic_rng)[1] if accepted else 0
             if leg_duration:
                 answered[vendor] += 1
                 answered_minutes[vendor] += leg_duration / 60.0
-                record = CallRecord(call_id, vendor, connect, connect + timedelta(0, leg_duration),
-                                    leg_duration, normal, False)
+                cause = normal
             else:
                 # refused by the clone or failed at the vendor: both fail over,
                 # and the zero-length leg ends at its connect time
-                record = CallRecord(call_id, vendor, connect, connect, 0,
-                                    no_answer if accepted else other, not accepted)
-            on_cdr(record, t_s)
-            add_cdr(record)
+                cause = no_answer if accepted else other
+            on_cdr(call_id, vendor, connect, leg_duration, cause, not accepted, t_s)
+            add_ended(vendor, second + leg_duration, leg_duration, not accepted)
             if leg_duration:
                 return True
         return False
@@ -383,7 +390,7 @@ def run_scenario(
         if int(t_s) != second:
             second = int(t_s)
             connect = start_time + timedelta(0, second)
-        if not handle_call(t_s, f"c{idx:06d}", connect):
+        if not handle_call(t_s, f"c{idx:06d}", second, connect):
             abandoned += 1
     last_tick_s = int(duration_s // tick_period_s) * tick_period_s
     for tick_s in range(next_tick_s, last_tick_s + 1, tick_period_s):

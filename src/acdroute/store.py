@@ -7,10 +7,11 @@ the acd_vendors row inside ``acd_csv_text``. Their only free text, a call id
 or a prefix, goes through ``csv_field``, which quotes it as a ``csv.writer``
 ending lines with ``"\\r\\n"`` does, so a carriage return is quoted on every
 Python version and the row reads back whole; every other field is drawn from
-a fixed alphabet that needs no quoting. ``cdr_row`` takes the text of the
-call id and of the two timestamps ready made: ``cdr_line`` renders them for
-one record, from ``format_ts``'s cache of recent seconds, and ``attempt_log``
-renders each only when its source object changes.
+a fixed alphabet that needs no quoting. ``cdr_row`` takes a CDR's fields, the
+call id and the two timestamps as text ready made: ``cdr_line`` renders them
+for one record, from ``format_ts``'s cache of recent seconds, and
+``attempt_log`` for an attempt's fields, each only when its source object
+changes, an answered leg's disconnect from its connect time and duration.
 
 ``attempt_log`` is ``simulate``'s sink: it writes each attempt's CDR row and
 decision row as the run makes the attempt, in blocks of ``ROW_BLOCK`` rows.
@@ -27,7 +28,7 @@ import csv
 import io
 import re
 from contextlib import contextmanager
-from datetime import datetime
+from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, List, Tuple
 
@@ -62,21 +63,23 @@ def csv_field(text: str) -> str:
     return buffer.getvalue()[:-3]
 
 
-def cdr_row(record: CallRecord, call_text: str, connect_text: str, disconnect_text: str) -> str:
-    """The CDR row template: ``record``'s row of a CDR CSV file, line end
-    included, from the text of its call id (as ``csv_field`` writes it) and
-    of its two timestamps (as ``format_ts`` writes them)."""
+def cdr_row(call_text: str, vendor: int, connect_text: str, disconnect_text: str,
+            duration_s: int, cause: DisconnectCause, rejected: bool) -> str:
+    """The CDR row template: a CDR's row of a CDR CSV file, line end
+    included, from its fields, with the text of its call id (as ``csv_field``
+    writes it) and of its two timestamps (as ``format_ts`` writes them)."""
     # ``_value_`` is the member's plain attribute; the ``value`` property
     # costs ~15x as much to read
-    return (f"{call_text},{record.vendor},{connect_text},{disconnect_text},{record.duration_s},"
-            f"{record.cause._value_},{'1' if record.rejected_by_router else '0'}\n")
+    return (f"{call_text},{vendor},{connect_text},{disconnect_text},{duration_s},"
+            f"{cause._value_},{'1' if rejected else '0'}\n")
 
 
 def cdr_line(record: CallRecord) -> str:
     """The CDR's row of a CDR CSV file, line end included; only the call id
     can need quoting."""
-    return cdr_row(record, csv_field(record.call_id), format_ts(record.connect_time),
-                   format_ts(record.disconnect_time))
+    return cdr_row(csv_field(record.call_id), record.vendor, format_ts(record.connect_time),
+                   format_ts(record.disconnect_time), record.duration_s, record.cause,
+                   record.rejected_by_router)
 
 
 def write_cdr_csv(path: Path, records: Iterable[CallRecord]) -> None:
@@ -92,12 +95,13 @@ ROW_BLOCK = 1024
 
 
 @contextmanager
-def attempt_log(cdr_path: Path,
-                decision_path: Path) -> Iterator[Callable[[CallRecord, float], None]]:
+def attempt_log(cdr_path: Path, decision_path: Path) -> Iterator[
+        Callable[[str, int, datetime, int, DisconnectCause, bool, float], None]]:
     """Open a CDR CSV file and a decisions file, write their headers, and
-    yield the sink ``on_cdr(record, t_s)`` that ``run_scenario`` hands each
-    attempt to: it appends the attempt's CDR row to the first file and its
-    decision row, numbered from 0, to the second.
+    yield the sink ``on_cdr(call_id, vendor, connect, duration_s, cause,
+    rejected, t_s)`` that ``run_scenario`` hands each attempt to: it appends
+    the attempt's CDR row to the first file and its decision row, numbered
+    from 0, to the second.
 
     The rows are written ``ROW_BLOCK`` at a time, each block as one text. On
     exit, normal or by an exception, the rows still pending are written and
@@ -109,7 +113,7 @@ def attempt_log(cdr_path: Path,
     time. A key is compared by identity, which holds for any caller: equal
     floats (``0.0``, ``-0.0``) or equal aware datetimes (one instant under two
     offsets) can have different texts. A zero-length leg's disconnect text is
-    its connect text.
+    its connect text; an answered leg's is that of ``connect + duration_s``.
     """
     with open(cdr_path, "w", newline="", encoding="utf-8") as cdr_file, \
             open(decision_path, "w", newline="", encoding="utf-8") as decision_file:
@@ -129,21 +133,22 @@ def attempt_log(cdr_path: Path,
                 rows.clear()
                 handle.write(text)
 
-        def on_cdr(record: CallRecord, t_s: float) -> None:
+        def on_cdr(leg_call_id: str, vendor: int, leg_connect: datetime, duration_s: int,
+                   cause: DisconnectCause, rejected: bool, t_s: float) -> None:
             nonlocal seq, call_id, call_text, t_s_key, t_text, connect, connect_text
-            if record.call_id is not call_id:
-                call_id = record.call_id
+            if leg_call_id is not call_id:
+                call_id = leg_call_id
                 call_text = csv_field(call_id)
             if t_s is not t_s_key:
                 t_s_key, t_text = t_s, f"{t_s:.3f}"
-            if record.connect_time is not connect:
-                connect = record.connect_time
+            if leg_connect is not connect:
+                connect = leg_connect
                 connect_text = format_ts(connect)
-            disconnect = record.disconnect_time
-            cdr_rows.append(cdr_row(record, call_text, connect_text, connect_text
-                                    if disconnect is connect else format_ts(disconnect)))
-            decision_rows.append(f"{seq},{t_text},{call_text},{record.vendor},"
-                                 f"{refused if record.rejected_by_router else '1,'}\n")
+            cdr_rows.append(cdr_row(call_text, vendor, connect_text, format_ts(
+                connect + timedelta(0, duration_s)) if duration_s else connect_text,
+                duration_s, cause, rejected))
+            decision_rows.append(f"{seq},{t_text},{call_text},{vendor},"
+                                 f"{refused if rejected else '1,'}\n")
             seq += 1
             if len(cdr_rows) == ROW_BLOCK:
                 write_pending()

@@ -31,6 +31,24 @@ def make_cdr(call_id, vendor, disconnect_at, duration_s, rejected=False):
     )
 
 
+def record_sink(attempts):
+    """A ``run_scenario`` sink that appends each attempt to ``attempts`` as
+    ``(record, t_s)``: the CDR built from the fields the sink is handed, its
+    disconnect time ``duration_s`` seconds after its connect time."""
+    def on_cdr(call_id, vendor, connect, duration_s, cause, rejected, t_s):
+        record = CallRecord(call_id, vendor, connect, connect + timedelta(seconds=duration_s),
+                            duration_s, cause, rejected)
+        attempts.append((record, t_s))
+    return on_cdr
+
+
+def sink_fields(record):
+    """The fields a ``run_scenario`` sink is handed for ``record``'s attempt,
+    before its call's time."""
+    return (record.call_id, record.vendor, record.connect_time, record.duration_s,
+            record.cause, record.rejected_by_router)
+
+
 def spread_cdrs(vendor, durations, start=T0, window_s=1200, tag="x"):
     """CDRs with the given durations, ending evenly inside [start, start+window_s)."""
     step = window_s / (len(durations) + 1)

@@ -425,6 +425,59 @@ class TestPushFedOracle:
         assert all(count >= 10 for count in seen.values()), seen
 
 
+class TestIntegerEntry:
+    """``add_ended``, the entry ``run_scenario`` feeds, against ``add_cdr``:
+    the same CDRs, the first aggregator fed the records, the second each
+    group vendor's leg with its end counted in whole seconds from the anchor
+    by hand, give equal ticks and histories."""
+
+    RUNS = 40
+
+    @pytest.mark.parametrize("anchor", [T0, T0 + timedelta(microseconds=250_000)],
+                             ids=["on-the-second", "anchor-with-microseconds"])
+    def test_add_ended_matches_add_cdr(self, anchor):
+        seen = {"closed": 0, "late": 0, "other_vendor": 0, "before_anchor": 0,
+                "fraction": 0}
+        for run in range(self.RUNS):
+            rng = random.Random(7700 + run)
+            schedule = Schedule(rng.choice((60, 600)), rng.choice((60, 600, 1200)),
+                                rng.choice((1, 5, 20)))
+            period = timedelta(seconds=schedule.tick_period_s)
+            by_cdr = IntervalAggregator(GROUP, opened_at=anchor, schedule=schedule)
+            by_int = IntervalAggregator(GROUP, opened_at=anchor, schedule=schedule)
+            n_ticks = rng.randint(4, 40)
+            for k in range(1, n_ticks + 1):
+                now = anchor + k * period
+                for i in range(rng.randint(0, 30)):
+                    rejected = rng.random() < 0.15
+                    duration = 0 if rejected else rng.choice(
+                        [0, rng.randint(1, 5), rng.randint(6, 30), rng.randint(31, 900)])
+                    # mostly due at this tick; some late, some before the
+                    # anchor, some a fraction of a second off
+                    end = now - timedelta(seconds=rng.uniform(0, 3 * schedule.tick_period_s))
+                    if rng.random() < 0.5:
+                        end = end.replace(microsecond=0)
+                    record = make_cdr(f"r{k}-{i}", rng.choice((55, 62, 55, 62, 99)), end,
+                                      duration, rejected=rejected)
+                    by_cdr.add_cdr(record)
+                    seen["late"] += bool(by_cdr.history) and end < by_cdr.opened_at
+                    seen["before_anchor"] += end < anchor
+                    seen["fraction"] += end.microsecond != anchor.microsecond
+                    if record.vendor not in GROUP.vendors:
+                        seen["other_vendor"] += 1
+                        continue
+                    since = end - anchor
+                    end_s = since.days * 86400 + since.seconds  # microseconds floored
+                    by_int.add_ended(record.vendor, end_s, duration, rejected)
+                closed = by_cdr.tick(now)
+                assert encode(by_int.tick(now)) == encode(closed), (run, k)
+                seen["closed"] += closed is not None
+            assert encode(by_int.history) == encode(by_cdr.history)
+            assert by_int.opened_at == by_cdr.opened_at
+        # each kind of feed the comparison is meant to cover occurred
+        assert all(count >= 10 for count in seen.values()), seen
+
+
 # past the longest stream of the idle-tick test: 5 lulls of 3 days, plus an hour
 HUGE_AGE_S = 600 * 3000
 

@@ -3,7 +3,9 @@ import dataclasses
 import gc
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -15,8 +17,15 @@ from acdroute.aggregate import ClosedInterval, Schedule
 from acdroute.cli import main
 from acdroute.codec import decode
 from acdroute.sim import ScenarioConfig, run_scenario
-from acdroute.store import DECISION_CSV_HEADER, acd_csv_text, cdr_row, write_cdr_csv
-from conftest import T0, make_cdr, read_acd_csv
+from acdroute.store import (
+    DECISION_CSV_HEADER,
+    acd_csv_text,
+    cdr_line,
+    cdr_row,
+    read_cdr_csv,
+    write_cdr_csv,
+)
+from conftest import T0, make_cdr, read_acd_csv, record_sink
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
@@ -348,11 +357,11 @@ class TestSimulate:
     def test_sink_error_closes_both_files(self, tmp_path, capsys, monkeypatch):
         calls = []
 
-        def failing_row(record, *texts):
-            calls.append(record)
+        def failing_row(*fields):
+            calls.append(fields)
             if len(calls) == 500:
                 raise OSError("disk quota exceeded")
-            return cdr_row(record, *texts)
+            return cdr_row(*fields)
 
         monkeypatch.setattr("acdroute.store.cdr_row", failing_row)
         out = tmp_path / "run"
@@ -382,7 +391,7 @@ def test_streamed_files_equal_the_batch_rendering(tmp_path, capsys, scenario):
     capsys.readouterr()
     attempts = []
     run_scenario(dataclasses.replace(ScenarioConfig.load(scenario), seed=3),
-                 on_cdr=lambda record, t_s: attempts.append((record, t_s)))
+                 on_cdr=record_sink(attempts))
     batch = tmp_path / "cdrs.csv"
     write_cdr_csv(batch, [record for record, _ in attempts])
     assert (out / "cdrs.csv").read_bytes() == batch.read_bytes()
@@ -395,6 +404,36 @@ def test_streamed_files_equal_the_batch_rendering(tmp_path, capsys, scenario):
         writer.writerow([seq, f"{t_s:.3f}", record.call_id, record.vendor,
                          0 if rejected else 1, 503 if rejected else ""])
     assert (out / "decisions.csv").read_bytes() == buffer.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("admission", [True, False], ids=["admission", "no-admission"])
+def test_streamed_rows_equal_the_default_sinks_records(tmp_path, capsys, admission):
+    # what no bundled scenario has: a start off the minute, legs across
+    # midnight and a year end, and a prefix that needs quoting. simulate's
+    # sink renders each row from the attempt's fields; the default sink
+    # builds each CallRecord from the same fields
+    config = json.loads((SCENARIOS / "honest_vs_fas.json").read_text())
+    config.update(start_time="2020-12-31 23:47:13", duration_min=60, dest_prefix='37,"410"')
+    scenario = tmp_path / "year_end.json"
+    scenario.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out),
+                 *([] if admission else ["--disable-admission"])]) == 0
+    capsys.readouterr()
+    result = run_scenario(dataclasses.replace(ScenarioConfig.load(scenario),
+                                              admission_enabled=admission))
+    records = result.cdrs
+    assert (out / "cdrs.csv").read_text(encoding="utf-8").splitlines(keepends=True)[1:] == [
+        cdr_line(record) for record in records]
+    # every row reads back, so each passed CallRecord's checks: a calendar
+    # time, a disconnect not before its connect, a span equal to the duration
+    assert read_cdr_csv(out / "cdrs.csv") == (records, [])
+    assert {row[5] for row in read_acd_csv(out / "acd_vendors.csv")} == {'37,"410"'}
+    # the case is there: an answered leg across the year end, an interval
+    # closed, and with admission on a refused attempt
+    assert any(r.connect_time.year == 2020 < r.disconnect_time.year for r in records)
+    assert result.interval_history
+    assert any(r.rejected_by_router for r in records) == admission
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -420,6 +459,33 @@ def test_decision_rows_align_with_cdr_rows(tmp_path, capsys, scenario, seed):
         assert decision["code"] == ("503" if cdr["rejected"] == "1" else "")
         connect_offset_s = (datetime.fromisoformat(cdr["connect_time"]) - start).total_seconds()
         assert 0 <= float(decision["time_s"]) - connect_offset_s <= 1, (i, decision, cdr)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["simulate", "compute"])
+def test_closed_stdout_exits_1_after_every_file(tmp_path, capsys, command, unbuffered):
+    # as in `acdroute ... | head -0`: stdout is a pipe that nobody reads. The
+    # command writes every file it would write otherwise, then exits 1 with
+    # nothing on stderr, whether stdout is buffered or not
+    def args(out):
+        if command == "compute":
+            return ["compute", "--acd", "8.67,0.6", "--pref", "9,8", "--out", str(out)]
+        return ["simulate", "--scenario", str(SCENARIOS / "pure_fas_control.json"),
+                "--out", str(out)]
+
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SCENARIOS.parent.parent / "src"), os.environ.get("PYTHONPATH")) if p))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "acdroute.cli", *args(tmp_path / "piped")],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
+    assert main(args(tmp_path / "read")) == 0
+    capsys.readouterr()
+    assert snapshot_dir(tmp_path / "piped") == snapshot_dir(tmp_path / "read")
 
 
 class TestReport:

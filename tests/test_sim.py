@@ -22,6 +22,7 @@ from acdroute.sim import (
     run_scenario,
     vendor_leg,
 )
+from conftest import record_sink
 
 FAS = VendorModel("false_answer", 0.97, DurationSpec("exponential", mean_s=36.0),
                   failure_code=408)
@@ -50,7 +51,7 @@ def run_collecting(config):
     """``run_scenario(config)`` with a sink that keeps each attempt's
     ``(record, t_s)`` event; returns the result and the events."""
     attempts = []
-    result = run_scenario(config, on_cdr=lambda record, t_s: attempts.append((record, t_s)))
+    result = run_scenario(config, on_cdr=record_sink(attempts))
     return result, attempts
 
 
@@ -212,7 +213,8 @@ class TestEventOrder:
         for seed in (1, 2, 3):
             events.clear()
             run_scenario(replace(base, seed=seed),
-                         on_cdr=lambda record, t_s: events.append(("cdr", record.connect_time)))
+                         on_cdr=lambda call_id, vendor, connect, *rest: events.append(
+                             ("cdr", connect)))
             ticks = [at for kind, at in events if kind == "tick"]
             assert ticks == [base.start_time + k * period for k in range(1, len(ticks) + 1)]
             assert len(ticks) == int(base.duration_min * 60.0 // base.schedule.tick_period_s)
@@ -461,7 +463,7 @@ class TestRecordSinks:
 
     def test_answered_counts_equal_a_recount_in_cdr_order(self):
         config = fas_preferred_config(duration=120.0)
-        result = run_scenario(config, on_cdr=lambda record, t_s: None)
+        result = run_scenario(config, on_cdr=lambda *attempt: None)
         answered = {71: 0, 72: 0}
         minutes = {71: 0.0, 72: 0.0}
         for record in run_scenario(config).cdrs:
@@ -476,7 +478,7 @@ class TestRecordSinks:
         """Peak traced memory of a run with a no-op sink grows by far less per
         added call than the ~550 B its kept CDRs cost (~1.9 a call, ~290 B
         each)."""
-        noop = lambda record, t_s: None  # noqa: E731
+        noop = lambda *attempt: None  # noqa: E731
 
         def peak(duration):
             tracemalloc.start()

@@ -26,7 +26,7 @@ from acdroute.store import (
     read_cdr_csv,
     write_cdr_csv,
 )
-from conftest import T0, make_cdr, read_acd_csv, spread_cdrs
+from conftest import T0, make_cdr, read_acd_csv, sink_fields, spread_cdrs
 
 GROUP = RouteGroup((55, 62), (9, 8))
 
@@ -441,7 +441,7 @@ def _log_attempts(tmp_path, attempts):
     cdrs, decisions = tmp_path / "cdrs.csv", tmp_path / "decisions.csv"
     with attempt_log(cdrs, decisions) as on_cdr:
         for record, t_s in attempts:
-            on_cdr(record, t_s)
+            on_cdr(*sink_fields(record), t_s)
     with open(decisions, newline="", encoding="utf-8") as handle:
         decision_rows = list(csv.reader(handle))
     assert decision_rows[0] == DECISION_CSV_HEADER
@@ -477,8 +477,9 @@ class TestAttemptLog:
     def test_each_text_follows_its_own_source(self, tmp_path):
         # one call id object with other connect times and call times; keys
         # that compare equal but are written otherwise (0.0 and -0.0, one
-        # instant under two offsets); equal but distinct keys. Each leg's
-        # disconnect is a new object, equal to its connect when 0 s long.
+        # instant under two offsets); equal but distinct keys. The sink is
+        # handed no disconnect time: it renders an answered leg's from its
+        # connect time and duration, an aware one as its wall time.
         call_id = "a,b"
         later = T0 + timedelta(0, 1)
         instant = datetime(2020, 1, 1, 12, 0, 0, tzinfo=timezone.utc)
@@ -522,7 +523,7 @@ class TestAttemptLog:
         with pytest.raises(OSError, match="disk quota exceeded"):
             with attempt_log(cdrs, decisions) as on_cdr:
                 for record, t_s in attempts:
-                    on_cdr(record, t_s)
+                    on_cdr(*sink_fields(record), t_s)
                 assert cdrs.read_text(encoding="utf-8").splitlines(keepends=True)[1:] == (
                     rows[:ROW_BLOCK])
                 raise OSError("disk quota exceeded")
