@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import os
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -225,9 +227,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for name in (*HISTORY_FILES, SUMMARY_FILE):
         (args.out / name).unlink(missing_ok=True)
     try:
-        with attempt_log(args.out / "cdrs.csv", args.out / "decisions.csv") as on_cdr:
+        with attempt_log(args.out / "cdrs.csv", args.out / "decisions.csv",
+                         config.start_time) as on_cdr:
             result = run_scenario(config, on_cdr=on_cdr)
-    except OverflowError:  # an answered leg's disconnect time past the last datetime
+    except OverflowError:  # an answered leg's disconnect second past the last datetime
         raise ValueError(f"{args.scenario}: a call leg ends past the year 9999") from None
     _write_files(args.out, {**_history_files(result.interval_history, config.dest_prefix),
                             SUMMARY_FILE: json_text(_summary(result))})
@@ -257,16 +260,21 @@ def cmd_report(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # stdout is held until the command returns, so a broken pipe while it
+    # runs is an output file's (a FIFO's), an error like any other OSError
     try:
-        code = args.func(args)
+        with redirect_stdout(io.StringIO()) as printed:
+            code = args.func(args)
+    except (ValueError, OverflowError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1 if isinstance(exc, OSError) else 2
+    try:
+        sys.stdout.write(printed.getvalue())
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
     except BrokenPipeError:  # the rest goes to devnull, as Python's docs advise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, OSError) else 2
 
 
 if __name__ == "__main__":

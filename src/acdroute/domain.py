@@ -3,13 +3,12 @@ status codes, call records, time."""
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 VendorId = int
 
@@ -31,17 +30,33 @@ def format_ts(ts: datetime) -> str:
     """
     if ts.tzinfo is not None:
         ts = ts.replace(tzinfo=None)
-    return _wall_text(ts)
+    return ts.isoformat(" ", "seconds")
 
 
-# A run formats the same second many times: a CDR row holds two timestamps
-# (one second twice for a zero-length leg), and at high call rates many legs
-# share a second. A hit costs a fraction of an isoformat call. The key is the
-# naive wall time, so two aware times that are one instant under different
-# offsets keep their own texts. The bound keeps the cache's memory small.
-@functools.lru_cache(maxsize=1024)
-def _wall_text(naive: datetime) -> str:
-    return naive.isoformat(" ", "seconds")
+# "00" .. "59": a second's text, a minute's, and under 24 an hour's
+_TWO_DIGITS = tuple(f"{n:02d}" for n in range(60))
+
+
+def second_texts(start: datetime) -> Callable[[int], str]:
+    """``text(s)``, which is ``format_ts(start + timedelta(seconds=s))`` for
+    whole seconds ``s``, without a ``datetime`` per call: a day's date head,
+    from ``format_ts`` and kept per day, then the ``HH:MM:`` and ``SS``
+    pieces. Past the last ``datetime`` it raises ``OverflowError``, as the
+    addition does."""
+    midnight = start.replace(hour=0, minute=0, second=0, microsecond=0)
+    offset = start.hour * 3600 + start.minute * 60 + start.second
+    minutes = [f"{hh}:{mm}:" for hh in _TWO_DIGITS[:24] for mm in _TWO_DIGITS]
+    heads = {}
+
+    def text(s: int) -> str:
+        s += offset  # from here on, seconds after the start's midnight
+        day = s // 86400
+        head = heads.get(day)
+        if head is None:
+            head = heads[day] = format_ts(midnight + timedelta(day))[:11]
+        s -= day * 86400
+        return f"{head}{minutes[s // 60]}{_TWO_DIGITS[s % 60]}"
+    return text
 
 
 def parse_ts(text: str) -> datetime:

@@ -5,8 +5,8 @@ a static-preference billing router, each attempt passes the clone interface's
 admission check, the vendor leg answers or fails, each CDR is logged and fed
 to the aggregator, and freshly closed intervals feed new targets back into
 admission. The event loop is one pass over the arrival times, drawn up front:
-each call first runs the aggregator ticks due by its time, and the calls of
-one second share one connect timestamp. Everything derives from one seed, so
+each call first runs the aggregator ticks due by its time, and each leg
+connects at its call's whole second. Everything derives from one seed, so
 two runs of the same scenario are identical event for event. The aggregator
 ticks on the scenario's ``schedule``, anchored at its ``start_time``.
 
@@ -21,10 +21,11 @@ is the one definition of that failover: it picks the same vendors one
 attempt at a time, from a call's response codes.
 
 Each attempt goes to a sink as one event as soon as it is made: its CDR's
-fields but the disconnect time, and the call's time; the rejected flag is the
-admission decision. Only a sink builds a ``CallRecord`` or a disconnect time;
-the aggregator takes each leg's end in whole seconds (``add_ended``). The
-default sink collects the CDRs on the ``ScenarioResult``; one that streams
+fields but the disconnect time, the connect time in whole seconds after the
+start, and the call's time; the rejected flag is the admission decision. No
+``datetime`` is built per attempt but by the default sink, for its
+``CallRecord``; the aggregator takes each leg's end in seconds (``add_ended``).
+The default sink collects the CDRs on the ``ScenarioResult``; one that streams
 them (the CLI's ``store.attempt_log`` writes a CDR row and a decision row)
 keeps the run's memory bounded by the admission ledger, not by its length.
 Of each close the result keeps the ``ClosedInterval`` in its interval history;
@@ -297,7 +298,7 @@ def _shares(totals: Mapping[int, float]) -> Dict[int, float]:
 
 def run_scenario(
     config: ScenarioConfig,
-    on_cdr: Optional[Callable[[str, int, datetime, int, DisconnectCause, bool, float],
+    on_cdr: Optional[Callable[[str, int, int, int, DisconnectCause, bool, float],
                               object]] = None,
 ) -> ScenarioResult:
     """Run one scenario to completion.
@@ -309,12 +310,13 @@ def run_scenario(
     ``int(duration_s // tick_period_s)`` ticks in all. Ticking stops there;
     calls still in flight then simply never get aggregated.
 
-    ``on_cdr(call_id, vendor, connect, duration_s, cause, rejected, t_s)``
+    ``on_cdr(call_id, vendor, connect_s, duration_s, cause, rejected, t_s)``
     gets each attempt as soon as it is made: its CDR less the disconnect time
-    (``connect`` plus ``duration_s``), and the call's time in seconds since
-    the start; by default it appends the ``CallRecord`` to ``cdrs``. An
-    exception it raises ends the run, as the ``OverflowError`` of a leg
-    ending past the year 9999 does in a sink that builds its disconnect time.
+    (``connect_s`` plus ``duration_s``, in whole seconds after ``start_time``),
+    and the call's time in seconds; by default it appends the ``CallRecord``
+    to ``cdrs``. An exception it raises ends the run, as the ``OverflowError``
+    of a leg ending past the year 9999 does: neither the default sink nor
+    ``store.attempt_log``'s can build or render its disconnect time.
     """
     traffic_rng = random.Random(config.seed)
     group = config.group
@@ -322,9 +324,11 @@ def run_scenario(
     models = {spec.vendor: spec.model for spec in config.vendors}
 
     controller = AdmissionController(group, seed=config.seed + 1)
+    start_time = config.start_time
     cdrs: List[CallRecord] = []
     if on_cdr is None:
-        def on_cdr(call_id, vendor, connect, duration_s, cause, rejected, t_s):
+        def on_cdr(call_id, vendor, connect_s, duration_s, cause, rejected, t_s):
+            connect = start_time + timedelta(0, connect_s)
             disconnect = connect + timedelta(0, duration_s) if duration_s else connect
             cdrs.append(CallRecord(call_id, vendor, connect, disconnect, duration_s, cause,
                                    rejected))
@@ -333,7 +337,7 @@ def run_scenario(
     answered_minutes = {v: 0.0 for v in group.vendors}
     schedule = config.schedule
     tick_period_s = schedule.tick_period_s
-    aggregator = IntervalAggregator(group, opened_at=config.start_time, schedule=schedule,
+    aggregator = IntervalAggregator(group, opened_at=start_time, schedule=schedule,
                                     counter_source=controller.snapshot_and_reset_counters)
 
     # every arrival is drawn before the first call is handled: vendor legs
@@ -348,14 +352,13 @@ def run_scenario(
         t += traffic_rng.expovariate(rate_per_s)
 
     abandoned = 0
-    start_time = config.start_time
     decide = controller.decide
     add_ended = aggregator.add_ended
     normal = DisconnectCause.NORMAL_CLEARING
     no_answer = DisconnectCause.NO_USER_RESPONDING
     other = DisconnectCause.OTHER
 
-    def handle_call(t_s: float, call_id: str, second: int, connect: datetime) -> bool:
+    def handle_call(t_s: float, call_id: str, second: int) -> bool:
         """Walks the billing order until a vendor answers; returns True when
         the call was answered somewhere. Each leg connects ``second`` s in."""
         for vendor in order:
@@ -369,7 +372,7 @@ def run_scenario(
                 # refused by the clone or failed at the vendor: both fail over,
                 # and the zero-length leg ends at its connect time
                 cause = no_answer if accepted else other
-            on_cdr(call_id, vendor, connect, leg_duration, cause, not accepted, t_s)
+            on_cdr(call_id, vendor, second, leg_duration, cause, not accepted, t_s)
             add_ended(vendor, second + leg_duration, leg_duration, not accepted)
             if leg_duration:
                 return True
@@ -382,15 +385,11 @@ def run_scenario(
 
     # a tick at a call's exact time runs before it; ticks past the last call run last
     next_tick_s = tick_period_s
-    second, connect = -1, start_time
     for idx, t_s in enumerate(arrivals, 1):
         while next_tick_s <= t_s:
             run_tick(next_tick_s)
             next_tick_s += tick_period_s
-        if int(t_s) != second:
-            second = int(t_s)
-            connect = start_time + timedelta(0, second)
-        if not handle_call(t_s, f"c{idx:06d}", second, connect):
+        if not handle_call(t_s, f"c{idx:06d}", int(t_s)):
             abandoned += 1
     last_tick_s = int(duration_s // tick_period_s) * tick_period_s
     for tick_s in range(next_tick_s, last_tick_s + 1, tick_period_s):

@@ -9,9 +9,9 @@ ending lines with ``"\\r\\n"`` does, so a carriage return is quoted on every
 Python version and the row reads back whole; every other field is drawn from
 a fixed alphabet that needs no quoting. ``cdr_row`` takes a CDR's fields, the
 call id and the two timestamps as text ready made: ``cdr_line`` renders them
-for one record, from ``format_ts``'s cache of recent seconds, and
-``attempt_log`` for an attempt's fields, each only when its source object
-changes, an answered leg's disconnect from its connect time and duration.
+for one record with ``format_ts``, and ``attempt_log`` for an attempt's
+fields with ``second_texts``, each only when its source changes, an answered
+leg's disconnect from its connect second and duration.
 
 ``attempt_log`` is ``simulate``'s sink: it writes each attempt's CDR row and
 decision row as the run makes the attempt, in blocks of ``ROW_BLOCK`` rows.
@@ -28,13 +28,13 @@ import csv
 import io
 import re
 from contextlib import contextmanager
-from datetime import datetime, timedelta
+from datetime import datetime
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, List, Tuple
 
 from .admission import REJECTION_CODE
 from .aggregate import ClosedInterval
-from .domain import _TS_TEXT, CallRecord, DisconnectCause, format_ts
+from .domain import _TS_TEXT, CallRecord, DisconnectCause, format_ts, second_texts
 
 CDR_CSV_HEADER = ["call_id", "vendor", "connect_time", "disconnect_time", "duration_s",
                   "cause", "rejected"]
@@ -95,25 +95,27 @@ ROW_BLOCK = 1024
 
 
 @contextmanager
-def attempt_log(cdr_path: Path, decision_path: Path) -> Iterator[
-        Callable[[str, int, datetime, int, DisconnectCause, bool, float], None]]:
+def attempt_log(cdr_path: Path, decision_path: Path, start: datetime) -> Iterator[
+        Callable[[str, int, int, int, DisconnectCause, bool, float], None]]:
     """Open a CDR CSV file and a decisions file, write their headers, and
-    yield the sink ``on_cdr(call_id, vendor, connect, duration_s, cause,
+    yield the sink ``on_cdr(call_id, vendor, connect_s, duration_s, cause,
     rejected, t_s)`` that ``run_scenario`` hands each attempt to: it appends
     the attempt's CDR row to the first file and its decision row, numbered
-    from 0, to the second.
+    from 0, to the second; ``connect_s`` counts whole seconds from ``start``.
 
     The rows are written ``ROW_BLOCK`` at a time, each block as one text. On
     exit, normal or by an exception, the rows still pending are written and
     both files are closed, so each file holds whole rows only.
 
-    An attempt's text pieces are built only when the object they come from
-    changes: the call id's ``csv_field`` text, keyed by the call id; the
-    ``time_s`` text, keyed by ``t_s``; the connect text, keyed by the connect
-    time. A key is compared by identity, which holds for any caller: equal
-    floats (``0.0``, ``-0.0``) or equal aware datetimes (one instant under two
-    offsets) can have different texts. A zero-length leg's disconnect text is
-    its connect text; an answered leg's is that of ``connect + duration_s``.
+    An attempt's text pieces are built only when their source changes: the
+    call id's ``csv_field`` text, keyed by the call id; the ``time_s`` text,
+    keyed by ``t_s``; the connect text, keyed by ``connect_s``. The first two
+    are compared by identity, as equal floats (``0.0``, ``-0.0``) can have
+    different texts; ``connect_s`` by value, as every time is rendered from
+    the one ``start``, so equal seconds have one text (equal datetimes, one
+    instant under two offsets, did not). A zero-length leg's disconnect text
+    is its connect text; an answered leg's is that of ``connect_s +
+    duration_s``, an ``OverflowError`` past the year 9999.
     """
     with open(cdr_path, "w", newline="", encoding="utf-8") as cdr_file, \
             open(decision_path, "w", newline="", encoding="utf-8") as decision_file:
@@ -122,8 +124,9 @@ def attempt_log(cdr_path: Path, decision_path: Path) -> Iterator[
         cdr_rows: List[str] = []
         decision_rows: List[str] = []
         refused = f"0,{REJECTION_CODE}"
+        ts_text = second_texts(start)
         seq = 0
-        call_id = call_text = t_s_key = t_text = connect = connect_text = None
+        call_id = call_text = t_s_key = t_text = connect_key = connect_text = None
 
         def write_pending() -> None:
             # each list is emptied before its text is written, so a failed
@@ -133,19 +136,19 @@ def attempt_log(cdr_path: Path, decision_path: Path) -> Iterator[
                 rows.clear()
                 handle.write(text)
 
-        def on_cdr(leg_call_id: str, vendor: int, leg_connect: datetime, duration_s: int,
+        def on_cdr(leg_call_id: str, vendor: int, connect_s: int, duration_s: int,
                    cause: DisconnectCause, rejected: bool, t_s: float) -> None:
-            nonlocal seq, call_id, call_text, t_s_key, t_text, connect, connect_text
+            nonlocal seq, call_id, call_text, t_s_key, t_text, connect_key, connect_text
             if leg_call_id is not call_id:
                 call_id = leg_call_id
                 call_text = csv_field(call_id)
             if t_s is not t_s_key:
                 t_s_key, t_text = t_s, f"{t_s:.3f}"
-            if leg_connect is not connect:
-                connect = leg_connect
-                connect_text = format_ts(connect)
-            cdr_rows.append(cdr_row(call_text, vendor, connect_text, format_ts(
-                connect + timedelta(0, duration_s)) if duration_s else connect_text,
+            if connect_s != connect_key:
+                connect_key = connect_s
+                connect_text = ts_text(connect_s)
+            cdr_rows.append(cdr_row(call_text, vendor, connect_text, ts_text(
+                connect_s + duration_s) if duration_s else connect_text,
                 duration_s, cause, rejected))
             decision_rows.append(f"{seq},{t_text},{call_text},{vendor},"
                                  f"{refused if rejected else '1,'}\n")

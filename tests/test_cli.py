@@ -390,8 +390,8 @@ def test_streamed_files_equal_the_batch_rendering(tmp_path, capsys, scenario):
                  "--out", str(out)]) == 0
     capsys.readouterr()
     attempts = []
-    run_scenario(dataclasses.replace(ScenarioConfig.load(scenario), seed=3),
-                 on_cdr=record_sink(attempts))
+    config = dataclasses.replace(ScenarioConfig.load(scenario), seed=3)
+    run_scenario(config, on_cdr=record_sink(attempts, config.start_time))
     batch = tmp_path / "cdrs.csv"
     write_cdr_csv(batch, [record for record, _ in attempts])
     assert (out / "cdrs.csv").read_bytes() == batch.read_bytes()
@@ -407,33 +407,46 @@ def test_streamed_files_equal_the_batch_rendering(tmp_path, capsys, scenario):
 
 
 @pytest.mark.parametrize("admission", [True, False], ids=["admission", "no-admission"])
-def test_streamed_rows_equal_the_default_sinks_records(tmp_path, capsys, admission):
+def test_streamed_rows_equal_the_default_sinks_records(tmp_path, capsys, monkeypatch,
+                                                       admission):
     # what no bundled scenario has: a start off the minute, legs across
-    # midnight and a year end, and a prefix that needs quoting. simulate's
-    # sink renders each row from the attempt's fields; the default sink
-    # builds each CallRecord from the same fields
+    # midnight into a new year or off a leap day, a start with microseconds
+    # (which a scenario file cannot hold, so the loaded config is given it),
+    # and a prefix that needs quoting. simulate's sink renders each row from
+    # the attempt's fields; the default sink builds each CallRecord from the
+    # same fields
     config = json.loads((SCENARIOS / "honest_vs_fas.json").read_text())
-    config.update(start_time="2020-12-31 23:47:13", duration_min=60, dest_prefix='37,"410"')
-    scenario = tmp_path / "year_end.json"
+    config.update(duration_min=60, dest_prefix='37,"410"')
+    scenario = tmp_path / "late_evening.json"
     scenario.write_text(json.dumps(config), encoding="utf-8")
-    out = tmp_path / "run"
-    assert main(["simulate", "--scenario", str(scenario), "--out", str(out),
-                 *([] if admission else ["--disable-admission"])]) == 0
-    capsys.readouterr()
-    result = run_scenario(dataclasses.replace(ScenarioConfig.load(scenario),
-                                              admission_enabled=admission))
-    records = result.cdrs
-    assert (out / "cdrs.csv").read_text(encoding="utf-8").splitlines(keepends=True)[1:] == [
-        cdr_line(record) for record in records]
-    # every row reads back, so each passed CallRecord's checks: a calendar
-    # time, a disconnect not before its connect, a span equal to the duration
-    assert read_cdr_csv(out / "cdrs.csv") == (records, [])
-    assert {row[5] for row in read_acd_csv(out / "acd_vendors.csv")} == {'37,"410"'}
-    # the case is there: an answered leg across the year end, an interval
-    # closed, and with admission on a refused attempt
-    assert any(r.connect_time.year == 2020 < r.disconnect_time.year for r in records)
-    assert result.interval_history
-    assert any(r.rejected_by_router for r in records) == admission
+    load = ScenarioConfig.load
+    for start in (datetime(2020, 12, 31, 23, 47, 13), datetime(2020, 2, 29, 23, 47, 13, 250_000)):
+        monkeypatch.setattr(ScenarioConfig, "load", classmethod(
+            lambda cls, path: dataclasses.replace(load(path), start_time=start)))
+        out = tmp_path / f"run-{start:%m-%d}"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out),
+                     *([] if admission else ["--disable-admission"])]) == 0
+        capsys.readouterr()
+        result = run_scenario(dataclasses.replace(ScenarioConfig.load(scenario),
+                                                  admission_enabled=admission))
+        records = result.cdrs
+        assert records[0].connect_time.microsecond == start.microsecond
+        assert (out / "cdrs.csv").read_text(encoding="utf-8").splitlines(keepends=True)[1:] == [
+            cdr_line(record) for record in records]
+        # every row reads back, so each passed CallRecord's checks: a calendar
+        # time, a disconnect not before its connect, a span equal to the
+        # duration; a file holds whole seconds
+        assert read_cdr_csv(out / "cdrs.csv") == ([dataclasses.replace(
+            r, connect_time=r.connect_time.replace(microsecond=0),
+            disconnect_time=r.disconnect_time.replace(microsecond=0)) for r in records], [])
+        assert {row[5] for row in read_acd_csv(out / "acd_vendors.csv")} == {'37,"410"'}
+        # the case is there: an answered leg from the start's day into the
+        # next (a new year, or March 1), an interval closed, and with
+        # admission on a refused attempt
+        assert any(r.connect_time.date() == start.date() < r.disconnect_time.date()
+                   for r in records)
+        assert result.interval_history
+        assert any(r.rejected_by_router for r in records) == admission
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -486,6 +499,31 @@ def test_closed_stdout_exits_1_after_every_file(tmp_path, capsys, command, unbuf
     assert main(args(tmp_path / "read")) == 0
     capsys.readouterr()
     assert snapshot_dir(tmp_path / "piped") == snapshot_dir(tmp_path / "read")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_broken_pipe_on_an_output_file_names_its_error(tmp_path):
+    # cdrs.csv is a FIFO whose reader leaves after 100 bytes: the next write
+    # to it fails with EPIPE, which is an error of the command, not a closed
+    # stdout, so it gets its error line
+    out = tmp_path / "out"
+    out.mkdir()
+    os.mkfifo(out / "cdrs.csv")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SCENARIOS.parent.parent / "src"), os.environ.get("PYTHONPATH")) if p))
+    reader = subprocess.Popen([sys.executable, "-c",
+                               "import sys; open(sys.argv[1], 'rb').read(100)",
+                               str(out / "cdrs.csv")])
+    try:
+        done = subprocess.run([sys.executable, "-m", "acdroute.cli", "simulate", "--scenario",
+                               str(SCENARIOS / "pure_fas_control.json"), "--out", str(out)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        reader.kill()
+        reader.wait()
+    assert (done.returncode, done.stderr, done.stdout) == (
+        1, b"error: [Errno 32] Broken pipe\n", b"")
 
 
 class TestReport:

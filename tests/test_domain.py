@@ -13,10 +13,10 @@ from acdroute.domain import (
     RouteGroup,
     format_ts,
     parse_ts,
+    second_texts,
     triggers_failover,
     validate_preference,
     whole_seconds,
-    _wall_text,
 )
 
 
@@ -90,16 +90,15 @@ def test_format_ts_round_trips_every_year():
     assert format_ts(datetime(999, 1, 1, 0, 0, 1)) == "0999-01-01 00:00:01"
 
 
-class TestFormatTsCache:
-    """``format_ts`` caches the text of a naive wall time; an aware time is
-    looked up by its own wall time, never by the instant it names."""
+class TestFormatTsWallTime:
+    """``format_ts`` writes an aware time as its own wall time, never as the
+    instant it names."""
 
     def test_one_instant_under_two_offsets_keeps_two_texts(self):
         noon_utc = datetime(2020, 1, 1, 12, tzinfo=timezone.utc)
         one_pm_plus_one = datetime(2020, 1, 1, 13, tzinfo=timezone(timedelta(hours=1)))
         assert noon_utc == one_pm_plus_one
         for first, second in ((noon_utc, one_pm_plus_one), (one_pm_plus_one, noon_utc)):
-            _wall_text.cache_clear()
             assert format_ts(first) == first.strftime(TS_FORMAT)
             assert format_ts(second) == second.strftime(TS_FORMAT)
         assert format_ts(noon_utc) == "2020-01-01 12:00:00"
@@ -110,13 +109,82 @@ class TestFormatTsCache:
         aware = wall.replace(tzinfo=timezone(timedelta(hours=-7)))
         assert format_ts(aware) == format_ts(wall) == "2020-01-01 13:04:05"
 
-    def test_correct_after_the_cache_turns_over(self):
-        _wall_text.cache_clear()
+    def test_correct_over_many_seconds_and_back(self):
         first = datetime(2020, 1, 1)
         stamps = [first + timedelta(seconds=s) for s in range(1500)]
         for ts in [*stamps, first, *reversed(stamps)]:
             assert format_ts(ts) == ts.strftime(TS_FORMAT), ts
-        assert _wall_text.cache_info().currsize <= 1024
+
+
+def _second_texts_starts(rng):
+    """Starts of every kind ``second_texts`` must render from: naive or
+    aware at offsets either side of UTC, on or off the second, on the days
+    where a date head changes oddly, and at random."""
+    offsets = [None, timezone.utc, timezone(timedelta(hours=5, minutes=30)),
+               timezone(-timedelta(hours=11, minutes=45))]
+    days = [datetime(999, 12, 31), datetime(1000, 1, 1), datetime(2020, 2, 28),
+            datetime(2020, 2, 29), datetime(2019, 2, 28), datetime(2020, 12, 31),
+            datetime(1900, 2, 28), datetime(2000, 2, 29)]
+    for day in [*days, *(datetime.fromordinal(rng.randint(1, date.max.toordinal() - 400))
+                         for _ in range(12))]:
+        for tz in offsets:
+            for micro in (0, 999_999, rng.randrange(1, 1_000_000)):
+                yield day.replace(tzinfo=tz) + timedelta(
+                    seconds=rng.choice((0, 86399, rng.randrange(86400))), microseconds=micro)
+
+
+class TestSecondTexts:
+    """``second_texts(start)(s)`` is ``format_ts(start + timedelta(seconds=s))``
+    for whole seconds ``s``, without the ``datetime``."""
+
+    def test_matches_format_ts_over_random_seconds(self):
+        rng = random.Random(23)
+        checked = 0
+        for start in _second_texts_starts(rng):
+            text = second_texts(start)
+            # across day, leap-day and year ends, a day revisited after
+            # later ones, and seconds from a minute to centuries away
+            near = [rng.randrange(-3 * 86400, 3 * 86400) for _ in range(40)]
+            far = [rng.randrange(-10**10, 10**10) for _ in range(10)]
+            for s in [0, 1, 59, 60, 86399, 86400, 86401, 366 * 86400, *near, *far,
+                      *near[:10]]:
+                try:
+                    want = format_ts(start + timedelta(seconds=s))
+                except OverflowError:
+                    with pytest.raises(OverflowError):
+                        text(s)
+                    continue
+                assert text(s) == want, (start, s)
+                checked += 1
+        assert checked > 10_000
+
+    @pytest.mark.parametrize("start", [
+        datetime(9999, 12, 31, 23, 59, 59),
+        datetime(9999, 12, 31, 23, 59, 59, 999_999),
+        datetime(9999, 12, 31, 0, 0, 0, 1, tzinfo=timezone(timedelta(hours=-3))),
+        datetime(9998, 12, 31, 12, 30),
+    ], ids=["last-second", "last-microsecond", "aware-last-day", "a-year-before"])
+    def test_overflow_past_the_year_9999_on_both_sides(self, start):
+        text = second_texts(start)
+        last = int((datetime.max.replace(tzinfo=start.tzinfo) - start).total_seconds())
+        assert text(last) == format_ts(start + timedelta(seconds=last)) == (
+            "9999-12-31 23:59:59")
+        for past in (last + 1, last + 86400, last + 10**9):
+            with pytest.raises(OverflowError):
+                start + timedelta(seconds=past)
+            with pytest.raises(OverflowError):
+                text(past)
+        # an overflow leaves the texts already made intact
+        assert text(last) == "9999-12-31 23:59:59"
+
+    def test_seconds_before_the_start_and_before_year_1(self):
+        start = datetime(1, 1, 1, 0, 0, 5, 123)
+        text = second_texts(start)
+        assert text(-5) == format_ts(start - timedelta(seconds=5)) == "0001-01-01 00:00:00"
+        with pytest.raises(OverflowError):
+            start + timedelta(seconds=-6)
+        with pytest.raises(OverflowError):
+            text(-6)
 
 
 @pytest.mark.parametrize("text, expected", [

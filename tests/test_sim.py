@@ -51,7 +51,7 @@ def run_collecting(config):
     """``run_scenario(config)`` with a sink that keeps each attempt's
     ``(record, t_s)`` event; returns the result and the events."""
     attempts = []
-    result = run_scenario(config, on_cdr=record_sink(attempts))
+    result = run_scenario(config, on_cdr=record_sink(attempts, config.start_time))
     return result, attempts
 
 
@@ -213,8 +213,8 @@ class TestEventOrder:
         for seed in (1, 2, 3):
             events.clear()
             run_scenario(replace(base, seed=seed),
-                         on_cdr=lambda call_id, vendor, connect, *rest: events.append(
-                             ("cdr", connect)))
+                         on_cdr=lambda call_id, vendor, connect_s, *rest: events.append(
+                             ("cdr", base.start_time + timedelta(seconds=connect_s))))
             ticks = [at for kind, at in events if kind == "tick"]
             assert ticks == [base.start_time + k * period for k in range(1, len(ticks) + 1)]
             assert len(ticks) == int(base.duration_min * 60.0 // base.schedule.tick_period_s)

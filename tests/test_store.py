@@ -417,9 +417,9 @@ class TestAwkwardTextFields:
 
 
 def _attempts(n):
-    """``n`` attempts as ``run_scenario`` hands them to its sink: two per
-    call, which share the call id and time objects, and one connect time per
-    second; some refused, some answered."""
+    """``n`` attempts as ``run_scenario`` hands them to its sink, in a run
+    that started at ``T0``: two per call, which share the call id and time
+    objects and the connect second; some refused, some answered."""
     attempts = []
     for i in range(n):
         if i % 2 == 0:
@@ -435,13 +435,14 @@ def _attempts(n):
     return attempts
 
 
-def _log_attempts(tmp_path, attempts):
+def _log_attempts(tmp_path, attempts, start=T0):
     """The text of ``cdrs.csv`` and the rows of ``decisions.csv``, as ``csv``
-    splits them, after ``attempt_log`` was given ``attempts``."""
+    splits them, after ``attempt_log`` was given ``attempts`` of a run that
+    started at ``start``."""
     cdrs, decisions = tmp_path / "cdrs.csv", tmp_path / "decisions.csv"
-    with attempt_log(cdrs, decisions) as on_cdr:
+    with attempt_log(cdrs, decisions, start) as on_cdr:
         for record, t_s in attempts:
-            on_cdr(*sink_fields(record), t_s)
+            on_cdr(*sink_fields(record, start), t_s)
     with open(decisions, newline="", encoding="utf-8") as handle:
         decision_rows = list(csv.reader(handle))
     assert decision_rows[0] == DECISION_CSV_HEADER
@@ -475,27 +476,35 @@ class TestAttemptLog:
             assert decision[2:5] == [cdr[0], cdr[1], "0" if cdr[6] == "1" else "1"]
 
     def test_each_text_follows_its_own_source(self, tmp_path):
-        # one call id object with other connect times and call times; keys
-        # that compare equal but are written otherwise (0.0 and -0.0, one
-        # instant under two offsets); equal but distinct keys. The sink is
-        # handed no disconnect time: it renders an answered leg's from its
-        # connect time and duration, an aware one as its wall time.
-        call_id = "a,b"
-        later = T0 + timedelta(0, 1)
+        # one call id object with other connect seconds and call times; keys
+        # that compare equal but are written otherwise (0.0 and -0.0, and
+        # across runs one instant under two offsets as the start); equal but
+        # distinct keys. The sink is handed no disconnect time: it renders an
+        # answered leg's from its connect second and duration, and an aware
+        # start's times as their wall times.
         instant = datetime(2020, 1, 1, 12, 0, 0, tzinfo=timezone.utc)
         shifted = instant.astimezone(timezone(timedelta(hours=1)))
         assert shifted == instant
+        for start, hour in ((T0, 0), (instant, 12), (shifted, 13)):
+            self._check_texts(tmp_path, start, hour)
+
+    @staticmethod
+    def _check_texts(tmp_path, start, hour):
+        call_id = "a,b"
         zero, minus_zero, t1, t2 = 0.0, -0.0, 1.0005, 1.0004
-        legs = [(call_id, T0, 0, zero), (call_id, T0, 5, minus_zero),
-                (call_id, later, 0, minus_zero), (call_id, datetime(2020, 1, 1, 0, 0, 1), 2, t1),
-                (call_id, instant, 3, t1), (call_id, shifted, 0, t1),
-                ("".join(["a,", "b"]), shifted, 0, t2)]
-        attempts = [(CallRecord(cid, 55 + i % 2, connect, connect + timedelta(0, duration),
-                                duration, DisconnectCause.NORMAL_CLEARING if duration
+        day, same_day = 86400, int("86400")
+        assert day == same_day and day is not same_day
+        legs = [(call_id, 0, 0, zero), (call_id, 0, 5, minus_zero),
+                (call_id, 1, 0, minus_zero), (call_id, int("1"), 2, t1),
+                (call_id, day, 3, t1), (call_id, same_day, 0, t1),
+                ("".join(["a,", "b"]), same_day, 0, t2)]
+        attempts = [(CallRecord(cid, 55 + i % 2, start + timedelta(0, connect_s),
+                                start + timedelta(0, connect_s + duration), duration,
+                                DisconnectCause.NORMAL_CLEARING if duration
                                 else DisconnectCause.OTHER, not duration), t_s)
-                    for i, (cid, connect, duration, t_s) in enumerate(legs)]
+                    for i, (cid, connect_s, duration, t_s) in enumerate(legs)]
         records = [record for record, _ in attempts]
-        cdr_text, decisions = _log_attempts(tmp_path, attempts)
+        cdr_text, decisions = _log_attempts(tmp_path, attempts, start)
 
         def wall(ts):
             return f"{ts:%Y-%m-%d %H:%M:%S}"
@@ -505,10 +514,11 @@ class TestAttemptLog:
             [r.call_id, str(r.vendor), wall(r.connect_time), wall(r.disconnect_time),
              str(r.duration_s), r.cause.value, "1" if r.rejected_by_router else "0"]
             for r in records)])
-        assert [row[2] for row in csv.reader(io.StringIO(cdr_text))][1:] == [
-            "2020-01-01 00:00:00", "2020-01-01 00:00:00", "2020-01-01 00:00:01",
-            "2020-01-01 00:00:01", "2020-01-01 12:00:00", "2020-01-01 13:00:00",
-            "2020-01-01 13:00:00"]
+        assert [row[2:4] for row in csv.reader(io.StringIO(cdr_text))][1:] == [
+            [f"2020-01-{dd} {hour:02d}:00:{ss}", f"2020-01-{dd} {hour:02d}:00:{end}"]
+            for dd, ss, end in (("01", "00", "00"), ("01", "00", "05"), ("01", "01", "01"),
+                                ("01", "01", "03"), ("02", "00", "03"), ("02", "00", "00"),
+                                ("02", "00", "00"))]
         assert decisions == [_decision_fields(seq, record, t_s)
                              for seq, (record, t_s) in enumerate(attempts)]
         assert [row[1] for row in decisions] == ["0.000", "-0.000", "-0.000", "1.000",
@@ -521,9 +531,9 @@ class TestAttemptLog:
         rows = [cdr_line(record) for record, _ in attempts]
         cdrs, decisions = tmp_path / "cdrs.csv", tmp_path / "decisions.csv"
         with pytest.raises(OSError, match="disk quota exceeded"):
-            with attempt_log(cdrs, decisions) as on_cdr:
+            with attempt_log(cdrs, decisions, T0) as on_cdr:
                 for record, t_s in attempts:
-                    on_cdr(*sink_fields(record), t_s)
+                    on_cdr(*sink_fields(record, T0), t_s)
                 assert cdrs.read_text(encoding="utf-8").splitlines(keepends=True)[1:] == (
                     rows[:ROW_BLOCK])
                 raise OSError("disk quota exceeded")
