@@ -15,7 +15,6 @@ from .aggregate import (
     Schedule,
     VendorIntervalStats,
     replay_cdrs,
-    vendor_stats,
 )
 from .codec import decode, encode
 from .domain import (
@@ -42,7 +41,7 @@ from .sim import (
     run_scenario,
     vendor_leg,
 )
-from .store import acd_csv_text, read_cdr_csv, write_cdr_csv
+from .store import acd_csv_text, read_cdr_csv
 
 __version__ = "0.1.0"
 
@@ -77,6 +76,4 @@ __all__ = [
     "run_scenario",
     "triggers_failover",
     "vendor_leg",
-    "vendor_stats",
-    "write_cdr_csv",
 ]

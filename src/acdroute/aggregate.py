@@ -119,16 +119,6 @@ def _stats(vendor: int, tally: Tally) -> VendorIntervalStats:
     )
 
 
-def vendor_stats(cdrs: Sequence[CallRecord], vendor: int) -> VendorIntervalStats:
-    """Bucket one vendor's calls by duration; router-rejected attempts are
-    skipped because they never reached the vendor."""
-    tally = [0] * 6
-    for record in cdrs:
-        if record.vendor == vendor:
-            _count(tally, record.duration_s, record.rejected_by_router)
-    return _stats(vendor, tally)
-
-
 @dataclass
 class ClosedInterval:
     """Everything produced by closing one interval."""

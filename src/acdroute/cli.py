@@ -31,7 +31,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .aggregate import ClosedInterval, Schedule, replay_cdrs
 from .codec import encode, json_text, load_json
-from .domain import DEFAULT_LOAD_MIN, RouteGroup, validate_prefs_and_floor
+from .domain import DEFAULT_LOAD_MIN, RouteGroup, format_ts, validate_prefs_and_floor
 from .rejection import QualityInput, compute_rejection
 from .report import TABLE_FORMATS, render_calc_breakdown, render_interval_table
 from .sim import ScenarioConfig, ScenarioResult, run_scenario
@@ -190,7 +190,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
             f"{v}: reject {p:.2f}%"
             for v, p in zip(interval.vendors, interval.result.reject_pct)
         )
-        print(f"  closed {interval.closed_at:%Y-%m-%d %H:%M} -> {pcts}")
+        print(f"  closed {format_ts(interval.closed_at)[:16]} -> {pcts}")
     return 0
 
 

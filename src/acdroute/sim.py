@@ -20,16 +20,15 @@ not), so billing tries the next vendor until one answers. ``billing_route``
 is the one definition of that failover: it picks the same vendors one
 attempt at a time, from a call's response codes.
 
-Each attempt goes to a sink as one event as soon as it is made: its CDR's
-fields but the disconnect time, the connect time in whole seconds after the
-start, and the call's time; the rejected flag is the admission decision. No
-``datetime`` is built per attempt but by the default sink, for its
-``CallRecord``; the aggregator takes each leg's end in seconds (``add_ended``).
-The default sink collects the CDRs on the ``ScenarioResult``; one that streams
-them (the CLI's ``store.attempt_log`` writes a CDR row and a decision row)
-keeps the run's memory bounded by the admission ledger, not by its length.
-Of each close the result keeps the ``ClosedInterval`` in its interval history;
-the acd_vendors rows and the interval tables are rendered from that.
+Each attempt goes to the caller's sink as one event as soon as it is made:
+its CDR's fields but the disconnect time, the connect time in whole seconds
+after the start, and the call's time; the rejected flag is the admission
+decision. No ``datetime`` is built per attempt, and the run keeps no CDR: the
+aggregator takes each leg's end in seconds (``add_ended``), and the CLI's sink,
+``store.attempt_log``, writes a CDR row and a decision row, so the run's
+memory is bounded by the admission ledger, not by its length. Of each close
+the result keeps the ``ClosedInterval`` in its interval history; the
+acd_vendors rows and the interval tables are rendered from that.
 """
 
 from __future__ import annotations
@@ -45,13 +44,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from .admission import AdmissionController
 from .aggregate import ClosedInterval, IntervalAggregator, Schedule
 from .codec import decode, load_json
-from .domain import (
-    DEFAULT_LOAD_MIN,
-    CallRecord,
-    DisconnectCause,
-    RouteGroup,
-    triggers_failover,
-)
+from .domain import DEFAULT_LOAD_MIN, DisconnectCause, RouteGroup, triggers_failover
 from .store import csv_field
 
 DEFAULT_START = datetime(2020, 1, 1, 0, 0, 0)
@@ -248,12 +241,10 @@ def billing_route(
 
 @dataclass
 class ScenarioResult:
-    """Full trace of one scenario run. ``cdrs`` holds the records only when
-    ``run_scenario`` used its default sink; the answered counts cover every
-    CDR either way."""
+    """What one scenario run keeps: its interval history and its call
+    counts; the CDRs went to the run's sink."""
 
     config: ScenarioConfig
-    cdrs: List[CallRecord]
     interval_history: List[ClosedInterval]
     abandoned_calls: int
     total_calls: int
@@ -281,14 +272,6 @@ class ScenarioResult:
             totals.update({s.vendor: s.total_minutes for s in interval.stats})
         return _shares(totals)
 
-    def routed_share(self, from_interval: int = 0) -> Dict[int, float]:
-        """Share of admitted (passed-through) calls per vendor over closed
-        intervals ``from_interval`` onward, from the router counters."""
-        totals: Counter = Counter()
-        for interval in self.interval_history[from_interval:]:
-            totals.update(interval.received)
-        return _shares(totals)
-
 
 def _shares(totals: Mapping[int, float]) -> Dict[int, float]:
     """Each vendor's fraction of the total; all zero when the total is."""
@@ -298,8 +281,7 @@ def _shares(totals: Mapping[int, float]) -> Dict[int, float]:
 
 def run_scenario(
     config: ScenarioConfig,
-    on_cdr: Optional[Callable[[str, int, int, int, DisconnectCause, bool, float],
-                              object]] = None,
+    on_cdr: Callable[[str, int, int, int, DisconnectCause, bool, float], object],
 ) -> ScenarioResult:
     """Run one scenario to completion.
 
@@ -313,10 +295,9 @@ def run_scenario(
     ``on_cdr(call_id, vendor, connect_s, duration_s, cause, rejected, t_s)``
     gets each attempt as soon as it is made: its CDR less the disconnect time
     (``connect_s`` plus ``duration_s``, in whole seconds after ``start_time``),
-    and the call's time in seconds; by default it appends the ``CallRecord``
-    to ``cdrs``. An exception it raises ends the run, as the ``OverflowError``
-    of a leg ending past the year 9999 does: neither the default sink nor
-    ``store.attempt_log``'s can build or render its disconnect time.
+    and the call's time in seconds. An exception it raises ends the run, as
+    the ``OverflowError`` of a leg ending past the year 9999 does from
+    ``store.attempt_log``'s sink, which cannot render its disconnect time.
     """
     traffic_rng = random.Random(config.seed)
     group = config.group
@@ -325,13 +306,6 @@ def run_scenario(
 
     controller = AdmissionController(group, seed=config.seed + 1)
     start_time = config.start_time
-    cdrs: List[CallRecord] = []
-    if on_cdr is None:
-        def on_cdr(call_id, vendor, connect_s, duration_s, cause, rejected, t_s):
-            connect = start_time + timedelta(0, connect_s)
-            disconnect = connect + timedelta(0, duration_s) if duration_s else connect
-            cdrs.append(CallRecord(call_id, vendor, connect, disconnect, duration_s, cause,
-                                   rejected))
     # summed in CDR order, one float per vendor, as summary.json rounds them
     answered = {v: 0 for v in group.vendors}
     answered_minutes = {v: 0.0 for v in group.vendors}
@@ -397,7 +371,6 @@ def run_scenario(
 
     return ScenarioResult(
         config=config,
-        cdrs=cdrs,
         interval_history=aggregator.history,
         abandoned_calls=abandoned,
         total_calls=len(arrivals),

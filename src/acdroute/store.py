@@ -8,18 +8,17 @@ or a prefix, goes through ``csv_field``, which quotes it as a ``csv.writer``
 ending lines with ``"\\r\\n"`` does, so a carriage return is quoted on every
 Python version and the row reads back whole; every other field is drawn from
 a fixed alphabet that needs no quoting. ``cdr_row`` takes a CDR's fields, the
-call id and the two timestamps as text ready made: ``cdr_line`` renders them
-for one record with ``format_ts``, and ``attempt_log`` for an attempt's
-fields with ``second_texts``, each only when its source changes, an answered
+call id and the two timestamps as text ready made: ``attempt_log`` renders
+them with ``second_texts``, each only when its source changes, an answered
 leg's disconnect from its connect second and duration.
 
-``attempt_log`` is ``simulate``'s sink: it writes each attempt's CDR row and
-decision row as the run makes the attempt, in blocks of ``ROW_BLOCK`` rows.
-``write_cdr_csv`` writes a list of records. ``acd_csv_text`` renders an
-interval history as the acd_vendors file, each closed interval as its pair of
-rows, after the run; no command reads that file back. ``read_cdr_csv`` is the
-one reader. It accepts a CDR row only in the form ``cdr_line`` writes it,
-checked as one match against ``_CDR_FIELDS``, the row grammar.
+``attempt_log`` is ``simulate``'s sink and the one CDR writer: it writes each
+attempt's CDR row and decision row as the run makes the attempt, in blocks of
+``ROW_BLOCK`` rows. ``acd_csv_text`` renders an interval history as the
+acd_vendors file, each closed interval as its pair of rows, after the run; no
+command reads that file back. ``read_cdr_csv`` is the one reader. It accepts
+a CDR row only in the form ``cdr_row`` writes it, checked as one match
+against ``_CDR_FIELDS``, the row grammar.
 """
 
 from __future__ import annotations
@@ -72,19 +71,6 @@ def cdr_row(call_text: str, vendor: int, connect_text: str, disconnect_text: str
     # costs ~15x as much to read
     return (f"{call_text},{vendor},{connect_text},{disconnect_text},{duration_s},"
             f"{cause._value_},{'1' if rejected else '0'}\n")
-
-
-def cdr_line(record: CallRecord) -> str:
-    """The CDR's row of a CDR CSV file, line end included; only the call id
-    can need quoting."""
-    return cdr_row(csv_field(record.call_id), record.vendor, format_ts(record.connect_time),
-                   format_ts(record.disconnect_time), record.duration_s, record.cause,
-                   record.rejected_by_router)
-
-
-def write_cdr_csv(path: Path, records: Iterable[CallRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(CDR_CSV_HEADER) + "\n" + "".join(map(cdr_line, records)))
 
 
 # rows a streamed file holds back before writing them as one text: enough to
@@ -163,7 +149,7 @@ def attempt_log(cdr_path: Path, decision_path: Path, start: datetime) -> Iterato
 
 
 # The row grammar: the six fields of a CDR row after its call id, each in the
-# one form ``cdr_line`` writes it. ``[0-9]``, because ``\d`` in a str pattern
+# one form ``cdr_row`` writes it. ``[0-9]``, because ``\d`` in a str pattern
 # also matches non-ASCII digits. No pattern matches a comma, so the six
 # fields joined by commas match ``_CDR_TAIL`` only if each matches its own.
 _CDR_FIELDS = (

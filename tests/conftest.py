@@ -54,6 +54,14 @@ def sink_fields(record, start):
             record.cause, record.rejected_by_router)
 
 
+def assert_rows_equal(got, want):
+    """``got == want`` for two lists of rows, reported as the first row that
+    differs: pytest's diff of two long texts or lists can run for minutes."""
+    for n, (row, wanted) in enumerate(zip(got, want), 1):
+        assert row == wanted, f"row {n} differs"
+    assert len(got) == len(want), f"{len(got)} rows, want {len(want)}"
+
+
 def spread_cdrs(vendor, durations, start=T0, window_s=1200, tag="x"):
     """CDRs with the given durations, ending evenly inside [start, start+window_s)."""
     step = window_s / (len(durations) + 1)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from acdroute.admission import AdmissionController
-from acdroute.aggregate import IntervalAggregator, vendor_stats
+from acdroute.aggregate import IntervalAggregator
 from acdroute.cli import main
 from acdroute.domain import RouteGroup
 from acdroute.rejection import QualityInput, compute_rejection, round_half_up
@@ -24,8 +24,9 @@ from acdroute.sim import (
     VendorSpec,
     run_scenario,
 )
-from acdroute.store import write_cdr_csv
 from conftest import T0, make_cdr, spread_cdrs
+from reference import write_cdr_csv
+from test_aggregate import closed_stats
 from test_cli import interval_records, snapshot_dir
 from test_rejection import oracle_rejection
 
@@ -54,13 +55,13 @@ def test_criterion_2_target_balance_golden():
 
 
 def test_criterion_3_acd_aggregation_golden():
-    strong = vendor_stats(spread_cdrs(1, [0] * 17 + [25] + [851] * 9 + [854]), 1)
+    strong = closed_stats(spread_cdrs(1, [0] * 17 + [25] + [851] * 9 + [854]), 1)
     assert (strong.bucket_zero, strong.bucket_0_5, strong.bucket_5_30,
             strong.bucket_over_30) == (17, 0, 1, 10)
     assert strong.total_minutes == pytest.approx(142.3, abs=1e-9)
     assert strong.acd_min == pytest.approx(12.94, abs=0.01)
 
-    weak = vendor_stats(spread_cdrs(2, [0] * 5 + [10, 20] + [816] * 8), 2)
+    weak = closed_stats(spread_cdrs(2, [0] * 5 + [10, 20] + [816] * 8), 2)
     assert (weak.bucket_zero, weak.bucket_0_5, weak.bucket_5_30,
             weak.bucket_over_30) == (5, 0, 2, 8)
     assert weak.total_minutes == pytest.approx(109.3, abs=1e-9)
@@ -188,7 +189,7 @@ def test_criterion_7_closed_loop_simulation():
                                           failure_code=480)),
         ),
     )
-    result = run_scenario(config)
+    result = run_scenario(config, on_cdr=lambda *attempt: None)
     assert len(result.interval_history) >= 3
     steady = result.interval_history[2:]
     for interval in steady:
@@ -213,8 +214,8 @@ def test_criterion_7_closed_loop_simulation():
         ),
         admission_enabled=False,
     )
-    neg = run_scenario(control)
-    by_vendor = Counter(r.vendor for r in neg.cdrs)
+    by_vendor = Counter()
+    neg = run_scenario(control, on_cdr=lambda call_id, vendor, *rest: by_vendor.update((vendor,)))
     assert by_vendor[71] == neg.total_calls
     assert by_vendor[72] == 0
 

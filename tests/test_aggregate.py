@@ -14,12 +14,12 @@ from acdroute.aggregate import (
     IntervalAggregator,
     Schedule,
     replay_cdrs,
-    vendor_stats,
 )
 from acdroute.codec import decode, encode
 from acdroute.domain import RouteGroup
 from acdroute.store import acd_csv_text
 from conftest import T0, make_cdr, spread_cdrs
+from reference import vendor_stats
 
 GROUP = RouteGroup((55, 62), (9, 8))
 
@@ -28,9 +28,23 @@ STRONG_ROW = [0] * 17 + [25] + [851] * 9 + [854]          # 28 calls, 142.3 min
 WEAK_ROW = [0] * 5 + [10, 20] + [816] * 8                  # 15 calls, 109.3 min
 
 
+def closed_stats(cdrs, vendor, other=999):
+    """``vendor``'s statistics in the interval that an aggregator of
+    ``vendor`` and ``other`` closes over ``cdrs``: its one tick falls at the
+    end of the 20 minutes ``spread_cdrs`` spreads them over, and one ended
+    call of either vendor is enough to close."""
+    agg = IntervalAggregator(RouteGroup((vendor, other), (9, 8)), opened_at=T0,
+                             schedule=Schedule(1200, 1200, 1))
+    for record in cdrs:
+        agg.add_cdr(record)
+    return agg.tick(T0 + timedelta(seconds=1200)).stats[0]
+
+
 class TestVendorStats:
+    """The statistics of a closed interval, one vendor at a time."""
+
     def test_strong_row(self):
-        stats = vendor_stats(spread_cdrs(1, STRONG_ROW), 1)
+        stats = closed_stats(spread_cdrs(1, STRONG_ROW), 1)
         assert (stats.bucket_zero, stats.bucket_0_5, stats.bucket_5_30,
                 stats.bucket_over_30) == (17, 0, 1, 10)
         assert stats.calls == 28
@@ -38,7 +52,7 @@ class TestVendorStats:
         assert stats.acd_min == pytest.approx(12.94, abs=0.01)
 
     def test_weak_row(self):
-        stats = vendor_stats(spread_cdrs(2, WEAK_ROW), 2)
+        stats = closed_stats(spread_cdrs(2, WEAK_ROW), 2)
         assert (stats.bucket_zero, stats.bucket_0_5, stats.bucket_5_30,
                 stats.bucket_over_30) == (5, 0, 2, 8)
         assert stats.calls == 15
@@ -46,20 +60,28 @@ class TestVendorStats:
         assert stats.acd_min == pytest.approx(10.93, abs=0.01)
 
     def test_empty_input(self):
-        stats = vendor_stats([], 1)
+        # the other vendor's call closes the interval
+        stats = closed_stats(spread_cdrs(999, [60]), 1)
         assert stats.calls == 0
         assert stats.total_minutes == 0.0
         assert stats.acd_min is None
 
+    def test_bucket_edges_at_0_5_and_30_s(self):
+        stats = closed_stats(spread_cdrs(1, [0, 1, 5, 6, 30, 31]), 1)
+        assert (stats.bucket_zero, stats.bucket_0_5, stats.bucket_5_30,
+                stats.bucket_over_30) == (1, 2, 2, 1)
+        assert stats.calls == 6
+        assert stats.total_minutes == 73 / 60
+
     def test_all_zero_durations_have_no_acd(self):
-        stats = vendor_stats(spread_cdrs(1, [0, 0, 0]), 1)
+        stats = closed_stats(spread_cdrs(1, [0, 0, 0]), 1)
         assert stats.calls == 3
         assert stats.acd_min is None
 
     def test_excludes_other_vendors_and_rejected(self):
         cdrs = spread_cdrs(1, [60, 120]) + spread_cdrs(2, [30])
         cdrs.append(make_cdr("rej", 1, T0 + timedelta(seconds=100), 0, rejected=True))
-        stats = vendor_stats(cdrs, 1)
+        stats = closed_stats(cdrs, 1, other=2)
         assert stats.calls == 2
         assert stats.total_minutes == pytest.approx(3.0)
 
@@ -68,7 +90,7 @@ class TestVendorStats:
         durations = [rng.choice([0, 0, rng.randint(1, 5), rng.randint(6, 30),
                                  rng.randint(31, 3000)]) for _ in range(200)]
         cdrs = spread_cdrs(7, durations)
-        stats = vendor_stats(cdrs, 7)
+        stats = closed_stats(cdrs, 7)
 
         # independent single-pass recount
         buckets = [0, 0, 0, 0]
@@ -95,7 +117,7 @@ class TestVendorStats:
         rng = random.Random(5)
         for _ in range(50):
             durations = [rng.randint(0, 600) for _ in range(rng.randint(1, 60))]
-            stats = vendor_stats(spread_cdrs(3, durations), 3)
+            stats = closed_stats(spread_cdrs(3, durations), 3)
             answered = sum(1 for d in durations if d > 0)
             if answered:
                 assert stats.acd_min * answered == pytest.approx(
@@ -414,7 +436,9 @@ class TestPushFedOracle:
                     continue
                 seen["closed"] += 1
                 assert (closed.opened_at, closed.closed_at) == (opened, now)
-                assert closed.stats == tuple(vendor_stats(ended, v) for v in GROUP.vendors)
+                assert encode(closed.stats) == [
+                    vendor_stats(v, [r.duration_s for r in ended if r.vendor == v])
+                    for v in GROUP.vendors]
                 assert sum(s.calls for s in closed.stats) == len(ended)
                 assert closed.received == {
                     v: sum(r.vendor == v for r in ended) for v in GROUP.vendors}

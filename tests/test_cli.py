@@ -17,15 +17,9 @@ from acdroute.aggregate import ClosedInterval, Schedule
 from acdroute.cli import main
 from acdroute.codec import decode
 from acdroute.sim import ScenarioConfig, run_scenario
-from acdroute.store import (
-    DECISION_CSV_HEADER,
-    acd_csv_text,
-    cdr_line,
-    cdr_row,
-    read_cdr_csv,
-    write_cdr_csv,
-)
-from conftest import T0, make_cdr, read_acd_csv, record_sink
+from acdroute.store import DECISION_CSV_HEADER, acd_csv_text, cdr_row, read_cdr_csv
+from conftest import T0, assert_rows_equal, make_cdr, read_acd_csv, record_sink
+from reference import cdr_lines, write_cdr_csv
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
@@ -131,6 +125,22 @@ class TestAggregate:
         assert float(rows[1][3]) == pytest.approx(10.93, abs=0.01)
         table = (out / "interval_table.csv").read_text(encoding="utf-8")
         assert "12.94" in table and "10.93" in table
+
+    def test_close_times_on_stdout_pad_a_year_before_1000(self, tmp_path, capsys):
+        # each close printed is its acd_vendors date to the minute, the year
+        # written with four digits as in the file
+        start = datetime(999, 12, 31, 22, 0, 0)
+        cdr_csv = tmp_path / "cdrs.csv"
+        write_cdr_csv(cdr_csv, [make_cdr(f"c{i}", (62, 55)[i % 2],
+                                         start + timedelta(seconds=60 * i + 30), 30)
+                                for i in range(60)])
+        out = tmp_path / "out"
+        assert main(["aggregate", "--cdr", str(cdr_csv), "--prefs", "9,8",
+                     "--out", str(out)]) == 0
+        printed = [line.split(" -> ")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        dates = [row[2][:16] for row in read_acd_csv(out / "acd_vendors.csv")[::2]]
+        assert printed == [f"  closed {date}" for date in dates]
+        assert dates[0] == "0999-12-31 22:20"
 
     def test_shuffled_input_gives_identical_output(self, tmp_path, capsys):
         sorted_csv = tmp_path / "sorted.csv"
@@ -384,7 +394,7 @@ class TestSimulate:
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
 def test_streamed_files_equal_the_batch_rendering(tmp_path, capsys, scenario):
     # simulate writes each row as it is made; the run's records, collected
-    # and then written, give the same bytes
+    # and then written by the reference writer, give the same rows
     out = tmp_path / "run"
     assert main(["simulate", "--scenario", str(scenario), "--seed", "3",
                  "--out", str(out)]) == 0
@@ -394,7 +404,8 @@ def test_streamed_files_equal_the_batch_rendering(tmp_path, capsys, scenario):
     run_scenario(config, on_cdr=record_sink(attempts, config.start_time))
     batch = tmp_path / "cdrs.csv"
     write_cdr_csv(batch, [record for record, _ in attempts])
-    assert (out / "cdrs.csv").read_bytes() == batch.read_bytes()
+    assert_rows_equal((out / "cdrs.csv").read_text(encoding="utf-8").splitlines(keepends=True),
+                      batch.read_text(encoding="utf-8").splitlines(keepends=True))
     # the decision rows, spelt out field by field
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -403,17 +414,18 @@ def test_streamed_files_equal_the_batch_rendering(tmp_path, capsys, scenario):
         rejected = record.rejected_by_router
         writer.writerow([seq, f"{t_s:.3f}", record.call_id, record.vendor,
                          0 if rejected else 1, 503 if rejected else ""])
-    assert (out / "decisions.csv").read_bytes() == buffer.getvalue().encode("utf-8")
+    assert_rows_equal(
+        (out / "decisions.csv").read_text(encoding="utf-8").splitlines(keepends=True),
+        buffer.getvalue().splitlines(keepends=True))
 
 
 @pytest.mark.parametrize("admission", [True, False], ids=["admission", "no-admission"])
-def test_streamed_rows_equal_the_default_sinks_records(tmp_path, capsys, monkeypatch,
-                                                       admission):
+def test_streamed_rows_equal_the_sinks_records(tmp_path, capsys, monkeypatch, admission):
     # what no bundled scenario has: a start off the minute, legs across
     # midnight into a new year or off a leap day, a start with microseconds
     # (which a scenario file cannot hold, so the loaded config is given it),
     # and a prefix that needs quoting. simulate's sink renders each row from
-    # the attempt's fields; the default sink builds each CallRecord from the
+    # the attempt's fields; ``record_sink`` builds each CallRecord from the
     # same fields
     config = json.loads((SCENARIOS / "honest_vs_fas.json").read_text())
     config.update(duration_min=60, dest_prefix='37,"410"')
@@ -427,12 +439,14 @@ def test_streamed_rows_equal_the_default_sinks_records(tmp_path, capsys, monkeyp
         assert main(["simulate", "--scenario", str(scenario), "--out", str(out),
                      *([] if admission else ["--disable-admission"])]) == 0
         capsys.readouterr()
-        result = run_scenario(dataclasses.replace(ScenarioConfig.load(scenario),
-                                                  admission_enabled=admission))
-        records = result.cdrs
+        attempts = []
+        config = dataclasses.replace(ScenarioConfig.load(scenario), admission_enabled=admission)
+        result = run_scenario(config, on_cdr=record_sink(attempts, config.start_time))
+        records = [record for record, _ in attempts]
         assert records[0].connect_time.microsecond == start.microsecond
-        assert (out / "cdrs.csv").read_text(encoding="utf-8").splitlines(keepends=True)[1:] == [
-            cdr_line(record) for record in records]
+        assert_rows_equal(
+            (out / "cdrs.csv").read_text(encoding="utf-8").splitlines(keepends=True)[1:],
+            cdr_lines(records))
         # every row reads back, so each passed CallRecord's checks: a calendar
         # time, a disconnect not before its connect, a span equal to the
         # duration; a file holds whole seconds

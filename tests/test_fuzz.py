@@ -3,10 +3,10 @@
 Every case mutates a valid file with its own ``random.Random(seed)``, so a
 failure names the seed that reproduces it. ``aggregate`` and ``report`` run
 through ``main`` and must end with exit code 0, 1 or 2, never an exception.
-A row ``read_cdr_csv`` accepts must be its record's row as ``cdr_line``
-writes it. Rows are compared as the csv module splits a line: quoting and
-line endings are CSV's encoding, not the row's values. Scenarios are only
-decoded, never run, so no mutant can start a huge run.
+A row ``read_cdr_csv`` accepts must be its record's row as the reference
+writer writes it. Rows are compared as the csv module splits a line:
+quoting and line endings are CSV's encoding, not the row's values. Scenarios
+are only decoded, never run, so no mutant can start a huge run.
 """
 
 import contextlib
@@ -22,8 +22,9 @@ import pytest
 
 from acdroute.cli import main
 from acdroute.sim import ScenarioConfig
-from acdroute.store import cdr_line, read_cdr_csv, write_cdr_csv
+from acdroute.store import read_cdr_csv
 from conftest import spread_cdrs
+from reference import cdr_lines, write_cdr_csv
 
 SCENARIO = Path(__file__).resolve().parent.parent / "demos" / "scenarios" / "honest_vs_fas.json"
 
@@ -174,7 +175,7 @@ def test_cdr_rows_read_back_as_written(tmp_path, inputs):
         rows = _rows(text)
         rejected = {lineno for lineno, _ in errors}
         accepted = [row for n, row in rows.items() if n not in rejected]
-        written = [next(csv.reader([cdr_line(r)])) for r in records]
+        written = [next(csv.reader([line])) for line in cdr_lines(records)]
         assert written == accepted, f"seed {seed}: {text!r}"
 
 

@@ -5,13 +5,8 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from acdroute.aggregate import (
-    ClosedInterval,
-    IntervalAggregator,
-    Schedule,
-    VendorIntervalStats,
-    vendor_stats,
-)
+from acdroute.aggregate import ClosedInterval, IntervalAggregator, Schedule, VendorIntervalStats
+from acdroute.codec import encode
 from acdroute.domain import CallRecord, DisconnectCause, RouteGroup, format_ts
 from acdroute.rejection import QualityInput, compute_rejection
 from acdroute.store import (
@@ -21,14 +16,21 @@ from acdroute.store import (
     ROW_BLOCK,
     acd_csv_text,
     attempt_log,
-    cdr_line,
     csv_field,
     read_cdr_csv,
-    write_cdr_csv,
 )
-from conftest import T0, make_cdr, read_acd_csv, sink_fields, spread_cdrs
+from conftest import T0, assert_rows_equal, make_cdr, read_acd_csv, sink_fields, spread_cdrs
+from reference import cdr_lines, csv_lines, vendor_stats, write_cdr_csv
 
 GROUP = RouteGroup((55, 62), (9, 8))
+
+
+def window_stats(records):
+    """The statistics of each ``GROUP`` vendor over ``records``, as the
+    reference computes them, in the layout of ``interval_history.json``."""
+    return [vendor_stats(v, [r.duration_s for r in records
+                             if r.vendor == v and not r.rejected_by_router])
+            for v in GROUP.vendors]
 
 
 def close_window(records, start, end):
@@ -68,7 +70,7 @@ class TestCdrsFedToAggregator:
         closed = close_window(reversed(records), start, end)
         hits = [r for r in records if start <= r.disconnect_time < end]
         assert hits and len(hits) < len(records)
-        assert closed.stats == tuple(vendor_stats(hits, v) for v in GROUP.vendors)
+        assert encode(closed.stats) == window_stats(hits)
         assert closed.received == {v: sum(r.vendor == v for r in hits) for v in GROUP.vendors}
 
     @pytest.mark.parametrize("grid_s, reopen_after", [
@@ -113,7 +115,7 @@ class TestCdrsFedToAggregator:
                 assert closed is None
                 continue
             closes += 1
-            assert closed.stats == tuple(vendor_stats(want, v) for v in GROUP.vendors)
+            assert encode(closed.stats) == window_stats(want)
             assert closed.received == {
                 v: sum(r.vendor == v for r in want) for v in GROUP.vendors}
         assert closes >= 40
@@ -172,7 +174,7 @@ class TestCdrCsv:
 
     def test_errors_name_the_line_a_row_starts_on(self, tmp_path):
         # each row of a call id holding a line feed spans two file lines
-        good, _, bad = [cdr_line(r) for r in _awkward_cdrs("a\nb")]
+        good, _, bad = cdr_lines(_awkward_cdrs("a\nb"))
         path = tmp_path / "cdrs.csv"
         path.write_text(",".join(CDR_CSV_HEADER) + "\n" + good + "short,55\n"
                         + bad.replace(",55,", ",055,"), encoding="utf-8")
@@ -311,15 +313,8 @@ class TestWrittenFormOnRead:
 
 
 def _writer_text(rows):
-    """What ``csv.writer`` writes of ``rows``, one line each, each ended with
-    "\\n": a row is rendered by a writer ending lines with "\\r\\n", which
-    quotes a carriage return on every Python version."""
-    lines = []
-    for row in rows:
-        buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\r\n").writerow(row)
-        lines.append(buffer.getvalue()[:-2] + "\n")
-    return "".join(lines)
+    """What ``csv.writer`` writes of ``rows``, as the reference writes it."""
+    return "".join(csv_lines(rows))
 
 
 class TestCsvField:
@@ -396,10 +391,8 @@ class TestAwkwardTextFields:
     @pytest.mark.parametrize("text", [*AWKWARD, "37,410", ""])
     def test_written_as_csv_writer_writes_the_fields(self, tmp_path, text):
         records = _awkward_cdrs(text)
-        path = tmp_path / "cdrs.csv"
-        write_cdr_csv(path, records)
-        assert path.read_bytes().decode("utf-8") == _writer_text(
-            [CDR_CSV_HEADER, *map(_cdr_field_list, records)])
+        cdr_text, _ = _log_attempts(tmp_path, [(record, 0.0) for record in records])
+        assert cdr_text == _writer_text([CDR_CSV_HEADER, *map(_cdr_field_list, records)])
         assert acd_csv_text(AWKWARD_HISTORY, text) == _writer_text(
             [ACD_CSV_HEADER, *_acd_field_lists(AWKWARD_HISTORY, text)])
 
@@ -465,10 +458,11 @@ class TestAttemptLog:
     def test_every_row_is_written_in_order(self, tmp_path, n):
         attempts = _attempts(n)
         cdr_text, decisions = _log_attempts(tmp_path, attempts)
-        assert cdr_text == ",".join(CDR_CSV_HEADER) + "\n" + "".join(
-            cdr_line(record) for record, _ in attempts)
-        assert decisions == [_decision_fields(seq, record, t_s)
-                             for seq, (record, t_s) in enumerate(attempts)]
+        header, *rows = cdr_text.splitlines(keepends=True)
+        assert header == ",".join(CDR_CSV_HEADER) + "\n"
+        assert_rows_equal(rows, cdr_lines(record for record, _ in attempts))
+        assert_rows_equal(decisions, [_decision_fields(seq, record, t_s)
+                                      for seq, (record, t_s) in enumerate(attempts)])
         # row i of decisions.csv is the decision on row i of cdrs.csv
         cdrs = list(csv.reader(io.StringIO(cdr_text)))[1:]
         assert len(cdrs) == len(decisions) == n
@@ -509,7 +503,6 @@ class TestAttemptLog:
         def wall(ts):
             return f"{ts:%Y-%m-%d %H:%M:%S}"
 
-        assert cdr_text.splitlines(keepends=True)[1:] == [cdr_line(r) for r in records]
         assert cdr_text == _writer_text([CDR_CSV_HEADER, *(
             [r.call_id, str(r.vendor), wall(r.connect_time), wall(r.disconnect_time),
              str(r.duration_s), r.cause.value, "1" if r.rejected_by_router else "0"]
@@ -528,16 +521,17 @@ class TestAttemptLog:
         # the first block is written as it fills, the rest as the error ends
         # the run
         attempts = _attempts(ROW_BLOCK + 10)
-        rows = [cdr_line(record) for record, _ in attempts]
+        rows = cdr_lines(record for record, _ in attempts)
         cdrs, decisions = tmp_path / "cdrs.csv", tmp_path / "decisions.csv"
         with pytest.raises(OSError, match="disk quota exceeded"):
             with attempt_log(cdrs, decisions, T0) as on_cdr:
                 for record, t_s in attempts:
                     on_cdr(*sink_fields(record, T0), t_s)
-                assert cdrs.read_text(encoding="utf-8").splitlines(keepends=True)[1:] == (
+                assert_rows_equal(
+                    cdrs.read_text(encoding="utf-8").splitlines(keepends=True)[1:],
                     rows[:ROW_BLOCK])
                 raise OSError("disk quota exceeded")
-        assert cdrs.read_text(encoding="utf-8").splitlines(keepends=True)[1:] == rows
-        assert decisions.read_text(encoding="utf-8").splitlines(keepends=True)[1:] == [
+        assert_rows_equal(cdrs.read_text(encoding="utf-8").splitlines(keepends=True)[1:], rows)
+        assert_rows_equal(decisions.read_text(encoding="utf-8").splitlines(keepends=True)[1:], [
             ",".join(_decision_fields(seq, record, t_s)) + "\n"
-            for seq, (record, t_s) in enumerate(attempts)]
+            for seq, (record, t_s) in enumerate(attempts)])
