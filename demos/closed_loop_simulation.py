@@ -45,7 +45,11 @@ print("with admission control:")
 print(f"  {result.total_calls} calls, {len(result.interval_history)} closed intervals")
 print(f"  {'interval close':>14}  {'ACD fas':>8}  {'ACD honest':>10}  "
       f"{'reject on fas':>13}  {'minutes fas/honest':>19}")
-for interval, share in zip(result.interval_history, result.traffic_share()):
+for interval in result.interval_history:
+    # each vendor's share of the interval's answered minutes
+    minutes = {s.vendor: s.total_minutes for s in interval.stats}
+    total = sum(minutes.values())
+    share = {v: m / total if total else 0.0 for v, m in minutes.items()}
     acd_fas, acd_honest = (
         "-" if s.acd_min is None else f"{s.acd_min:.2f}" for s in interval.stats
     )

@@ -92,17 +92,6 @@ class VendorIntervalStats:
 Tally = List[int]
 
 
-def _count(tally: Tally, d: int, rejected: bool) -> None:
-    """Count one CDR, ``d`` seconds long, into its vendor's tally; the one
-    place durations are bucketed. A router-rejected attempt never reached the
-    vendor, so it counts as a rejection only."""
-    if rejected:
-        tally[5] += 1
-    else:
-        tally[0 if d == 0 else 1 if d <= 5 else 2 if d <= 30 else 3] += 1
-        tally[4] += d
-
-
 def _stats(vendor: int, tally: Tally) -> VendorIntervalStats:
     zero, up_to_5, up_to_30, over_30, total_s, _ = tally
     answered = up_to_5 + up_to_30 + over_30
@@ -187,14 +176,23 @@ class IntervalAggregator:
 
     def add_ended(self, vendor: int, end_s: int, duration_s: int, rejected: bool) -> None:
         """Count a group vendor's leg toward the first tick after it ended,
-        ``end_s`` s after the anchor, unless it ended before the open interval."""
+        ``end_s`` s after the anchor, unless it ended before the open interval.
+
+        The one place durations are bucketed. A router-rejected attempt never
+        reached the vendor, so it counts as a rejection only."""
         tick_no = end_s // self._period_s + 1
         if tick_no > self._open_tick:
             tallies = self._due.get(tick_no)
             if tallies is None:
                 tallies = self._due[tick_no] = self._tallies()
                 heapq.heappush(self._due_ticks, tick_no)
-            _count(tallies[vendor], duration_s, rejected)
+            tally = tallies[vendor]
+            if rejected:
+                tally[5] += 1
+            else:
+                tally[0 if duration_s == 0 else 1 if duration_s <= 5
+                      else 2 if duration_s <= 30 else 3] += 1
+                tally[4] += duration_s
 
     def tick(self, now: datetime) -> Optional[ClosedInterval]:
         """Take in the CDRs that ended before ``now``; close the interval if it is due.

@@ -252,17 +252,11 @@ class ScenarioResult:
     answered_minutes: Dict[int, float]
 
     def final_targets(self) -> Dict[int, float]:
-        """Targets in force at the end of the run (zero before any close)."""
+        """The last close's ``reject_pct_exact`` per vendor (zero before any
+        close), whether or not admission enforced it."""
         history = self.interval_history
         exact = history[-1].result.reject_pct_exact if history else (0.0, 0.0)
         return dict(zip(self.config.group.vendors, exact))
-
-    def traffic_share(self) -> List[Dict[int, float]]:
-        """Per-interval share of answered minutes per vendor."""
-        return [
-            _shares({s.vendor: s.total_minutes for s in interval.stats})
-            for interval in self.interval_history
-        ]
 
     def answered_minutes_share(self, from_interval: int = 0) -> Dict[int, float]:
         """Share of answered minutes per vendor, summed over intervals
@@ -332,9 +326,19 @@ def run_scenario(
     no_answer = DisconnectCause.NO_USER_RESPONDING
     other = DisconnectCause.OTHER
 
-    def handle_call(t_s: float, call_id: str, second: int) -> bool:
-        """Walks the billing order until a vendor answers; returns True when
-        the call was answered somewhere. Each leg connects ``second`` s in."""
+    def run_tick(tick_s: int) -> None:
+        closed = aggregator.tick(start_time + timedelta(0, tick_s))
+        if closed is not None and config.admission_enabled:
+            controller.refresh_targets(closed.result)
+
+    # a tick at a call's exact time runs before it; ticks past the last call run last
+    next_tick_s = tick_period_s
+    for idx, t_s in enumerate(arrivals, 1):
+        while next_tick_s <= t_s:
+            run_tick(next_tick_s)
+            next_tick_s += tick_period_s
+        # billing walks its order until a vendor answers; legs connect at the call's second
+        call_id, second = f"c{idx:06d}", int(t_s)
         for vendor in order:
             accepted = decide(call_id, vendor, t_s)
             leg_duration = vendor_leg(models[vendor], traffic_rng)[1] if accepted else 0
@@ -349,21 +353,8 @@ def run_scenario(
             on_cdr(call_id, vendor, second, leg_duration, cause, not accepted, t_s)
             add_ended(vendor, second + leg_duration, leg_duration, not accepted)
             if leg_duration:
-                return True
-        return False
-
-    def run_tick(tick_s: int) -> None:
-        closed = aggregator.tick(start_time + timedelta(0, tick_s))
-        if closed is not None and config.admission_enabled:
-            controller.refresh_targets(closed.result)
-
-    # a tick at a call's exact time runs before it; ticks past the last call run last
-    next_tick_s = tick_period_s
-    for idx, t_s in enumerate(arrivals, 1):
-        while next_tick_s <= t_s:
-            run_tick(next_tick_s)
-            next_tick_s += tick_period_s
-        if not handle_call(t_s, f"c{idx:06d}", int(t_s)):
+                break
+        else:
             abandoned += 1
     last_tick_s = int(duration_s // tick_period_s) * tick_period_s
     for tick_s in range(next_tick_s, last_tick_s + 1, tick_period_s):

@@ -2,6 +2,7 @@ import bisect
 import random
 import sys
 import threading
+from collections import OrderedDict
 
 import pytest
 
@@ -14,6 +15,25 @@ GOLDEN = compute_rejection(QualityInput((8.67, 0.6), (9, 8), 0.1))  # 12.77 on 5
 
 def controller(seed=0):
     return AdmissionController(RouteGroup((55, 62), (9, 8)), seed=seed)
+
+
+class OrderedDictLedger:
+    """The at-most-once ledger as an ``OrderedDict`` in insertion order:
+    expired ids are popped from its oldest end before an id is added, and a
+    re-refused id moves to the newest end."""
+
+    def __init__(self, seed):
+        self.rng, self.seen = random.Random(seed), OrderedDict()
+
+    def decide(self, call_id, target, now):
+        seen = self.seen
+        if target > 0.0 and seen.get(call_id, now) <= now and self.rng.random() < target / 100.0:
+            while seen and next(iter(seen.values())) <= now:
+                seen.popitem(last=False)
+            seen.pop(call_id, None)
+            seen[call_id] = now + SEEN_TTL_S
+            return False
+        return True
 
 
 class TestDecide:
@@ -145,6 +165,59 @@ class TestDecide:
                         assert len(c._seen) == live, step
                         checks += 1
         assert now > 3 * SEEN_TTL_S and checks > 4000
+
+    @pytest.mark.parametrize("first_trial", range(0, 300, 75))
+    def test_ledger_equals_the_ordered_dict_rule(self, first_trial):
+        """The dict-plus-FIFO ledger decides and remembers exactly as an
+        ``OrderedDict`` purged from its oldest end before each insert, a
+        re-refused id moved to the newest end, with the same seed: across
+        backward steps of ``now`` at any time (also after entries expired and
+        were purged), ids that recur, immediate retries and target changes."""
+        half_on_62 = compute_rejection(QualityInput((5.0, 5.0), (8, 9), 0.1))
+        for trial in range(first_trial, first_trial + 75):
+            draw = random.Random(trial)
+            c, model = controller(seed=trial), OrderedDictLedger(seed=trial)
+            c.refresh_targets(half_on_62)
+            targets = dict(zip((55, 62), half_on_62.reject_pct_exact))
+            now, pool = 0.0, draw.choice((20, 200, 1000))
+            for step in range(3000):
+                if draw.random() < 0.005:  # a step back of up to a TTL
+                    now -= 0.5 * draw.randrange(1, 2 * int(SEEN_TTL_S))
+                else:
+                    now += draw.choice((0.0, 0.5, 1.0, 5.0, 30.0, 120.0))  # exact in binary
+                if draw.random() < 0.002:
+                    result = compute_rejection(QualityInput(
+                        (draw.uniform(0.1, 9.0), draw.uniform(0.1, 9.0)), (8, 9), 0.1))
+                    c.refresh_targets(result)
+                    targets = dict(zip((55, 62), result.reject_pct_exact))
+                call_id = f"c{draw.randrange(pool)}"
+                for _ in range(2 if draw.random() < 0.3 else 1):  # sometimes an immediate retry
+                    vendor = 62 if draw.random() < 0.8 else 55
+                    expected = model.decide(call_id, targets[vendor], now)
+                    assert c.decide(call_id, vendor, now) == expected, (trial, step)
+                    assert c._seen == model.seen, (trial, step)
+            # past every expiry, one refusal purges the whole FIFO, stale pairs too
+            now = max(model.seen.values(), default=now) + 1.0
+            c.refresh_targets(half_on_62)
+            fresh = 0
+            while c.decide(f"fresh{fresh}", 62, now):
+                assert model.decide(f"fresh{fresh}", 50.0, now)
+                fresh += 1
+            assert not model.decide(f"fresh{fresh}", 50.0, now)
+            assert c._seen == model.seen == {f"fresh{fresh}": now + SEEN_TTL_S}
+            assert len(c._ids) == len(c._expiries) <= len(c._seen)
+
+    def test_a_raising_decide_releases_the_lock(self):
+        c = controller()
+        with pytest.raises(ValueError):
+            c.decide("x", 99, 0.0)  # 99 is not a clone
+        outcomes = []
+        # a daemon thread: a lock left held blocks it, not the test run
+        t = threading.Thread(target=lambda: outcomes.append(c.decide("y", 55, 0.0)),
+                             daemon=True)
+        t.start()
+        t.join(timeout=10)
+        assert not t.is_alive() and outcomes == [True]
 
     def test_empirical_rate_matches_target(self):
         c = controller(seed=202)
