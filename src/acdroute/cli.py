@@ -8,7 +8,7 @@ no error line, after every file is written), 2 usage or validation error.
 
 ``simulate`` runs the scenario into ``store.attempt_log``'s sink, which
 writes each attempt as one row of ``cdrs.csv`` and one of ``decisions.csv``,
-a block of rows at a time, so the run's memory does not grow with its length.
+a block of rows at a time (the run still holds every arrival, 8 bytes each).
 Every other file a command writes is rendered to text first and written by
 ``_write_files``. ``HISTORY_FILES`` names each file rendered from an interval
 history (the acd_vendors file, ``interval_history.json`` and the interval

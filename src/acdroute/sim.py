@@ -25,10 +25,10 @@ its CDR's fields but the disconnect time, the connect time in whole seconds
 after the start, and the call's time; the rejected flag is the admission
 decision. No ``datetime`` is built per attempt, and the run keeps no CDR: the
 aggregator takes each leg's end in seconds (``add_ended``), and the CLI's sink,
-``store.attempt_log``, writes a CDR row and a decision row, so the run's
-memory is bounded by the admission ledger, not by its length. Of each close
-the result keeps the ``ClosedInterval`` in its interval history; the
-acd_vendors rows and the interval tables are rendered from that.
+``store.attempt_log``, writes a CDR row and a decision row. The run's memory
+still grows with its length: it draws every arrival time first, 8 bytes a
+call. Of each close the result keeps the ``ClosedInterval`` in its interval
+history; the acd_vendors rows and the interval tables are rendered from that.
 """
 
 from __future__ import annotations

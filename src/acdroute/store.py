@@ -14,22 +14,31 @@ leg's disconnect from its connect second and duration.
 
 ``attempt_log`` is ``simulate``'s sink and the one CDR writer: it writes each
 attempt's CDR row and decision row as the run makes the attempt, in blocks of
-``ROW_BLOCK`` rows. ``acd_csv_text`` renders an interval history as the
-acd_vendors file, each closed interval as its pair of rows, after the run; no
-command reads that file back. ``read_cdr_csv`` is the one reader. It accepts
-a CDR row only in the form ``cdr_row`` writes it, checked as one match
-against ``_CDR_FIELDS``, the row grammar.
+``ROW_BLOCK`` rows. Where ``os.fork`` exists and the process may run on two
+or more CPUs, a forked writer process off the run's CPU renders the rows:
+the sink only appends each attempt and pipes each block of ``SEND_BLOCK``
+attempts pickled, and a writer's exception is raised again on exit, with its
+type and message. ``simulate`` then makes 1.2-1.3x the calls a second
+(``BENCH_row_writer.json``). With one CPU it would cost ~30 %, so the rows
+are rendered in-process. ``acd_csv_text`` renders an interval history as
+the acd_vendors file, each closed interval as its pair of rows, after the run;
+no command reads that file back. ``read_cdr_csv`` is the one reader. It
+accepts a CDR row only in the form ``cdr_row`` writes it, checked as one
+match against ``_CDR_FIELDS``, the row grammar.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
+import pickle
 import re
-from contextlib import contextmanager
+import signal
+from contextlib import contextmanager, suppress
 from datetime import datetime
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, List, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, NoReturn, Set, TextIO, Tuple
 
 from .admission import REJECTION_CODE
 from .aggregate import ClosedInterval
@@ -78,11 +87,88 @@ def cdr_row(call_text: str, vendor: int, connect_text: str, disconnect_text: str
 # (~90 bytes an attempt over both files, ~0.2 MB in all) do not show in a
 # run's memory
 ROW_BLOCK = 1024
+# attempts pickled and sent to the writer process at once: ~50 KB of working
+# memory; 1,024 took ~200 KB, whose churn raised a run's peak RSS by ~1 MB
+SEND_BLOCK = 256
+
+if TYPE_CHECKING:  # built at run time, typing's cache would keep each reloaded enum alive
+    Sink = Callable[[str, int, int, int, DisconnectCause, bool, float], None]
 
 
 @contextmanager
-def attempt_log(cdr_path: Path, decision_path: Path, start: datetime) -> Iterator[
-        Callable[[str, int, int, int, DisconnectCause, bool, float], None]]:
+def _row_renderer(cdr_file: TextIO, decision_file: TextIO, start: datetime) -> Iterator[Sink]:
+    """Write both headers, and yield the sink that renders each attempt's
+    two rows; on exit, write the rows still pending."""
+    cdr_file.write(",".join(CDR_CSV_HEADER) + "\n")
+    decision_file.write(",".join(DECISION_CSV_HEADER) + "\n")
+    cdr_rows: List[str] = []
+    decision_rows: List[str] = []
+    refused = f"0,{REJECTION_CODE}"
+    ts_text = second_texts(start)
+    seq = 0
+    call_id = call_text = t_s_key = t_text = connect_key = connect_text = None
+
+    def write_pending() -> None:
+        # each list is emptied before its text is written, so a failed
+        # write is never repeated
+        for handle, rows in ((cdr_file, cdr_rows), (decision_file, decision_rows)):
+            text = "".join(rows)
+            rows.clear()
+            handle.write(text)
+
+    def on_cdr(leg_call_id: str, vendor: int, connect_s: int, duration_s: int,
+               cause: DisconnectCause, rejected: bool, t_s: float) -> None:
+        nonlocal seq, call_id, call_text, t_s_key, t_text, connect_key, connect_text
+        if leg_call_id is not call_id:
+            call_id = leg_call_id
+            call_text = csv_field(call_id)
+        if t_s is not t_s_key:
+            t_s_key, t_text = t_s, f"{t_s:.3f}"
+        if connect_s != connect_key:
+            connect_key = connect_s
+            connect_text = ts_text(connect_s)
+        cdr_rows.append(cdr_row(call_text, vendor, connect_text, ts_text(
+            connect_s + duration_s) if duration_s else connect_text,
+            duration_s, cause, rejected))
+        decision_rows.append(f"{seq},{t_text},{call_text},{vendor},"
+                             f"{refused if rejected else '1,'}\n")
+        seq += 1
+        if len(cdr_rows) == ROW_BLOCK:
+            write_pending()
+
+    try:
+        yield on_cdr
+    finally:
+        write_pending()
+
+
+def _write_rows(blocks_fd: int, error_fd: int, cdr_file: TextIO, decision_file: TextIO,
+                start: datetime, cpus: Set[int]) -> NoReturn:
+    """The writer process; it ends by ``os._exit``, running none of the parent's exit."""
+    try:
+        with open(error_fd, "wb") as errors:
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C ends the run, so the blocks
+                with suppress(OSError):  # a refused move leaves the writer where it is
+                    os.sched_setaffinity(0, cpus)
+                with cdr_file, decision_file, open(blocks_fd, "rb") as blocks, \
+                        _row_renderer(cdr_file, decision_file, start) as on_cdr, \
+                        suppress(EOFError, pickle.UnpicklingError):
+                    # until the parent closes its end, or ends while it sends a block
+                    while True:
+                        for attempt in pickle.load(blocks):
+                            on_cdr(*attempt)
+            except BaseException as exc:
+                try:
+                    errors.write(pickle.dumps(exc))
+                except Exception:  # an exception that does not pickle
+                    errors.write(pickle.dumps(RuntimeError(f"row writer: {exc!r}")))
+    finally:
+        os._exit(0)
+
+
+@contextmanager
+def attempt_log(cdr_path: Path, decision_path: Path, start: datetime) -> Iterator[Sink]:
     """Open a CDR CSV file and a decisions file, write their headers, and
     yield the sink ``on_cdr(call_id, vendor, connect_s, duration_s, cause,
     rejected, t_s)`` that ``run_scenario`` hands each attempt to: it appends
@@ -90,62 +176,63 @@ def attempt_log(cdr_path: Path, decision_path: Path, start: datetime) -> Iterato
     from 0, to the second; ``connect_s`` counts whole seconds from ``start``.
 
     The rows are written ``ROW_BLOCK`` at a time, each block as one text. On
-    exit, normal or by an exception, the rows still pending are written and
-    both files are closed, so each file holds whole rows only.
+    exit, normal or by an exception, every row made so far is written and
+    both files are closed, so each file holds whole rows only. With two or
+    more CPUs, a forked writer process renders them (see the module).
 
     An attempt's text pieces are built only when their source changes: the
     call id's ``csv_field`` text, keyed by the call id; the ``time_s`` text,
     keyed by ``t_s``; the connect text, keyed by ``connect_s``. The first two
     are compared by identity, as equal floats (``0.0``, ``-0.0``) can have
     different texts; ``connect_s`` by value, as every time is rendered from
-    the one ``start``, so equal seconds have one text (equal datetimes, one
-    instant under two offsets, did not). A zero-length leg's disconnect text
-    is its connect text; an answered leg's is that of ``connect_s +
-    duration_s``, an ``OverflowError`` past the year 9999.
+    the one ``start``, so equal seconds have one text. A zero-length leg's
+    disconnect text is its connect text; an answered leg's is that of
+    ``connect_s + duration_s``, an ``OverflowError`` past the year 9999.
     """
     with open(cdr_path, "w", newline="", encoding="utf-8") as cdr_file, \
             open(decision_path, "w", newline="", encoding="utf-8") as decision_file:
-        cdr_file.write(",".join(CDR_CSV_HEADER) + "\n")
-        decision_file.write(",".join(DECISION_CSV_HEADER) + "\n")
-        cdr_rows: List[str] = []
-        decision_rows: List[str] = []
-        refused = f"0,{REJECTION_CODE}"
-        ts_text = second_texts(start)
-        seq = 0
-        call_id = call_text = t_s_key = t_text = connect_key = connect_text = None
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+        if not (hasattr(os, "fork") and len(cpus) >= 2):
+            with _row_renderer(cdr_file, decision_file, start) as on_cdr:
+                yield on_cdr
+            return
+        # the writer keeps off the run's CPU (field 39 of /proc/self/stat): the
+        # kernel can leave a new process beside its parent for a second or more
+        with suppress(OSError, ValueError, IndexError), open("/proc/self/stat", "rb") as stat:
+            cpus = cpus - {int(stat.read().rpartition(b")")[2].split()[36])} or cpus
+        (blocks_fd, send_fd), (error_fd, child_error_fd) = os.pipe(), os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            for fd in (send_fd, error_fd):
+                os.close(fd)
+            _write_rows(blocks_fd, child_error_fd, cdr_file, decision_file, start, cpus)
+    for fd in (blocks_fd, child_error_fd):
+        os.close(fd)
+    block: List[tuple] = []
 
-        def write_pending() -> None:
-            # each list is emptied before its text is written, so a failed
-            # write is never repeated
-            for handle, rows in ((cdr_file, cdr_rows), (decision_file, decision_rows)):
-                text = "".join(rows)
-                rows.clear()
-                handle.write(text)
+    def send() -> None:
+        data = pickle.dumps(block, pickle.HIGHEST_PROTOCOL)
+        block.clear()
+        sender.write(data)  # a BrokenPipeError, once the writer has ended, ends the run
 
-        def on_cdr(leg_call_id: str, vendor: int, connect_s: int, duration_s: int,
-                   cause: DisconnectCause, rejected: bool, t_s: float) -> None:
-            nonlocal seq, call_id, call_text, t_s_key, t_text, connect_key, connect_text
-            if leg_call_id is not call_id:
-                call_id = leg_call_id
-                call_text = csv_field(call_id)
-            if t_s is not t_s_key:
-                t_s_key, t_text = t_s, f"{t_s:.3f}"
-            if connect_s != connect_key:
-                connect_key = connect_s
-                connect_text = ts_text(connect_s)
-            cdr_rows.append(cdr_row(call_text, vendor, connect_text, ts_text(
-                connect_s + duration_s) if duration_s else connect_text,
-                duration_s, cause, rejected))
-            decision_rows.append(f"{seq},{t_text},{call_text},{vendor},"
-                                 f"{refused if rejected else '1,'}\n")
-            seq += 1
-            if len(cdr_rows) == ROW_BLOCK:
-                write_pending()
+    def on_cdr(*attempt) -> None:
+        block.append(attempt)
+        if len(block) == SEND_BLOCK:
+            send()
 
+    with open(error_fd, "rb") as errors, open(send_fd, "wb") as sender:
         try:
             yield on_cdr
         finally:
-            write_pending()
+            with suppress(BrokenPipeError):  # the writer ended early: its error follows
+                send()
+                sender.close()
+            error = errors.read()
+            status = os.waitpid(pid, 0)[1]
+            if error:
+                raise pickle.loads(error)
+            if status:
+                raise ChildProcessError(f"the row writer ended with wait status {status}")
 
 
 # The row grammar: the six fields of a CDR row after its call id, each in the
@@ -186,7 +273,8 @@ def read_cdr_csv(path: Path) -> Tuple[List[CallRecord], List[Tuple[int, str]]]:
     """Parse a CDR CSV file into (records, errors), where errors are
     (line_number, message) pairs and a row's line is the file line it starts
     on; well-formed rows are kept even when other rows are malformed. Line 1
-    must be the header. A line the csv module cannot split (a field over its
+    must be the header. A blank line after it, between rows or at the end,
+    is skipped and still counted. A line the csv module cannot split (a field over its
     size limit) or a byte that is not UTF-8 makes the whole file a
     ``ValueError`` naming the file."""
     records: List[CallRecord] = []

@@ -1,7 +1,8 @@
-"""Shared builders for synthetic CDR streams, and the pair check of an
-acd_vendors file."""
+"""Shared builders for synthetic CDR streams, the pair check of an
+acd_vendors file, and the choice of ``attempt_log``'s row writer."""
 
 import csv
+import os
 from datetime import datetime, timedelta
 
 import pytest
@@ -110,3 +111,32 @@ def read_acd_csv(path):
 @pytest.fixture
 def t0():
     return T0
+
+
+def use_row_writer(monkeypatch, process):
+    """Make ``attempt_log`` render its rows in a forked writer process
+    (``process`` true) or in this one, whatever CPUs this host has: it picks
+    by the CPUs ``os.sched_getaffinity`` reports."""
+    if process and not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if process else {0},
+                        raising=False)
+
+
+@pytest.fixture(params=["in_process", "writer_process"])
+def row_writer(request, monkeypatch):
+    """Each test that takes it runs once with each of ``attempt_log``'s two
+    row writers."""
+    use_row_writer(monkeypatch, request.param == "writer_process")
+    return request.param
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """After every test, this process has no child left, not even one that
+    has ended and is not yet reaped: ``attempt_log`` reaps its writer on
+    every exit, and a test reaps each process it starts."""
+    yield
+    if hasattr(os, "WNOHANG"):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

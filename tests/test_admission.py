@@ -63,6 +63,9 @@ class TestDecide:
         c = controller()
         with pytest.raises(ValueError):
             c.decide("c1", 99, now=0.0)
+        # checked first: ``counters`` takes the same lock, and a lock left
+        # held would hang the test instead of failing it
+        assert not c._lock.locked()
         assert c.counters == ({55: 0, 62: 0}, {55: 0, 62: 0})
 
     def test_at_most_once_per_call(self):
@@ -115,6 +118,17 @@ class TestDecide:
         later = t + SEEN_TTL_S + 1.0
         outcomes = {c.decide(call_id, 62, now=later + i) for i in range(200)}
         assert False in outcomes
+
+    def test_ledger_ttl_is_one_hour(self):
+        # README's default, as a literal: an id refused at t is live until
+        # just before t + 3600 s, and may be refused again from t + 3600 s
+        c = controller(seed=5)
+        c.refresh_targets(compute_rejection(QualityInput((5.0, 5.0), (8, 9), 0.1)))
+        t = 1000.0
+        while c.decide("sticky", 62, now=t):
+            t += 1.0
+        assert all(c.decide("sticky", 62, now=t + 3599.9) for _ in range(200))
+        assert not all(c.decide("sticky", 62, now=t + 3600.0) for _ in range(200))
 
     def test_ledger_matches_reference_across_expiries(self):
         """Decisions equal a plain-dict reference ("live iff expiry > now",

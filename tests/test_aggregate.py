@@ -587,6 +587,39 @@ class TestReplay:
             closes += len(history)
         assert closes >= 60
 
+    def test_replay_closes_what_ticking_every_period_closes(self):
+        # small random logs, ticks of 60 or 600 s, minimum ages of 37-1200 s
+        # (some below the tick, most off its multiples): replay's horizon
+        # misses no close that a tick on every period, up to two periods
+        # past the last end plus the minimum age, makes
+        closes = 0
+        for run in range(50):
+            rng = random.Random(9100 + run)
+            schedule = Schedule(rng.choice((60, 600)), rng.choice((37, 60, 299, 600, 601, 1200)),
+                                rng.randint(1, 5))
+            cdrs = []
+            for i in range(rng.randint(1, 30)):
+                rejected = rng.random() < 0.2
+                end = T0 + timedelta(seconds=rng.randint(0, 3 * schedule.tick_period_s
+                                                         + schedule.min_age_s))
+                cdrs.append(make_cdr(f"h{i}", rng.choice((55, 62)), end,
+                                     0 if rejected else rng.randint(0, 90), rejected=rejected))
+            start = min(r.connect_time for r in cdrs)
+            agg = IntervalAggregator(GROUP, opened_at=start, schedule=schedule)
+            for record in cdrs:
+                agg.add_cdr(record)
+            period = timedelta(seconds=schedule.tick_period_s)
+            horizon = (max(r.disconnect_time for r in cdrs)
+                       + timedelta(seconds=schedule.min_age_s) + 2 * period)
+            now = start + period
+            while now <= horizon:
+                agg.tick(now)
+                now += period
+            assert encode(replay_cdrs(cdrs, GROUP, schedule)) == encode(agg.history), (
+                f"run {run}, {schedule}")
+            closes += len(agg.history)
+        assert closes >= 50
+
     def test_gap_of_centuries_is_not_ticked_through(self, monkeypatch):
         cdrs = spread_cdrs(55, [30] * 25, window_s=300)
         late = spread_cdrs(55, [30, 0], start=datetime(9999, 12, 31, 23, 0, 0),

@@ -5,8 +5,10 @@ import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
 from datetime import datetime, timedelta
 from pathlib import Path
 from typing import List
@@ -16,9 +18,11 @@ import pytest
 from acdroute.aggregate import ClosedInterval, Schedule
 from acdroute.cli import main
 from acdroute.codec import decode
+from acdroute.domain import DisconnectCause
 from acdroute.sim import ScenarioConfig, run_scenario
-from acdroute.store import DECISION_CSV_HEADER, acd_csv_text, cdr_row, read_cdr_csv
-from conftest import T0, assert_rows_equal, make_cdr, read_acd_csv, record_sink
+from acdroute.store import (DECISION_CSV_HEADER, ROW_BLOCK, acd_csv_text, attempt_log, cdr_row,
+                            read_cdr_csv)
+from conftest import T0, assert_rows_equal, make_cdr, read_acd_csv, record_sink, use_row_writer
 from reference import cdr_lines, write_cdr_csv
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -802,3 +806,161 @@ class TestMalformedInput:
                      "--tick-min", "0.1", "--min-age-min", "0.1",
                      "--out", str(tmp_path / "out")]) == 0
         capsys.readouterr()
+
+
+def _group_members(pgid):
+    """The pids of the processes in process group ``pgid`` that have not
+    ended: a zombie counts as ended, as no process may be left to reap it."""
+    members = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat", "rb") as stat:
+                state, _, group = stat.read().rpartition(b")")[2].split()[:3]
+        except (OSError, ValueError):  # not a process, or one that just ended
+            continue
+        if int(group) == pgid and state != b"Z":
+            members.append(int(entry))
+    return members
+
+
+class TestRowWriter:
+    """``simulate`` renders its two logs in a forked writer process where it
+    may run on two or more CPUs, else in its own process: each way of
+    failing ends alike on both, with the same rows written, and leaves no
+    process (``no_child_process_left`` checks after every test)."""
+
+    @staticmethod
+    def simulate(out, scenario="pure_fas_control.json"):
+        return main(["simulate", "--scenario", str(SCENARIOS / scenario), "--out", str(out)])
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_full_disk(self, tmp_path, capsys, row_writer):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "cdrs.csv").symlink_to("/dev/full")
+        assert self.simulate(out) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+    def test_sink_error(self, tmp_path, capsys, monkeypatch, row_writer):
+        calls = []
+
+        def failing_row(*fields):
+            calls.append(fields)
+            if len(calls) == 500:
+                raise OSError("disk quota exceeded")
+            return cdr_row(*fields)
+
+        monkeypatch.setattr("acdroute.store.cdr_row", failing_row)
+        assert self.simulate(tmp_path) == 1
+        assert capsys.readouterr().err == "error: disk quota exceeded\n"
+        # 499 attempts under each header, in either process
+        for name in ("cdrs.csv", "decisions.csv"):
+            text = (tmp_path / name).read_text(encoding="utf-8")
+            assert text.endswith("\n") and len(text.splitlines()) == 500
+
+    def test_call_leg_past_year_9999(self, tmp_path, capsys, row_writer):
+        config = json.loads((SCENARIOS / "preferred_honest.json").read_text())
+        config.update(start_time="9999-12-31 22:00:00", duration_min=119)
+        late = tmp_path / "late.json"
+        late.write_text(json.dumps(config), encoding="utf-8")
+        assert self.simulate(tmp_path / "out", late) == 2
+        assert capsys.readouterr().err == f"error: {late}: a call leg ends past the year 9999\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_broken_pipe_on_an_output_file(self, tmp_path, capsys, row_writer):
+        # cdrs.csv is a FIFO whose reader leaves after 100 bytes
+        out = tmp_path / "out"
+        out.mkdir()
+        os.mkfifo(out / "cdrs.csv")
+        reader = subprocess.Popen([sys.executable, "-c",
+                                   "import sys; open(sys.argv[1], 'rb').read(100)",
+                                   str(out / "cdrs.csv")])
+        try:
+            code = self.simulate(out)
+        finally:
+            reader.kill()
+            reader.wait()
+        assert (code, capsys.readouterr().err) == (1, "error: [Errno 32] Broken pipe\n")
+
+    def test_a_writer_ended_by_a_signal_fails_the_run(self, tmp_path, capsys, monkeypatch):
+        use_row_writer(monkeypatch, True)
+        run_pid = os.getpid()
+
+        def killed_row(*fields):
+            if os.getpid() != run_pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise AssertionError("a row rendered in the run's process")
+
+        monkeypatch.setattr("acdroute.store.cdr_row", killed_row)
+        assert self.simulate(tmp_path) == 1
+        assert capsys.readouterr().err == (
+            f"error: the row writer ended with wait status {signal.SIGKILL.value}\n")
+
+    def test_a_dead_writer_stops_the_run_at_a_block_send(self, tmp_path, monkeypatch):
+        # the writer fails on the first row; the pipe holds a few blocks, and
+        # the first block sent after the writer ended ends the run
+        use_row_writer(monkeypatch, True)
+
+        def failing_row(*fields):
+            raise OSError("disk quota exceeded")
+
+        monkeypatch.setattr("acdroute.store.cdr_row", failing_row)
+        made = 0
+        with pytest.raises(OSError, match="disk quota exceeded"):
+            with attempt_log(tmp_path / "cdrs.csv", tmp_path / "decisions.csv", T0) as on_cdr:
+                for made in range(1, 1000 * ROW_BLOCK + 1):
+                    on_cdr("c1", 55, 0, 0, DisconnectCause.OTHER, True, 0.0)
+        assert made < 20 * ROW_BLOCK
+        assert (tmp_path / "cdrs.csv").read_text(encoding="utf-8").count("\n") == 1
+
+    def test_an_error_that_does_not_pickle(self, tmp_path, monkeypatch):
+        use_row_writer(monkeypatch, True)
+
+        class LocalError(Exception):
+            pass
+
+        def failing_row(*fields):
+            raise LocalError("no way back")
+
+        monkeypatch.setattr("acdroute.store.cdr_row", failing_row)
+        with pytest.raises(RuntimeError, match=r"^row writer: .*LocalError\('no way back'\)$"):
+            with attempt_log(tmp_path / "cdrs.csv", tmp_path / "decisions.csv", T0) as on_cdr:
+                on_cdr("c1", 55, 0, 0, DisconnectCause.OTHER, True, 0.0)
+
+    @pytest.mark.skipif(not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
+                             and len(os.sched_getaffinity(0)) >= 2
+                             and Path("/proc/self/stat").exists()),
+                        reason="needs the writer process and /proc")
+    def test_a_killed_run_leaves_no_process(self, tmp_path):
+        # SIGKILL a simulate that runs for seconds, once its writer process
+        # has written a block: the writer reads the end of its blocks, writes
+        # the rows it holds and ends, so the run's process group is gone
+        config = json.loads((SCENARIOS / "honest_vs_fas.json").read_text())
+        config.update(arrival_rate_per_min=600, duration_min=600)
+        long_run = tmp_path / "long.json"
+        long_run.write_text(json.dumps(config), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SCENARIOS.parent.parent / "src"), os.environ.get("PYTHONPATH")) if p))
+        run = subprocess.Popen([sys.executable, "-m", "acdroute.cli", "simulate", "--scenario",
+                                str(long_run), "--out", str(tmp_path / "out")],
+                               env=env, start_new_session=True, stdout=subprocess.DEVNULL)
+        cdrs = tmp_path / "out" / "cdrs.csv"
+        try:
+            deadline = time.monotonic() + 60
+            while len(_group_members(run.pid)) < 2 or not cdrs.exists() or (
+                    cdrs.read_bytes().count(b"\n") <= ROW_BLOCK):
+                assert run.poll() is None and time.monotonic() < deadline, "no block written"
+                time.sleep(0.01)
+        finally:
+            run.kill()
+            run.wait()
+        deadline = time.monotonic() + 10
+        try:
+            while _group_members(run.pid):
+                assert time.monotonic() < deadline, f"left: {_group_members(run.pid)}"
+                time.sleep(0.05)
+        finally:  # a writer left behind is not left running
+            if _group_members(run.pid):
+                os.killpg(run.pid, signal.SIGKILL)
+        rows = cdrs.read_bytes()
+        assert rows.endswith(b"\n") and rows.count(b"\n") > ROW_BLOCK

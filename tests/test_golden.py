@@ -120,6 +120,18 @@ def test_simulate_overrides(tmp_path, capsys):
     assert hashes == GOLDEN["simulate_pure_fas_control_seed5_disabled"]
 
 
+@pytest.mark.parametrize("name, extra", [
+    ("honest_vs_fas", ()), ("preferred_honest", ()), ("pure_fas_control", ()),
+    ("pure_fas_control", ("--seed", "5", "--disable-admission")),
+], ids=["honest_vs_fas", "preferred_honest", "pure_fas_control", "seed5_disabled"])
+def test_simulate_on_each_row_writer(tmp_path, capsys, row_writer, name, extra):
+    # simulate renders its two logs in a forked writer process or in its own
+    # process, by the host's CPUs: either way, every file is the golden one
+    hashes = simulate(tmp_path, name, *extra)
+    capsys.readouterr()
+    assert hashes == GOLDEN[f"simulate_{name}" + ("_seed5_disabled" if extra else "")]
+
+
 def test_aggregate_simulated_cdrs(tmp_path, capsys):
     sim = tmp_path / "preferred_honest"
     simulate(tmp_path, "preferred_honest")

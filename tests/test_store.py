@@ -1,6 +1,7 @@
 import csv
 import io
 import random
+import time
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -19,7 +20,8 @@ from acdroute.store import (
     csv_field,
     read_cdr_csv,
 )
-from conftest import T0, assert_rows_equal, make_cdr, read_acd_csv, sink_fields, spread_cdrs
+from conftest import (T0, assert_rows_equal, make_cdr, read_acd_csv, sink_fields, spread_cdrs,
+                      use_row_writer)
 from reference import cdr_lines, csv_lines, vendor_stats, write_cdr_csv
 
 GROUP = RouteGroup((55, 62), (9, 8))
@@ -181,6 +183,19 @@ class TestCdrCsv:
         records, errors = read_cdr_csv(path)
         assert len(records) == 1
         assert [lineno for lineno, _ in errors] == [4, 5]
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        # blank lines between rows and at the end give the same records and
+        # no error; a bad row after them is named by its own line
+        records = [make_cdr(f"b{i}", (55, 62)[i % 2], T0 + timedelta(seconds=60 * i), i)
+                   for i in range(1, 5)]
+        header, *rows = csv_lines([CDR_CSV_HEADER]) + cdr_lines(records)
+        path = tmp_path / "cdrs.csv"
+        path.write_text(header + rows[0] + "\n\n" + rows[1] + "\r\n" + "".join(rows[2:])
+                        + "\n\n", encoding="utf-8")
+        assert read_cdr_csv(path) == (records, [])
+        path.write_text(header + "\n" + rows[0] + "\n" + "short,55\n", encoding="utf-8")
+        assert read_cdr_csv(path) == (records[:1], [(5, "expected 7 fields, got 2")])
 
     @pytest.mark.parametrize("cause", list(DisconnectCause), ids=lambda c: c.value)
     @pytest.mark.parametrize("at", [datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 30)],
@@ -517,9 +532,11 @@ class TestAttemptLog:
         assert [row[1] for row in decisions] == ["0.000", "-0.000", "-0.000", "1.000",
                                                  "1.000", "1.000", "1.000"]
 
-    def test_rows_made_before_an_error_are_written(self, tmp_path):
+    def test_rows_made_before_an_error_are_written(self, tmp_path, monkeypatch):
         # the first block is written as it fills, the rest as the error ends
-        # the run
+        # the run; a writer process writes the first block a little later,
+        # so this runs the rows in this process
+        use_row_writer(monkeypatch, False)
         attempts = _attempts(ROW_BLOCK + 10)
         rows = cdr_lines(record for record, _ in attempts)
         cdrs, decisions = tmp_path / "cdrs.csv", tmp_path / "decisions.csv"
@@ -527,6 +544,31 @@ class TestAttemptLog:
             with attempt_log(cdrs, decisions, T0) as on_cdr:
                 for record, t_s in attempts:
                     on_cdr(*sink_fields(record, T0), t_s)
+                assert_rows_equal(
+                    cdrs.read_text(encoding="utf-8").splitlines(keepends=True)[1:],
+                    rows[:ROW_BLOCK])
+                raise OSError("disk quota exceeded")
+        assert_rows_equal(cdrs.read_text(encoding="utf-8").splitlines(keepends=True)[1:], rows)
+        assert_rows_equal(decisions.read_text(encoding="utf-8").splitlines(keepends=True)[1:], [
+            ",".join(_decision_fields(seq, record, t_s)) + "\n"
+            for seq, (record, t_s) in enumerate(attempts)])
+
+    def test_rows_made_before_an_error_are_written_by_the_writer_process(self, tmp_path,
+                                                                         monkeypatch):
+        # the writer process writes the first block while the run goes on,
+        # and the rest as the error ends the run
+        use_row_writer(monkeypatch, True)
+        attempts = _attempts(ROW_BLOCK + 10)
+        rows = cdr_lines(record for record, _ in attempts)
+        cdrs, decisions = tmp_path / "cdrs.csv", tmp_path / "decisions.csv"
+        with pytest.raises(OSError, match="disk quota exceeded"):
+            with attempt_log(cdrs, decisions, T0) as on_cdr:
+                for record, t_s in attempts:
+                    on_cdr(*sink_fields(record, T0), t_s)
+                deadline = time.monotonic() + 10
+                while cdrs.read_bytes().count(b"\n") < 1 + ROW_BLOCK:  # whole lines
+                    assert time.monotonic() < deadline, "the first block was not written"
+                    time.sleep(0.01)
                 assert_rows_equal(
                     cdrs.read_text(encoding="utf-8").splitlines(keepends=True)[1:],
                     rows[:ROW_BLOCK])
