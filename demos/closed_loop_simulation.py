@@ -20,11 +20,12 @@ scenarios = Path(__file__).resolve().parent / "scenarios"
 # A perfect false-answer vendor at the higher preference, admission disabled:
 # every call is "answered" within seconds and the honest route never sees a
 # single attempt.
-# run_scenario hands each call attempt to a sink; this one counts them by vendor.
+# run_scenario hands the call attempts to a sink a list at a time; this one
+# counts them by vendor.
 control = ScenarioConfig.load(scenarios / "pure_fas_control.json")
 by_vendor = Counter()
 neg = run_scenario(replace(control, admission_enabled=False),
-                   on_cdr=lambda call_id, vendor, *rest: by_vendor.update((vendor,)))
+                   on_attempts=lambda attempts: by_vendor.update(a[1] for a in attempts))
 
 print("without admission control:")
 print(f"  {neg.total_calls} calls, routed per vendor: {dict(by_vendor)}")
@@ -39,7 +40,7 @@ print()
 # calls to the honest route; one closed interval of evidence later the loop
 # pins the fraud route to the floor share.
 config = ScenarioConfig.load(scenarios / "honest_vs_fas.json")
-result = run_scenario(config, on_cdr=lambda *attempt: None)  # only the intervals are shown
+result = run_scenario(config, on_attempts=lambda attempts: None)  # only the intervals are shown
 
 print("with admission control:")
 print(f"  {result.total_calls} calls, {len(result.interval_history)} closed intervals")

@@ -2,17 +2,19 @@
 
 CDRs are fed to the aggregator as they end and counted, by vendor and duration
 bucket, toward the first tick after they ended, which adds the counts into the
-open interval's: the aggregator keeps no CDR. The simulator feeds each leg's
-end in whole seconds from the anchor (``add_ended``), a replay each
-``CallRecord`` (``add_cdr``). A ``Schedule`` holds the tick period and the two
-minima, validated once. An interval only closes on a tick, once it is old
-enough *and* has seen enough ended calls; otherwise it stays open and is
-re-examined on the next tick, so closed intervals span a whole number of tick
-periods. Closing an interval computes both vendors' statistics, runs the
-rejection rule on the ACD pair, appends the result to the history, and opens
-the next interval at the exact close time so intervals partition the CDR
-timeline. The history is the one record of what closed: the CLI renders the
-acd_vendors file and the interval tables from it.
+open interval's: the aggregator keeps no CDR. ``add_ended`` takes any number
+of legs, each as its vendor, its end in whole seconds from the anchor, its
+duration and its rejected flag: the simulator hands it the legs of each block
+of attempts it hands its sink, a replay one generator over its records, and
+``add_cdr`` one ``CallRecord``'s leg. A ``Schedule`` holds the tick period
+and the two minima, validated once. An interval only closes on a tick, once
+it is old enough *and* has seen enough ended calls; otherwise it stays open
+and is re-examined on the next tick, so closed intervals span a whole number
+of tick periods. Closing an interval computes both vendors' statistics,
+runs the rejection rule on the ACD pair, appends the result to the history,
+and opens the next interval at the exact close time so intervals partition
+the CDR timeline. The history is the one record of what closed: the CLI
+renders the acd_vendors file and the interval tables from it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import heapq
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from operator import add
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .domain import CallRecord, RouteGroup, whole_seconds
 from .rejection import QualityInput, RejectionResult, compute_rejection
@@ -171,28 +173,31 @@ class IntervalAggregator:
     def add_cdr(self, record: CallRecord) -> None:
         """``add_ended`` for one CDR; a record of another vendor is dropped."""
         if record.vendor in self._vendors:
-            self.add_ended(record.vendor, (record.disconnect_time - self._anchor) // _SECOND,
-                           record.duration_s, record.rejected_by_router)
+            self.add_ended(((record.vendor, (record.disconnect_time - self._anchor) // _SECOND,
+                             record.duration_s, record.rejected_by_router),))
 
-    def add_ended(self, vendor: int, end_s: int, duration_s: int, rejected: bool) -> None:
-        """Count a group vendor's leg toward the first tick after it ended,
-        ``end_s`` s after the anchor, unless it ended before the open interval.
+    def add_ended(self, legs: Iterable[Tuple[int, int, int, bool]]) -> None:
+        """Count each ``(vendor, end_s, duration_s, rejected)`` leg of a group
+        vendor toward the first tick after it ended, ``end_s`` s after the
+        anchor, unless it ended before the open interval.
 
         The one place durations are bucketed. A router-rejected attempt never
         reached the vendor, so it counts as a rejection only."""
-        tick_no = end_s // self._period_s + 1
-        if tick_no > self._open_tick:
-            tallies = self._due.get(tick_no)
-            if tallies is None:
-                tallies = self._due[tick_no] = self._tallies()
-                heapq.heappush(self._due_ticks, tick_no)
-            tally = tallies[vendor]
-            if rejected:
-                tally[5] += 1
-            else:
-                tally[0 if duration_s == 0 else 1 if duration_s <= 5
-                      else 2 if duration_s <= 30 else 3] += 1
-                tally[4] += duration_s
+        period_s, open_tick, due = self._period_s, self._open_tick, self._due
+        for vendor, end_s, duration_s, rejected in legs:
+            tick_no = end_s // period_s + 1
+            if tick_no > open_tick:
+                tallies = due.get(tick_no)
+                if tallies is None:
+                    tallies = due[tick_no] = self._tallies()
+                    heapq.heappush(self._due_ticks, tick_no)
+                tally = tallies[vendor]
+                if rejected:
+                    tally[5] += 1
+                else:
+                    tally[0 if duration_s == 0 else 1 if duration_s <= 5
+                          else 2 if duration_s <= 30 else 3] += 1
+                    tally[4] += duration_s
 
     def tick(self, now: datetime) -> Optional[ClosedInterval]:
         """Take in the CDRs that ended before ``now``; close the interval if it is due.
@@ -280,8 +285,8 @@ def replay_cdrs(
     last_end = max(r.disconnect_time for r in ours)
 
     agg = IntervalAggregator(group, opened_at=start, schedule=schedule)
-    for record in ours:
-        agg.add_cdr(record)
+    agg.add_ended((r.vendor, (r.disconnect_time - start) // _SECOND, r.duration_s,
+                   r.rejected_by_router) for r in ours)
     # once a tick falls this far past the last CDR, the open interval's call
     # count is frozen and the age condition has been evaluated at least once,
     # so any still-open interval can never close

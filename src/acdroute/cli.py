@@ -228,8 +228,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         (args.out / name).unlink(missing_ok=True)
     try:
         with attempt_log(args.out / "cdrs.csv", args.out / "decisions.csv",
-                         config.start_time) as on_cdr:
-            result = run_scenario(config, on_cdr=on_cdr)
+                         config.start_time) as on_attempts:
+            result = run_scenario(config, on_attempts=on_attempts)
     except OverflowError:  # an answered leg's disconnect second past the last datetime
         raise ValueError(f"{args.scenario}: a call leg ends past the year 9999") from None
     _write_files(args.out, {**_history_files(result.interval_history, config.dest_prefix),

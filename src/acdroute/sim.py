@@ -20,15 +20,21 @@ not), so billing tries the next vendor until one answers. ``billing_route``
 is the one definition of that failover: it picks the same vendors one
 attempt at a time, from a call's response codes.
 
-Each attempt goes to the caller's sink as one event as soon as it is made:
-its CDR's fields but the disconnect time, the connect time in whole seconds
-after the start, and the call's time; the rejected flag is the admission
-decision. No ``datetime`` is built per attempt, and the run keeps no CDR: the
-aggregator takes each leg's end in seconds (``add_ended``), and the CLI's sink,
-``store.attempt_log``, writes a CDR row and a decision row. The run's memory
-still grows with its length: it draws every arrival time first, 8 bytes a
-call. Of each close the result keeps the ``ClosedInterval`` in its interval
-history; the acd_vendors rows and the interval tables are rendered from that.
+Each attempt is one plain tuple: its CDR's fields but the disconnect time,
+the connect time in whole seconds after the start, the cause as its CSV text,
+and the call's time; the rejected flag is the admission decision. The run
+makes no call per attempt only to move it: it appends the attempt to one list
+and the leg's end to another, and hands the first to the caller's sink and
+the second to the aggregator's ``add_ended`` a block at a time, once a list
+holds ``store.SEND_BLOCK`` attempts, before every tick and at the end. A leg
+is drawn by its vendor's sampler (``_leg_sampler``), built once per run, which
+computes the stdlib's exponential and uniform draws on the run's generator.
+No ``datetime`` is built per attempt, and the run keeps no CDR: the CLI's
+sink, ``store.attempt_log``, writes a CDR row and a decision row for each.
+The run's memory still grows with its length: it draws every arrival time
+first, 8 bytes a call. Of each close the result keeps the ``ClosedInterval``
+in its interval history; the acd_vendors rows and the interval tables are
+rendered from that.
 """
 
 from __future__ import annotations
@@ -38,14 +44,18 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from math import log
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .admission import AdmissionController
 from .aggregate import ClosedInterval, IntervalAggregator, Schedule
 from .codec import decode, load_json
 from .domain import DEFAULT_LOAD_MIN, DisconnectCause, RouteGroup, triggers_failover
-from .store import csv_field
+from .store import SEND_BLOCK, csv_field
+
+if TYPE_CHECKING:
+    from .store import Attempt, Sink
 
 DEFAULT_START = datetime(2020, 1, 1, 0, 0, 0)
 # arrival_rate_per_min x duration_min may ask for at most this many calls: a
@@ -82,13 +92,6 @@ class DurationSpec:
             raise ValueError("uniform durations need 0 <= low_s <= high_s")
         if self.family == "fixed" and self.value_s < 0:
             raise ValueError("fixed durations must be non-negative")
-
-    def draw(self, rng: random.Random) -> float:
-        if self.family == "exponential":
-            return rng.expovariate(1.0 / self.mean_s)
-        if self.family == "uniform":
-            return rng.uniform(self.low_s, self.high_s)
-        return self.value_s
 
     @staticmethod
     def _decode_defaults(data: dict, path: str) -> dict:
@@ -144,16 +147,43 @@ class VendorModel:
         return data
 
 
-def vendor_leg(model: VendorModel, rng: random.Random) -> Tuple[int, int]:
-    """Play out one attempt that reached the vendor.
+def _leg_sampler(model: VendorModel, rng: random.Random) -> Callable[[], int]:
+    """``leg()``, which plays out one attempt that reached the vendor and
+    returns its duration in seconds: 0 for an unanswered leg, at least 1 for
+    an answered one, so a zero duration always means an unanswered call.
 
-    Returns (response code, duration seconds). Answered legs last at least one
-    second so a zero duration always means an unanswered call.
+    A leg takes one ``rng.random()`` for the answer, and an answered leg one
+    more for its duration unless the duration is fixed. The duration is
+    computed as ``rng.expovariate(1.0 / mean_s)`` and ``rng.uniform(low_s,
+    high_s)`` compute it (the same arithmetic in CPython 3.6-3.13's
+    ``random.py``), without their two method calls a leg.
     """
-    if rng.random() < model.answer_prob:
-        duration = max(1, round(model.duration.draw(rng)))
-        return 200, duration
-    return model.failure_code, 0
+    draw, answer_prob, spec = rng.random, model.answer_prob, model.duration
+    if spec.family == "exponential":
+        rate = 1.0 / spec.mean_s
+
+        def leg() -> int:
+            return (round(-log(1.0 - draw()) / rate) or 1) if draw() < answer_prob else 0
+    elif spec.family == "uniform":
+        low, width = spec.low_s, spec.high_s - spec.low_s
+
+        def leg() -> int:
+            return (round(low + width * draw()) or 1) if draw() < answer_prob else 0
+    else:
+        fixed = round(spec.value_s) or 1
+
+        def leg() -> int:
+            return fixed if draw() < answer_prob else 0
+    return leg
+
+
+def vendor_leg(model: VendorModel, rng: random.Random) -> Tuple[int, int]:
+    """Play out one attempt that reached the vendor: one draw of a fresh
+    ``_leg_sampler``. Returns (response code, duration seconds): 200 and at
+    least one second when answered, the model's failure code and 0 when not.
+    """
+    duration = _leg_sampler(model, rng)()
+    return (200, duration) if duration else (model.failure_code, 0)
 
 
 @dataclass(frozen=True)
@@ -275,7 +305,7 @@ def _shares(totals: Mapping[int, float]) -> Dict[int, float]:
 
 def run_scenario(
     config: ScenarioConfig,
-    on_cdr: Callable[[str, int, int, int, DisconnectCause, bool, float], object],
+    on_attempts: Sink,
 ) -> ScenarioResult:
     """Run one scenario to completion.
 
@@ -286,12 +316,17 @@ def run_scenario(
     ``int(duration_s // tick_period_s)`` ticks in all. Ticking stops there;
     calls still in flight then simply never get aggregated.
 
-    ``on_cdr(call_id, vendor, connect_s, duration_s, cause, rejected, t_s)``
-    gets each attempt as soon as it is made: its CDR less the disconnect time
-    (``connect_s`` plus ``duration_s``, in whole seconds after ``start_time``),
-    and the call's time in seconds. An exception it raises ends the run, as
-    the ``OverflowError`` of a leg ending past the year 9999 does from
-    ``store.attempt_log``'s sink, which cannot render its disconnect time.
+    Each attempt is one plain tuple ``(call_id, vendor, connect_s, duration_s,
+    cause, rejected, t_s)``: its CDR less the disconnect time (``connect_s``
+    plus ``duration_s``, in whole seconds after ``start_time``), the cause as
+    its ``cdrs.csv`` text, and the call's time in seconds. The run hands the
+    attempts to ``on_attempts`` in order, a list at a time, the list then the
+    sink's: once a list holds ``store.SEND_BLOCK`` attempts (checked after
+    each call, so a list holds at most ``SEND_BLOCK + len(vendors) - 1``),
+    before every tick and at the end; never an empty list. An exception the
+    sink raises ends the run, as the ``OverflowError`` of a leg ending past
+    the year 9999 does from ``store.attempt_log``'s sink, which cannot render
+    its disconnect time.
     """
     traffic_rng = random.Random(config.seed)
     group = config.group
@@ -310,21 +345,29 @@ def run_scenario(
 
     # every arrival is drawn before the first call is handled: vendor legs
     # draw from the same generator, so the order of draws fixes the traffic;
-    # a packed array keeps them at 8 bytes each, not a float object apiece
+    # a packed array keeps them at 8 bytes each, not a float object apiece.
+    # Each gap is computed as ``traffic_rng.expovariate(rate_per_s)`` does.
     duration_s = config.duration_min * 60.0
     rate_per_s = config.arrival_rate_per_min / 60.0
+    draw = traffic_rng.random
     arrivals = array("d")
-    t = traffic_rng.expovariate(rate_per_s)
+    t = -log(1.0 - draw()) / rate_per_s
     while t < duration_s:
         arrivals.append(t)
-        t += traffic_rng.expovariate(rate_per_s)
+        t += -log(1.0 - draw()) / rate_per_s
+    # billing's order, each vendor with its leg sampler
+    routes = [(vendor, _leg_sampler(models[vendor], traffic_rng)) for vendor in order]
 
     abandoned = 0
     decide = controller.decide
     add_ended = aggregator.add_ended
-    normal = DisconnectCause.NORMAL_CLEARING
-    no_answer = DisconnectCause.NO_USER_RESPONDING
-    other = DisconnectCause.OTHER
+    normal = DisconnectCause.NORMAL_CLEARING.value
+    no_answer = DisconnectCause.NO_USER_RESPONDING.value
+    other = DisconnectCause.OTHER.value
+    # the attempts not yet handed over, and each one's (vendor, end_s,
+    # duration_s, rejected) for the aggregator
+    attempts: List[Attempt] = []
+    ended: List[Tuple[int, int, int, bool]] = []
 
     def run_tick(tick_s: int) -> None:
         closed = aggregator.tick(start_time + timedelta(0, tick_s))
@@ -334,14 +377,19 @@ def run_scenario(
     # a tick at a call's exact time runs before it; ticks past the last call run last
     next_tick_s = tick_period_s
     for idx, t_s in enumerate(arrivals, 1):
-        while next_tick_s <= t_s:
-            run_tick(next_tick_s)
-            next_tick_s += tick_period_s
+        if next_tick_s <= t_s or len(attempts) >= SEND_BLOCK:
+            if attempts:
+                on_attempts(attempts)
+                add_ended(ended)
+                attempts, ended = [], []
+            while next_tick_s <= t_s:
+                run_tick(next_tick_s)
+                next_tick_s += tick_period_s
         # billing walks its order until a vendor answers; legs connect at the call's second
         call_id, second = f"c{idx:06d}", int(t_s)
-        for vendor in order:
+        for vendor, leg in routes:
             accepted = decide(call_id, vendor, t_s)
-            leg_duration = vendor_leg(models[vendor], traffic_rng)[1] if accepted else 0
+            leg_duration = leg() if accepted else 0
             if leg_duration:
                 answered[vendor] += 1
                 answered_minutes[vendor] += leg_duration / 60.0
@@ -350,12 +398,16 @@ def run_scenario(
                 # refused by the clone or failed at the vendor: both fail over,
                 # and the zero-length leg ends at its connect time
                 cause = no_answer if accepted else other
-            on_cdr(call_id, vendor, second, leg_duration, cause, not accepted, t_s)
-            add_ended(vendor, second + leg_duration, leg_duration, not accepted)
+            rejected = not accepted
+            attempts.append((call_id, vendor, second, leg_duration, cause, rejected, t_s))
+            ended.append((vendor, second + leg_duration, leg_duration, rejected))
             if leg_duration:
                 break
         else:
             abandoned += 1
+    if attempts:
+        on_attempts(attempts)
+        add_ended(ended)
     last_tick_s = int(duration_s // tick_period_s) * tick_period_s
     for tick_s in range(next_tick_s, last_tick_s + 1, tick_period_s):
         run_tick(tick_s)

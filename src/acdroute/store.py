@@ -12,19 +12,22 @@ call id and the two timestamps as text ready made: ``attempt_log`` renders
 them with ``second_texts``, each only when its source changes, an answered
 leg's disconnect from its connect second and duration.
 
-``attempt_log`` is ``simulate``'s sink and the one CDR writer: it writes each
-attempt's CDR row and decision row as the run makes the attempt, in blocks of
-``ROW_BLOCK`` rows. Where ``os.fork`` exists and the process may run on two
-or more CPUs, a forked writer process off the run's CPU renders the rows:
-the sink only appends each attempt and pipes each block of ``SEND_BLOCK``
-attempts pickled, and a writer's exception is raised again on exit, with its
-type and message. ``simulate`` then makes 1.2-1.3x the calls a second
-(``BENCH_row_writer.json``). With one CPU it would cost ~30 %, so the rows
-are rendered in-process. ``acd_csv_text`` renders an interval history as
-the acd_vendors file, each closed interval as its pair of rows, after the run;
-no command reads that file back. ``read_cdr_csv`` is the one reader. It
-accepts a CDR row only in the form ``cdr_row`` writes it, checked as one
-match against ``_CDR_FIELDS``, the row grammar.
+``attempt_log`` is ``simulate``'s sink and the one CDR writer. ``run_scenario``
+hands it the attempts as lists of plain tuples, each list once it holds
+``SEND_BLOCK`` attempts (up to one more with two vendors, as the list is
+checked after each call), before every tick and at the end. It writes each
+attempt's CDR row and decision row, rendering a list in one loop and writing
+``ROW_BLOCK`` rows at a time. Where ``os.fork`` exists and the process may run
+on two or more CPUs, a forked writer process off the run's CPU renders the
+rows: the sink pickles each list as one pipe message, and a writer's
+exception is raised again on exit, with its type and message. ``simulate``
+then makes 1.2-1.3x the calls a second (``BENCH_row_writer.json``). With one
+CPU it would cost ~30 %, so the rows are rendered in-process.
+``acd_csv_text`` renders an interval history as the acd_vendors file, each
+closed interval as its pair of rows, after the run; no command reads that
+file back. ``read_cdr_csv`` is the one reader. It accepts a CDR row only in
+the form ``cdr_row`` writes it, checked as one match against
+``_CDR_FIELDS``, the row grammar.
 """
 
 from __future__ import annotations
@@ -72,14 +75,13 @@ def csv_field(text: str) -> str:
 
 
 def cdr_row(call_text: str, vendor: int, connect_text: str, disconnect_text: str,
-            duration_s: int, cause: DisconnectCause, rejected: bool) -> str:
+            duration_s: int, cause: str, rejected: bool) -> str:
     """The CDR row template: a CDR's row of a CDR CSV file, line end
     included, from its fields, with the text of its call id (as ``csv_field``
-    writes it) and of its two timestamps (as ``format_ts`` writes them)."""
-    # ``_value_`` is the member's plain attribute; the ``value`` property
-    # costs ~15x as much to read
+    writes it), of its two timestamps (as ``format_ts`` writes them) and of
+    its cause (a ``DisconnectCause`` value)."""
     return (f"{call_text},{vendor},{connect_text},{disconnect_text},{duration_s},"
-            f"{cause._value_},{'1' if rejected else '0'}\n")
+            f"{cause},{'1' if rejected else '0'}\n")
 
 
 # rows a streamed file holds back before writing them as one text: enough to
@@ -87,18 +89,22 @@ def cdr_row(call_text: str, vendor: int, connect_text: str, disconnect_text: str
 # (~90 bytes an attempt over both files, ~0.2 MB in all) do not show in a
 # run's memory
 ROW_BLOCK = 1024
-# attempts pickled and sent to the writer process at once: ~50 KB of working
-# memory; 1,024 took ~200 KB, whose churn raised a run's peak RSS by ~1 MB
+# attempts ``run_scenario`` hands its sink at once, each list pickled and sent
+# to the writer process as one message: ~50 KB of working memory; 1,024 took
+# ~200 KB, whose churn raised a run's peak RSS by ~1 MB
 SEND_BLOCK = 256
 
-if TYPE_CHECKING:  # built at run time, typing's cache would keep each reloaded enum alive
-    Sink = Callable[[str, int, int, int, DisconnectCause, bool, float], None]
+if TYPE_CHECKING:  # built at run time, they would cost every import
+    # (call_id, vendor, connect_s, duration_s, cause text, rejected, t_s)
+    Attempt = Tuple[str, int, int, int, str, bool, float]
+    # takes a list of attempts in run order; the list is the sink's to keep
+    Sink = Callable[[List[Attempt]], object]
 
 
 @contextmanager
 def _row_renderer(cdr_file: TextIO, decision_file: TextIO, start: datetime) -> Iterator[Sink]:
-    """Write both headers, and yield the sink that renders each attempt's
-    two rows; on exit, write the rows still pending."""
+    """Write both headers, and yield the sink that renders a list of
+    attempts' rows in one loop; on exit, write the rows still pending."""
     cdr_file.write(",".join(CDR_CSV_HEADER) + "\n")
     decision_file.write(",".join(DECISION_CSV_HEADER) + "\n")
     cdr_rows: List[str] = []
@@ -116,28 +122,28 @@ def _row_renderer(cdr_file: TextIO, decision_file: TextIO, start: datetime) -> I
             rows.clear()
             handle.write(text)
 
-    def on_cdr(leg_call_id: str, vendor: int, connect_s: int, duration_s: int,
-               cause: DisconnectCause, rejected: bool, t_s: float) -> None:
+    def on_attempts(attempts: List[Attempt]) -> None:
         nonlocal seq, call_id, call_text, t_s_key, t_text, connect_key, connect_text
-        if leg_call_id is not call_id:
-            call_id = leg_call_id
-            call_text = csv_field(call_id)
-        if t_s is not t_s_key:
-            t_s_key, t_text = t_s, f"{t_s:.3f}"
-        if connect_s != connect_key:
-            connect_key = connect_s
-            connect_text = ts_text(connect_s)
-        cdr_rows.append(cdr_row(call_text, vendor, connect_text, ts_text(
-            connect_s + duration_s) if duration_s else connect_text,
-            duration_s, cause, rejected))
-        decision_rows.append(f"{seq},{t_text},{call_text},{vendor},"
-                             f"{refused if rejected else '1,'}\n")
-        seq += 1
-        if len(cdr_rows) == ROW_BLOCK:
-            write_pending()
+        for leg_call_id, vendor, connect_s, duration_s, cause, rejected, t_s in attempts:
+            if leg_call_id is not call_id:
+                call_id = leg_call_id
+                call_text = csv_field(call_id)
+            if t_s is not t_s_key:
+                t_s_key, t_text = t_s, f"{t_s:.3f}"
+            if connect_s != connect_key:
+                connect_key = connect_s
+                connect_text = ts_text(connect_s)
+            cdr_rows.append(cdr_row(call_text, vendor, connect_text, ts_text(
+                connect_s + duration_s) if duration_s else connect_text,
+                duration_s, cause, rejected))
+            decision_rows.append(f"{seq},{t_text},{call_text},{vendor},"
+                                 f"{refused if rejected else '1,'}\n")
+            seq += 1
+            if len(cdr_rows) == ROW_BLOCK:
+                write_pending()
 
     try:
-        yield on_cdr
+        yield on_attempts
     finally:
         write_pending()
 
@@ -152,12 +158,11 @@ def _write_rows(blocks_fd: int, error_fd: int, cdr_file: TextIO, decision_file: 
                 with suppress(OSError):  # a refused move leaves the writer where it is
                     os.sched_setaffinity(0, cpus)
                 with cdr_file, decision_file, open(blocks_fd, "rb") as blocks, \
-                        _row_renderer(cdr_file, decision_file, start) as on_cdr, \
+                        _row_renderer(cdr_file, decision_file, start) as on_attempts, \
                         suppress(EOFError, pickle.UnpicklingError):
                     # until the parent closes its end, or ends while it sends a block
                     while True:
-                        for attempt in pickle.load(blocks):
-                            on_cdr(*attempt)
+                        on_attempts(pickle.load(blocks))
             except BaseException as exc:
                 try:
                     errors.write(pickle.dumps(exc))
@@ -170,15 +175,17 @@ def _write_rows(blocks_fd: int, error_fd: int, cdr_file: TextIO, decision_file: 
 @contextmanager
 def attempt_log(cdr_path: Path, decision_path: Path, start: datetime) -> Iterator[Sink]:
     """Open a CDR CSV file and a decisions file, write their headers, and
-    yield the sink ``on_cdr(call_id, vendor, connect_s, duration_s, cause,
-    rejected, t_s)`` that ``run_scenario`` hands each attempt to: it appends
-    the attempt's CDR row to the first file and its decision row, numbered
-    from 0, to the second; ``connect_s`` counts whole seconds from ``start``.
+    yield the sink ``on_attempts(attempts)`` that ``run_scenario`` hands each
+    list of attempts to, as ``(call_id, vendor, connect_s, duration_s, cause,
+    rejected, t_s)`` tuples: it appends each attempt's CDR row to the first
+    file and its decision row, numbered from 0, to the second; ``connect_s``
+    counts whole seconds from ``start``, and ``cause`` is the CDR's cause text.
 
     The rows are written ``ROW_BLOCK`` at a time, each block as one text. On
     exit, normal or by an exception, every row made so far is written and
     both files are closed, so each file holds whole rows only. With two or
-    more CPUs, a forked writer process renders them (see the module).
+    more CPUs, a forked writer process renders them, each list sent to it as
+    one pickled message (see the module); on every exit the writer is reaped.
 
     An attempt's text pieces are built only when their source changes: the
     call id's ``csv_field`` text, keyed by the call id; the ``time_s`` text,
@@ -193,8 +200,8 @@ def attempt_log(cdr_path: Path, decision_path: Path, start: datetime) -> Iterato
             open(decision_path, "w", newline="", encoding="utf-8") as decision_file:
         cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
         if not (hasattr(os, "fork") and len(cpus) >= 2):
-            with _row_renderer(cdr_file, decision_file, start) as on_cdr:
-                yield on_cdr
+            with _row_renderer(cdr_file, decision_file, start) as on_attempts:
+                yield on_attempts
             return
         # the writer keeps off the run's CPU (field 39 of /proc/self/stat): the
         # kernel can leave a new process beside its parent for a second or more
@@ -208,27 +215,21 @@ def attempt_log(cdr_path: Path, decision_path: Path, start: datetime) -> Iterato
             _write_rows(blocks_fd, child_error_fd, cdr_file, decision_file, start, cpus)
     for fd in (blocks_fd, child_error_fd):
         os.close(fd)
-    block: List[tuple] = []
-
-    def send() -> None:
-        data = pickle.dumps(block, pickle.HIGHEST_PROTOCOL)
-        block.clear()
-        sender.write(data)  # a BrokenPipeError, once the writer has ended, ends the run
-
-    def on_cdr(*attempt) -> None:
-        block.append(attempt)
-        if len(block) == SEND_BLOCK:
-            send()
 
     with open(error_fd, "rb") as errors, open(send_fd, "wb") as sender:
+        def on_attempts(attempts: List[Attempt]) -> None:
+            # a BrokenPipeError, once the writer has ended, ends the run
+            sender.write(pickle.dumps(attempts, pickle.HIGHEST_PROTOCOL))
+
         try:
-            yield on_cdr
+            yield on_attempts
         finally:
-            with suppress(BrokenPipeError):  # the writer ended early: its error follows
-                send()
-                sender.close()
-            error = errors.read()
-            status = os.waitpid(pid, 0)[1]
+            try:
+                with suppress(BrokenPipeError):  # the writer ended early: its error follows
+                    sender.close()
+            finally:  # whatever ended the run, the writer is reaped
+                error = errors.read()
+                status = os.waitpid(pid, 0)[1]
             if error:
                 raise pickle.loads(error)
             if status:

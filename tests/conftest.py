@@ -35,24 +35,27 @@ def make_cdr(call_id, vendor, disconnect_at, duration_s, rejected=False):
 def record_sink(attempts, start):
     """A ``run_scenario`` sink that appends each attempt to ``attempts`` as
     ``(record, t_s)``: the CDR built from the fields the sink is handed, its
-    connect time ``connect_s`` seconds after the run's ``start`` and its
-    disconnect time ``duration_s`` seconds after that."""
-    def on_cdr(call_id, vendor, connect_s, duration_s, cause, rejected, t_s):
-        connect = start + timedelta(seconds=connect_s)
-        record = CallRecord(call_id, vendor, connect, connect + timedelta(seconds=duration_s),
-                            duration_s, cause, rejected)
-        attempts.append((record, t_s))
-    return on_cdr
+    connect time ``connect_s`` seconds after the run's ``start``, its
+    disconnect time ``duration_s`` seconds after that, and its cause the
+    member whose value is the cause text."""
+    def on_attempts(block):
+        for call_id, vendor, connect_s, duration_s, cause, rejected, t_s in block:
+            connect = start + timedelta(seconds=connect_s)
+            record = CallRecord(call_id, vendor, connect,
+                                connect + timedelta(seconds=duration_s), duration_s,
+                                DisconnectCause(cause), rejected)
+            attempts.append((record, t_s))
+    return on_attempts
 
 
 def sink_fields(record, start):
     """The fields a ``run_scenario`` sink is handed for ``record``'s attempt,
     before its call's time, in a run that started at ``start``: the connect
-    time as whole seconds after it."""
+    time as whole seconds after it, the cause as its text."""
     connect_s, rest = divmod(record.connect_time - start, timedelta(seconds=1))
     assert not rest, f"{record.connect_time} is not a whole second after {start}"
     return (record.call_id, record.vendor, connect_s, record.duration_s,
-            record.cause, record.rejected_by_router)
+            record.cause.value, record.rejected_by_router)
 
 
 def assert_rows_equal(got, want):

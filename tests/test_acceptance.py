@@ -189,7 +189,7 @@ def test_criterion_7_closed_loop_simulation():
                                           failure_code=480)),
         ),
     )
-    result = run_scenario(config, on_cdr=lambda *attempt: None)
+    result = run_scenario(config, on_attempts=lambda attempts: None)
     assert len(result.interval_history) >= 3
     steady = result.interval_history[2:]
     for interval in steady:
@@ -215,7 +215,8 @@ def test_criterion_7_closed_loop_simulation():
         admission_enabled=False,
     )
     by_vendor = Counter()
-    neg = run_scenario(control, on_cdr=lambda call_id, vendor, *rest: by_vendor.update((vendor,)))
+    neg = run_scenario(control,
+                       on_attempts=lambda attempts: by_vendor.update(a[1] for a in attempts))
     assert by_vendor[71] == neg.total_calls
     assert by_vendor[72] == 0
 

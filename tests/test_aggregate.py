@@ -492,7 +492,7 @@ class TestIntegerEntry:
                         continue
                     since = end - anchor
                     end_s = since.days * 86400 + since.seconds  # microseconds floored
-                    by_int.add_ended(record.vendor, end_s, duration, rejected)
+                    by_int.add_ended([(record.vendor, end_s, duration, rejected)])
                 closed = by_cdr.tick(now)
                 assert encode(by_int.tick(now)) == encode(closed), (run, k)
                 seen["closed"] += closed is not None

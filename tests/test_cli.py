@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import os
+import pickle
 import random
 import signal
 import subprocess
@@ -18,14 +19,19 @@ import pytest
 from acdroute.aggregate import ClosedInterval, Schedule
 from acdroute.cli import main
 from acdroute.codec import decode
-from acdroute.domain import DisconnectCause
 from acdroute.sim import ScenarioConfig, run_scenario
-from acdroute.store import (DECISION_CSV_HEADER, ROW_BLOCK, acd_csv_text, attempt_log, cdr_row,
-                            read_cdr_csv)
+from acdroute.store import (DECISION_CSV_HEADER, ROW_BLOCK, SEND_BLOCK, acd_csv_text, attempt_log,
+                            cdr_row, read_cdr_csv)
 from conftest import T0, assert_rows_equal, make_cdr, read_acd_csv, record_sink, use_row_writer
 from reference import cdr_lines, write_cdr_csv
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+
+
+def package_env(**extra):
+    """The environment of a child Python that imports this checkout's package."""
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SCENARIOS.parent.parent / "src"), os.environ.get("PYTHONPATH")) if p))
 
 STRONG_ROW = [0] * 17 + [25] + [851] * 9 + [854]
 WEAK_ROW = [0] * 5 + [10, 20] + [816] * 8
@@ -405,7 +411,7 @@ def test_streamed_files_equal_the_batch_rendering(tmp_path, capsys, scenario):
     capsys.readouterr()
     attempts = []
     config = dataclasses.replace(ScenarioConfig.load(scenario), seed=3)
-    run_scenario(config, on_cdr=record_sink(attempts, config.start_time))
+    run_scenario(config, on_attempts=record_sink(attempts, config.start_time))
     batch = tmp_path / "cdrs.csv"
     write_cdr_csv(batch, [record for record, _ in attempts])
     assert_rows_equal((out / "cdrs.csv").read_text(encoding="utf-8").splitlines(keepends=True),
@@ -445,7 +451,7 @@ def test_streamed_rows_equal_the_sinks_records(tmp_path, capsys, monkeypatch, ad
         capsys.readouterr()
         attempts = []
         config = dataclasses.replace(ScenarioConfig.load(scenario), admission_enabled=admission)
-        result = run_scenario(config, on_cdr=record_sink(attempts, config.start_time))
+        result = run_scenario(config, on_attempts=record_sink(attempts, config.start_time))
         records = [record for record, _ in attempts]
         assert records[0].connect_time.microsecond == start.microsecond
         assert_rows_equal(
@@ -504,8 +510,7 @@ def test_closed_stdout_exits_1_after_every_file(tmp_path, capsys, command, unbuf
         return ["simulate", "--scenario", str(SCENARIOS / "pure_fas_control.json"),
                 "--out", str(out)]
 
-    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SCENARIOS.parent.parent / "src"), os.environ.get("PYTHONPATH")) if p))
+    env = package_env(PYTHONUNBUFFERED=unbuffered)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -527,8 +532,7 @@ def test_broken_pipe_on_an_output_file_names_its_error(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
     os.mkfifo(out / "cdrs.csv")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SCENARIOS.parent.parent / "src"), os.environ.get("PYTHONPATH")) if p))
+    env = package_env()
     reader = subprocess.Popen([sys.executable, "-c",
                                "import sys; open(sys.argv[1], 'rb').read(100)",
                                str(out / "cdrs.csv")])
@@ -906,10 +910,11 @@ class TestRowWriter:
 
         monkeypatch.setattr("acdroute.store.cdr_row", failing_row)
         made = 0
+        attempt = ["c1", 55, 0, 0, "other", True, 0.0]
         with pytest.raises(OSError, match="disk quota exceeded"):
-            with attempt_log(tmp_path / "cdrs.csv", tmp_path / "decisions.csv", T0) as on_cdr:
-                for made in range(1, 1000 * ROW_BLOCK + 1):
-                    on_cdr("c1", 55, 0, 0, DisconnectCause.OTHER, True, 0.0)
+            with attempt_log(tmp_path / "cdrs.csv", tmp_path / "decisions.csv", T0) as on_attempts:
+                for made in range(SEND_BLOCK, 1000 * ROW_BLOCK + 1, SEND_BLOCK):
+                    on_attempts([tuple(attempt) for _ in range(SEND_BLOCK)])
         assert made < 20 * ROW_BLOCK
         assert (tmp_path / "cdrs.csv").read_text(encoding="utf-8").count("\n") == 1
 
@@ -924,8 +929,48 @@ class TestRowWriter:
 
         monkeypatch.setattr("acdroute.store.cdr_row", failing_row)
         with pytest.raises(RuntimeError, match=r"^row writer: .*LocalError\('no way back'\)$"):
-            with attempt_log(tmp_path / "cdrs.csv", tmp_path / "decisions.csv", T0) as on_cdr:
-                on_cdr("c1", 55, 0, 0, DisconnectCause.OTHER, True, 0.0)
+            with attempt_log(tmp_path / "cdrs.csv", tmp_path / "decisions.csv", T0) as on_attempts:
+                on_attempts([("c1", 55, 0, 0, "other", True, 0.0)])
+
+    def test_a_list_that_does_not_pickle_in_the_run(self, tmp_path, monkeypatch):
+        # the third list the sink gets fails to pickle in the run's process;
+        # the writer never sees it: it writes the two lists before it, reads
+        # the end of its blocks and is reaped, and the run's error is raised
+        use_row_writer(monkeypatch, True)
+
+        class Unpicklable:
+            def __reduce__(self):
+                raise pickle.PicklingError("not this one")
+
+        lists = [[(f"c{n}", 55, n, 0, "other", True, float(n))] * 3 for n in range(5)]
+        lists[2] = [("c2", 55, 2, 0, Unpicklable(), True, 2.0)]
+        with pytest.raises(pickle.PicklingError, match="^not this one$"):
+            with attempt_log(tmp_path / "cdrs.csv", tmp_path / "decisions.csv", T0) as on_attempts:
+                for attempts in lists:
+                    on_attempts(attempts)
+        rows = (tmp_path / "cdrs.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["c0"] * 3 + ["c1"] * 3
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs the writer process")
+    def test_simulate_after_reloading_the_domain_module(self, tmp_path):
+        # a reload makes new DisconnectCause members, which an attempt held
+        # by reference would no longer pickle as; an attempt is plain values,
+        # so both writers write the same files
+        script = ("import importlib, os, sys\n"
+                  "import acdroute.cli, acdroute.domain\n"
+                  "importlib.reload(acdroute.domain)\n"
+                  "cpus = {0, 1} if sys.argv[1] == 'writer_process' else {0}\n"
+                  "os.sched_getaffinity = lambda pid: cpus\n"
+                  "sys.exit(acdroute.cli.main(['simulate', '--scenario', sys.argv[2],\n"
+                  "                            '--out', sys.argv[3]]))\n")
+        for path in ("in_process", "writer_process"):
+            done = subprocess.run([sys.executable, "-c", script, path,
+                                   str(SCENARIOS / "honest_vs_fas.json"), str(tmp_path / path)],
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  env=package_env(), timeout=120)
+            assert (done.returncode, done.stderr) == (0, b""), path
+        assert (tmp_path / "in_process" / "cdrs.csv").stat().st_size > 0
+        assert snapshot_dir(tmp_path / "in_process") == snapshot_dir(tmp_path / "writer_process")
 
     @pytest.mark.skipif(not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
                              and len(os.sched_getaffinity(0)) >= 2
@@ -939,8 +984,7 @@ class TestRowWriter:
         config.update(arrival_rate_per_min=600, duration_min=600)
         long_run = tmp_path / "long.json"
         long_run.write_text(json.dumps(config), encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(SCENARIOS.parent.parent / "src"), os.environ.get("PYTHONPATH")) if p))
+        env = package_env()
         run = subprocess.Popen([sys.executable, "-m", "acdroute.cli", "simulate", "--scenario",
                                 str(long_run), "--out", str(tmp_path / "out")],
                                env=env, start_new_session=True, stdout=subprocess.DEVNULL)

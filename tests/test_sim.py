@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import tracemalloc
 from collections import Counter, defaultdict
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import reference
 from acdroute.admission import REJECTION_CODE, AdmissionController
 from acdroute.aggregate import IntervalAggregator
 from acdroute.codec import decode, encode
@@ -18,11 +20,13 @@ from acdroute.sim import (
     ScenarioConfig,
     VendorModel,
     VendorSpec,
+    _leg_sampler,
     billing_route,
     run_scenario,
     vendor_leg,
 )
-from conftest import record_sink
+from acdroute.store import SEND_BLOCK
+from conftest import assert_rows_equal, record_sink
 
 FAS = VendorModel("false_answer", 0.97, DurationSpec("exponential", mean_s=36.0),
                   failure_code=408)
@@ -47,7 +51,7 @@ def fas_preferred_config(seed=7, rate=30.0, duration=400.0, admission=True,
     )
 
 
-def discard(*attempt):
+def discard(attempts):
     """A ``run_scenario`` sink that keeps nothing."""
 
 
@@ -55,7 +59,7 @@ def run_collecting(config):
     """``run_scenario(config)`` with a sink that keeps each attempt's
     ``(record, t_s)`` event; returns the result and the events."""
     attempts = []
-    result = run_scenario(config, on_cdr=record_sink(attempts, config.start_time))
+    result = run_scenario(config, on_attempts=record_sink(attempts, config.start_time))
     return result, attempts
 
 
@@ -170,7 +174,7 @@ class TestRoutingMatchesBillingRoute:
             for admission in (True, False):
                 attempts = []
                 result = run_scenario(replace(base, seed=seed, admission_enabled=admission),
-                                      on_cdr=lambda *attempt: attempts.append(attempt))
+                                      on_attempts=attempts.extend)
                 calls = defaultdict(list)
                 for attempt in attempts:
                     call_id, vendor, _, duration_s, cause, rejected, _ = attempt
@@ -182,7 +186,7 @@ class TestRoutingMatchesBillingRoute:
                     else:
                         code = models[vendor].failure_code
                         want = DisconnectCause.NO_USER_RESPONDING
-                    assert cause is want, attempt
+                    assert cause == want.value, attempt
                     calls[call_id].append((vendor, code))
                 assert len(calls) == result.total_calls
                 for call_id, history in calls.items():
@@ -220,8 +224,9 @@ class TestEventOrder:
         for seed in (1, 2, 3):
             events.clear()
             run_scenario(replace(base, seed=seed),
-                         on_cdr=lambda call_id, vendor, connect_s, *rest: events.append(
-                             ("cdr", base.start_time + timedelta(seconds=connect_s))))
+                         on_attempts=lambda attempts: events.extend(
+                             ("cdr", base.start_time + timedelta(seconds=connect_s))
+                             for _, _, connect_s, *rest in attempts))
             ticks = [at for kind, at in events if kind == "tick"]
             assert ticks == [base.start_time + k * period for k in range(1, len(ticks) + 1)]
             assert len(ticks) == int(base.duration_min * 60.0 // base.schedule.tick_period_s)
@@ -267,6 +272,114 @@ class TestVendorLeg:
         for _ in range(2000):
             code, duration = vendor_leg(model, rng)
             assert duration >= 1
+
+
+def stdlib_vendor_leg(model, rng):
+    """``vendor_leg`` as it was written before the leg samplers: each draw
+    through ``rng.expovariate`` or ``rng.uniform``."""
+    if rng.random() < model.answer_prob:
+        spec = model.duration
+        if spec.family == "exponential":
+            drawn = rng.expovariate(1.0 / spec.mean_s)
+        elif spec.family == "uniform":
+            drawn = rng.uniform(spec.low_s, spec.high_s)
+        else:
+            drawn = spec.value_s
+        return 200, max(1, round(drawn))
+    return model.failure_code, 0
+
+
+# each family over a spread of parameters: tiny and huge means, empty and
+# sub-second uniform ranges, fixed durations of 0 and on the .5 rounding edge
+DURATIONS = [
+    *(DurationSpec("exponential", mean_s=mean) for mean in (0.3, 2.0, 36.0, 520.2, 1e6)),
+    *(DurationSpec("uniform", low_s=low, high_s=high)
+      for low, high in ((0.0, 0.0), (0.0, 7.0), (1.0, 7.0), (0.2, 0.4), (4.5, 14.5),
+                        (25.0, 625.0))),
+    *(DurationSpec("fixed", value_s=value) for value in (0.0, 0.4, 0.5, 1.5, 2.5, 60.0, 300.0)),
+]
+# each kind's answer probabilities, its validated edges included: an honest
+# vendor answers in [0, 1), a false-answer vendor in (0.9, 1]
+ANSWER_PROBS = {"honest": (0.0, 0.3, 0.9, math.nextafter(1.0, 0.0)),
+                "false_answer": (math.nextafter(0.9, 1.0), 0.97, 1.0)}
+
+
+class TestLegSampler:
+    """``_leg_sampler`` computes the stdlib's own arithmetic: its durations,
+    and the generator's state after them, equal those of ``vendor_leg`` as it
+    drew through ``random.Random``'s methods, on a twin generator."""
+
+    LEGS = 2000
+
+    @pytest.mark.parametrize("duration", DURATIONS, ids=lambda spec: (
+        f"{spec.family}-{spec.mean_s or spec.value_s}-{spec.low_s}-{spec.high_s}"))
+    def test_durations_equal_the_stdlib_draws(self, duration):
+        for kind, probs in ANSWER_PROBS.items():
+            for answer_prob in probs:
+                model = VendorModel(kind, answer_prob, duration, failure_code=486)
+                for seed in (1, 2):
+                    rng, twin = random.Random(seed), random.Random(seed)
+                    leg = _leg_sampler(model, rng)
+                    got = [leg() for _ in range(self.LEGS)]
+                    want = [stdlib_vendor_leg(model, twin)[1] for _ in range(self.LEGS)]
+                    assert got == want, (kind, answer_prob, seed)
+                    assert rng.getstate() == twin.getstate()
+                    # vendor_leg is one draw of a fresh sampler
+                    assert [vendor_leg(model, rng) for _ in range(50)] == [
+                        stdlib_vendor_leg(model, twin) for _ in range(50)]
+
+    def test_the_spread_covers_both_outcomes_and_the_rounding(self):
+        legs = []
+        for duration in DURATIONS:
+            model = VendorModel("honest", 0.5, duration)
+            leg = _leg_sampler(model, random.Random(3))
+            legs += [leg() for _ in range(200)]
+        counts = Counter(min(duration, 2) for duration in legs)
+        assert min(counts[0], counts[1], counts[2]) >= 100, counts
+
+
+class TestAttemptBlocks:
+    """What a sink gets: new lists of at most ``SEND_BLOCK + len(vendors) -
+    1`` attempts (a list is checked after each call), each attempt one tuple
+    of plain values, which joined are the per-attempt stream: the reference
+    loop's CDR and decision rows, each call's time the stdlib's arrival."""
+
+    @pytest.mark.parametrize("name", ["honest_vs_fas", "preferred_honest", "pure_fas_control"])
+    @pytest.mark.parametrize("admission", [True, False], ids=["admission", "no-admission"])
+    def test_the_lists_joined_are_the_attempt_stream(self, name, admission):
+        config = replace(ScenarioConfig.load(SCENARIOS / f"{name}.json"),
+                         admission_enabled=admission)
+        lists = []
+        result = run_scenario(config, on_attempts=lists.append)
+        sizes = [len(attempts) for attempts in lists]
+        assert 0 < min(sizes) and max(sizes) <= SEND_BLOCK + len(config.vendors) - 1, sizes
+        assert max(sizes) >= SEND_BLOCK
+        joined = [attempt for attempts in lists for attempt in attempts]
+        assert len({id(attempts) for attempts in lists}) == len(lists)
+        for call_id, vendor, connect_s, duration_s, cause, rejected, t_s in joined:
+            assert (type(call_id), type(vendor), type(connect_s), type(duration_s), type(cause),
+                    type(rejected), type(t_s)) == (str, int, int, int, str, bool, float)
+        want = reference.simulate(config)
+        start = config.start_time
+        assert_rows_equal(reference.csv_lines(
+            [call_id, vendor, reference.ts(start + timedelta(0, connect_s)),
+             reference.ts(start + timedelta(0, connect_s + duration_s)), duration_s, cause,
+             int(rejected)]
+            for call_id, vendor, connect_s, duration_s, cause, rejected, _ in joined),
+            want["cdrs.csv"].splitlines(keepends=True)[1:])
+        assert_rows_equal(reference.csv_lines(
+            [seq, f"{t_s:.3f}", call_id, vendor, int(not rejected), 503 if rejected else ""]
+            for seq, (call_id, vendor, _, _, _, rejected, t_s) in enumerate(joined)),
+            want["decisions.csv"].splitlines(keepends=True)[1:])
+        # each call's time exactly: the stdlib's arrival times, drawn first
+        rng, arrivals = random.Random(config.seed), []
+        t = rng.expovariate(config.arrival_rate_per_min / 60.0)
+        while t < config.duration_min * 60.0:
+            arrivals.append(t)
+            t += rng.expovariate(config.arrival_rate_per_min / 60.0)
+        assert len(arrivals) == result.total_calls
+        assert [t_s for call_id, *_, t_s in joined] == [
+            arrivals[int(call_id[1:]) - 1] for call_id, *_ in joined]
 
 
 class TestModelValidation:
@@ -327,7 +440,7 @@ class TestScenarioConfig:
 
 class TestClosedLoop:
     def test_fraud_route_gets_squeezed_to_its_floor_share(self):
-        result = run_scenario(fas_preferred_config(), on_cdr=discard)
+        result = run_scenario(fas_preferred_config(), on_attempts=discard)
         assert len(result.interval_history) >= 6
         # steady state: every interval from the third close onward pins the
         # false-answer clone near the honest route's load share
@@ -343,7 +456,7 @@ class TestClosedLoop:
         assert routed[72] / sum(routed.values()) == pytest.approx(0.8723, abs=0.03)
 
     def test_healthy_route_keeps_its_load_with_small_rejection(self):
-        result = run_scenario(honest_preferred_config(), on_cdr=discard)
+        result = run_scenario(honest_preferred_config(), on_attempts=discard)
         assert len(result.interval_history) >= 6
         for interval in result.interval_history[2:]:
             # mirror case: the preferred good route sheds only the weak
@@ -374,7 +487,7 @@ class TestClosedLoop:
                 VendorSpec(2, 8, HONEST),
             ),
         )
-        result = run_scenario(config, on_cdr=discard)
+        result = run_scenario(config, on_attempts=discard)
         assert result.interval_history
         for interval in result.interval_history[2:]:
             # equal quality: reject target on the preferred clone near 50
@@ -478,7 +591,7 @@ class TestRecordSinks:
             tracemalloc.start()
             try:
                 result = run_scenario(fas_preferred_config(duration=duration),
-                                      on_cdr=discard)
+                                      on_attempts=discard)
                 return result.total_calls, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -448,9 +448,8 @@ def _log_attempts(tmp_path, attempts, start=T0):
     splits them, after ``attempt_log`` was given ``attempts`` of a run that
     started at ``start``."""
     cdrs, decisions = tmp_path / "cdrs.csv", tmp_path / "decisions.csv"
-    with attempt_log(cdrs, decisions, start) as on_cdr:
-        for record, t_s in attempts:
-            on_cdr(*sink_fields(record, start), t_s)
+    with attempt_log(cdrs, decisions, start) as on_attempts:
+        on_attempts([(*sink_fields(record, start), t_s) for record, t_s in attempts])
     with open(decisions, newline="", encoding="utf-8") as handle:
         decision_rows = list(csv.reader(handle))
     assert decision_rows[0] == DECISION_CSV_HEADER
@@ -541,9 +540,8 @@ class TestAttemptLog:
         rows = cdr_lines(record for record, _ in attempts)
         cdrs, decisions = tmp_path / "cdrs.csv", tmp_path / "decisions.csv"
         with pytest.raises(OSError, match="disk quota exceeded"):
-            with attempt_log(cdrs, decisions, T0) as on_cdr:
-                for record, t_s in attempts:
-                    on_cdr(*sink_fields(record, T0), t_s)
+            with attempt_log(cdrs, decisions, T0) as on_attempts:
+                on_attempts([(*sink_fields(record, T0), t_s) for record, t_s in attempts])
                 assert_rows_equal(
                     cdrs.read_text(encoding="utf-8").splitlines(keepends=True)[1:],
                     rows[:ROW_BLOCK])
@@ -562,9 +560,8 @@ class TestAttemptLog:
         rows = cdr_lines(record for record, _ in attempts)
         cdrs, decisions = tmp_path / "cdrs.csv", tmp_path / "decisions.csv"
         with pytest.raises(OSError, match="disk quota exceeded"):
-            with attempt_log(cdrs, decisions, T0) as on_cdr:
-                for record, t_s in attempts:
-                    on_cdr(*sink_fields(record, T0), t_s)
+            with attempt_log(cdrs, decisions, T0) as on_attempts:
+                on_attempts([(*sink_fields(record, T0), t_s) for record, t_s in attempts])
                 deadline = time.monotonic() + 10
                 while cdrs.read_bytes().count(b"\n") < 1 + ROW_BLOCK:  # whole lines
                     assert time.monotonic() < deadline, "the first block was not written"
