@@ -12,8 +12,6 @@ import random
 from datetime import datetime, timedelta
 
 from acdroute import (
-    CallRecord,
-    DisconnectCause,
     IntervalAggregator,
     RouteGroup,
     Schedule,
@@ -32,7 +30,9 @@ agg = IntervalAggregator(RouteGroup(vendors=(55, 62), prefs=(9, 8)), opened_at=s
 
 # Vendor 55 answers ~70% of its calls with long conversations; vendor 62
 # answers everything but holds callers for seconds only. Each CDR goes to the
-# aggregator as it ends; a tick counts the ones that ended before it.
+# aggregator as it ends, as its leg: the vendor, the end in whole seconds after
+# the start, the duration and whether the router refused it. A tick, given in
+# seconds after the start too, counts the ones that ended before it.
 t = 0.0
 i = 0
 while t < 3 * 3600:
@@ -42,18 +42,7 @@ while t < 3 * 3600:
         duration = round(rng.expovariate(1 / 500.0)) if rng.random() < 0.7 else 0
     else:
         duration = max(1, round(rng.expovariate(1 / 30.0)))
-    connect = start + timedelta(seconds=int(t))
-    agg.add_cdr(
-        CallRecord(
-            call_id=f"m{i:05d}",
-            vendor=vendor,
-            connect_time=connect,
-            disconnect_time=connect + timedelta(seconds=duration),
-            duration_s=duration,
-            cause=DisconnectCause.NORMAL_CLEARING if duration
-            else DisconnectCause.NO_USER_RESPONDING,
-        )
-    )
+    agg.add_ended([(vendor, int(t) + duration, duration, False)])
     i += 1
 
 print(f"{i} CDRs over 3 hours")
@@ -62,8 +51,9 @@ print(f"{i} CDRs over 3 hours")
 # interval: quiet stretches leave it open, so closes land on 20-, 30- or
 # 40-minute boundaries.
 for k in range(1, 22):
-    now = start + timedelta(seconds=schedule.tick_period_s * k)
-    closed = agg.tick(now)
+    now_s = schedule.tick_period_s * k
+    closed = agg.tick(now_s)
+    now = start + timedelta(seconds=now_s)
     if closed is None:
         print(f"{now:%H:%M}  open (not old or busy enough yet)")
     else:

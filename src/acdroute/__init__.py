@@ -18,7 +18,6 @@ from .aggregate import (
 )
 from .codec import decode, encode
 from .domain import (
-    CallRecord,
     DisconnectCause,
     RouteGroup,
     triggers_failover,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissionController",
-    "CallRecord",
     "ClosedInterval",
     "DisconnectCause",
     "DurationSpec",

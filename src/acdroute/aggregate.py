@@ -2,19 +2,20 @@
 
 CDRs are fed to the aggregator as they end and counted, by vendor and duration
 bucket, toward the first tick after they ended, which adds the counts into the
-open interval's: the aggregator keeps no CDR. ``add_ended`` takes any number
-of legs, each as its vendor, its end in whole seconds from the anchor, its
-duration and its rejected flag: the simulator hands it the legs of each block
-of attempts it hands its sink, a replay one generator over its records, and
-``add_cdr`` one ``CallRecord``'s leg. A ``Schedule`` holds the tick period
-and the two minima, validated once. An interval only closes on a tick, once
-it is old enough *and* has seen enough ended calls; otherwise it stays open
-and is re-examined on the next tick, so closed intervals span a whole number
-of tick periods. Closing an interval computes both vendors' statistics,
-runs the rejection rule on the ACD pair, appends the result to the history,
-and opens the next interval at the exact close time so intervals partition
-the CDR timeline. The history is the one record of what closed: the CLI
-renders the acd_vendors file and the interval tables from it.
+open interval's: the aggregator keeps no CDR. Its one ``datetime`` is its
+anchor; every other time is whole seconds after it. ``add_ended`` takes any
+number of legs, each as its vendor, its end, its duration and its rejected
+flag: the simulator hands it the legs of each block of attempts it hands its
+sink, a replay one generator over the CDRs ``store.read_cdr_csv`` reads. A
+``Schedule`` holds the tick period and the two minima, validated once. An
+interval only closes on a tick, once it is old enough *and* has seen enough
+ended calls; otherwise it stays open and is re-examined on the next tick, so
+closed intervals span a whole number of tick periods. Closing an interval
+dates it, computes both vendors' statistics, runs the rejection rule on the
+ACD pair, appends the result to the history, and opens the next interval at
+the exact close time so intervals partition the CDR timeline. The history is
+the one record of what closed: the CLI renders the acd_vendors file and the
+interval tables from it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from datetime import datetime, timedelta
 from operator import add
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .domain import CallRecord, RouteGroup, whole_seconds
+from .domain import RouteGroup, whole_seconds
 from .rejection import QualityInput, RejectionResult, compute_rejection
 
 _SECOND = timedelta(seconds=1)
@@ -33,6 +34,9 @@ _MAX_PERIOD_S = timedelta.max // _SECOND
 
 # received/rejected counter maps, keyed by vendor id
 CounterSnapshot = Tuple[Dict[int, int], Dict[int, int]]
+# a CDR as ``store.read_cdr_csv`` reads it: (vendor, connect_s, end_s,
+# duration_s, rejected), both times in whole seconds after ``datetime.min``
+Cdr = Tuple[int, int, int, int, bool]
 
 
 @dataclass(frozen=True)
@@ -129,9 +133,10 @@ class IntervalAggregator:
 
     Single-writer: one aggregator instance per routing group, ticks serialized
     with CDR ingestion by the caller, never going back in time. Ticks fall on
-    ``schedule``'s grid, anchored at the first ``opened_at``. A CDR counts
-    in the interval open at the first tick after its disconnect time, unless
-    it ended before that interval opened. It keeps no CDR, only per-vendor
+    ``schedule``'s grid from ``anchor``, the first ``opened_at``, and every
+    time it takes or keeps is whole seconds after it. A CDR counts in the
+    interval open at the first tick after its disconnect time, unless it
+    ended before that interval opened. It keeps no CDR, only per-vendor
     tallies: one per tick that has CDRs due, and the open interval's.
     ``counter_source`` is called exactly once per close to snapshot-and-reset
     the router's received/rejected counters; without one the counters are
@@ -148,17 +153,13 @@ class IntervalAggregator:
         counter_source: Optional[Callable[[], CounterSnapshot]] = None,
     ):
         self.group = group
-        self._vendors = group.vendors
         self.schedule = schedule
-        self.opened_at = opened_at
+        self.anchor = opened_at
+        self.opened_s = 0  # the open interval's start; tick n is n periods after the anchor
         self.history: List[ClosedInterval] = []
         self._counter_source = counter_source
-        self._ticked_at = opened_at
-        # tick n falls at anchor + n periods; opened_at is tick _open_tick
-        self._anchor = opened_at
-        self._period = timedelta(seconds=schedule.tick_period_s)
+        self._ticked_s = 0
         self._period_s = schedule.tick_period_s
-        self._open_tick = 0
         self._due: Dict[int, Dict[int, Tally]] = {}  # tick number -> vendor -> tally
         self._due_ticks: List[int] = []  # a min-heap of _due's keys
         self._open = self._tallies()
@@ -170,12 +171,6 @@ class IntervalAggregator:
         """The open interval's ended calls: all but the router rejections."""
         return sum(sum(tally[:4]) for tally in self._open.values())
 
-    def add_cdr(self, record: CallRecord) -> None:
-        """``add_ended`` for one CDR; a record of another vendor is dropped."""
-        if record.vendor in self._vendors:
-            self.add_ended(((record.vendor, (record.disconnect_time - self._anchor) // _SECOND,
-                             record.duration_s, record.rejected_by_router),))
-
     def add_ended(self, legs: Iterable[Tuple[int, int, int, bool]]) -> None:
         """Count each ``(vendor, end_s, duration_s, rejected)`` leg of a group
         vendor toward the first tick after it ended, ``end_s`` s after the
@@ -183,7 +178,8 @@ class IntervalAggregator:
 
         The one place durations are bucketed. A router-rejected attempt never
         reached the vendor, so it counts as a rejection only."""
-        period_s, open_tick, due = self._period_s, self._open_tick, self._due
+        period_s, due = self._period_s, self._due
+        open_tick = self.opened_s // period_s
         for vendor, end_s, duration_s, rejected in legs:
             tick_no = end_s // period_s + 1
             if tick_no > open_tick:
@@ -199,48 +195,42 @@ class IntervalAggregator:
                           else 2 if duration_s <= 30 else 3] += 1
                     tally[4] += duration_s
 
-    def tick(self, now: datetime) -> Optional[ClosedInterval]:
-        """Take in the CDRs that ended before ``now``; close the interval if it is due.
+    def tick(self, now_s: int) -> Optional[ClosedInterval]:
+        """Take in the CDRs that ended before the tick ``now_s`` seconds after
+        the anchor; close the interval if it is due.
 
         Returns the closed interval, or None when it stays open: it is younger
         than the schedule's ``min_age_s`` or has fewer than its ``min_calls``
         ended calls.
         """
-        schedule = self.schedule
-        if now < self._ticked_at:
-            raise ValueError(f"tick time {now} precedes the last tick at {self._ticked_at}")
-        offset_s = (now - self.opened_at).total_seconds()
-        if offset_s % schedule.tick_period_s:
-            raise ValueError(
-                f"tick at {now} is not aligned to the {schedule.tick_period_s}s schedule")
-        self._ticked_at = now
-        tick_no = (now - self._anchor) // self._period
+        schedule, period_s = self.schedule, self._period_s
+        if now_s < self._ticked_s:
+            raise ValueError(f"tick at {now_s} s precedes the last tick at {self._ticked_s} s")
+        if now_s % period_s:
+            raise ValueError(f"tick at {now_s} s is not aligned to the {period_s} s schedule")
+        self._ticked_s = now_s
+        tick_no = now_s // period_s
         while self._due_ticks and self._due_ticks[0] <= tick_no:
             due = self._due.pop(heapq.heappop(self._due_ticks))
             for v, tally in self._open.items():
                 tally[:] = map(add, tally, due[v])
-        if offset_s < schedule.min_age_s or self._ended() < schedule.min_calls:
+        if now_s - self.opened_s < schedule.min_age_s or self._ended() < schedule.min_calls:
             return None
-        self._open_tick = tick_no
-        return self._close(now)
+        return self._close(now_s)
 
-    def next_tick(self, now: datetime) -> datetime:
-        """The first tick after one at ``now`` that can close the interval: the
-        interval is ``min_age_s`` old by then and, with fewer than ``min_calls``
-        ended calls, it is the next to take in a CDR. A CDR added after the
-        tick at ``now`` may be due at a tick already past; the tick after
-        ``now`` takes it in."""
-        schedule, period = self.schedule, self._period
-        after = now + period
+    def next_tick(self, now_s: int) -> int:
+        """The first tick after one at ``now_s`` that can close the interval:
+        the interval is ``min_age_s`` old by then and, with fewer than
+        ``min_calls`` ended calls, it is the next to take in a CDR. A CDR added
+        after the tick at ``now_s`` may be due at a tick already past; the tick
+        after ``now_s`` takes it in."""
+        schedule, period_s = self.schedule, self._period_s
+        after = now_s + period_s
         if self._due_ticks and self._ended() < schedule.min_calls:
-            after = max(after, self._anchor + period * self._due_ticks[0])
-        try:
-            return max(after, self.opened_at
-                       + period * -(-schedule.min_age_s // schedule.tick_period_s))
-        except OverflowError:  # it grows old enough only after year 9999
-            return after
+            after = max(after, period_s * self._due_ticks[0])
+        return max(after, self.opened_s + period_s * -(-schedule.min_age_s // period_s))
 
-    def _close(self, now: datetime) -> ClosedInterval:
+    def _close(self, now_s: int) -> ClosedInterval:
         group = self.group
         stats = tuple(_stats(v, self._open[v]) for v in group.vendors)
         acds = (stats[0].acd_min, stats[1].acd_min)
@@ -251,8 +241,8 @@ class IntervalAggregator:
             received = {s.vendor: s.calls for s in stats}
             rejected = {v: self._open[v][5] for v in group.vendors}
         closed = ClosedInterval(
-            opened_at=self.opened_at,
-            closed_at=now,
+            opened_at=self.history[-1].closed_at if self.history else self.anchor,
+            closed_at=self.anchor + timedelta(seconds=now_s),
             vendors=group.vendors,
             prefs=group.prefs,
             stats=stats,
@@ -261,13 +251,13 @@ class IntervalAggregator:
             rejected=rejected,
         )
         self.history.append(closed)
-        self.opened_at = now
+        self.opened_s = now_s
         self._open = self._tallies()
         return closed
 
 
 def replay_cdrs(
-    records: Sequence[CallRecord],
+    cdrs: Sequence[Cdr],
     group: RouteGroup,
     schedule: Schedule = Schedule(),
 ) -> List[ClosedInterval]:
@@ -275,24 +265,28 @@ def replay_cdrs(
 
     The schedule anchors at the earliest connect time and runs until no open
     interval can still close. Input order does not matter, because the
-    aggregator counts each record toward the tick after its disconnect time,
-    and records outside the configured vendor pair are ignored.
+    aggregator counts each CDR toward the tick after its disconnect time,
+    and CDRs outside the configured vendor pair are ignored. Every tick it
+    may need falls at or before its horizon; a horizon past the last
+    ``datetime`` is an ``OverflowError``.
     """
-    ours = [r for r in records if r.vendor in group.vendors]
+    ours = [cdr for cdr in cdrs if cdr[0] in group.vendors]
     if not ours:
         return []
-    start = min(r.connect_time for r in ours)
-    last_end = max(r.disconnect_time for r in ours)
-
-    agg = IntervalAggregator(group, opened_at=start, schedule=schedule)
-    agg.add_ended((r.vendor, (r.disconnect_time - start) // _SECOND, r.duration_s,
-                   r.rejected_by_router) for r in ours)
+    start_s = min(cdr[1] for cdr in ours)
     # once a tick falls this far past the last CDR, the open interval's call
     # count is frozen and the age condition has been evaluated at least once,
     # so any still-open interval can never close
-    horizon = last_end + timedelta(seconds=schedule.min_age_s + schedule.tick_period_s)
-    now = start + timedelta(seconds=schedule.tick_period_s)
-    while now <= horizon:
-        agg.tick(now)
-        now = agg.next_tick(now)
+    horizon_s = (max(cdr[2] for cdr in ours) - start_s
+                 + schedule.min_age_s + schedule.tick_period_s)
+    if start_s + horizon_s > (datetime.max - datetime.min) // _SECOND:
+        raise OverflowError("the replay's ticks run past the last datetime")
+    agg = IntervalAggregator(group, opened_at=datetime.min + timedelta(seconds=start_s),
+                             schedule=schedule)
+    agg.add_ended((vendor, end_s - start_s, duration_s, rejected)
+                  for vendor, _, end_s, duration_s, rejected in ours)
+    now_s = schedule.tick_period_s
+    while now_s <= horizon_s:
+        agg.tick(now_s)
+        now_s = agg.next_tick(now_s)
     return agg.history

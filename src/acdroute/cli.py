@@ -164,27 +164,27 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     schedule = Schedule.from_minutes(args.tick_min, args.min_age_min, args.min_calls)
     validate_prefs_and_floor(args.prefs, args.load_min)
     group = None if args.vendors is None else RouteGroup(args.vendors, args.prefs, args.load_min)
-    records, errors = read_cdr_csv(args.cdr)
+    cdrs, errors = read_cdr_csv(args.cdr)
     if errors:
         for lineno, message in errors:
             print(f"{args.cdr}:{lineno}: {message}", file=sys.stderr)
         return 1
-    if records and group is None:
-        vendors = tuple(sorted({r.vendor for r in records}))
+    if cdrs and group is None:
+        vendors = tuple(sorted({cdr[0] for cdr in cdrs}))
         if len(vendors) != 2:
             raise ValueError(f"file holds {len(vendors)} vendor id(s); pass --vendors V,W")
         group = RouteGroup(vendors, args.prefs, args.load_min)
-    if not records:
+    if not cdrs:
         # nothing to replay: emit empty artifacts
         _write_files(args.out, _history_files([], args.prefix))
         print("0 closed intervals from 0 records")
         return 0
     try:
-        history = replay_cdrs(records, group, schedule)
-    except OverflowError:  # datetime arithmetic on a tick past the last datetime
+        history = replay_cdrs(cdrs, group, schedule)
+    except OverflowError:  # a tick past the last datetime
         raise ValueError(f"{args.cdr}: the tick schedule runs past the year 9999") from None
     _write_files(args.out, _history_files(history, args.prefix))
-    print(f"{len(history)} closed interval(s) from {len(records)} records")
+    print(f"{len(history)} closed interval(s) from {len(cdrs)} records")
     for interval in history:
         pcts = ", ".join(
             f"{v}: reject {p:.2f}%"

@@ -1,5 +1,5 @@
 """Shared vocabulary: vendors, route groups, the failover rule on signaling
-status codes, call records, time."""
+status codes, disconnect causes, time."""
 
 from __future__ import annotations
 
@@ -14,9 +14,9 @@ VendorId = int
 
 TS_FORMAT = "%Y-%m-%d %H:%M:%S"
 
-# TS_FORMAT with every field zero-padded; ``[0-9]``, because ``\d`` in a str
-# pattern also matches non-ASCII digits
-_TS_TEXT = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}")
+# TS_FORMAT with every field zero-padded, its groups the date and the clock;
+# ``[0-9]``, because ``\d`` in a str pattern also matches non-ASCII digits
+_TS_TEXT = re.compile(r"([0-9]{4}-[0-9]{2}-[0-9]{2}) ([0-9]{2}:[0-9]{2}:[0-9]{2})")
 
 DEFAULT_LOAD_MIN = 0.1
 
@@ -159,49 +159,3 @@ def whole_seconds(minutes: float) -> int:
     if not math.isfinite(seconds) or abs(seconds - round(seconds)) > 1e-6:
         raise ValueError(f"{minutes} min is not a whole number of seconds")
     return round(seconds)
-
-
-@dataclass(frozen=True)
-class CallRecord:
-    """One completed call attempt (CDR).
-
-    Zero-duration records are unanswered legs; records with
-    ``rejected_by_router`` set never reached the vendor at all.
-    """
-
-    call_id: str
-    vendor: VendorId
-    connect_time: datetime
-    disconnect_time: datetime
-    duration_s: int
-    cause: DisconnectCause
-    rejected_by_router: bool = False
-
-    # @dataclass keeps an __init__ written in the class body. A frozen
-    # dataclass's generated one stores each field through
-    # object.__setattr__; storing into __dict__ builds a record in about half
-    # the time. Its parameters must stay the fields above, in their order.
-    def __init__(self, call_id: str, vendor: VendorId, connect_time: datetime,
-                 disconnect_time: datetime, duration_s: int, cause: DisconnectCause,
-                 rejected_by_router: bool = False) -> None:
-        fields = self.__dict__
-        fields["call_id"] = call_id
-        fields["vendor"] = vendor
-        fields["connect_time"] = connect_time
-        fields["disconnect_time"] = disconnect_time
-        fields["duration_s"] = duration_s
-        fields["cause"] = cause
-        fields["rejected_by_router"] = rejected_by_router
-        validate_vendor_id(vendor)
-        if disconnect_time < connect_time:
-            raise ValueError(f"{call_id}: disconnect_time precedes connect_time")
-        if duration_s < 0:
-            raise ValueError(f"{call_id}: negative duration")
-        # a zero-length leg's disconnect is often its connect object itself
-        span = (0 if disconnect_time is connect_time
-                else int((disconnect_time - connect_time).total_seconds()))
-        if span != duration_s:
-            raise ValueError(
-                f"{call_id}: duration_s={duration_s} does not match "
-                f"timestamps ({span}s apart)"
-            )

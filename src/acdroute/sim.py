@@ -8,7 +8,8 @@ admission. The event loop is one pass over the arrival times, drawn up front:
 each call first runs the aggregator ticks due by its time, and each leg
 connects at its call's whole second. Everything derives from one seed, so
 two runs of the same scenario are identical event for event. The aggregator
-ticks on the scenario's ``schedule``, anchored at its ``start_time``.
+ticks on the scenario's ``schedule``, anchored at its ``start_time``, each
+tick given as its whole seconds after it.
 
 Billing's order (``billing_order``) is computed once per run, and each call
 walks it once. An attempt has one of three outcomes: the clone interface
@@ -29,8 +30,9 @@ the second to the aggregator's ``add_ended`` a block at a time, once a list
 holds ``store.SEND_BLOCK`` attempts, before every tick and at the end. A leg
 is drawn by its vendor's sampler (``_leg_sampler``), built once per run, which
 computes the stdlib's exponential and uniform draws on the run's generator.
-No ``datetime`` is built per attempt, and the run keeps no CDR: the CLI's
-sink, ``store.attempt_log``, writes a CDR row and a decision row for each.
+No ``datetime`` is built per attempt or per tick, and the run keeps no CDR:
+the CLI's sink, ``store.attempt_log``, writes a CDR row and a decision row
+for each.
 The run's memory still grows with its length: it draws every arrival time
 first, 8 bytes a call. Of each close the result keeps the ``ClosedInterval``
 in its interval history; the acd_vendors rows and the interval tables are
@@ -334,13 +336,12 @@ def run_scenario(
     models = {spec.vendor: spec.model for spec in config.vendors}
 
     controller = AdmissionController(group, seed=config.seed + 1)
-    start_time = config.start_time
     # summed in CDR order, one float per vendor, as summary.json rounds them
     answered = {v: 0 for v in group.vendors}
     answered_minutes = {v: 0.0 for v in group.vendors}
     schedule = config.schedule
     tick_period_s = schedule.tick_period_s
-    aggregator = IntervalAggregator(group, opened_at=start_time, schedule=schedule,
+    aggregator = IntervalAggregator(group, opened_at=config.start_time, schedule=schedule,
                                     counter_source=controller.snapshot_and_reset_counters)
 
     # every arrival is drawn before the first call is handled: vendor legs
@@ -370,7 +371,7 @@ def run_scenario(
     ended: List[Tuple[int, int, int, bool]] = []
 
     def run_tick(tick_s: int) -> None:
-        closed = aggregator.tick(start_time + timedelta(0, tick_s))
+        closed = aggregator.tick(tick_s)
         if closed is not None and config.admission_enabled:
             controller.refresh_targets(closed.result)
 

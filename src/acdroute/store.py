@@ -27,7 +27,7 @@ CPU it would cost ~30 %, so the rows are rendered in-process.
 closed interval as its pair of rows, after the run; no command reads that
 file back. ``read_cdr_csv`` is the one reader. It accepts a CDR row only in
 the form ``cdr_row`` writes it, checked as one match against
-``_CDR_FIELDS``, the row grammar.
+``_CDR_FIELDS``, the row grammar, and reads it as ``aggregate.Cdr``'s tuple.
 """
 
 from __future__ import annotations
@@ -39,13 +39,14 @@ import pickle
 import re
 import signal
 from contextlib import contextmanager, suppress
-from datetime import datetime
+from datetime import date, datetime, time
+from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, NoReturn, Set, TextIO, Tuple
 
 from .admission import REJECTION_CODE
-from .aggregate import ClosedInterval
-from .domain import _TS_TEXT, CallRecord, DisconnectCause, format_ts, second_texts
+from .aggregate import Cdr, ClosedInterval
+from .domain import _TS_TEXT, DisconnectCause, format_ts, second_texts
 
 CDR_CSV_HEADER = ["call_id", "vendor", "connect_time", "disconnect_time", "duration_s",
                   "cause", "rejected"]
@@ -112,7 +113,7 @@ def _row_renderer(cdr_file: TextIO, decision_file: TextIO, start: datetime) -> I
     refused = f"0,{REJECTION_CODE}"
     ts_text = second_texts(start)
     seq = 0
-    call_id = call_text = t_s_key = t_text = connect_key = connect_text = None
+    call_id = call_text = t_text = connect_key = connect_text = None
 
     def write_pending() -> None:
         # each list is emptied before its text is written, so a failed
@@ -123,13 +124,12 @@ def _row_renderer(cdr_file: TextIO, decision_file: TextIO, start: datetime) -> I
             handle.write(text)
 
     def on_attempts(attempts: List[Attempt]) -> None:
-        nonlocal seq, call_id, call_text, t_s_key, t_text, connect_key, connect_text
+        nonlocal seq, call_id, call_text, t_text, connect_key, connect_text
         for leg_call_id, vendor, connect_s, duration_s, cause, rejected, t_s in attempts:
             if leg_call_id is not call_id:
                 call_id = leg_call_id
                 call_text = csv_field(call_id)
-            if t_s is not t_s_key:
-                t_s_key, t_text = t_s, f"{t_s:.3f}"
+                t_text = f"{t_s:.3f}"
             if connect_s != connect_key:
                 connect_key = connect_s
                 connect_text = ts_text(connect_s)
@@ -187,14 +187,15 @@ def attempt_log(cdr_path: Path, decision_path: Path, start: datetime) -> Iterato
     more CPUs, a forked writer process renders them, each list sent to it as
     one pickled message (see the module); on every exit the writer is reaped.
 
-    An attempt's text pieces are built only when their source changes: the
-    call id's ``csv_field`` text, keyed by the call id; the ``time_s`` text,
-    keyed by ``t_s``; the connect text, keyed by ``connect_s``. The first two
-    are compared by identity, as equal floats (``0.0``, ``-0.0``) can have
-    different texts; ``connect_s`` by value, as every time is rendered from
-    the one ``start``, so equal seconds have one text. A zero-length leg's
-    disconnect text is its connect text; an answered leg's is that of
-    ``connect_s + duration_s``, an ``OverflowError`` past the year 9999.
+    An attempt's text pieces are built only when their source changes. The
+    call id's ``csv_field`` text and the ``time_s`` text are built once a
+    call, keyed by the call id's identity: a call's attempts share its id
+    object and its time, and equal ids of two calls are rendered apart. The
+    connect text is keyed by ``connect_s``'s value, as every time is
+    rendered from the one ``start``, so equal seconds have one text. A
+    zero-length leg's disconnect text is its connect text; an answered leg's
+    is that of ``connect_s + duration_s``, an ``OverflowError`` past the
+    year 9999.
     """
     with open(cdr_path, "w", newline="", encoding="utf-8") as cdr_file, \
             open(decision_path, "w", newline="", encoding="utf-8") as decision_file:
@@ -249,12 +250,22 @@ _CDR_FIELDS = (
     ("rejected flag", "[01]"),
 )
 _CDR_TAIL = re.compile(",".join(f"({pattern})" for _, pattern in _CDR_FIELDS))
-_CAUSES = {cause.value: cause for cause in DisconnectCause}
 
 
-def _cdr_record(row: List[str]) -> CallRecord:
-    """The record of a CDR row as ``csv`` splits it; a ``ValueError`` names
-    the first field that breaks the grammar."""
+def _midnight_s(day: str) -> int:
+    """A date text's midnight in whole seconds after ``datetime.min``."""
+    return (date.fromisoformat(day).toordinal() - 1) * 86400
+
+
+def _clock_s(clock: str) -> int:
+    """A clock text's second of the day."""
+    wall = time.fromisoformat(clock)
+    return wall.hour * 3600 + wall.minute * 60 + wall.second
+
+
+def _cdr(row: List[str], midnight_s: Callable[[str], int], clock_s: Callable[[str], int]) -> Cdr:
+    """A row's CDR, its times read by ``midnight_s`` and ``clock_s``; a
+    ``ValueError`` names the field or the times at fault."""
     if len(row) != len(CDR_CSV_HEADER):
         raise ValueError(f"expected {len(CDR_CSV_HEADER)} fields, got {len(row)}")
     fields = _CDR_TAIL.fullmatch(",".join(row[1:]))
@@ -262,24 +273,32 @@ def _cdr_record(row: List[str]) -> CallRecord:
         name, text = next((name, text) for (name, pattern), text in zip(_CDR_FIELDS, row[1:])
                           if re.fullmatch(pattern, text) is None)
         raise ValueError(f"bad {name} {text!r}")
-    vendor, connect_s, disconnect_s, duration, cause, rejected = fields.groups()
-    connect = datetime.fromisoformat(connect_s)
-    # a zero-length leg repeats its connect time: no second parse
-    disconnect = connect if disconnect_s == connect_s else datetime.fromisoformat(disconnect_s)
-    return CallRecord(row[0], int(vendor), connect, disconnect, int(duration),
-                      _CAUSES[cause], rejected == "1")
+    (vendor, connect, connect_day, connect_clock, disconnect, end_day, end_clock,
+     duration, _, rejected) = fields.groups()
+    connect_s = midnight_s(connect_day) + clock_s(connect_clock)
+    # a zero-length leg repeats its connect time: no second read
+    end_s = connect_s if disconnect == connect else midnight_s(end_day) + clock_s(end_clock)
+    duration_s = int(duration)
+    if end_s < connect_s:
+        raise ValueError(f"{row[0]}: disconnect_time precedes connect_time")
+    if end_s - connect_s != duration_s:
+        raise ValueError(f"{row[0]}: duration_s={duration_s} does not match "
+                         f"timestamps ({end_s - connect_s}s apart)")
+    return int(vendor), connect_s, end_s, duration_s, rejected == "1"
 
 
-def read_cdr_csv(path: Path) -> Tuple[List[CallRecord], List[Tuple[int, str]]]:
-    """Parse a CDR CSV file into (records, errors), where errors are
-    (line_number, message) pairs and a row's line is the file line it starts
-    on; well-formed rows are kept even when other rows are malformed. Line 1
-    must be the header. A blank line after it, between rows or at the end,
-    is skipped and still counted. A line the csv module cannot split (a field over its
-    size limit) or a byte that is not UTF-8 makes the whole file a
-    ``ValueError`` naming the file."""
-    records: List[CallRecord] = []
+def read_cdr_csv(path: Path) -> Tuple[List[Cdr], List[Tuple[int, str]]]:
+    """Parse a CDR CSV file into (cdrs, errors), a CDR being ``Cdr``'s plain
+    tuple and an error a (line_number, message) pair, where a row's line is
+    the file line it starts on; well-formed rows are kept even when other
+    rows are malformed. Line 1 must be the header. A blank line after it,
+    between rows or at the end, is skipped and still counted. A line the csv
+    module cannot split (a field over its size limit) or a byte that is not
+    UTF-8 makes the whole file a ``ValueError`` naming the file."""
+    cdrs: List[Cdr] = []
     errors: List[Tuple[int, str]] = []
+    # each date and clock text is read once a file; a bad one is not kept
+    midnight_s, clock_s = lru_cache(maxsize=None)(_midnight_s), lru_cache(maxsize=None)(_clock_s)
     end = 0  # the file line the last row read ends on
     with open(path, "r", newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -292,7 +311,7 @@ def read_cdr_csv(path: Path) -> Tuple[List[CallRecord], List[Tuple[int, str]]]:
                 if not row:
                     continue
                 try:
-                    records.append(_cdr_record(row))
+                    cdrs.append(_cdr(row, midnight_s, clock_s))
                 except ValueError as exc:
                     errors.append((lineno, str(exc)))
         except csv.Error as exc:
@@ -300,7 +319,7 @@ def read_cdr_csv(path: Path) -> Tuple[List[CallRecord], List[Tuple[int, str]]]:
         except UnicodeDecodeError as exc:
             # the reader decodes ahead of its rows, so no row's line is known
             raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return records, errors
+    return cdrs, errors
 
 
 def acd_csv_text(history: Iterable[ClosedInterval], prefix: str = "") -> str:

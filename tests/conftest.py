@@ -7,10 +7,12 @@ from datetime import datetime, timedelta
 
 import pytest
 
-from acdroute.domain import CallRecord, DisconnectCause
+from acdroute.domain import DisconnectCause
 from acdroute.store import ACD_CSV_HEADER
+from reference import Record
 
 T0 = datetime(2020, 1, 1, 0, 0, 0)
+SECOND = timedelta(seconds=1)
 
 
 def make_cdr(call_id, vendor, disconnect_at, duration_s, rejected=False):
@@ -21,15 +23,24 @@ def make_cdr(call_id, vendor, disconnect_at, duration_s, rejected=False):
         cause = DisconnectCause.NO_USER_RESPONDING
     else:
         cause = DisconnectCause.NORMAL_CLEARING
-    return CallRecord(
-        call_id=call_id,
-        vendor=vendor,
-        connect_time=disconnect_at - timedelta(seconds=duration_s),
-        disconnect_time=disconnect_at,
-        duration_s=duration_s,
-        cause=cause,
-        rejected_by_router=rejected,
-    )
+    return Record(call_id, vendor, disconnect_at - timedelta(seconds=duration_s),
+                  disconnect_at, duration_s, cause, rejected)
+
+
+def as_read(records):
+    """The CDRs ``read_cdr_csv`` reads from ``records``' rows: ``(vendor,
+    connect_s, end_s, duration_s, rejected)``, both times in whole seconds
+    after ``datetime.min``."""
+    return [(r.vendor, (r.connect_time - datetime.min) // SECOND,
+             (r.disconnect_time - datetime.min) // SECOND, r.duration_s, r.rejected_by_router)
+            for r in records]
+
+
+def add_records(agg, records):
+    """Hand ``agg`` the legs of ``records``' CDRs of its group's vendors, each
+    end counted in whole seconds from its anchor, microseconds floored."""
+    agg.add_ended((r.vendor, (r.disconnect_time - agg.anchor) // SECOND, r.duration_s,
+                   r.rejected_by_router) for r in records if r.vendor in agg.group.vendors)
 
 
 def record_sink(attempts, start):
@@ -41,9 +52,8 @@ def record_sink(attempts, start):
     def on_attempts(block):
         for call_id, vendor, connect_s, duration_s, cause, rejected, t_s in block:
             connect = start + timedelta(seconds=connect_s)
-            record = CallRecord(call_id, vendor, connect,
-                                connect + timedelta(seconds=duration_s), duration_s,
-                                DisconnectCause(cause), rejected)
+            record = Record(call_id, vendor, connect, connect + timedelta(seconds=duration_s),
+                            duration_s, DisconnectCause(cause), rejected)
             attempts.append((record, t_s))
     return on_attempts
 
@@ -52,7 +62,7 @@ def sink_fields(record, start):
     """The fields a ``run_scenario`` sink is handed for ``record``'s attempt,
     before its call's time, in a run that started at ``start``: the connect
     time as whole seconds after it, the cause as its text."""
-    connect_s, rest = divmod(record.connect_time - start, timedelta(seconds=1))
+    connect_s, rest = divmod(record.connect_time - start, SECOND)
     assert not rest, f"{record.connect_time} is not a whole second after {start}"
     return (record.call_id, record.vendor, connect_s, record.duration_s,
             record.cause.value, record.rejected_by_router)

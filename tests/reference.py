@@ -1,27 +1,34 @@
-"""``acdroute simulate`` written the slow and obvious way: the reference its
-five data files are compared against.
+"""``acdroute simulate`` and ``acdroute aggregate`` written the slow and
+obvious way: the reference their data files are compared against.
 
 ``simulate(config)`` returns the text of ``cdrs.csv``, ``decisions.csv``,
 ``acd_vendors.csv``, ``interval_history.json`` and ``summary.json`` for a
 scenario, laid out as README's "File formats" describes them. From the
 package it takes only ``billing_route``, which picks each attempt's vendor,
-and ``compute_rejection``, which turns a closed interval's ACD pair into
-targets. Everything else it does on its own: it draws the traffic, decides
-admission with its own generator and ledger, keeps every CDR in a list and
-rescans the list at each tick, and writes each file with ``csv.writer`` or
-``json``. A fault in any of those steps in the package shows as a difference
+``compute_rejection``, which turns a closed interval's ACD pair into
+targets, and the ``DisconnectCause`` members. Everything else it does on
+its own: it draws the traffic, decides admission with its own generator and
+ledger, keeps every CDR in a list and rescans the list at each tick, and
+writes each file with ``csv.writer`` or ``json``. A fault in any of those steps in the package shows as a difference
 from these files.
 
-``cdr_lines`` and ``write_cdr_csv`` write ``CallRecord`` objects in the same
-row format, for the tests that need a CDR file or its rows.
+``replay(rows, vendors, prefs, load_min, schedule)`` returns the text of
+``acd_vendors.csv`` and ``interval_history.json`` that ``aggregate`` writes
+for a list of CDRs, ticking every period and rescanning the list at each tick.
+
+``cdr_lines`` and ``write_cdr_csv`` write ``Record`` tuples in the same row
+format, for the tests that need a CDR file or its rows; ``read_cdr_row``
+reads a row back, accepting only a row so written.
 """
 
 import csv
 import io
 import json
 import random
-from datetime import timedelta
+from datetime import datetime, timedelta
+from typing import NamedTuple
 
+from acdroute.domain import DisconnectCause
 from acdroute.rejection import QualityInput, compute_rejection
 from acdroute.sim import billing_route
 
@@ -32,6 +39,19 @@ ACD_HEADER = ["id", "vendor", "date", "acd_min", "reject_pct", "prefix"]
 
 REFUSAL_CODE = 503
 LEDGER_TTL_S = 3600.0
+
+
+class Record(NamedTuple):
+    """One CDR as a test builds it, its cause a ``DisconnectCause``; nothing
+    checks that its fields agree."""
+
+    call_id: str
+    vendor: int
+    connect_time: datetime
+    disconnect_time: datetime
+    duration_s: int
+    cause: DisconnectCause
+    rejected_by_router: bool = False
 
 
 def ts(moment):
@@ -65,6 +85,25 @@ def write_cdr_csv(path, records):
     path.write_text(text, encoding="utf-8", newline="")
 
 
+def read_cdr_row(row):
+    """The ``Record`` of a CDR row as ``csv`` splits it, or None unless the
+    row is a whole CDR exactly as ``cdr_lines`` writes it: its timestamps
+    calendar times, its disconnect its connect plus its duration, and each
+    field in the one form the writer gives it."""
+    if len(row) != len(CDR_HEADER):
+        return None
+    call_id, vendor, connect, disconnect, duration, cause, rejected = row
+    try:
+        record = Record(call_id, int(vendor), datetime.fromisoformat(connect),
+                        datetime.fromisoformat(disconnect), int(duration),
+                        DisconnectCause(cause), rejected == "1")
+        if record.disconnect_time - record.connect_time != timedelta(seconds=record.duration_s):
+            return None
+    except (ValueError, TypeError):  # TypeError: one time with an offset, one without
+        return None
+    return record if next(csv.reader(cdr_lines([record]))) == row else None
+
+
 def draw_duration(spec, rng):
     """A leg's duration in seconds, before rounding, drawn as ``spec``'s
     family says."""
@@ -95,6 +134,83 @@ def vendor_stats(vendor, durations):
 def by_vendor_id(counts):
     """A JSON object of per-vendor values: ids as text, in numeric order."""
     return {str(vendor): counts[vendor] for vendor in sorted(counts)}
+
+
+def closed_interval(opened_at, closed_at, vendors, prefs, load_min, durations, received,
+                    refused):
+    """One closed interval as ``interval_history.json`` holds it: ``durations``
+    maps each vendor to the durations of its ended calls, ``received`` and
+    ``refused`` each vendor to its count of attempts let through and refused."""
+    stats = [vendor_stats(v, durations[v]) for v in vendors]
+    result = compute_rejection(QualityInput(
+        (stats[0]["acd_min"], stats[1]["acd_min"]), tuple(prefs), load_min))
+    return {
+        "opened_at": opened_at,
+        "closed_at": closed_at,
+        "vendors": list(vendors),
+        "prefs": list(prefs),
+        "stats": stats,
+        "result": {
+            "max_idx": result.max_idx,
+            "rank": list(result.rank),
+            "load": list(result.load),
+            "reject_pct": list(result.reject_pct),
+            "reject_pct_exact": list(result.reject_pct_exact),
+        },
+        "received": by_vendor_id(received),
+        "rejected": by_vendor_id(refused),
+    }
+
+
+def history_files(history, prefix):
+    """The ``acd_vendors.csv`` and ``interval_history.json`` text of an
+    interval history."""
+    acd_rows = []
+    for interval in history:
+        for stats, pct in zip(interval["stats"], interval["result"]["reject_pct"]):
+            acd_rows.append([len(acd_rows) + 1, stats["vendor"], interval["closed_at"],
+                             stats["acd_min"], f"{pct:.2f}", prefix])
+    return {
+        "acd_vendors.csv": "".join(csv_lines([ACD_HEADER, *acd_rows])),
+        "interval_history.json": json.dumps(history, indent=2) + "\n",
+    }
+
+
+def replay(rows, vendors, prefs, load_min, schedule):
+    """The ``acd_vendors.csv`` and ``interval_history.json`` text that
+    ``acdroute aggregate`` writes for the CDRs ``rows``, with the vendors
+    ``vendors`` in that order, their preferences ``prefs``, the floor
+    ``load_min`` and the interval ``schedule`` (the acd_vendors prefix is
+    empty).
+
+    Ticks fall every period from the earliest connect time of the two
+    vendors' CDRs; the others are ignored. Each tick rescans the whole list
+    for the CDRs that ended inside the open interval, ``opened_at <=
+    disconnect < closed_at``, and closes it when it is old enough and enough
+    of those calls were not refused. The ticks run to a horizon four periods
+    past the last end plus the minimum age, where nothing is left to close."""
+    ours = [r for r in rows if r.vendor in vendors]
+    history = []
+    if ours:
+        period = timedelta(seconds=schedule.tick_period_s)
+        min_age = timedelta(seconds=schedule.min_age_s)
+        opened = start = min(r.connect_time for r in ours)
+        horizon = max(r.disconnect_time for r in ours) + min_age + 4 * period
+        k = 1
+        while start + k * period <= horizon:
+            now = start + k * period
+            window = [r for r in ours if opened <= r.disconnect_time < now]
+            ended = [r for r in window if not r.rejected_by_router]
+            if now - opened >= min_age and len(ended) >= schedule.min_calls:
+                history.append(closed_interval(
+                    ts(opened), ts(now), vendors, prefs, load_min,
+                    {v: [r.duration_s for r in ended if r.vendor == v] for v in vendors},
+                    {v: sum(r.vendor == v for r in ended) for v in vendors},
+                    {v: sum(r.vendor == v for r in window if r.rejected_by_router)
+                     for v in vendors}))
+                opened = now
+            k += 1
+    return history_files(history, "")
 
 
 def simulate(config):
@@ -146,31 +262,14 @@ def simulate(config):
                  if not was_refused and opened_s <= connect_s + duration < now_s]
         if now_s - opened_s < min_age_s or len(ended) < config.min_calls:
             return
-        stats = [vendor_stats(v, [d for u, d in ended if u == v]) for v in vendors]
-        result = compute_rejection(QualityInput(
-            (stats[0]["acd_min"], stats[1]["acd_min"]), (prefs[vendors[0]], prefs[vendors[1]]),
-            config.load_min))
-        history.append({
-            "opened_at": at(opened_s),
-            "closed_at": at(now_s),
-            "vendors": vendors,
-            "prefs": [prefs[v] for v in vendors],
-            "stats": stats,
-            "result": {
-                "max_idx": result.max_idx,
-                "rank": list(result.rank),
-                "load": list(result.load),
-                "reject_pct": list(result.reject_pct),
-                "reject_pct_exact": list(result.reject_pct_exact),
-            },
-            "received": by_vendor_id(received),
-            "rejected": by_vendor_id(refused),
-        })
+        history.append(closed_interval(
+            at(opened_s), at(now_s), vendors, [prefs[v] for v in vendors], config.load_min,
+            {v: [d for u, d in ended if u == v] for v in vendors}, received, refused))
         opened_s = now_s
         received = {v: 0 for v in vendors}
         refused = {v: 0 for v in vendors}
         if config.admission_enabled:
-            targets = dict(zip(vendors, result.reject_pct_exact))
+            targets = dict(zip(vendors, history[-1]["result"]["reject_pct_exact"]))
 
     ticks = [k * tick_s for k in range(1, int(duration_s // tick_s) + 1)]
     abandoned = 0
@@ -201,11 +300,6 @@ def simulate(config):
     for now_s in ticks:
         tick(now_s)
 
-    acd_rows = []
-    for interval in history:
-        for stats, pct in zip(interval["stats"], interval["result"]["reject_pct"]):
-            acd_rows.append([len(acd_rows) + 1, stats["vendor"], interval["closed_at"],
-                             stats["acd_min"], f"{pct:.2f}", config.dest_prefix])
     final = history[-1]["result"]["reject_pct_exact"] if history else [0.0, 0.0]
     minutes_by_vendor = {}
     for interval in history:
@@ -232,7 +326,6 @@ def simulate(config):
              int(was_refused)]
             for call_id, vendor, connect_s, duration, cause, was_refused in cdrs)])),
         "decisions.csv": "".join(csv_lines([DECISION_HEADER, *decisions])),
-        "acd_vendors.csv": "".join(csv_lines([ACD_HEADER, *acd_rows])),
-        "interval_history.json": json.dumps(history, indent=2) + "\n",
+        **history_files(history, config.dest_prefix),
         "summary.json": json.dumps(summary, indent=2) + "\n",
     }

@@ -24,7 +24,7 @@ from acdroute.sim import (
     VendorSpec,
     run_scenario,
 )
-from conftest import T0, make_cdr, spread_cdrs
+from conftest import T0, add_records, make_cdr, spread_cdrs
 from reference import write_cdr_csv
 from test_aggregate import closed_stats
 from test_cli import interval_records, snapshot_dir
@@ -90,15 +90,11 @@ def test_criterion_4_interval_property_suite():
         if not cdrs:
             continue
         agg = IntervalAggregator(RouteGroup((55, 62), (9, 8)), opened_at=T0)
-        for record in cdrs:
-            agg.add_cdr(record)
+        add_records(agg, cdrs)
         last_end = max(r.disconnect_time for r in cdrs)
         k = 1
-        while True:
-            now = T0 + timedelta(seconds=600 * k)
-            if now > last_end + timedelta(seconds=1800):
-                break
-            agg.tick(now)
+        while T0 + timedelta(seconds=600 * k) <= last_end + timedelta(seconds=1800):
+            agg.tick(600 * k)
             k += 1
         previous_close = T0
         for closed in agg.history:

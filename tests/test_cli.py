@@ -22,7 +22,8 @@ from acdroute.codec import decode
 from acdroute.sim import ScenarioConfig, run_scenario
 from acdroute.store import (DECISION_CSV_HEADER, ROW_BLOCK, SEND_BLOCK, acd_csv_text, attempt_log,
                             cdr_row, read_cdr_csv)
-from conftest import T0, assert_rows_equal, make_cdr, read_acd_csv, record_sink, use_row_writer
+from conftest import (T0, as_read, assert_rows_equal, make_cdr, read_acd_csv, record_sink,
+                      use_row_writer)
 from reference import cdr_lines, write_cdr_csv
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -435,7 +436,7 @@ def test_streamed_rows_equal_the_sinks_records(tmp_path, capsys, monkeypatch, ad
     # midnight into a new year or off a leap day, a start with microseconds
     # (which a scenario file cannot hold, so the loaded config is given it),
     # and a prefix that needs quoting. simulate's sink renders each row from
-    # the attempt's fields; ``record_sink`` builds each CallRecord from the
+    # the attempt's fields; ``record_sink`` builds each record from the
     # same fields
     config = json.loads((SCENARIOS / "honest_vs_fas.json").read_text())
     config.update(duration_min=60, dest_prefix='37,"410"')
@@ -457,12 +458,10 @@ def test_streamed_rows_equal_the_sinks_records(tmp_path, capsys, monkeypatch, ad
         assert_rows_equal(
             (out / "cdrs.csv").read_text(encoding="utf-8").splitlines(keepends=True)[1:],
             cdr_lines(records))
-        # every row reads back, so each passed CallRecord's checks: a calendar
+        # every row reads back, so each passed the reader's checks: a calendar
         # time, a disconnect not before its connect, a span equal to the
-        # duration; a file holds whole seconds
-        assert read_cdr_csv(out / "cdrs.csv") == ([dataclasses.replace(
-            r, connect_time=r.connect_time.replace(microsecond=0),
-            disconnect_time=r.disconnect_time.replace(microsecond=0)) for r in records], [])
+        # duration; a file holds whole seconds, as ``as_read`` floors them
+        assert read_cdr_csv(out / "cdrs.csv") == (as_read(records), [])
         assert {row[5] for row in read_acd_csv(out / "acd_vendors.csv")} == {'37,"410"'}
         # the case is there: an answered leg from the start's day into the
         # next (a new year, or March 1), an interval closed, and with
@@ -768,6 +767,21 @@ class TestMalformedInput:
         assert main(["aggregate", "--cdr", str(cdr_csv), "--prefs", "9,8",
                      "--out", str(tmp_path / "out")]) == 0
         assert "3 closed interval(s) from 60 records" in capsys.readouterr().out
+
+    def test_replay_horizon_in_year_9999_on_aggregate(self, tmp_path, capsys):
+        # the last call ends at 23:29:30 on the last day: the replay's horizon,
+        # 30 min later, is the last tick it can need, and it falls before the
+        # year 10000, though the tick after it would not
+        start = datetime(9999, 12, 31, 22, 0, 0)
+        cdr_csv = tmp_path / "cdrs.csv"
+        write_cdr_csv(cdr_csv, [make_cdr(f"c{i}", (62, 55)[i % 2],
+                                         start + timedelta(seconds=60 * i + 30), 30)
+                                for i in range(90)])
+        assert main(["aggregate", "--cdr", str(cdr_csv), "--prefs", "9,8",
+                     "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        assert "4 closed interval(s) from 90 records" in out
+        assert out.endswith("  closed 9999-12-31 23:20 -> 55: reject 50.00%, 62: reject 0.00%\n")
 
     def test_field_over_the_csv_size_limit(self, tmp_path, capsys):
         cdr_csv = tmp_path / "cdrs.csv"

@@ -1,15 +1,10 @@
-import dataclasses
-import pickle
 import random
-import weakref
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
 
 from acdroute.domain import (
     TS_FORMAT,
-    CallRecord,
-    DisconnectCause,
     RouteGroup,
     format_ts,
     parse_ts,
@@ -245,99 +240,6 @@ def test_parse_ts_equals_strptime_on_what_format_ts_writes():
     for ts in stamps:
         text = format_ts(ts)
         assert parse_ts(text) == datetime.strptime(text, TS_FORMAT) == ts, text
-
-
-START = datetime(2020, 1, 1, 12, 0, 0)
-
-
-def answered_record(**changes):
-    fields = dict(call_id="a1", vendor=55, connect_time=START,
-                  disconnect_time=START + timedelta(seconds=56), duration_s=56,
-                  cause=DisconnectCause.NORMAL_CLEARING)
-    return CallRecord(**{**fields, **changes})
-
-
-def refused_with(message, *args):
-    with pytest.raises(ValueError) as info:
-        CallRecord(*args)
-    assert str(info.value) == message
-
-
-class TestCallRecord:
-    def test_valid_record(self):
-        record = answered_record()
-        assert not record.rejected_by_router
-        assert repr(record) == (
-            "CallRecord(call_id='a1', vendor=55, "
-            "connect_time=datetime.datetime(2020, 1, 1, 12, 0), "
-            "disconnect_time=datetime.datetime(2020, 1, 1, 12, 0, 56), duration_s=56, "
-            "cause=<DisconnectCause.NORMAL_CLEARING: 'normal'>, rejected_by_router=False)")
-
-    def test_rejects_disconnect_before_connect(self):
-        refused_with("a1: disconnect_time precedes connect_time",
-                     "a1", 55, START, START - timedelta(seconds=1), 0, DisconnectCause.OTHER)
-
-    def test_rejects_negative_duration(self):
-        refused_with("a1: negative duration",
-                     "a1", 55, START, START, -1, DisconnectCause.OTHER)
-
-    def test_rejects_duration_mismatch(self):
-        refused_with("a1: duration_s=9 does not match timestamps (10s apart)",
-                     "a1", 55, START, START + timedelta(seconds=10), 9,
-                     DisconnectCause.NORMAL_CLEARING)
-
-    @pytest.mark.parametrize("connect, twin", [
-        pytest.param(START, datetime(2020, 1, 1, 12, 0, 0), id="naive"),
-        pytest.param(START.replace(tzinfo=timezone.utc), START.replace(tzinfo=timezone.utc),
-                     id="aware"),
-        pytest.param(START.replace(tzinfo=timezone.utc),
-                     START.replace(tzinfo=timezone(timedelta(hours=1))) + timedelta(hours=1),
-                     id="aware-other-offset"),
-    ])
-    def test_zero_length_leg_reads_the_same_from_one_object_or_two(self, connect, twin):
-        """A leg whose disconnect is its connect object is 0 s long without a
-        subtraction; it must be checked exactly as one whose timestamps are
-        equal but distinct objects."""
-        assert twin == connect and twin is not connect
-        for end in (connect, twin):
-            record = CallRecord("a1", 55, connect, end, 0, DisconnectCause.OTHER, True)
-            assert record.duration_s == 0 and record.disconnect_time is end
-            refused_with("a1: duration_s=1 does not match timestamps (0s apart)",
-                         "a1", 55, connect, end, 1, DisconnectCause.NORMAL_CLEARING)
-            refused_with("a1: negative duration",
-                         "a1", 55, connect, end, -1, DisconnectCause.OTHER)
-
-    def test_rejects_negative_vendor(self):
-        refused_with("vendor id must be a non-negative integer, got -3",
-                     "a1", -3, START, START, 0, DisconnectCause.OTHER)
-
-    def test_fields_cannot_be_assigned_or_deleted(self):
-        record = answered_record()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            record.duration_s = 0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            del record.vendor
-        assert record == answered_record()
-
-    def test_replace_checks_the_new_record(self):
-        record = answered_record()
-        assert dataclasses.replace(record, call_id="b2").call_id == "b2"
-        with pytest.raises(ValueError, match="does not match timestamps"):
-            dataclasses.replace(record, duration_s=record.duration_s + 1)
-
-    def test_equal_fields_give_equal_records_and_hashes(self):
-        record = answered_record()
-        twin = answered_record()
-        assert record == twin and hash(record) == hash(twin)
-        assert record != answered_record(rejected_by_router=True)
-        assert len({record, twin, answered_record(call_id="b2")}) == 2
-
-    def test_weak_reference_and_pickle(self):
-        record = answered_record()
-        assert weakref.ref(record)() is record
-        copy = pickle.loads(pickle.dumps(record))
-        assert copy == record and hash(copy) == hash(record)
-        assert copy.cause is DisconnectCause.NORMAL_CLEARING
 
 
 class TestRouteGroup:

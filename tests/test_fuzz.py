@@ -3,10 +3,12 @@
 Every case mutates a valid file with its own ``random.Random(seed)``, so a
 failure names the seed that reproduces it. ``aggregate`` and ``report`` run
 through ``main`` and must end with exit code 0, 1 or 2, never an exception.
-A row ``read_cdr_csv`` accepts must be its record's row as the reference
-writer writes it. Rows are compared as the csv module splits a line:
-quoting and line endings are CSV's encoding, not the row's values. Scenarios
-are only decoded, never run, so no mutant can start a huge run.
+Which lines ``read_cdr_csv`` refuses, and what it reads from the others,
+must be what ``reference.read_cdr_row``, a parse written in the tests, says:
+a row is accepted only as the reference writer writes it. Rows are taken as
+the csv module splits a line: quoting and line endings are CSV's encoding,
+not the row's values. Scenarios are only decoded, never run, so no mutant
+can start a huge run.
 """
 
 import contextlib
@@ -23,8 +25,8 @@ import pytest
 from acdroute.cli import main
 from acdroute.sim import ScenarioConfig
 from acdroute.store import read_cdr_csv
-from conftest import spread_cdrs
-from reference import cdr_lines, write_cdr_csv
+from conftest import as_read, spread_cdrs
+from reference import CDR_HEADER, read_cdr_row, write_cdr_csv
 
 SCENARIO = Path(__file__).resolve().parent.parent / "demos" / "scenarios" / "honest_vs_fas.json"
 
@@ -118,15 +120,16 @@ def _mutate_json(rng: random.Random, value) -> str:
 
 
 def _rows(text: str):
-    """The non-empty data rows of a CSV text, each by the file line it starts
-    on, as the reader numbers them."""
+    """The first row of a CSV text, and its non-empty rows after it, each by
+    the file line it starts on, as the reader numbers them."""
     reader = csv.reader(io.StringIO(text, newline=""))
-    rows, end = {}, 0
+    first = next(reader, None)
+    rows, end = {}, reader.line_num
     for row in reader:
-        if row and end:
+        if row:
             rows[end + 1] = row
         end = reader.line_num
-    return rows
+    return first, rows
 
 
 def _cdr_text(path: Path, records) -> str:
@@ -169,14 +172,16 @@ def test_cdr_rows_read_back_as_written(tmp_path, inputs):
         text = _mutate_text(random.Random(seed), inputs["cdrs"][seed % 3])
         path = _write(tmp_path, "cdrs.csv", text)
         try:
-            records, errors = read_cdr_csv(path)
+            cdrs, errors = read_cdr_csv(path)
         except ValueError:
             continue  # the file as a whole is unreadable (encoding, CSV structure)
-        rows = _rows(text)
-        rejected = {lineno for lineno, _ in errors}
-        accepted = [row for n, row in rows.items() if n not in rejected]
-        written = [next(csv.reader([line])) for line in cdr_lines(records)]
-        assert written == accepted, f"seed {seed}: {text!r}"
+        header, rows = _rows(text)
+        records = {n: read_cdr_row(row) for n, row in rows.items()}
+        refused = [n for n, record in records.items() if record is None]
+        assert [n for n, _ in errors] == [1] * (header != CDR_HEADER) + refused, (
+            f"seed {seed}: {text!r}")
+        accepted = [record for record in records.values() if record is not None]
+        assert cdrs == as_read(accepted), f"seed {seed}: {text!r}"
 
 
 def test_aggregate_ends_with_an_exit_code(tmp_path, inputs, capsys):

@@ -209,9 +209,9 @@ class TestEventOrder:
         events = []
         tick = IntervalAggregator.tick
 
-        def logged_tick(self, now):
-            events.append(("tick", now))
-            return tick(self, now)
+        def logged_tick(self, now_s):
+            events.append(("tick", self.anchor + timedelta(seconds=now_s)))
+            return tick(self, now_s)
 
         monkeypatch.setattr(IntervalAggregator, "tick", logged_tick)
         base = ScenarioConfig.load(SCENARIOS / f"{name}.json")

@@ -8,7 +8,7 @@ import pytest
 
 from acdroute.aggregate import ClosedInterval, IntervalAggregator, Schedule, VendorIntervalStats
 from acdroute.codec import encode
-from acdroute.domain import CallRecord, DisconnectCause, RouteGroup, format_ts
+from acdroute.domain import DisconnectCause, RouteGroup, format_ts, second_texts
 from acdroute.rejection import QualityInput, compute_rejection
 from acdroute.store import (
     ACD_CSV_HEADER,
@@ -17,12 +17,13 @@ from acdroute.store import (
     ROW_BLOCK,
     acd_csv_text,
     attempt_log,
+    cdr_row,
     csv_field,
     read_cdr_csv,
 )
-from conftest import (T0, assert_rows_equal, make_cdr, read_acd_csv, sink_fields, spread_cdrs,
-                      use_row_writer)
-from reference import cdr_lines, csv_lines, vendor_stats, write_cdr_csv
+from conftest import (SECOND, T0, as_read, assert_rows_equal, make_cdr, read_acd_csv, sink_fields,
+                      spread_cdrs, use_row_writer)
+from reference import Record, cdr_lines, csv_lines, vendor_stats, write_cdr_csv
 
 GROUP = RouteGroup((55, 62), (9, 8))
 
@@ -35,18 +36,20 @@ def window_stats(records):
             for v in GROUP.vendors]
 
 
-def close_window(records, start, end):
-    """Feed ``records`` to an aggregator opened at ``start`` whose only tick,
-    at ``end``, closes the interval if it saw any ended call."""
-    span_s = int((end - start).total_seconds())
+def close_window(cdrs, start, end):
+    """Feed ``cdrs``, as ``read_cdr_csv`` reads them, to an aggregator opened
+    at ``start`` whose only tick, at ``end``, closes the interval if it saw
+    any ended call."""
+    span_s = (end - start) // SECOND
+    start_s = (start - datetime.min) // SECOND
     agg = IntervalAggregator(GROUP, opened_at=start, schedule=Schedule(span_s, span_s, 1))
-    for record in records:
-        agg.add_cdr(record)
-    return agg.tick(end)
+    agg.add_ended((vendor, end_s - start_s, duration_s, rejected)
+                  for vendor, _, end_s, duration_s, rejected in cdrs)
+    return agg.tick(span_s)
 
 
 class TestCdrsFedToAggregator:
-    """The CDR log as the interval aggregator takes it: records fed in any
+    """The CDR log as the interval aggregator takes it: CDRs fed in any
     order, some of them read back from a ``cdrs.csv``."""
 
     def test_attempt_log_keeps_rejected_and_final_rows(self, tmp_path):
@@ -57,8 +60,8 @@ class TestCdrsFedToAggregator:
         write_cdr_csv(path, records)
         rows, errors = read_cdr_csv(path)
         assert errors == []
-        assert len(rows) == 2
-        assert rows[0].rejected_by_router and not rows[1].rejected_by_router
+        assert rows == as_read(records)
+        assert rows[0][4] and not rows[1][4]
         # both attempts reach the aggregator: one counts as rejected, one as received
         closed = close_window(rows, T0, T0 + timedelta(seconds=600))
         assert closed.received == {55: 0, 62: 1}
@@ -69,7 +72,7 @@ class TestCdrsFedToAggregator:
         start = T0 + timedelta(seconds=100)
         end = T0 + timedelta(seconds=700)
         # fed in reverse, not in disconnect order
-        closed = close_window(reversed(records), start, end)
+        closed = close_window(as_read(reversed(records)), start, end)
         hits = [r for r in records if start <= r.disconnect_time < end]
         assert hits and len(hits) < len(records)
         assert encode(closed.stats) == window_stats(hits)
@@ -93,7 +96,7 @@ class TestCdrsFedToAggregator:
             at = T0 + timedelta(seconds=rng.randint(0, 7200 // grid_s) * grid_s)
             records.append(make_cdr(f"q{i}", vendor, at, duration))
         if reopen_after is None:
-            fed = records
+            fed = as_read(records)
         else:
             path = tmp_path / "cdrs.csv"
             written = records[:reopen_after]
@@ -101,8 +104,8 @@ class TestCdrsFedToAggregator:
             write_cdr_csv(path, written)
             read_back, errors = read_cdr_csv(path)
             assert errors == []
-            fed = read_back + records[reopen_after:]
-        assert fed == records
+            fed = read_back + as_read(records[reopen_after:])
+        assert fed == as_read(records)
         windows = []
         for _ in range(50):
             a = T0 + timedelta(seconds=rng.randint(0, 7200 // grid_s) * grid_s)
@@ -143,10 +146,14 @@ class TestCdrCsv:
         write_cdr_csv(first, records)
         parsed, errors = read_cdr_csv(first)
         assert errors == []
-        assert parsed == records
-        second = tmp_path / "b.csv"
-        write_cdr_csv(second, parsed)
-        assert first.read_bytes() == second.read_bytes()
+        assert parsed == as_read(records)
+        # the row template, given each CDR's times as read, in seconds after
+        # datetime.min, writes the file again
+        text = second_texts(datetime.min)
+        rows = [cdr_row(csv_field(r.call_id), vendor, text(connect_s), text(end_s), duration_s,
+                        r.cause.value, rejected)
+                for r, (vendor, connect_s, end_s, duration_s, rejected) in zip(records, parsed)]
+        assert first.read_text(encoding="utf-8") == ",".join(CDR_CSV_HEADER) + "\n" + "".join(rows)
 
     def test_malformed_rows_reported_with_line_numbers(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -193,19 +200,79 @@ class TestCdrCsv:
         path = tmp_path / "cdrs.csv"
         path.write_text(header + rows[0] + "\n\n" + rows[1] + "\r\n" + "".join(rows[2:])
                         + "\n\n", encoding="utf-8")
-        assert read_cdr_csv(path) == (records, [])
+        assert read_cdr_csv(path) == (as_read(records), [])
         path.write_text(header + "\n" + rows[0] + "\n" + "short,55\n", encoding="utf-8")
-        assert read_cdr_csv(path) == (records[:1], [(5, "expected 7 fields, got 2")])
+        assert read_cdr_csv(path) == (as_read(records[:1]), [(5, "expected 7 fields, got 2")])
 
     @pytest.mark.parametrize("cause", list(DisconnectCause), ids=lambda c: c.value)
     @pytest.mark.parametrize("at", [datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 30)],
                              ids=["year-1", "year-9999"])
     def test_every_cause_and_boundary_year_reads_back(self, tmp_path, cause, at):
-        records = [CallRecord("c1", 55, at, at + timedelta(seconds=29), 29, cause),
-                   CallRecord("c2", 62, at, at, 0, cause, rejected_by_router=True)]
+        records = [Record("c1", 55, at, at + timedelta(seconds=29), 29, cause),
+                   Record("c2", 62, at, at, 0, cause, rejected_by_router=True)]
         path = tmp_path / "cdrs.csv"
         write_cdr_csv(path, records)
-        assert read_cdr_csv(path) == (records, [])
+        assert read_cdr_csv(path) == (as_read(records), [])
+
+
+class TestCdrRowChecks:
+    """The checks the reader makes of a row's times and duration: a row is
+    refused when its disconnect precedes its connect or its span is not its
+    duration, each message naming its call id, and when a timestamp is not
+    a calendar time."""
+
+    @staticmethod
+    def _read(tmp_path, connect, disconnect, duration, vendor="55"):
+        path = tmp_path / "cdrs.csv"
+        path.write_text(f"{','.join(CDR_CSV_HEADER)}\n"
+                        f"a1,{vendor},{connect},{disconnect},{duration},normal,0\n",
+                        encoding="utf-8")
+        return read_cdr_csv(path)
+
+    @pytest.mark.parametrize("connect, disconnect, duration, message", [
+        ("2020-01-01 12:00:00", "2020-01-01 12:00:56", "56", None),
+        ("2020-01-01 12:00:00", "2020-01-01 12:00:00", "0", None),
+        ("2020-01-01 12:00:00", "2020-01-01 12:00:00", "1",
+         "a1: duration_s=1 does not match timestamps (0s apart)"),
+        ("2020-01-01 12:00:00", "2020-01-01 11:59:59", "0",
+         "a1: disconnect_time precedes connect_time"),
+        ("2020-01-01 00:00:00", "2019-12-31 23:59:59", "0",
+         "a1: disconnect_time precedes connect_time"),
+        ("2020-01-01 12:00:00", "2020-01-01 12:00:10", "9",
+         "a1: duration_s=9 does not match timestamps (10s apart)"),
+        ("2020-01-01 12:00:00", "2020-01-01 12:00:00", "-1", "bad duration '-1'"),
+        ("2020-12-31 23:59:50", "2021-01-01 00:00:10", "20", None),
+        ("2020-02-28 23:59:59", "2020-03-01 00:00:00", "86401", None),
+    ], ids=["answered", "zero-length", "zero-length-mismatch", "disconnect-before-connect",
+            "disconnect-on-the-day-before", "duration-mismatch", "negative-duration",
+            "across-a-year-end", "across-a-leap-day"])
+    def test_row_reads_or_is_refused(self, tmp_path, connect, disconnect, duration, message):
+        cdrs, errors = self._read(tmp_path, connect, disconnect, duration)
+        if message is None:
+            connect_s = (datetime.fromisoformat(connect) - datetime.min) // SECOND
+            assert (cdrs, errors) == ([(55, connect_s, connect_s + int(duration),
+                                        int(duration), False)], [])
+        else:
+            assert (cdrs, errors) == ([], [(2, message)])
+
+    def test_negative_vendor(self, tmp_path):
+        assert self._read(tmp_path, "2020-01-01 12:00:00", "2020-01-01 12:00:00", "0",
+                          vendor="-3") == ([], [(2, "bad vendor id '-3'")])
+
+    @pytest.mark.parametrize("bad", ["2021-02-29 00:00:00", "2020-13-01 00:00:00",
+                                     "0000-01-01 00:00:00", "2020-01-01 24:00:00",
+                                     "2020-01-01 23:60:00", "2020-01-01 23:59:60",
+                                     "2020-02-30 25:00:00"],
+                             ids=["february-29-2021", "month-13", "year-0", "hour-24",
+                                  "minute-60", "second-60", "day-and-hour"])
+    @pytest.mark.parametrize("which", ["connect", "disconnect"])
+    def test_a_time_off_the_calendar_is_refused_as_fromisoformat_refuses_it(
+            self, tmp_path, bad, which):
+        with pytest.raises(ValueError) as refused:
+            datetime.fromisoformat(bad)
+        good = "2020-01-01 00:00:00"
+        times = (bad, good) if which == "connect" else (good, bad)
+        assert self._read(tmp_path, *times, "0") == ([], [(2, str(refused.value))])
 
 
 def interval_closing(at, acds):
@@ -416,7 +483,7 @@ class TestAwkwardTextFields:
         records = _awkward_cdrs(call_id)
         path = tmp_path / "cdrs.csv"
         write_cdr_csv(path, records)
-        assert read_cdr_csv(path) == (records, [])
+        assert read_cdr_csv(path) == (as_read(records), [])
 
     @pytest.mark.parametrize("prefix", [*AWKWARD, "37,410", ""])
     def test_acd_prefix_reads_back(self, tmp_path, prefix):
@@ -438,8 +505,8 @@ def _attempts(n):
         disconnect = connect + timedelta(0, duration) if duration else connect
         cause = (DisconnectCause.OTHER if rejected else DisconnectCause.NORMAL_CLEARING
                  if duration else DisconnectCause.NO_USER_RESPONDING)
-        attempts.append((CallRecord(call_id, 55 + i % 2, connect, disconnect, duration, cause,
-                                    rejected), t_s))
+        attempts.append((Record(call_id, 55 + i % 2, connect, disconnect, duration, cause,
+                                rejected), t_s))
     return attempts
 
 
@@ -484,12 +551,13 @@ class TestAttemptLog:
             assert decision[2:5] == [cdr[0], cdr[1], "0" if cdr[6] == "1" else "1"]
 
     def test_each_text_follows_its_own_source(self, tmp_path):
-        # one call id object with other connect seconds and call times; keys
-        # that compare equal but are written otherwise (0.0 and -0.0, and
-        # across runs one instant under two offsets as the start); equal but
-        # distinct keys. The sink is handed no disconnect time: it renders an
-        # answered leg's from its connect second and duration, and an aware
-        # start's times as their wall times.
+        # a call's attempts share one call id object and one call time, with
+        # other connect seconds; calls whose ids are equal but distinct
+        # objects, and whose times compare equal but are written otherwise
+        # (0.0 and -0.0); across runs one instant under two offsets as the
+        # start; equal but distinct connect seconds. The sink is handed no
+        # disconnect time: it renders an answered leg's from its connect
+        # second and duration, and an aware start's times as their wall times.
         instant = datetime(2020, 1, 1, 12, 0, 0, tzinfo=timezone.utc)
         shifted = instant.astimezone(timezone(timedelta(hours=1)))
         assert shifted == instant
@@ -498,18 +566,19 @@ class TestAttemptLog:
 
     @staticmethod
     def _check_texts(tmp_path, start, hour):
-        call_id = "a,b"
+        first, second, third, fourth = "a,b", "".join(["a,", "b"]), "".join(["a", ",b"]), "a,b"
+        assert first == second == third and first is not second and second is not third
         zero, minus_zero, t1, t2 = 0.0, -0.0, 1.0005, 1.0004
         day, same_day = 86400, int("86400")
         assert day == same_day and day is not same_day
-        legs = [(call_id, 0, 0, zero), (call_id, 0, 5, minus_zero),
-                (call_id, 1, 0, minus_zero), (call_id, int("1"), 2, t1),
-                (call_id, day, 3, t1), (call_id, same_day, 0, t1),
-                ("".join(["a,", "b"]), same_day, 0, t2)]
-        attempts = [(CallRecord(cid, 55 + i % 2, start + timedelta(0, connect_s),
-                                start + timedelta(0, connect_s + duration), duration,
-                                DisconnectCause.NORMAL_CLEARING if duration
-                                else DisconnectCause.OTHER, not duration), t_s)
+        legs = [(first, 0, 0, zero), (first, 0, 5, zero),
+                (second, 1, 0, minus_zero), (second, int("1"), 2, minus_zero),
+                (third, day, 3, t1), (third, same_day, 0, t1),
+                (fourth, same_day, 0, t2)]
+        attempts = [(Record(cid, 55 + i % 2, start + timedelta(0, connect_s),
+                            start + timedelta(0, connect_s + duration), duration,
+                            DisconnectCause.NORMAL_CLEARING if duration
+                            else DisconnectCause.OTHER, not duration), t_s)
                     for i, (cid, connect_s, duration, t_s) in enumerate(legs)]
         records = [record for record, _ in attempts]
         cdr_text, decisions = _log_attempts(tmp_path, attempts, start)
@@ -528,7 +597,7 @@ class TestAttemptLog:
                                 ("02", "00", "00"))]
         assert decisions == [_decision_fields(seq, record, t_s)
                              for seq, (record, t_s) in enumerate(attempts)]
-        assert [row[1] for row in decisions] == ["0.000", "-0.000", "-0.000", "1.000",
+        assert [row[1] for row in decisions] == ["0.000", "0.000", "-0.000", "-0.000",
                                                  "1.000", "1.000", "1.000"]
 
     def test_rows_made_before_an_error_are_written(self, tmp_path, monkeypatch):
