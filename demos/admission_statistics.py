@@ -12,7 +12,6 @@ from acdroute import (
     AdmissionController,
     QualityInput,
     RouteGroup,
-    billing_route,
     compute_rejection,
 )
 
@@ -39,24 +38,20 @@ received, rejected_count = controller.counters
 print(f"counters (received counts authorized calls only): "
       f"received={received} rejected={rejected_count}")
 
-# At-most-once in action: a rejected call retries via billing failover and
-# must pass, wherever it lands.
-prefs = {55: 9, 62: 8}
+# At-most-once in action: a rejected call retries via billing failover, in
+# preference order, and must pass, wherever it lands. An accepted call:
+# pretend the vendor answers, which ends billing's walk.
 fresh = AdmissionController(group, seed=7)
 fresh.refresh_targets(target)
 shown = 0
 for i in range(400):
     call_id = f"call-{i}"
-    history = []
     path = []
-    while True:
-        vendor = billing_route(prefs, history)
-        if vendor is None:
-            break
+    for vendor in (55, 62):
         accepted = fresh.decide(call_id, vendor, now=float(i))
         path.append((vendor, "accept" if accepted else f"reject {REJECTION_CODE}"))
-        # an accepted call: pretend the vendor answers
-        history.append((vendor, 200 if accepted else REJECTION_CODE))
+        if accepted:
+            break
     if len(path) > 1 and shown < 5:
         print(f"{call_id}: {path}")
         shown += 1

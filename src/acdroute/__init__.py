@@ -36,9 +36,7 @@ from .sim import (
     ScenarioResult,
     VendorModel,
     VendorSpec,
-    billing_route,
     run_scenario,
-    vendor_leg,
 )
 from .store import acd_csv_text, read_cdr_csv
 
@@ -61,7 +59,6 @@ __all__ = [
     "VendorModel",
     "VendorSpec",
     "acd_csv_text",
-    "billing_route",
     "compute_rejection",
     "decode",
     "encode",
@@ -73,5 +70,4 @@ __all__ = [
     "round_half_up",
     "run_scenario",
     "triggers_failover",
-    "vendor_leg",
 ]

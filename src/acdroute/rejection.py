@@ -55,7 +55,9 @@ class RejectionResult:
 
     ``reject_pct`` is rounded to 2 decimals for storage and display;
     ``reject_pct_exact`` keeps full precision for the admission layer.
-    Rank and load stay absent (None) when either vendor lacked evidence.
+    Rank and load stay absent (None) when either vendor lacked evidence. A
+    load is a share of the traffic, so a saved result is refused unless each
+    load lies in [0, 1].
     """
 
     max_idx: Optional[int]
@@ -63,6 +65,10 @@ class RejectionResult:
     load: Tuple[Optional[float], Optional[float]]
     reject_pct: Tuple[float, float]
     reject_pct_exact: Tuple[float, float]
+
+    def __post_init__(self) -> None:
+        if not all(0.0 <= share <= 1.0 for share in self.load if share is not None):
+            raise ValueError(f"load must lie in [0, 1], got {list(self.load)}")
 
 
 def max_acd(acd: Tuple[float, float]) -> int:

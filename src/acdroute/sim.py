@@ -11,15 +11,14 @@ two runs of the same scenario are identical event for event. The aggregator
 ticks on the scenario's ``schedule``, anchored at its ``start_time``, each
 tick given as its whole seconds after it.
 
-Billing's order (``billing_order``) is computed once per run, and each call
-walks it once. An attempt has one of three outcomes: the clone interface
-refuses it (``REJECTION_CODE``, cause ``other``), the vendor leg fails (the
-model's failure code, no duration, cause ``no_answer``), or the vendor
-answers (200, at least one second, cause ``normal``). A refusal and a failure
-both trigger failover (``VendorModel`` refuses a failure code that would
-not), so billing tries the next vendor until one answers. ``billing_route``
-is the one definition of that failover: it picks the same vendors one
-attempt at a time, from a call's response codes.
+Billing's order, highest preference first, is computed once per run, and
+each call walks it once: this walk is the package's one definition of
+static-preference failover. An attempt has one of three outcomes: the clone
+interface refuses it (``REJECTION_CODE``, cause ``other``), the vendor leg
+fails (the model's failure code, no duration, cause ``no_answer``), or the
+vendor answers (200, at least one second, cause ``normal``). A refusal and a
+failure both trigger failover (``VendorModel`` refuses a failure code that
+would not), so billing tries the next vendor until one answers.
 
 Each attempt is one plain tuple: its CDR's fields but the disconnect time,
 the connect time in whole seconds after the start, the cause as its CSV text,
@@ -48,7 +47,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from math import log
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Tuple
 
 from .admission import AdmissionController
 from .aggregate import ClosedInterval, IntervalAggregator, Schedule
@@ -179,15 +178,6 @@ def _leg_sampler(model: VendorModel, rng: random.Random) -> Callable[[], int]:
     return leg
 
 
-def vendor_leg(model: VendorModel, rng: random.Random) -> Tuple[int, int]:
-    """Play out one attempt that reached the vendor: one draw of a fresh
-    ``_leg_sampler``. Returns (response code, duration seconds): 200 and at
-    least one second when answered, the model's failure code and 0 when not.
-    """
-    duration = _leg_sampler(model, rng)()
-    return (200, duration) if duration else (model.failure_code, 0)
-
-
 @dataclass(frozen=True)
 class VendorSpec:
     vendor: int
@@ -248,27 +238,6 @@ class ScenarioConfig:
     @classmethod
     def load(cls, path: Path) -> "ScenarioConfig":
         return load_json(cls, path)
-
-
-def billing_order(prefs: Mapping[int, int]) -> List[int]:
-    """The vendors in the order billing tries them: highest preference first,
-    ties in ``prefs`` order (the sort is stable)."""
-    return sorted(prefs, key=prefs.__getitem__, reverse=True)
-
-
-def billing_route(
-    prefs: Mapping[int, int], attempt_history: Sequence[Tuple[int, int]]
-) -> Optional[int]:
-    """Static-preference routing with failover.
-
-    ``attempt_history`` holds (vendor, response code) pairs for this call.
-    Returns the next vendor to try, or None when routing is finished: either
-    the call connected, or every route failed and the call is abandoned.
-    """
-    if attempt_history and not triggers_failover(attempt_history[-1][1]):
-        return None
-    tried = {vendor for vendor, _ in attempt_history}
-    return next((vendor for vendor in billing_order(prefs) if vendor not in tried), None)
 
 
 @dataclass
@@ -332,8 +301,6 @@ def run_scenario(
     """
     traffic_rng = random.Random(config.seed)
     group = config.group
-    order = billing_order({spec.vendor: spec.pref for spec in config.vendors})
-    models = {spec.vendor: spec.model for spec in config.vendors}
 
     controller = AdmissionController(group, seed=config.seed + 1)
     # summed in CDR order, one float per vendor, as summary.json rounds them
@@ -356,8 +323,10 @@ def run_scenario(
     while t < duration_s:
         arrivals.append(t)
         t += -log(1.0 - draw()) / rate_per_s
-    # billing's order, each vendor with its leg sampler
-    routes = [(vendor, _leg_sampler(models[vendor], traffic_rng)) for vendor in order]
+    # billing's order, highest preference first (the two are validated
+    # distinct), each vendor with its leg sampler
+    routes = [(spec.vendor, _leg_sampler(spec.model, traffic_rng))
+              for spec in sorted(config.vendors, key=lambda spec: spec.pref, reverse=True)]
 
     abandoned = 0
     decide = controller.decide

@@ -280,9 +280,9 @@ def _cdr(row: List[str], midnight_s: Callable[[str], int], clock_s: Callable[[st
     end_s = connect_s if disconnect == connect else midnight_s(end_day) + clock_s(end_clock)
     duration_s = int(duration)
     if end_s < connect_s:
-        raise ValueError(f"{row[0]}: disconnect_time precedes connect_time")
+        raise ValueError(f"{row[0]!r}: disconnect_time precedes connect_time")
     if end_s - connect_s != duration_s:
-        raise ValueError(f"{row[0]}: duration_s={duration_s} does not match "
+        raise ValueError(f"{row[0]!r}: duration_s={duration_s} does not match "
                          f"timestamps ({end_s - connect_s}s apart)")
     return int(vendor), connect_s, end_s, duration_s, rejected == "1"
 

@@ -4,13 +4,14 @@ obvious way: the reference their data files are compared against.
 ``simulate(config)`` returns the text of ``cdrs.csv``, ``decisions.csv``,
 ``acd_vendors.csv``, ``interval_history.json`` and ``summary.json`` for a
 scenario, laid out as README's "File formats" describes them. From the
-package it takes only ``billing_route``, which picks each attempt's vendor,
-``compute_rejection``, which turns a closed interval's ACD pair into
-targets, and the ``DisconnectCause`` members. Everything else it does on
-its own: it draws the traffic, decides admission with its own generator and
-ledger, keeps every CDR in a list and rescans the list at each tick, and
-writes each file with ``csv.writer`` or ``json``. A fault in any of those steps in the package shows as a difference
-from these files.
+package it takes only ``compute_rejection``, which turns a closed
+interval's ACD pair into targets, and the ``DisconnectCause`` members.
+Everything else it does on its own: it picks each attempt's vendor with
+``billing_route``, from the call's response codes so far, draws the
+traffic, decides admission with its own generator and ledger, keeps every
+CDR in a list and rescans the list at each tick, and writes each file with
+``csv.writer`` or ``json``. A fault in any of those steps in the package
+shows as a difference from these files.
 
 ``replay(rows, vendors, prefs, load_min, schedule)`` returns the text of
 ``acd_vendors.csv`` and ``interval_history.json`` that ``aggregate`` writes
@@ -30,7 +31,6 @@ from typing import NamedTuple
 
 from acdroute.domain import DisconnectCause
 from acdroute.rejection import QualityInput, compute_rejection
-from acdroute.sim import billing_route
 
 CDR_HEADER = ["call_id", "vendor", "connect_time", "disconnect_time", "duration_s", "cause",
               "rejected"]
@@ -102,6 +102,23 @@ def read_cdr_row(row):
     except (ValueError, TypeError):  # TypeError: one time with an offset, one without
         return None
     return record if next(csv.reader(cdr_lines([record]))) == row else None
+
+
+def billing_route(prefs, attempt_history):
+    """Static-preference routing with failover, from ``prefs``, each vendor's
+    billing preference, and ``attempt_history``, the call's (vendor, response
+    code) pairs so far: the untried vendor with the highest preference, or
+    None when routing is finished, because the last response was not a 4xx,
+    5xx or 6xx failure or because every vendor has been tried."""
+    if attempt_history:
+        last_code = attempt_history[-1][1]
+        if not 400 <= last_code <= 699:
+            return None
+    tried = {vendor for vendor, _ in attempt_history}
+    remaining = [vendor for vendor in prefs if vendor not in tried]
+    if not remaining:
+        return None
+    return max(remaining, key=lambda vendor: prefs[vendor])
 
 
 def draw_duration(spec, rng):

@@ -192,6 +192,21 @@ class TestAggregate:
         err = capsys.readouterr().err
         assert ":3:" in err and "timestamp" in err
 
+    def test_each_row_error_is_one_line(self, tmp_path, capsys):
+        # quoted call ids holding a line feed and a carriage return
+        cdr_csv = tmp_path / "bad.csv"
+        cdr_csv.write_text(
+            "call_id,vendor,connect_time,disconnect_time,duration_s,cause,rejected\n"
+            '"a\nb",55,2020-01-01 00:01:00,2020-01-01 00:00:59,0,normal,0\n'
+            '"c\rd",55,2020-01-01 00:00:00,2020-01-01 00:00:30,29,normal,0\n',
+            encoding="utf-8", newline="")
+        assert main(["aggregate", "--cdr", str(cdr_csv), "--prefs", "9,8",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"{cdr_csv}:2: 'a\\nb': disconnect_time precedes connect_time",
+            f"{cdr_csv}:4: 'c\\rd': duration_s=29 does not match timestamps (30s apart)",
+        ]
+
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         assert main(["aggregate", "--cdr", str(tmp_path / "nope.csv"),
                      "--prefs", "9,8", "--out", str(tmp_path / "out")]) == 1
@@ -624,8 +639,11 @@ class TestMalformedInput:
         # int() would read these as vendors 55 and 62, and "071" as vendor 71
         lambda history: [dict(history[0], received={"+5_5": 3, " 62": 1})],
         lambda history: [dict(history[0], received={"071": 3, "72": 1})],
+        # finite, but a hundredfold of it, the table's percent, is not
+        lambda history: [dict(history[0], result=dict(history[0]["result"],
+                                                      load=[1e307, 0.0]))],
     ], ids=["entry-without-result", "object-not-list", "number-for-timestamp",
-            "lenient-vendor-keys", "zero-padded-vendor-key"])
+            "lenient-vendor-keys", "zero-padded-vendor-key", "huge-load"])
     def test_bad_history(self, tmp_path, capsys, mangle):
         run_dir = tmp_path / "run"
         assert main(["simulate", "--scenario", str(SCENARIOS / "pure_fas_control.json"),
@@ -636,6 +654,7 @@ class TestMalformedInput:
         capsys.readouterr()
         assert main(["report", "--history", str(bad), "--out", str(tmp_path / "rep")]) == 2
         assert_one_line_error(capsys)
+        assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("flag, value", [("--tick-min", "10.004"),
                                              ("--min-age-min", "20.001")])

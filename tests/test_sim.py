@@ -13,7 +13,7 @@ import reference
 from acdroute.admission import REJECTION_CODE, AdmissionController
 from acdroute.aggregate import IntervalAggregator
 from acdroute.codec import decode, encode
-from acdroute.domain import DisconnectCause, triggers_failover
+from acdroute.domain import DisconnectCause
 from acdroute.sim import (
     MAX_EXPECTED_CALLS,
     DurationSpec,
@@ -21,9 +21,7 @@ from acdroute.sim import (
     VendorModel,
     VendorSpec,
     _leg_sampler,
-    billing_route,
     run_scenario,
-    vendor_leg,
 )
 from acdroute.store import SEND_BLOCK
 from conftest import assert_rows_equal, record_sink
@@ -78,63 +76,25 @@ def honest_preferred_config(seed=11, rate=30.0, duration=400.0):
 
 
 class TestBillingRoute:
+    """The reference's failover picker, which the run's attempts are checked
+    against (``TestRoutingMatchesBillingRoute``)."""
+
     PREFS = {55: 9, 62: 8}
 
     def test_first_attempt_goes_to_higher_preference(self):
-        assert billing_route(self.PREFS, []) == 55
+        assert reference.billing_route(self.PREFS, []) == 55
 
     def test_failover_after_rejection(self):
-        assert billing_route(self.PREFS, [(55, 503)]) == 62
+        assert reference.billing_route(self.PREFS, [(55, 503)]) == 62
 
     def test_failover_after_vendor_failure(self):
-        assert billing_route(self.PREFS, [(55, 486)]) == 62
+        assert reference.billing_route(self.PREFS, [(55, 486)]) == 62
 
     def test_success_ends_routing_even_for_one_second_calls(self):
-        assert billing_route(self.PREFS, [(55, 200)]) is None
+        assert reference.billing_route(self.PREFS, [(55, 200)]) is None
 
     def test_abandoned_after_both_fail(self):
-        assert billing_route(self.PREFS, [(55, 503), (62, 480)]) is None
-
-    def test_matches_set_list_max_reference(self):
-        rng = random.Random(2024)
-        codes = (180, 200, 302, 408, 480, 486, 503, 600)
-        seen = Counter()
-        for _ in range(5000):
-            vendors = rng.sample(range(1, 40), rng.randint(1, 4))
-            # few distinct prefs, so ties are common
-            prefs = {vendor: rng.randint(1, 3) for vendor in vendors}
-            history = [
-                (rng.choice(vendors + [99]), rng.choice(codes))
-                for _ in range(rng.randint(0, 4))
-            ]
-            expected = reference_billing_route(prefs, history)
-            assert billing_route(prefs, history) == expected, (prefs, history)
-            if history and not triggers_failover(history[-1][1]):
-                seen["routing ended"] += 1
-            elif expected is None:
-                seen["all tried"] += 1
-            elif sum(
-                pref == prefs[expected] and vendor not in dict(history)
-                for vendor, pref in prefs.items()
-            ) > 1:
-                seen["tie"] += 1
-            else:
-                seen["unique best"] += 1
-        assert min(seen.values()) >= 200 and len(seen) == 4, seen
-
-
-def reference_billing_route(prefs, attempt_history):
-    """The set/list/max form of ``billing_route``: the first untried vendor
-    with the highest preference, unless the last response ended routing."""
-    if attempt_history:
-        last_code = attempt_history[-1][1]
-        if not triggers_failover(last_code):
-            return None
-    tried = {vendor for vendor, _ in attempt_history}
-    remaining = [vendor for vendor in prefs if vendor not in tried]
-    if not remaining:
-        return None
-    return max(remaining, key=lambda vendor: prefs[vendor])
+        assert reference.billing_route(self.PREFS, [(55, 503), (62, 480)]) is None
 
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -142,8 +102,8 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
 class TestRoutingMatchesBillingRoute:
     """``run_scenario`` walks the billing order once per call; every call's
-    attempts must be exactly the ones ``billing_route`` picks, one at a time,
-    from the responses the call got."""
+    attempts must be exactly the ones the reference's ``billing_route``
+    picks, one at a time, from the responses the call got."""
 
     # the hundreds digits of a call's response codes, in order: answered at once;
     # rejected (503) or unanswered (4xx) and then answered or unanswered
@@ -191,8 +151,9 @@ class TestRoutingMatchesBillingRoute:
                 assert len(calls) == result.total_calls
                 for call_id, history in calls.items():
                     for k, (vendor, _) in enumerate(history):
-                        assert billing_route(prefs, history[:k]) == vendor, (call_id, history)
-                    assert billing_route(prefs, history) is None, (call_id, history)
+                        assert reference.billing_route(prefs, history[:k]) == vendor, (
+                            call_id, history)
+                    assert reference.billing_route(prefs, history) is None, (call_id, history)
                     seen.add(tuple(code // 100 for _, code in history))
         assert seen == shapes, seen
 
@@ -243,40 +204,41 @@ class TestEventOrder:
 
 
 class TestVendorLeg:
+    """A vendor's leg sampler: each call of it is one attempt that reached the
+    vendor, and returns its duration, 0 when unanswered."""
+
     def test_false_answer_burst_durations(self):
         model = VendorModel("false_answer", 1.0, DurationSpec("uniform", low_s=1, high_s=7))
-        rng = random.Random(3)
+        leg = _leg_sampler(model, random.Random(3))
         for _ in range(500):
-            code, duration = vendor_leg(model, rng)
-            assert code == 200
-            assert 1 <= duration <= 7
+            assert 1 <= leg() <= 7
 
     def test_honest_never_answering(self):
         model = VendorModel("honest", 0.0, DurationSpec("fixed", value_s=60),
                             failure_code=486)
-        rng = random.Random(4)
+        leg = _leg_sampler(model, random.Random(4))
         for _ in range(200):
-            assert vendor_leg(model, rng) == (486, 0)
+            assert leg() == 0
 
     def test_empirical_answer_ratio(self):
         model = VendorModel("honest", 0.7, DurationSpec("fixed", value_s=60))
-        rng = random.Random(5)
+        leg = _leg_sampler(model, random.Random(5))
         n = 100_000
-        answered = sum(1 for _ in range(n) if vendor_leg(model, rng)[0] == 200)
+        answered = sum(1 for _ in range(n) if leg() > 0)
         assert answered / n == pytest.approx(0.7, abs=0.005)
 
     def test_answered_legs_last_at_least_one_second(self):
         model = VendorModel("false_answer", 1.0,
                             DurationSpec("exponential", mean_s=2.0))
-        rng = random.Random(6)
+        leg = _leg_sampler(model, random.Random(6))
         for _ in range(2000):
-            code, duration = vendor_leg(model, rng)
-            assert duration >= 1
+            assert leg() >= 1
 
 
-def stdlib_vendor_leg(model, rng):
-    """``vendor_leg`` as it was written before the leg samplers: each draw
-    through ``rng.expovariate`` or ``rng.uniform``."""
+def stdlib_leg(model, rng):
+    """A leg's duration drawn through ``random.Random``'s own methods: one
+    ``rng.random()`` for the answer, then ``rng.expovariate`` or
+    ``rng.uniform`` for an answered leg's duration."""
     if rng.random() < model.answer_prob:
         spec = model.duration
         if spec.family == "exponential":
@@ -285,8 +247,8 @@ def stdlib_vendor_leg(model, rng):
             drawn = rng.uniform(spec.low_s, spec.high_s)
         else:
             drawn = spec.value_s
-        return 200, max(1, round(drawn))
-    return model.failure_code, 0
+        return max(1, round(drawn))
+    return 0
 
 
 # each family over a spread of parameters: tiny and huge means, empty and
@@ -306,8 +268,8 @@ ANSWER_PROBS = {"honest": (0.0, 0.3, 0.9, math.nextafter(1.0, 0.0)),
 
 class TestLegSampler:
     """``_leg_sampler`` computes the stdlib's own arithmetic: its durations,
-    and the generator's state after them, equal those of ``vendor_leg`` as it
-    drew through ``random.Random``'s methods, on a twin generator."""
+    and the generator's state after them, equal those of ``stdlib_leg``, which
+    draws through ``random.Random``'s methods, on a twin generator."""
 
     LEGS = 2000
 
@@ -321,12 +283,9 @@ class TestLegSampler:
                     rng, twin = random.Random(seed), random.Random(seed)
                     leg = _leg_sampler(model, rng)
                     got = [leg() for _ in range(self.LEGS)]
-                    want = [stdlib_vendor_leg(model, twin)[1] for _ in range(self.LEGS)]
+                    want = [stdlib_leg(model, twin) for _ in range(self.LEGS)]
                     assert got == want, (kind, answer_prob, seed)
                     assert rng.getstate() == twin.getstate()
-                    # vendor_leg is one draw of a fresh sampler
-                    assert [vendor_leg(model, rng) for _ in range(50)] == [
-                        stdlib_vendor_leg(model, twin) for _ in range(50)]
 
     def test_the_spread_covers_both_outcomes_and_the_rounding(self):
         legs = []

@@ -233,13 +233,13 @@ class TestCdrRowChecks:
         ("2020-01-01 12:00:00", "2020-01-01 12:00:56", "56", None),
         ("2020-01-01 12:00:00", "2020-01-01 12:00:00", "0", None),
         ("2020-01-01 12:00:00", "2020-01-01 12:00:00", "1",
-         "a1: duration_s=1 does not match timestamps (0s apart)"),
+         "'a1': duration_s=1 does not match timestamps (0s apart)"),
         ("2020-01-01 12:00:00", "2020-01-01 11:59:59", "0",
-         "a1: disconnect_time precedes connect_time"),
+         "'a1': disconnect_time precedes connect_time"),
         ("2020-01-01 00:00:00", "2019-12-31 23:59:59", "0",
-         "a1: disconnect_time precedes connect_time"),
+         "'a1': disconnect_time precedes connect_time"),
         ("2020-01-01 12:00:00", "2020-01-01 12:00:10", "9",
-         "a1: duration_s=9 does not match timestamps (10s apart)"),
+         "'a1': duration_s=9 does not match timestamps (10s apart)"),
         ("2020-01-01 12:00:00", "2020-01-01 12:00:00", "-1", "bad duration '-1'"),
         ("2020-12-31 23:59:50", "2021-01-01 00:00:10", "20", None),
         ("2020-02-28 23:59:59", "2020-03-01 00:00:00", "86401", None),
