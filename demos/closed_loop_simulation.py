@@ -20,12 +20,25 @@ scenarios = Path(__file__).resolve().parent / "scenarios"
 # A perfect false-answer vendor at the higher preference, admission disabled:
 # every call is "answered" within seconds and the honest route never sees a
 # single attempt.
-# run_scenario hands the call attempts to a sink a list at a time; this one
-# counts them by vendor.
+# run_scenario hands the call attempts to a sink a block at a time: the
+# block's first call number, each call's time, and one code per attempt. A
+# call tries the vendors in billing order until one answers, which a code of
+# 1 or more (the leg's seconds) says; this sink counts the attempts by vendor.
 control = ScenarioConfig.load(scenarios / "pure_fas_control.json")
+billing_order = [spec.vendor for spec in control.billing_order]
 by_vendor = Counter()
-neg = run_scenario(replace(control, admission_enabled=False),
-                   on_attempts=lambda attempts: by_vendor.update(a[1] for a in attempts))
+
+
+def count_attempts(first, times, codes):
+    codes = iter(codes)
+    for _ in times:
+        for vendor in billing_order:
+            by_vendor[vendor] += 1
+            if next(codes) > 0:
+                break
+
+
+neg = run_scenario(replace(control, admission_enabled=False), on_attempts=count_attempts)
 
 print("without admission control:")
 print(f"  {neg.total_calls} calls, routed per vendor: {dict(by_vendor)}")
@@ -40,7 +53,7 @@ print()
 # calls to the honest route; one closed interval of evidence later the loop
 # pins the fraud route to the floor share.
 config = ScenarioConfig.load(scenarios / "honest_vs_fas.json")
-result = run_scenario(config, on_attempts=lambda attempts: None)  # only the intervals are shown
+result = run_scenario(config, on_attempts=lambda *block: None)  # only the intervals are shown
 
 print("with admission control:")
 print(f"  {result.total_calls} calls, {len(result.interval_history)} closed intervals")

@@ -7,15 +7,18 @@ Exit codes: 0 success, 1 runtime failure (a closed stdout, ``| head``, too:
 no error line, after every file is written), 2 usage or validation error.
 
 ``simulate`` runs the scenario into ``store.attempt_log``'s sink, which
-writes each attempt as one row of ``cdrs.csv`` and one of ``decisions.csv``,
-a block of rows at a time (the run still holds every arrival, 8 bytes each).
-Every other file a command writes is rendered to text first and written by
-``_write_files``. ``HISTORY_FILES`` names each file rendered from an interval
-history (the acd_vendors file, ``interval_history.json`` and the interval
-tables) with its renderer; ``simulate`` and ``aggregate`` write them all,
-``report`` the tables it is asked for, and ``simulate`` removes them and
-``SUMMARY_FILE`` before its run. ``aggregate`` builds its ``Schedule`` from
-its minute flags, as a scenario does from its fields.
+decodes the run's blocks of one integer an attempt by the scenario's
+``billing_order`` and writes each attempt as one row of ``cdrs.csv`` and one
+of ``decisions.csv``, a block of rows at a time (the run still holds every
+arrival, 8 bytes each). Every other file a command writes is rendered to
+text first (by ``simulate`` while its writer process may still be writing
+rows) and written by ``_write_files``. ``HISTORY_FILES`` names each file
+rendered from an interval history (the acd_vendors file,
+``interval_history.json`` and the interval tables) with its renderer;
+``simulate`` and ``aggregate`` write them all, ``report`` the tables it is
+asked for, and ``simulate`` removes them and ``SUMMARY_FILE`` before its run.
+``aggregate`` builds its ``Schedule`` from its minute flags, as a scenario
+does from its fields.
 """
 
 from __future__ import annotations
@@ -227,13 +230,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for name in (*HISTORY_FILES, SUMMARY_FILE):
         (args.out / name).unlink(missing_ok=True)
     try:
-        with attempt_log(args.out / "cdrs.csv", args.out / "decisions.csv",
-                         config.start_time) as on_attempts:
+        with attempt_log(args.out / "cdrs.csv", args.out / "decisions.csv", config.start_time,
+                         [spec.vendor for spec in config.billing_order]) as on_attempts:
             result = run_scenario(config, on_attempts=on_attempts)
+            # rendered while a writer process still writes the last rows
+            files = {**_history_files(result.interval_history, config.dest_prefix),
+                     SUMMARY_FILE: json_text(_summary(result))}
     except OverflowError:  # an answered leg's disconnect second past the last datetime
         raise ValueError(f"{args.scenario}: a call leg ends past the year 9999") from None
-    _write_files(args.out, {**_history_files(result.interval_history, config.dest_prefix),
-                            SUMMARY_FILE: json_text(_summary(result))})
+    _write_files(args.out, files)
     targets = ", ".join(
         f"{v}: {t:.2f}%" for v, t in sorted(result.final_targets().items())
     )

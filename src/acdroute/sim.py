@@ -11,8 +11,8 @@ two runs of the same scenario are identical event for event. The aggregator
 ticks on the scenario's ``schedule``, anchored at its ``start_time``, each
 tick given as its whole seconds after it.
 
-Billing's order, highest preference first, is computed once per run, and
-each call walks it once: this walk is the package's one definition of
+Billing's order, highest preference first, is ``ScenarioConfig.billing_order``,
+and each call walks it once: this walk is the package's one definition of
 static-preference failover. An attempt has one of three outcomes: the clone
 interface refuses it (``REJECTION_CODE``, cause ``other``), the vendor leg
 fails (the model's failure code, no duration, cause ``no_answer``), or the
@@ -20,14 +20,14 @@ vendor answers (200, at least one second, cause ``normal``). A refusal and a
 failure both trigger failover (``VendorModel`` refuses a failure code that
 would not), so billing tries the next vendor until one answers.
 
-Each attempt is one plain tuple: its CDR's fields but the disconnect time,
-the connect time in whole seconds after the start, the cause as its CSV text,
-and the call's time; the rejected flag is the admission decision. The run
-makes no call per attempt only to move it: it appends the attempt to one list
-and the leg's end to another, and hands the first to the caller's sink and
-the second to the aggregator's ``add_ended`` a block at a time, once a list
-holds ``store.SEND_BLOCK`` attempts, before every tick and at the end. A leg
-is drawn by its vendor's sampler (``_leg_sampler``), built once per run, which
+Each attempt is one integer, its code: the leg's duration in seconds when
+the vendor answered, 0 when the leg failed, -1 when the clone refused it.
+The run builds no object per attempt only to move it: it appends the code to
+a packed array and the leg's end to a list, and hands the codes, with the
+block's slice of the arrival times, to the caller's sink and the list to the
+aggregator's ``add_ended``, once a block holds ``store.SEND_BLOCK``
+attempts, before every tick and at the end. A leg is
+drawn by its vendor's sampler (``_leg_sampler``), built once per run, which
 computes the stdlib's exponential and uniform draws on the run's generator.
 No ``datetime`` is built per attempt or per tick, and the run keeps no CDR:
 the CLI's sink, ``store.attempt_log``, writes a CDR row and a decision row
@@ -52,11 +52,11 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Tuple
 from .admission import AdmissionController
 from .aggregate import ClosedInterval, IntervalAggregator, Schedule
 from .codec import decode, load_json
-from .domain import DEFAULT_LOAD_MIN, DisconnectCause, RouteGroup, triggers_failover
-from .store import SEND_BLOCK, csv_field
+from .domain import DEFAULT_LOAD_MIN, RouteGroup, triggers_failover
+from .store import SEND_BLOCK, call_id, csv_field
 
 if TYPE_CHECKING:
-    from .store import Attempt, Sink
+    from .store import Sink
 
 DEFAULT_START = datetime(2020, 1, 1, 0, 0, 0)
 # arrival_rate_per_min x duration_min may ask for at most this many calls: a
@@ -232,6 +232,11 @@ class ScenarioConfig:
         )
 
     @property
+    def billing_order(self) -> Tuple[VendorSpec, ...]:
+        """The vendors in the order billing tries them, highest preference first."""
+        return tuple(sorted(self.vendors, key=lambda spec: spec.pref, reverse=True))
+
+    @property
     def schedule(self) -> Schedule:
         return Schedule.from_minutes(self.tick_period_min, self.min_interval_min, self.min_calls)
 
@@ -287,17 +292,17 @@ def run_scenario(
     ``int(duration_s // tick_period_s)`` ticks in all. Ticking stops there;
     calls still in flight then simply never get aggregated.
 
-    Each attempt is one plain tuple ``(call_id, vendor, connect_s, duration_s,
-    cause, rejected, t_s)``: its CDR less the disconnect time (``connect_s``
-    plus ``duration_s``, in whole seconds after ``start_time``), the cause as
-    its ``cdrs.csv`` text, and the call's time in seconds. The run hands the
-    attempts to ``on_attempts`` in order, a list at a time, the list then the
-    sink's: once a list holds ``store.SEND_BLOCK`` attempts (checked after
-    each call, so a list holds at most ``SEND_BLOCK + len(vendors) - 1``),
-    before every tick and at the end; never an empty list. An exception the
-    sink raises ends the run, as the ``OverflowError`` of a leg ending past
-    the year 9999 does from ``store.attempt_log``'s sink, which cannot render
-    its disconnect time.
+    The run hands its attempts to ``on_attempts(first, times, codes)``, a
+    block of whole calls at a time, the arrays then the sink's: ``first`` is
+    the block's first call number (from 1, running on from block to block),
+    ``times`` each call's time in seconds after ``start_time`` (an
+    ``array("d")``), and ``codes`` one code an attempt (an ``array("q")``)
+    in ``config.billing_order``, as ``store.attempt_log`` reads them. A block
+    is handed over once it holds ``store.SEND_BLOCK`` attempts (checked after
+    each call, so it holds at most ``SEND_BLOCK + len(vendors) - 1``), before
+    every tick and at the end; never an empty block. An exception the sink
+    raises ends the run, as the ``OverflowError`` of a leg ending past the
+    year 9999 does from ``store.attempt_log``'s sink.
     """
     traffic_rng = random.Random(config.seed)
     group = config.group
@@ -323,20 +328,16 @@ def run_scenario(
     while t < duration_s:
         arrivals.append(t)
         t += -log(1.0 - draw()) / rate_per_s
-    # billing's order, highest preference first (the two are validated
-    # distinct), each vendor with its leg sampler
+    # billing's order, each vendor with its leg sampler
     routes = [(spec.vendor, _leg_sampler(spec.model, traffic_rng))
-              for spec in sorted(config.vendors, key=lambda spec: spec.pref, reverse=True)]
+              for spec in config.billing_order]
 
     abandoned = 0
     decide = controller.decide
     add_ended = aggregator.add_ended
-    normal = DisconnectCause.NORMAL_CLEARING.value
-    no_answer = DisconnectCause.NO_USER_RESPONDING.value
-    other = DisconnectCause.OTHER.value
-    # the attempts not yet handed over, and each one's (vendor, end_s,
-    # duration_s, rejected) for the aggregator
-    attempts: List[Attempt] = []
+    # the block not yet handed over: its first call number, each attempt's
+    # code, and each attempt's (vendor, end_s, duration_s, rejected)
+    first, codes = 1, array("q")
     ended: List[Tuple[int, int, int, bool]] = []
 
     def run_tick(tick_s: int) -> None:
@@ -347,36 +348,34 @@ def run_scenario(
     # a tick at a call's exact time runs before it; ticks past the last call run last
     next_tick_s = tick_period_s
     for idx, t_s in enumerate(arrivals, 1):
-        if next_tick_s <= t_s or len(attempts) >= SEND_BLOCK:
-            if attempts:
-                on_attempts(attempts)
+        if next_tick_s <= t_s or len(codes) >= SEND_BLOCK:
+            if codes:
+                on_attempts(first, arrivals[first - 1:idx - 1], codes)
                 add_ended(ended)
-                attempts, ended = [], []
+                first, codes, ended = idx, array("q"), []
             while next_tick_s <= t_s:
                 run_tick(next_tick_s)
                 next_tick_s += tick_period_s
-        # billing walks its order until a vendor answers; legs connect at the call's second
-        call_id, second = f"c{idx:06d}", int(t_s)
+        # billing walks its order until a vendor answers; legs connect at the
+        # call's second. A refusal by the clone and a failure at the vendor
+        # both fail over, and their zero-length leg ends at its connect time
+        call, second = call_id(idx), int(t_s)
         for vendor, leg in routes:
-            accepted = decide(call_id, vendor, t_s)
-            leg_duration = leg() if accepted else 0
-            if leg_duration:
-                answered[vendor] += 1
-                answered_minutes[vendor] += leg_duration / 60.0
-                cause = normal
+            if decide(call, vendor, t_s):
+                leg_duration = leg()
+                codes.append(leg_duration)
+                ended.append((vendor, second + leg_duration, leg_duration, False))
+                if leg_duration:
+                    answered[vendor] += 1
+                    answered_minutes[vendor] += leg_duration / 60.0
+                    break
             else:
-                # refused by the clone or failed at the vendor: both fail over,
-                # and the zero-length leg ends at its connect time
-                cause = no_answer if accepted else other
-            rejected = not accepted
-            attempts.append((call_id, vendor, second, leg_duration, cause, rejected, t_s))
-            ended.append((vendor, second + leg_duration, leg_duration, rejected))
-            if leg_duration:
-                break
+                codes.append(-1)
+                ended.append((vendor, second, 0, True))
         else:
             abandoned += 1
-    if attempts:
-        on_attempts(attempts)
+    if codes:
+        on_attempts(first, arrivals[first - 1:], codes)
         add_ended(ended)
     last_tick_s = int(duration_s // tick_period_s) * tick_period_s
     for tick_s in range(next_tick_s, last_tick_s + 1, tick_period_s):

@@ -13,16 +13,17 @@ them with ``second_texts``, each only when its source changes, an answered
 leg's disconnect from its connect second and duration.
 
 ``attempt_log`` is ``simulate``'s sink and the one CDR writer. ``run_scenario``
-hands it the attempts as lists of plain tuples, each list once it holds
-``SEND_BLOCK`` attempts (up to one more with two vendors, as the list is
-checked after each call), before every tick and at the end. It writes each
-attempt's CDR row and decision row, rendering a list in one loop and writing
-``ROW_BLOCK`` rows at a time. Where ``os.fork`` exists and the process may run
-on two or more CPUs, a forked writer process off the run's CPU renders the
-rows: the sink pickles each list as one pipe message, and a writer's
-exception is raised again on exit, with its type and message. ``simulate``
-then makes 1.2-1.3x the calls a second (``BENCH_row_writer.json``). With one
-CPU it would cost ~30 %, so the rows are rendered in-process.
+hands it packed blocks of one integer an attempt, each once it holds
+``SEND_BLOCK`` attempts (up to one more with two vendors), before every tick
+and at the end. It writes each attempt's CDR row and decision row, decoding
+and rendering a block in one loop and writing ``ROW_BLOCK`` rows at a time.
+Where ``os.fork`` exists and the process may run on two or more CPUs, a
+forked writer process off the run's CPU renders the rows: the sink sends a
+block's arrays as raw bytes, and only a writer's exception, raised again on
+exit, is pickled. The writer process made ``simulate`` 1.2-1.3x faster in
+calls a second (``BENCH_row_writer.json``), and packed blocks 1.13-1.17x more
+(``BENCH_packed_blocks.json``). With one CPU it would cost ~30 %, so the rows
+are rendered in-process.
 ``acd_csv_text`` renders an interval history as the acd_vendors file, each
 closed interval as its pair of rows, after the run; no command reads that
 file back. ``read_cdr_csv`` is the one reader. It accepts a CDR row only in
@@ -35,9 +36,9 @@ from __future__ import annotations
 import csv
 import io
 import os
-import pickle
 import re
 import signal
+from array import array
 from contextlib import contextmanager, suppress
 from datetime import date, datetime, time
 from functools import lru_cache
@@ -75,12 +76,17 @@ def csv_field(text: str) -> str:
     return buffer.getvalue()[:-3]
 
 
-def cdr_row(call_text: str, vendor: int, connect_text: str, disconnect_text: str,
+# the id of a run's call number n, from 1: letters and digits only; a built-in
+# method, which ``map`` runs without a Python frame
+call_id = "c%06d".__mod__
+
+
+def cdr_row(call_text: str, vendor: object, connect_text: str, disconnect_text: str,
             duration_s: int, cause: str, rejected: bool) -> str:
     """The CDR row template: a CDR's row of a CDR CSV file, line end
     included, from its fields, with the text of its call id (as ``csv_field``
-    writes it), of its two timestamps (as ``format_ts`` writes them) and of
-    its cause (a ``DisconnectCause`` value)."""
+    writes it), of its vendor id (or the int itself), of its two timestamps
+    (as ``format_ts`` writes them) and of its cause (a ``DisconnectCause``)."""
     return (f"{call_text},{vendor},{connect_text},{disconnect_text},{duration_s},"
             f"{cause},{'1' if rejected else '0'}\n")
 
@@ -90,30 +96,31 @@ def cdr_row(call_text: str, vendor: int, connect_text: str, disconnect_text: str
 # (~90 bytes an attempt over both files, ~0.2 MB in all) do not show in a
 # run's memory
 ROW_BLOCK = 1024
-# attempts ``run_scenario`` hands its sink at once, each list pickled and sent
-# to the writer process as one message: ~50 KB of working memory; 1,024 took
-# ~200 KB, whose churn raised a run's peak RSS by ~1 MB
+# attempts ``run_scenario`` hands its sink at once, sent to the writer process
+# as one message of ~3 KB (8 bytes a call and an attempt)
 SEND_BLOCK = 256
 
-if TYPE_CHECKING:  # built at run time, they would cost every import
-    # (call_id, vendor, connect_s, duration_s, cause text, rejected, t_s)
-    Attempt = Tuple[str, int, int, int, str, bool, float]
-    # takes a list of attempts in run order; the list is the sink's to keep
-    Sink = Callable[[List[Attempt]], object]
+if TYPE_CHECKING:  # built at run time, it would cost every import
+    # takes a block (first, times, codes) in run order; the arrays are its to keep
+    Sink = Callable[[int, array, array], object]
 
 
 @contextmanager
-def _row_renderer(cdr_file: TextIO, decision_file: TextIO, start: datetime) -> Iterator[Sink]:
-    """Write both headers, and yield the sink that renders a list of
-    attempts' rows in one loop; on exit, write the rows still pending."""
+def _row_renderer(cdr_file: TextIO, decision_file: TextIO, start: datetime,
+                  vendors: List[int]) -> Iterator[Sink]:
+    """Write both headers, and yield the sink that renders a block's rows in
+    one loop; on exit, write the rows still pending."""
     cdr_file.write(",".join(CDR_CSV_HEADER) + "\n")
     decision_file.write(",".join(DECISION_CSV_HEADER) + "\n")
     cdr_rows: List[str] = []
     decision_rows: List[str] = []
     refused = f"0,{REJECTION_CODE}"
+    normal, no_answer, other = (cause.value for cause in (
+        DisconnectCause.NORMAL_CLEARING, DisconnectCause.NO_USER_RESPONDING, DisconnectCause.OTHER))
     ts_text = second_texts(start)
+    vendor_texts, last = [str(vendor) for vendor in vendors], len(vendors) - 1
     seq = 0
-    call_id = call_text = t_text = connect_key = connect_text = None
+    connect_key = connect_text = None
 
     def write_pending() -> None:
         # each list is emptied before its text is written, so a failed
@@ -123,24 +130,31 @@ def _row_renderer(cdr_file: TextIO, decision_file: TextIO, start: datetime) -> I
             rows.clear()
             handle.write(text)
 
-    def on_attempts(attempts: List[Attempt]) -> None:
-        nonlocal seq, call_id, call_text, t_text, connect_key, connect_text
-        for leg_call_id, vendor, connect_s, duration_s, cause, rejected, t_s in attempts:
-            if leg_call_id is not call_id:
-                call_id = leg_call_id
-                call_text = csv_field(call_id)
-                t_text = f"{t_s:.3f}"
-            if connect_s != connect_key:
-                connect_key = connect_s
-                connect_text = ts_text(connect_s)
-            cdr_rows.append(cdr_row(call_text, vendor, connect_text, ts_text(
-                connect_s + duration_s) if duration_s else connect_text,
-                duration_s, cause, rejected))
+    def on_attempts(first: int, times: array, codes: array) -> None:
+        nonlocal seq, connect_key, connect_text
+        # each call's id text, time text and connect second, made in C loops
+        calls = zip(map(call_id, range(first, first + len(times))),
+                    map("{:.3f}".format, times), map(int, times))
+        place = 0  # the attempt's place in billing's order; 0 starts a call
+        for code in codes:
+            if not place:
+                call_text, t_text, second = next(calls)
+                if second != connect_key:
+                    connect_key = second
+                    connect_text = ts_text(second)
+            vendor = vendor_texts[place]
+            answered, rejected = code > 0, code < 0
+            cdr_rows.append(cdr_row(
+                call_text, vendor, connect_text,
+                ts_text(second + code) if answered else connect_text, code if answered else 0,
+                normal if answered else other if rejected else no_answer, rejected))
             decision_rows.append(f"{seq},{t_text},{call_text},{vendor},"
                                  f"{refused if rejected else '1,'}\n")
             seq += 1
             if len(cdr_rows) == ROW_BLOCK:
                 write_pending()
+            # an answer ends the call, as does billing's last vendor
+            place = 0 if answered or place == last else place + 1
 
     try:
         yield on_attempts
@@ -149,7 +163,7 @@ def _row_renderer(cdr_file: TextIO, decision_file: TextIO, start: datetime) -> I
 
 
 def _write_rows(blocks_fd: int, error_fd: int, cdr_file: TextIO, decision_file: TextIO,
-                start: datetime, cpus: Set[int]) -> NoReturn:
+                start: datetime, vendors: List[int], cpus: Set[int]) -> NoReturn:
     """The writer process; it ends by ``os._exit``, running none of the parent's exit."""
     try:
         with open(error_fd, "wb") as errors:
@@ -158,12 +172,17 @@ def _write_rows(blocks_fd: int, error_fd: int, cdr_file: TextIO, decision_file: 
                 with suppress(OSError):  # a refused move leaves the writer where it is
                     os.sched_setaffinity(0, cpus)
                 with cdr_file, decision_file, open(blocks_fd, "rb") as blocks, \
-                        _row_renderer(cdr_file, decision_file, start) as on_attempts, \
-                        suppress(EOFError, pickle.UnpicklingError):
+                        _row_renderer(cdr_file, decision_file, start, vendors) as on_attempts, \
+                        suppress(EOFError):
                     # until the parent closes its end, or ends while it sends a block
                     while True:
-                        on_attempts(pickle.load(blocks))
+                        head, times, codes = array("q"), array("d"), array("q")
+                        head.fromfile(blocks, 3)
+                        times.fromfile(blocks, head[1])
+                        codes.fromfile(blocks, head[2])
+                        on_attempts(head[0], times, codes)
             except BaseException as exc:
+                import pickle  # only an error crosses back, and only this path pickles
                 try:
                     errors.write(pickle.dumps(exc))
                 except Exception:  # an exception that does not pickle
@@ -173,35 +192,37 @@ def _write_rows(blocks_fd: int, error_fd: int, cdr_file: TextIO, decision_file: 
 
 
 @contextmanager
-def attempt_log(cdr_path: Path, decision_path: Path, start: datetime) -> Iterator[Sink]:
+def attempt_log(cdr_path: Path, decision_path: Path, start: datetime,
+                vendors: List[int]) -> Iterator[Sink]:
     """Open a CDR CSV file and a decisions file, write their headers, and
-    yield the sink ``on_attempts(attempts)`` that ``run_scenario`` hands each
-    list of attempts to, as ``(call_id, vendor, connect_s, duration_s, cause,
-    rejected, t_s)`` tuples: it appends each attempt's CDR row to the first
-    file and its decision row, numbered from 0, to the second; ``connect_s``
-    counts whole seconds from ``start``, and ``cause`` is the CDR's cause text.
+    yield the sink ``on_attempts(first, times, codes)`` that ``run_scenario``
+    hands each block to: it appends each attempt's CDR row to the first file
+    and its decision row, numbered from 0, to the second.
+
+    A block holds whole calls: call ``n``, from ``first`` on, has the id
+    ``call_id(n)`` and the time ``times[n - first]`` in seconds after
+    ``start``, and connects at its whole second. ``codes`` holds one code an
+    attempt, each call's attempts walking ``vendors``, billing's order, until
+    a vendor answers: the leg's duration (at least 1 s) when the vendor
+    answered, which ends the call; 0 when the leg failed; -1 when the clone
+    refused it.
 
     The rows are written ``ROW_BLOCK`` at a time, each block as one text. On
     exit, normal or by an exception, every row made so far is written and
     both files are closed, so each file holds whole rows only. With two or
-    more CPUs, a forked writer process renders them, each list sent to it as
-    one pickled message (see the module); on every exit the writer is reaped.
+    more CPUs, a forked writer process renders them, each block sent to it
+    as one message (see the module); on every exit the writer is reaped.
 
-    An attempt's text pieces are built only when their source changes. The
-    call id's ``csv_field`` text and the ``time_s`` text are built once a
-    call, keyed by the call id's identity: a call's attempts share its id
-    object and its time, and equal ids of two calls are rendered apart. The
-    connect text is keyed by ``connect_s``'s value, as every time is
-    rendered from the one ``start``, so equal seconds have one text. A
-    zero-length leg's disconnect text is its connect text; an answered leg's
-    is that of ``connect_s + duration_s``, an ``OverflowError`` past the
-    year 9999.
+    The connect text is built once a second: every time is rendered from the
+    one ``start``, so equal seconds have one text. A zero-length leg's
+    disconnect text is its connect text; an answered leg's is that of its
+    connect second plus its duration, an ``OverflowError`` past the year 9999.
     """
     with open(cdr_path, "w", newline="", encoding="utf-8") as cdr_file, \
             open(decision_path, "w", newline="", encoding="utf-8") as decision_file:
         cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
         if not (hasattr(os, "fork") and len(cpus) >= 2):
-            with _row_renderer(cdr_file, decision_file, start) as on_attempts:
+            with _row_renderer(cdr_file, decision_file, start, vendors) as on_attempts:
                 yield on_attempts
             return
         # the writer keeps off the run's CPU (field 39 of /proc/self/stat): the
@@ -213,14 +234,15 @@ def attempt_log(cdr_path: Path, decision_path: Path, start: datetime) -> Iterato
         if pid == 0:
             for fd in (send_fd, error_fd):
                 os.close(fd)
-            _write_rows(blocks_fd, child_error_fd, cdr_file, decision_file, start, cpus)
+            _write_rows(blocks_fd, child_error_fd, cdr_file, decision_file, start, vendors, cpus)
     for fd in (blocks_fd, child_error_fd):
         os.close(fd)
 
     with open(error_fd, "rb") as errors, open(send_fd, "wb") as sender:
-        def on_attempts(attempts: List[Attempt]) -> None:
-            # a BrokenPipeError, once the writer has ended, ends the run
-            sender.write(pickle.dumps(attempts, pickle.HIGHEST_PROTOCOL))
+        def on_attempts(first: int, times: array, codes: array) -> None:
+            # one write, so a block that cannot be sent is not begun; a
+            # BrokenPipeError, once the writer has ended, ends the run
+            sender.write(b"".join((array("q", (first, len(times), len(codes))), times, codes)))
 
         try:
             yield on_attempts
@@ -232,6 +254,7 @@ def attempt_log(cdr_path: Path, decision_path: Path, start: datetime) -> Iterato
                 error = errors.read()
                 status = os.waitpid(pid, 0)[1]
             if error:
+                import pickle
                 raise pickle.loads(error)
             if status:
                 raise ChildProcessError(f"the row writer ended with wait status {status}")

@@ -1,8 +1,10 @@
-"""Shared builders for synthetic CDR streams, the pair check of an
-acd_vendors file, and the choice of ``attempt_log``'s row writer."""
+"""Shared builders for synthetic CDR streams, a decoder and an encoder of
+the blocks ``run_scenario`` hands its sink, the pair check of an acd_vendors
+file, and the choice of ``attempt_log``'s row writer."""
 
 import csv
 import os
+from array import array
 from datetime import datetime, timedelta
 
 import pytest
@@ -43,14 +45,66 @@ def add_records(agg, records):
                    r.rejected_by_router) for r in records if r.vendor in agg.group.vendors)
 
 
-def record_sink(attempts, start):
-    """A ``run_scenario`` sink that appends each attempt to ``attempts`` as
-    ``(record, t_s)``: the CDR built from the fields the sink is handed, its
-    connect time ``connect_s`` seconds after the run's ``start``, its
-    disconnect time ``duration_s`` seconds after that, and its cause the
-    member whose value is the cause text."""
-    def on_attempts(block):
-        for call_id, vendor, connect_s, duration_s, cause, rejected, t_s in block:
+def billing_vendors(config):
+    """``config``'s vendor ids in the order billing tries them: by
+    preference, highest first."""
+    prefs = {spec.vendor: spec.pref for spec in config.vendors}
+    return sorted(prefs, key=prefs.get, reverse=True)
+
+
+def decode_block(vendors, first, times, codes):
+    """The attempts of a block ``(first, times, codes)`` that ``run_scenario``
+    hands its sink, in a run whose billing order is ``vendors``, each as the
+    tuple ``(call_id, vendor, connect_s, duration_s, cause, rejected, t_s)``:
+    its CDR less the disconnect time (``connect_s + duration_s``), in whole
+    seconds after the run's start, and the cause as its text.
+
+    Call ``first + k`` is ``c`` and its number in at least six digits, its time
+    ``times[k]``; it connects at that time's whole second. Its attempts take
+    the next codes, one per vendor in billing order, until a code is above
+    0, an answered leg that many seconds long; 0 is a leg that failed at the
+    vendor, -1 a refusal by the clone, and a call whose vendors run out is
+    abandoned. Every code belongs to a call."""
+    attempts, used = [], 0
+    for number, t_s in enumerate(times, first):
+        for vendor in vendors:
+            assert used < len(codes), f"call {number} has too few codes"
+            code = codes[used]
+            used += 1
+            if code > 0:
+                outcome = code, DisconnectCause.NORMAL_CLEARING, False
+            elif code == 0:
+                outcome = 0, DisconnectCause.NO_USER_RESPONDING, False
+            else:
+                assert code == -1, f"code {code}"
+                outcome = 0, DisconnectCause.OTHER, True
+            duration_s, cause, rejected = outcome
+            attempts.append(("c%06d" % number, vendor, int(t_s), duration_s, cause.value,
+                             rejected, t_s))
+            if duration_s:
+                break
+    assert used == len(codes), f"{len(codes) - used} codes belong to no call"
+    return attempts
+
+
+def attempt_sink(attempts, config):
+    """A ``run_scenario`` sink for a run of ``config`` that appends each
+    attempt to ``attempts`` as ``decode_block`` decodes it."""
+    vendors = billing_vendors(config)
+    return lambda first, times, codes: attempts.extend(decode_block(vendors, first, times, codes))
+
+
+def record_sink(attempts, config):
+    """A ``run_scenario`` sink for a run of ``config`` that appends each
+    attempt to ``attempts`` as ``(record, t_s)``: the CDR built from the
+    attempt ``decode_block`` decodes, its connect time ``connect_s`` seconds
+    after the run's start, its disconnect time ``duration_s`` seconds after
+    that, and its cause the member whose value is the cause text."""
+    vendors, start = billing_vendors(config), config.start_time
+
+    def on_attempts(first, times, codes):
+        for call_id, vendor, connect_s, duration_s, cause, rejected, t_s in decode_block(
+                vendors, first, times, codes):
             connect = start + timedelta(seconds=connect_s)
             record = Record(call_id, vendor, connect, connect + timedelta(seconds=duration_s),
                             duration_s, DisconnectCause(cause), rejected)
@@ -58,14 +112,25 @@ def record_sink(attempts, start):
     return on_attempts
 
 
-def sink_fields(record, start):
-    """The fields a ``run_scenario`` sink is handed for ``record``'s attempt,
-    before its call's time, in a run that started at ``start``: the connect
-    time as whole seconds after it, the cause as its text."""
-    connect_s, rest = divmod(record.connect_time - start, SECOND)
-    assert not rest, f"{record.connect_time} is not a whole second after {start}"
-    return (record.call_id, record.vendor, connect_s, record.duration_s,
-            record.cause.value, record.rejected_by_router)
+def sink_block(attempts, start, vendors):
+    """The block ``(first, times, codes)`` that a ``run_scenario`` sink is
+    handed for ``attempts``, ``(record, t_s)`` pairs of whole calls in run
+    order, in a run that started at ``start`` and whose billing order is
+    ``vendors``; ``decode_block`` must read the attempts back from it, so
+    each record must be one such a run makes."""
+    first = int(attempts[0][0].call_id[1:])
+    times, codes, fields, call_id = array("d"), array("q"), [], None
+    for record, t_s in attempts:
+        if record.call_id != call_id:
+            call_id = record.call_id
+            times.append(t_s)
+        connect_s, rest = divmod(record.connect_time - start, SECOND)
+        assert not rest, f"{record.connect_time} is not a whole second after {start}"
+        codes.append(-1 if record.rejected_by_router else record.duration_s)
+        fields.append((record.call_id, record.vendor, connect_s, record.duration_s,
+                       record.cause.value, record.rejected_by_router, t_s))
+    assert decode_block(vendors, first, times, codes) == fields, "not a run's block"
+    return first, times, codes
 
 
 def assert_rows_equal(got, want):

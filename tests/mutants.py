@@ -2,12 +2,14 @@
 tests must pin, and the runner that checks they do.
 
 Each entry of ``MUTANTS`` is a ``Mutant(name, file, old, new, rule,
-equivalent)``: ``old`` is text that occurs exactly once in ``file``, a path
-from the repository root, ``new`` is what replaces it, ``rule`` is what the
-mutant breaks, and ``equivalent`` is None, or the one-line reason why no test
-can tell the mutant from the code. ``tests/test_mutants.py`` checks in tier-1
-that each ``old`` text still occurs once, so a refactor that moves one must
-update its entry.
+equivalent, first)``: ``old`` is text that occurs exactly once in ``file``, a
+path from the repository root, ``new`` is what replaces it, ``rule`` is what
+the mutant breaks, ``equivalent`` is None, or the one-line reason why no test
+can tell the mutant from the code, and ``first`` is None, or the tests (a
+path or a node id from the repository root) to run before the whole suite,
+because they kill the mutant in seconds. ``tests/test_mutants.py`` checks in
+tier-1 that each ``old`` text still occurs once and each ``first`` names a
+test file there, so a refactor that moves one must update its entry.
 
 Run the list from the repository root:
 
@@ -15,13 +17,14 @@ Run the list from the repository root:
 
 It copies ``src``, ``tests``, ``demos`` and ``pyproject.toml`` to a temporary
 directory and runs ``pytest -x -q`` there, first on the unmutated copy, which
-must pass, then once per mutant on a fresh copy. The runs leave out
+must pass, then once per mutant on a fresh copy: its ``first`` tests, then,
+unless they failed, the whole suite. The runs leave out
 ``tests/test_mutants.py``, which every mutant fails by removing its own old
-text. A mutant is killed when a test fails, or when the run outlives three
+text. A mutant is killed when a test fails, or when a run outlives three
 times the unmutated run plus 30 s: a mutant that leaves ``decide``'s lock
-held hangs the next test that takes it. The runner prints each mutant's
-outcome and time, and exits 1 when a mutant not marked equivalent survives
-or one marked equivalent is killed.
+held hangs the next test that takes it, unless its ``first`` test fails it
+before. The runner prints each mutant's outcome and time, and exits 1 when a
+mutant not marked equivalent survives or one marked equivalent is killed.
 """
 
 import os
@@ -32,7 +35,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 TREE = ("src", "tests", "demos", "pyproject.toml")
@@ -45,6 +48,7 @@ class Mutant(NamedTuple):
     new: str
     rule: str
     equivalent: Optional[str] = None
+    first: Optional[str] = None
 
 
 MUTANTS = [
@@ -75,7 +79,10 @@ MUTANTS = [
            "a call refused once passes while its ledger entry lives (at most one refusal)"),
     Mutant("lock_kept", "src/acdroute/admission.py",
            "        finally:\n            self._release()", "        finally:\n            pass",
-           "decide releases its lock, whatever it returns or raises"),
+           "decide releases its lock, whatever it returns or raises",
+           # the test checks the lock before it takes it again; the file's
+           # earlier tests decide twice on one controller, and would hang
+           first="tests/test_admission.py::TestDecide::test_unknown_vendor_is_config_error"),
     Mutant("floor_ignored", "src/acdroute/rejection.py",
            "load[lo] = quality.load_min + (0.5 - quality.load_min) * rank[lo]",
            "load[lo] = 0.5 * rank[lo]",
@@ -86,6 +93,20 @@ MUTANTS = [
     Mutant("exponential_leg_zero", "src/acdroute/sim.py",
            "(round(-log(1.0 - draw()) / rate) or 1)", "round(-log(1.0 - draw()) / rate)",
            "an answered leg lasts at least one second"),
+    Mutant("refusal_as_no_answer", "src/acdroute/store.py",
+           "normal if answered else other if rejected else no_answer",
+           "normal if answered else no_answer",
+           "a refused attempt's CDR has the cause other"),
+    Mutant("answer_does_not_end_call", "src/acdroute/store.py",
+           "place = 0 if answered or place == last", "place = 0 if place == last",
+           "an answered attempt is its call's last"),
+    Mutant("first_call_off_by_one", "src/acdroute/store.py",
+           "range(first, first + len(times))", "range(first + 1, first + len(times) + 1)",
+           "a block's calls are numbered on from its first call number"),
+    Mutant("writer_swallows_error", "src/acdroute/store.py",
+           "                    errors.write(pickle.dumps(exc))\n",
+           "                    pass\n",
+           "an error in the writer process is raised again in the run"),
 ]
 
 
@@ -105,15 +126,17 @@ def copy_tree(mutant: Optional[Mutant], into: Path) -> Path:
     return into
 
 
-def run_tests(tree: Path, timeout_s: Optional[float]) -> Tuple[str, float]:
-    """``pytest -x -q`` in ``tree``: ("passed", "failed" or "timeout", seconds).
-    A run past ``timeout_s`` is killed with its whole process group."""
+def run_tests(tree: Path, timeout_s: Optional[float],
+              tests: Sequence[str] = ()) -> Tuple[str, float]:
+    """``pytest -x -q`` in ``tree``, on ``tests`` or else the whole suite:
+    ("passed", "failed" or "timeout", seconds). A run past ``timeout_s`` is
+    killed with its whole process group."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(tree / "src"), env.get("PYTHONPATH")) if p)
     start = time.monotonic()
     proc = subprocess.Popen([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                             "--ignore", "tests/test_mutants.py"],
+                             "--ignore", "tests/test_mutants.py", *tests],
                             cwd=tree, env=env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL, start_new_session=True)
     try:
@@ -137,7 +160,12 @@ def main() -> int:
         faults = 0
         for mutant in MUTANTS:
             tree = copy_tree(mutant, Path(scratch) / mutant.name)
-            outcome, seconds = run_tests(tree, timeout_s)
+            outcome, seconds = "passed", 0.0
+            if mutant.first:
+                outcome, seconds = run_tests(tree, timeout_s, [mutant.first])
+            if outcome == "passed":
+                outcome, rest_s = run_tests(tree, timeout_s)
+                seconds += rest_s
             shutil.rmtree(tree)
             survived = outcome == "passed"
             fault = survived != (mutant.equivalent is not None)

@@ -24,7 +24,7 @@ from acdroute.sim import (
     VendorSpec,
     run_scenario,
 )
-from conftest import T0, add_records, make_cdr, spread_cdrs
+from conftest import T0, add_records, attempt_sink, make_cdr, spread_cdrs
 from reference import write_cdr_csv
 from test_aggregate import closed_stats
 from test_cli import interval_records, snapshot_dir
@@ -185,7 +185,7 @@ def test_criterion_7_closed_loop_simulation():
                                           failure_code=480)),
         ),
     )
-    result = run_scenario(config, on_attempts=lambda attempts: None)
+    result = run_scenario(config, on_attempts=lambda first, times, codes: None)
     assert len(result.interval_history) >= 3
     steady = result.interval_history[2:]
     for interval in steady:
@@ -210,9 +210,9 @@ def test_criterion_7_closed_loop_simulation():
         ),
         admission_enabled=False,
     )
-    by_vendor = Counter()
-    neg = run_scenario(control,
-                       on_attempts=lambda attempts: by_vendor.update(a[1] for a in attempts))
+    attempts = []
+    neg = run_scenario(control, on_attempts=attempt_sink(attempts, control))
+    by_vendor = Counter(a[1] for a in attempts)
     assert by_vendor[71] == neg.total_calls
     assert by_vendor[72] == 0
 

@@ -4,12 +4,12 @@ import gc
 import io
 import json
 import os
-import pickle
 import random
 import signal
 import subprocess
 import sys
 import time
+from array import array
 from datetime import datetime, timedelta
 from pathlib import Path
 from typing import List
@@ -27,6 +27,8 @@ from conftest import (T0, as_read, assert_rows_equal, make_cdr, read_acd_csv, re
 from reference import cdr_lines, write_cdr_csv
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+# billing's order of the blocks the tests hand ``attempt_log``
+VENDORS = (55, 62)
 
 
 def package_env(**extra):
@@ -427,7 +429,7 @@ def test_streamed_files_equal_the_batch_rendering(tmp_path, capsys, scenario):
     capsys.readouterr()
     attempts = []
     config = dataclasses.replace(ScenarioConfig.load(scenario), seed=3)
-    run_scenario(config, on_attempts=record_sink(attempts, config.start_time))
+    run_scenario(config, on_attempts=record_sink(attempts, config))
     batch = tmp_path / "cdrs.csv"
     write_cdr_csv(batch, [record for record, _ in attempts])
     assert_rows_equal((out / "cdrs.csv").read_text(encoding="utf-8").splitlines(keepends=True),
@@ -451,8 +453,8 @@ def test_streamed_rows_equal_the_sinks_records(tmp_path, capsys, monkeypatch, ad
     # midnight into a new year or off a leap day, a start with microseconds
     # (which a scenario file cannot hold, so the loaded config is given it),
     # and a prefix that needs quoting. simulate's sink renders each row from
-    # the attempt's fields; ``record_sink`` builds each record from the
-    # same fields
+    # the block it is handed; ``record_sink`` builds each record from the
+    # same block, decoded by the tests' own decoder
     config = json.loads((SCENARIOS / "honest_vs_fas.json").read_text())
     config.update(duration_min=60, dest_prefix='37,"410"')
     scenario = tmp_path / "late_evening.json"
@@ -467,7 +469,7 @@ def test_streamed_rows_equal_the_sinks_records(tmp_path, capsys, monkeypatch, ad
         capsys.readouterr()
         attempts = []
         config = dataclasses.replace(ScenarioConfig.load(scenario), admission_enabled=admission)
-        result = run_scenario(config, on_attempts=record_sink(attempts, config.start_time))
+        result = run_scenario(config, on_attempts=record_sink(attempts, config))
         records = [record for record, _ in attempts]
         assert records[0].connect_time.microsecond == start.microsecond
         assert_rows_equal(
@@ -943,11 +945,14 @@ class TestRowWriter:
 
         monkeypatch.setattr("acdroute.store.cdr_row", failing_row)
         made = 0
-        attempt = ["c1", 55, 0, 0, "other", True, 0.0]
+        # each call refused at 55 and failed at 62: two attempts a call
         with pytest.raises(OSError, match="disk quota exceeded"):
-            with attempt_log(tmp_path / "cdrs.csv", tmp_path / "decisions.csv", T0) as on_attempts:
+            with attempt_log(tmp_path / "cdrs.csv", tmp_path / "decisions.csv", T0,
+                             VENDORS) as on_attempts:
                 for made in range(SEND_BLOCK, 1000 * ROW_BLOCK + 1, SEND_BLOCK):
-                    on_attempts([tuple(attempt) for _ in range(SEND_BLOCK)])
+                    calls = SEND_BLOCK // 2
+                    on_attempts(1 + (made - SEND_BLOCK) // 2, array("d", [0.0] * calls),
+                                array("q", [-1, 0] * calls))
         assert made < 20 * ROW_BLOCK
         assert (tmp_path / "cdrs.csv").read_text(encoding="utf-8").count("\n") == 1
 
@@ -962,33 +967,42 @@ class TestRowWriter:
 
         monkeypatch.setattr("acdroute.store.cdr_row", failing_row)
         with pytest.raises(RuntimeError, match=r"^row writer: .*LocalError\('no way back'\)$"):
-            with attempt_log(tmp_path / "cdrs.csv", tmp_path / "decisions.csv", T0) as on_attempts:
-                on_attempts([("c1", 55, 0, 0, "other", True, 0.0)])
+            with attempt_log(tmp_path / "cdrs.csv", tmp_path / "decisions.csv", T0,
+                             VENDORS) as on_attempts:
+                on_attempts(1, array("d", [0.0]), array("q", [-1, 0]))
 
-    def test_a_list_that_does_not_pickle_in_the_run(self, tmp_path, monkeypatch):
-        # the third list the sink gets fails to pickle in the run's process;
-        # the writer never sees it: it writes the two lists before it, reads
-        # the end of its blocks and is reaped, and the run's error is raised
+    def test_a_block_that_does_not_send_in_the_run(self, tmp_path, monkeypatch):
+        # the third block the sink gets fails to send in the run's process:
+        # its times are a list, not a packed array; the writer never sees it:
+        # it writes the two blocks before it, reads the end of its blocks and
+        # is reaped, and the run's error is raised
         use_row_writer(monkeypatch, True)
-
-        class Unpicklable:
-            def __reduce__(self):
-                raise pickle.PicklingError("not this one")
-
-        lists = [[(f"c{n}", 55, n, 0, "other", True, float(n))] * 3 for n in range(5)]
-        lists[2] = [("c2", 55, 2, 0, Unpicklable(), True, 2.0)]
-        with pytest.raises(pickle.PicklingError, match="^not this one$"):
-            with attempt_log(tmp_path / "cdrs.csv", tmp_path / "decisions.csv", T0) as on_attempts:
-                for attempts in lists:
-                    on_attempts(attempts)
+        blocks = [(1 + 3 * n, array("d", [float(n)] * 3), array("q", [-1, 0] * 3))
+                  for n in range(5)]
+        blocks[2] = (7, [2.0] * 3, array("q", [-1, 0] * 3))
+        with pytest.raises(TypeError, match="^sequence item 1: expected a bytes-like object, "
+                                            "list found$"):
+            with attempt_log(tmp_path / "cdrs.csv", tmp_path / "decisions.csv", T0,
+                             VENDORS) as on_attempts:
+                for block in blocks:
+                    on_attempts(*block)
         rows = (tmp_path / "cdrs.csv").read_text(encoding="utf-8").splitlines()[1:]
-        assert [row.split(",")[0] for row in rows] == ["c0"] * 3 + ["c1"] * 3
+        assert [row.split(",")[0] for row in rows] == [
+            f"c{n:06d}" for n in range(1, 7) for _ in range(2)]
+
+    def test_importing_the_cli_imports_no_pickle(self):
+        # a block crosses to the writer as raw bytes: only a writer's error
+        # is pickled, and that path imports pickle itself
+        done = subprocess.run([sys.executable, "-S", "-c",
+                               "import sys, acdroute.cli; print('pickle' in sys.modules)"],
+                              capture_output=True, text=True, env=package_env(), timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs the writer process")
     def test_simulate_after_reloading_the_domain_module(self, tmp_path):
         # a reload makes new DisconnectCause members, which an attempt held
-        # by reference would no longer pickle as; an attempt is plain values,
-        # so both writers write the same files
+        # by reference would no longer pickle as; a block is packed arrays of
+        # numbers, so both writers write the same files
         script = ("import importlib, os, sys\n"
                   "import acdroute.cli, acdroute.domain\n"
                   "importlib.reload(acdroute.domain)\n"

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from array import array
 import tracemalloc
 from collections import Counter, defaultdict
 from dataclasses import replace
@@ -24,7 +25,7 @@ from acdroute.sim import (
     run_scenario,
 )
 from acdroute.store import SEND_BLOCK
-from conftest import assert_rows_equal, record_sink
+from conftest import assert_rows_equal, attempt_sink, billing_vendors, decode_block, record_sink
 
 FAS = VendorModel("false_answer", 0.97, DurationSpec("exponential", mean_s=36.0),
                   failure_code=408)
@@ -49,7 +50,7 @@ def fas_preferred_config(seed=7, rate=30.0, duration=400.0, admission=True,
     )
 
 
-def discard(attempts):
+def discard(first, times, codes):
     """A ``run_scenario`` sink that keeps nothing."""
 
 
@@ -57,7 +58,7 @@ def run_collecting(config):
     """``run_scenario(config)`` with a sink that keeps each attempt's
     ``(record, t_s)`` event; returns the result and the events."""
     attempts = []
-    result = run_scenario(config, on_attempts=record_sink(attempts, config.start_time))
+    result = run_scenario(config, on_attempts=record_sink(attempts, config))
     return result, attempts
 
 
@@ -133,8 +134,8 @@ class TestRoutingMatchesBillingRoute:
         for seed in range(1, 6):
             for admission in (True, False):
                 attempts = []
-                result = run_scenario(replace(base, seed=seed, admission_enabled=admission),
-                                      on_attempts=attempts.extend)
+                config = replace(base, seed=seed, admission_enabled=admission)
+                result = run_scenario(config, on_attempts=attempt_sink(attempts, config))
                 calls = defaultdict(list)
                 for attempt in attempts:
                     call_id, vendor, _, duration_s, cause, rejected, _ = attempt
@@ -182,12 +183,13 @@ class TestEventOrder:
             base = replace(base, duration_min=65.0, arrival_rate_per_min=0.1)
         period = timedelta(seconds=base.schedule.tick_period_s)
         ticks_after_last_cdr = 0
+        vendors = billing_vendors(base)
         for seed in (1, 2, 3):
             events.clear()
             run_scenario(replace(base, seed=seed),
-                         on_attempts=lambda attempts: events.extend(
+                         on_attempts=lambda *block: events.extend(
                              ("cdr", base.start_time + timedelta(seconds=connect_s))
-                             for _, _, connect_s, *rest in attempts))
+                             for _, _, connect_s, *rest in decode_block(vendors, *block)))
             ticks = [at for kind, at in events if kind == "tick"]
             assert ticks == [base.start_time + k * period for k in range(1, len(ticks) + 1)]
             assert len(ticks) == int(base.duration_min * 60.0 // base.schedule.tick_period_s)
@@ -298,26 +300,34 @@ class TestLegSampler:
 
 
 class TestAttemptBlocks:
-    """What a sink gets: new lists of at most ``SEND_BLOCK + len(vendors) -
-    1`` attempts (a list is checked after each call), each attempt one tuple
-    of plain values, which joined are the per-attempt stream: the reference
-    loop's CDR and decision rows, each call's time the stdlib's arrival."""
+    """What a sink gets: blocks ``(first, times, codes)`` of new packed
+    arrays, never empty, of at most ``SEND_BLOCK + len(vendors) - 1``
+    attempts (a block is checked after each call), whose first call numbers
+    run on without a gap; decoded and joined, they are the per-attempt
+    stream: the reference loop's CDR and decision rows, each call's time the
+    stdlib's arrival."""
 
     @pytest.mark.parametrize("name", ["honest_vs_fas", "preferred_honest", "pure_fas_control"])
     @pytest.mark.parametrize("admission", [True, False], ids=["admission", "no-admission"])
     def test_the_lists_joined_are_the_attempt_stream(self, name, admission):
         config = replace(ScenarioConfig.load(SCENARIOS / f"{name}.json"),
                          admission_enabled=admission)
-        lists = []
-        result = run_scenario(config, on_attempts=lists.append)
-        sizes = [len(attempts) for attempts in lists]
+        blocks = []
+        result = run_scenario(config, on_attempts=lambda *block: blocks.append(block))
+        sizes = [len(codes) for _, _, codes in blocks]
         assert 0 < min(sizes) and max(sizes) <= SEND_BLOCK + len(config.vendors) - 1, sizes
         assert max(sizes) >= SEND_BLOCK
-        joined = [attempt for attempts in lists for attempt in attempts]
-        assert len({id(attempts) for attempts in lists}) == len(lists)
-        for call_id, vendor, connect_s, duration_s, cause, rejected, t_s in joined:
-            assert (type(call_id), type(vendor), type(connect_s), type(duration_s), type(cause),
-                    type(rejected), type(t_s)) == (str, int, int, int, str, bool, float)
+        packed = [values for _, times, codes in blocks for values in (times, codes)]
+        assert len({id(values) for values in packed}) == len(packed)
+        next_call = 1
+        for first, times, codes in blocks:
+            assert (type(first), type(times), times.typecode, type(codes), codes.typecode) == (
+                int, array, "d", array, "q")
+            assert first == next_call and len(times) > 0
+            next_call += len(times)
+        assert next_call - 1 == result.total_calls
+        joined = [attempt for block in blocks
+                  for attempt in decode_block(billing_vendors(config), *block)]
         want = reference.simulate(config)
         start = config.start_time
         assert_rows_equal(reference.csv_lines(
@@ -339,6 +349,23 @@ class TestAttemptBlocks:
         assert len(arrivals) == result.total_calls
         assert [t_s for call_id, *_, t_s in joined] == [
             arrivals[int(call_id[1:]) - 1] for call_id, *_ in joined]
+
+    def test_a_block_decodes_call_by_call(self):
+        # call 41 is abandoned (its leg fails at 55, and 62 refuses it); call
+        # 42 is refused at 55 and answered at 62 after 17 s; call 43 is
+        # answered at 55 after 5 s, and call 44 fails at 55 and at 62
+        block = 41, array("d", [0.5, 61.25, 61.75, 3600.0]), array("q", [0, -1, -1, 17, 5, 0, 0])
+        assert decode_block([55, 62], *block) == [
+            ("c000041", 55, 0, 0, "no_answer", False, 0.5),
+            ("c000041", 62, 0, 0, "other", True, 0.5),
+            ("c000042", 55, 61, 0, "other", True, 61.25),
+            ("c000042", 62, 61, 17, "normal", False, 61.25),
+            ("c000043", 55, 61, 5, "normal", False, 61.75),
+            ("c000044", 55, 3600, 0, "no_answer", False, 3600.0),
+            ("c000044", 62, 3600, 0, "no_answer", False, 3600.0),
+        ]
+        with pytest.raises(AssertionError, match="belong to no call"):
+            decode_block([55, 62], 1, array("d", [0.5]), array("q", [3, 0]))
 
 
 class TestModelValidation:

@@ -2,6 +2,7 @@ import csv
 import io
 import random
 import time
+from array import array
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -21,7 +22,7 @@ from acdroute.store import (
     csv_field,
     read_cdr_csv,
 )
-from conftest import (SECOND, T0, as_read, assert_rows_equal, make_cdr, read_acd_csv, sink_fields,
+from conftest import (SECOND, T0, as_read, assert_rows_equal, make_cdr, read_acd_csv, sink_block,
                       spread_cdrs, use_row_writer)
 from reference import Record, cdr_lines, csv_lines, vendor_stats, write_cdr_csv
 
@@ -473,7 +474,10 @@ class TestAwkwardTextFields:
     @pytest.mark.parametrize("text", [*AWKWARD, "37,410", ""])
     def test_written_as_csv_writer_writes_the_fields(self, tmp_path, text):
         records = _awkward_cdrs(text)
-        cdr_text, _ = _log_attempts(tmp_path, [(record, 0.0) for record in records])
+        cdr_text = "".join([",".join(CDR_CSV_HEADER) + "\n", *(
+            cdr_row(csv_field(r.call_id), r.vendor, format_ts(r.connect_time),
+                    format_ts(r.disconnect_time), r.duration_s, r.cause.value,
+                    r.rejected_by_router) for r in records)])
         assert cdr_text == _writer_text([CDR_CSV_HEADER, *map(_cdr_field_list, records)])
         assert acd_csv_text(AWKWARD_HISTORY, text) == _writer_text(
             [ACD_CSV_HEADER, *_acd_field_lists(AWKWARD_HISTORY, text)])
@@ -491,32 +495,48 @@ class TestAwkwardTextFields:
         assert read_acd_csv(path) == _acd_field_lists(AWKWARD_HISTORY, prefix)
 
 
+# billing's order in the runs these tests stand for
+VENDORS = (55, 62)
+
+
+def _attempt(call_id, vendor, connect, duration, rejected=False):
+    """The CDR of an attempt that connected at ``connect``: refused,
+    answered for ``duration`` seconds, or failed at the vendor."""
+    cause = (DisconnectCause.OTHER if rejected else DisconnectCause.NORMAL_CLEARING
+             if duration else DisconnectCause.NO_USER_RESPONDING)
+    return Record(call_id, vendor, connect, connect + timedelta(0, duration), duration, cause,
+                  rejected)
+
+
 def _attempts(n):
     """``n`` attempts as ``run_scenario`` hands them to its sink, in a run
-    that started at ``T0``: two per call, which share the call id and time
-    objects and the connect second; some refused, some answered."""
+    that started at ``T0`` and routes over ``VENDORS``: whole calls, each
+    answered at once, or refused or failed at 55 and then answered or failed
+    at 62; the last call is answered at once if one attempt is left."""
     attempts = []
-    for i in range(n):
-        if i % 2 == 0:
-            call_id, t_s = f"c{i // 2:06d}", i / 3
-            connect = T0 + timedelta(0, int(t_s))
-        rejected = i % 5 == 0
-        duration = 0 if rejected or i % 3 == 0 else i % 7 + 1
-        disconnect = connect + timedelta(0, duration) if duration else connect
-        cause = (DisconnectCause.OTHER if rejected else DisconnectCause.NORMAL_CLEARING
-                 if duration else DisconnectCause.NO_USER_RESPONDING)
-        attempts.append((Record(call_id, 55 + i % 2, connect, disconnect, duration, cause,
-                                rejected), t_s))
+    number = 0
+    while len(attempts) < n:
+        number += 1
+        call_id, t_s = f"c{number:06d}", number / 1.7
+        connect = T0 + timedelta(0, int(t_s))
+        shape = 0 if len(attempts) == n - 1 else number % 5
+        duration = number % 7 + 1
+        if shape == 0:
+            legs = [(55, duration, False)]
+        else:
+            legs = [(55, 0, shape % 2 == 1), (62, duration if shape < 3 else 0, False)]
+        attempts += [(_attempt(call_id, vendor, connect, seconds, rejected), t_s)
+                     for vendor, seconds, rejected in legs]
     return attempts
 
 
 def _log_attempts(tmp_path, attempts, start=T0):
     """The text of ``cdrs.csv`` and the rows of ``decisions.csv``, as ``csv``
     splits them, after ``attempt_log`` was given ``attempts`` of a run that
-    started at ``start``."""
+    started at ``start`` as one block."""
     cdrs, decisions = tmp_path / "cdrs.csv", tmp_path / "decisions.csv"
-    with attempt_log(cdrs, decisions, start) as on_attempts:
-        on_attempts([(*sink_fields(record, start), t_s) for record, t_s in attempts])
+    with attempt_log(cdrs, decisions, start, VENDORS) as on_attempts:
+        on_attempts(*sink_block(attempts, start, VENDORS))
     with open(decisions, newline="", encoding="utf-8") as handle:
         decision_rows = list(csv.reader(handle))
     assert decision_rows[0] == DECISION_CSV_HEADER
@@ -550,12 +570,33 @@ class TestAttemptLog:
         for decision, cdr in zip(decisions, cdrs):
             assert decision[2:5] == [cdr[0], cdr[1], "0" if cdr[6] == "1" else "1"]
 
+    def test_a_block_decodes_call_by_call(self, tmp_path, row_writer):
+        # call 41 fails at 55 and is refused at 62, so it is abandoned; call
+        # 42 is refused at 55 and answered at 62 after 17 s; call 43 is
+        # answered at 55 after 5 s; a second block numbers on from 44
+        cdrs, decisions = tmp_path / "cdrs.csv", tmp_path / "decisions.csv"
+        with attempt_log(cdrs, decisions, T0, VENDORS) as on_attempts:
+            on_attempts(41, array("d", [0.5, 61.25, 61.75]), array("q", [0, -1, -1, 17, 5]))
+            on_attempts(44, array("d", [3600.0]), array("q", [0, 0]))
+        day = "2020-01-01"
+        assert cdrs.read_text(encoding="utf-8").splitlines()[1:] == [
+            f"c000041,55,{day} 00:00:00,{day} 00:00:00,0,no_answer,0",
+            f"c000041,62,{day} 00:00:00,{day} 00:00:00,0,other,1",
+            f"c000042,55,{day} 00:01:01,{day} 00:01:01,0,other,1",
+            f"c000042,62,{day} 00:01:01,{day} 00:01:18,17,normal,0",
+            f"c000043,55,{day} 00:01:01,{day} 00:01:06,5,normal,0",
+            f"c000044,55,{day} 01:00:00,{day} 01:00:00,0,no_answer,0",
+            f"c000044,62,{day} 01:00:00,{day} 01:00:00,0,no_answer,0"]
+        assert decisions.read_text(encoding="utf-8").splitlines()[1:] == [
+            "0,0.500,c000041,55,1,", "1,0.500,c000041,62,0,503", "2,61.250,c000042,55,0,503",
+            "3,61.250,c000042,62,1,", "4,61.750,c000043,55,1,", "5,3600.000,c000044,55,1,",
+            "6,3600.000,c000044,62,1,"]
+
     def test_each_text_follows_its_own_source(self, tmp_path):
-        # a call's attempts share one call id object and one call time, with
-        # other connect seconds; calls whose ids are equal but distinct
-        # objects, and whose times compare equal but are written otherwise
-        # (0.0 and -0.0); across runs one instant under two offsets as the
-        # start; equal but distinct connect seconds. The sink is handed no
+        # calls whose times compare equal but are written otherwise (0.0 and
+        # -0.0), and calls whose times differ in their text but connect in
+        # one second; across runs one instant under two offsets as the
+        # start; the block's first call number above 1. The sink is handed no
         # disconnect time: it renders an answered leg's from its connect
         # second and duration, and an aware start's times as their wall times.
         instant = datetime(2020, 1, 1, 12, 0, 0, tzinfo=timezone.utc)
@@ -566,20 +607,14 @@ class TestAttemptLog:
 
     @staticmethod
     def _check_texts(tmp_path, start, hour):
-        first, second, third, fourth = "a,b", "".join(["a,", "b"]), "".join(["a", ",b"]), "a,b"
-        assert first == second == third and first is not second and second is not third
-        zero, minus_zero, t1, t2 = 0.0, -0.0, 1.0005, 1.0004
-        day, same_day = 86400, int("86400")
-        assert day == same_day and day is not same_day
-        legs = [(first, 0, 0, zero), (first, 0, 5, zero),
-                (second, 1, 0, minus_zero), (second, int("1"), 2, minus_zero),
-                (third, day, 3, t1), (third, same_day, 0, t1),
-                (fourth, same_day, 0, t2)]
-        attempts = [(Record(cid, 55 + i % 2, start + timedelta(0, connect_s),
-                            start + timedelta(0, connect_s + duration), duration,
-                            DisconnectCause.NORMAL_CLEARING if duration
-                            else DisconnectCause.OTHER, not duration), t_s)
-                    for i, (cid, connect_s, duration, t_s) in enumerate(legs)]
+        # (call number, time, [(vendor, duration, rejected), ...])
+        calls = [(7, 0.0, [(55, 0, True), (62, 5, False)]),
+                 (8, -0.0, [(55, 0, False), (62, 2, False)]),
+                 (9, 86400.0006, [(55, 3, False)]),
+                 (10, 86400.0004, [(55, 0, True), (62, 0, False)])]
+        attempts = [(_attempt(f"c{number:06d}", vendor, start + timedelta(0, int(t_s)), duration,
+                              rejected), t_s)
+                    for number, t_s, legs in calls for vendor, duration, rejected in legs]
         records = [record for record, _ in attempts]
         cdr_text, decisions = _log_attempts(tmp_path, attempts, start)
 
@@ -591,14 +626,15 @@ class TestAttemptLog:
              str(r.duration_s), r.cause.value, "1" if r.rejected_by_router else "0"]
             for r in records)])
         assert [row[2:4] for row in csv.reader(io.StringIO(cdr_text))][1:] == [
-            [f"2020-01-{dd} {hour:02d}:00:{ss}", f"2020-01-{dd} {hour:02d}:00:{end}"]
-            for dd, ss, end in (("01", "00", "00"), ("01", "00", "05"), ("01", "01", "01"),
-                                ("01", "01", "03"), ("02", "00", "03"), ("02", "00", "00"),
-                                ("02", "00", "00"))]
+            [f"2020-01-{dd} {hour:02d}:00:00", f"2020-01-{dd} {hour:02d}:00:{end}"]
+            for dd, end in (("01", "00"), ("01", "05"), ("01", "00"), ("01", "02"),
+                            ("02", "03"), ("02", "00"), ("02", "00"))]
         assert decisions == [_decision_fields(seq, record, t_s)
                              for seq, (record, t_s) in enumerate(attempts)]
-        assert [row[1] for row in decisions] == ["0.000", "0.000", "-0.000", "-0.000",
-                                                 "1.000", "1.000", "1.000"]
+        assert [row[1:3] for row in decisions] == [
+            ["0.000", "c000007"], ["0.000", "c000007"], ["-0.000", "c000008"],
+            ["-0.000", "c000008"], ["86400.001", "c000009"], ["86400.000", "c000010"],
+            ["86400.000", "c000010"]]
 
     def test_rows_made_before_an_error_are_written(self, tmp_path, monkeypatch):
         # the first block is written as it fills, the rest as the error ends
@@ -609,8 +645,8 @@ class TestAttemptLog:
         rows = cdr_lines(record for record, _ in attempts)
         cdrs, decisions = tmp_path / "cdrs.csv", tmp_path / "decisions.csv"
         with pytest.raises(OSError, match="disk quota exceeded"):
-            with attempt_log(cdrs, decisions, T0) as on_attempts:
-                on_attempts([(*sink_fields(record, T0), t_s) for record, t_s in attempts])
+            with attempt_log(cdrs, decisions, T0, VENDORS) as on_attempts:
+                on_attempts(*sink_block(attempts, T0, VENDORS))
                 assert_rows_equal(
                     cdrs.read_text(encoding="utf-8").splitlines(keepends=True)[1:],
                     rows[:ROW_BLOCK])
@@ -629,8 +665,8 @@ class TestAttemptLog:
         rows = cdr_lines(record for record, _ in attempts)
         cdrs, decisions = tmp_path / "cdrs.csv", tmp_path / "decisions.csv"
         with pytest.raises(OSError, match="disk quota exceeded"):
-            with attempt_log(cdrs, decisions, T0) as on_attempts:
-                on_attempts([(*sink_fields(record, T0), t_s) for record, t_s in attempts])
+            with attempt_log(cdrs, decisions, T0, VENDORS) as on_attempts:
+                on_attempts(*sink_block(attempts, T0, VENDORS))
                 deadline = time.monotonic() + 10
                 while cdrs.read_bytes().count(b"\n") < 1 + ROW_BLOCK:  # whole lines
                     assert time.monotonic() < deadline, "the first block was not written"
