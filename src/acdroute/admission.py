@@ -7,11 +7,11 @@ answers yes (pass) or no (refuse), and a refusal always carries
 ``REJECTION_CODE``. A call is only ever refused once: its retry must go
 through, otherwise the caller would lose the call entirely.
 
-The at-most-once ledger maps each refused call id to its expiry; an id is
-live iff its expiry is greater than ``now``. Entries share one TTL, and expired
-ones are popped from the oldest end before an entry is added; a backward step
-of ``now`` only delays that purge (a popped entry stays forgotten). The map is
-a plain dict, and a FIFO of ``(expiry, id)`` pairs keeps the insertion order.
+The at-most-once ledger maps each refused call id (any hashable) to its expiry;
+an id is live iff its expiry is greater than ``now``. Entries share one TTL, and
+expired ones are popped from the oldest end before an entry is added; a backward
+step of ``now`` only delays that purge (a popped entry stays forgotten). The map
+is a plain dict, and a FIFO of ``(expiry, id)`` pairs keeps the insertion order.
 An id refused again gets a new pair at the newest end; its old pair, whose
 expiry is no longer the id's, is stale, and the purge drops it on the way.
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 import threading
 from collections import deque
-from typing import Deque, Dict, Tuple
+from typing import Deque, Dict, Hashable, Tuple
 
 from .domain import RouteGroup
 from .rejection import RejectionResult
@@ -51,20 +51,20 @@ class AdmissionController:
         self._acquire, self._release = self._lock.acquire, self._lock.release
         self._rng = random.Random(seed)
         self._targets: Dict[int, float] = {v: 0.0 for v in self.vendors}
-        self._seen: Dict[str, float] = {}  # call id -> expiry
+        self._seen: Dict[Hashable, float] = {}  # call id -> expiry
         # the FIFO's (expiry, id) pairs, oldest first, as two deques in step
         self._expiries: Deque[float] = deque()
-        self._ids: Deque[str] = deque()
+        self._ids: Deque[Hashable] = deque()
         self._received: Dict[int, int] = {v: 0 for v in self.vendors}
         self._rejected: Dict[int, int] = {v: 0 for v in self.vendors}
 
-    def decide(self, call_id: str, vendor: int, now: float) -> bool:
-        """Pass (True) or refuse (False) one call attempt on a clone
-        interface, and count it: authorized and rejected calls are counted
-        separately (received does not include rejected).
+    def decide(self, call_id: Hashable, vendor: int, now: float) -> bool:
+        """Pass (True) or refuse (False) one attempt of the call ``call_id``
+        on a clone interface, and count it as received or rejected, not both.
 
-        ``now`` is seconds on whatever clock drives the system (simulated or
-        wall); it only matters for the rejection ledger's TTL.
+        ``call_id`` is any hashable: ``sim.run_scenario`` passes its call number, a
+        deployment the SIP Call-ID text. ``now`` is seconds on whatever clock drives the
+        system (simulated or wall); it only matters for the rejection ledger's TTL.
         """
         self._acquire()
         try:

@@ -20,18 +20,18 @@ vendor answers (200, at least one second, cause ``normal``). A refusal and a
 failure both trigger failover (``VendorModel`` refuses a failure code that
 would not), so billing tries the next vendor until one answers.
 
-Each attempt is one integer, its code: the leg's duration in seconds when
-the vendor answered, 0 when the leg failed, -1 when the clone refused it.
-The run builds no object per attempt only to move it: it appends the code to
-a packed array and the leg's end to a list, and hands the codes, with the
-block's slice of the arrival times, to the caller's sink and the list to the
-aggregator's ``add_ended``, once a block holds ``store.SEND_BLOCK``
-attempts, before every tick and at the end. A leg is
-drawn by its vendor's sampler (``_leg_sampler``), built once per run, which
-computes the stdlib's exponential and uniform draws on the run's generator.
-No ``datetime`` is built per attempt or per tick, and the run keeps no CDR:
-the CLI's sink, ``store.attempt_log``, writes a CDR row and a decision row
-for each.
+A call is its number in the run, from 1, which keys admission's ledger; only the
+sink makes its id text (``store.call_id``). Each attempt is one integer, its
+code: the leg's duration in seconds when the vendor answered, 0 when the leg
+failed, -1 when the clone refused it. The run builds no object per attempt only
+to move it: it appends the code to a packed array and the leg's end to a list,
+and hands the codes, with the block's slice of the arrival times, to the
+caller's sink and the list to the aggregator's ``add_ended``, once a block holds
+``store.SEND_BLOCK`` attempts, before every tick and at the end. A leg is drawn
+by its vendor's sampler (``_leg_sampler``), built once per run, which computes
+the stdlib's exponential and uniform draws on the run's generator. No
+``datetime`` is built per attempt or per tick, and the run keeps no CDR: the
+CLI's sink, ``store.attempt_log``, writes a CDR row and a decision row for each.
 The run's memory still grows with its length: it draws every arrival time
 first, 8 bytes a call. Of each close the result keeps the ``ClosedInterval``
 in its interval history; the acd_vendors rows and the interval tables are
@@ -53,7 +53,7 @@ from .admission import AdmissionController
 from .aggregate import ClosedInterval, IntervalAggregator, Schedule
 from .codec import decode, load_json
 from .domain import DEFAULT_LOAD_MIN, RouteGroup, triggers_failover
-from .store import SEND_BLOCK, call_id, csv_field
+from .store import SEND_BLOCK, csv_field
 
 if TYPE_CHECKING:
     from .store import Sink
@@ -207,6 +207,9 @@ class ScenarioConfig:
         self.group  # validates the route pair
         if self.arrival_rate_per_min <= 0:
             raise ValueError("arrival rate must be positive")
+        # the run draws its gaps at the rate a second, where a subnormal rate is 0
+        if self.arrival_rate_per_min / 60.0 == 0:
+            raise ValueError(f"arrival rate {self.arrival_rate_per_min!r} a minute is 0 a second")
         if self.duration_min <= 0:
             raise ValueError("scenario duration must be positive")
         # every tick and connect time falls in [start, start + duration]
@@ -359,9 +362,9 @@ def run_scenario(
         # billing walks its order until a vendor answers; legs connect at the
         # call's second. A refusal by the clone and a failure at the vendor
         # both fail over, and their zero-length leg ends at its connect time
-        call, second = call_id(idx), int(t_s)
+        second = int(t_s)
         for vendor, leg in routes:
-            if decide(call, vendor, t_s):
+            if decide(idx, vendor, t_s):
                 leg_duration = leg()
                 codes.append(leg_duration)
                 ended.append((vendor, second + leg_duration, leg_duration, False))

@@ -76,8 +76,8 @@ def csv_field(text: str) -> str:
     return buffer.getvalue()[:-3]
 
 
-# the id of a run's call number n, from 1: letters and digits only; a built-in
-# method, which ``map`` runs without a Python frame
+# the id text of a run's call number n, from 1, which only the row renderer
+# makes: letters and digits; a built-in method, which ``map`` runs frameless
 call_id = "c%06d".__mod__
 
 

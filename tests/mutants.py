@@ -77,6 +77,10 @@ MUTANTS = [
     Mutant("ledger_ignored", "src/acdroute/admission.py",
            "seen.get(call_id, now) <= now", "True",
            "a call refused once passes while its ledger entry lives (at most one refusal)"),
+    Mutant("ledger_keyed_by_second", "src/acdroute/sim.py",
+           "decide(idx,", "decide(second,",
+           "the run keys the at-most-once ledger by its call number",
+           first="tests/test_sim.py::TestTraceInvariants::test_decide_is_keyed_by_the_call_number"),
     Mutant("lock_kept", "src/acdroute/admission.py",
            "        finally:\n            self._release()", "        finally:\n            pass",
            "decide releases its lock, whatever it returns or raises",

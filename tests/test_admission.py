@@ -89,6 +89,24 @@ class TestDecide:
             c.refresh_targets(forced)
         assert double == 0
 
+    def test_an_int_call_number_is_refused_at_most_once(self):
+        # the simulator keys the ledger by its call number: an int refused
+        # once passes while its entry lives, and each int is a call of its own
+        c, ref = controller(seed=4), OrderedDictLedger(seed=4)
+        half = compute_rejection(QualityInput((5.0, 5.0), (8, 9), 0.1))
+        c.refresh_targets(half)  # 50% on vendor 62
+        refused = []
+        for n in range(1, 401):
+            accepted = c.decide(n, 62, now=float(n))
+            assert accepted == ref.decide(n, 50.0, float(n))
+            if not accepted:
+                refused.append(n)
+        assert 100 < len(refused) < 300
+        for n in refused:
+            assert all(c.decide(n, 62, now=n + SEEN_TTL_S - 1.0) for _ in range(20))
+        # the text id of a refused number is another call, which may be refused
+        assert not all(c.decide(f"c{n:06d}", 62, now=500.0) for n in refused)
+
     def test_retry_after_reject_passes_on_either_clone(self):
         c = controller(seed=1)
         forced = compute_rejection(QualityInput((5.0, 5.0), (9, 8), 0.1))

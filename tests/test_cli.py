@@ -609,6 +609,7 @@ class TestMalformedInput:
         ("tick_period_min", 1e300),       # longer than a timedelta holds
         ("min_interval_min", 1e300),
         ("arrival_rate_per_min", 1e12),   # more calls than a run holds
+        ("arrival_rate_per_min", 5e-324),  # positive, but 0 calls a second
     ])
     def test_bad_scenario_field(self, tmp_path, capsys, monkeypatch, field, value):
         # a scenario that got through would run; the huge one until memory ran out

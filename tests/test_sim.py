@@ -525,6 +525,26 @@ class TestTraceInvariants:
                 assert interval.received[vendor] == received
                 assert interval.rejected[vendor] == rejected
 
+    def test_decide_is_keyed_by_the_call_number(self, monkeypatch):
+        # every attempt of call n hands the ledger the int n, at the call's time
+        seen = []
+        decide = AdmissionController.decide
+
+        def spy(self, call_id, vendor, now):
+            seen.append((call_id, vendor, now))
+            return decide(self, call_id, vendor, now)
+
+        monkeypatch.setattr(AdmissionController, "decide", spy)
+        config = fas_preferred_config(duration=120.0)
+        attempts = []
+        result = run_scenario(config, on_attempts=attempt_sink(attempts, config))
+        assert all(type(call_id) is int for call_id, _, _ in seen)
+        assert seen == [(int(call_id[1:]), vendor, t_s)
+                        for call_id, vendor, _, _, _, _, t_s in attempts]
+        assert sorted({call_id for call_id, _, _ in seen}) == list(
+            range(1, result.total_calls + 1))
+        assert any(rejected for *_, rejected, _ in attempts)
+
     def test_replaying_decision_log_reproduces_outcomes(self):
         result, attempts = run_collecting(fas_preferred_config(duration=120.0))
         fresh = AdmissionController(result.config.group, seed=result.config.seed + 1)
