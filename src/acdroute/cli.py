@@ -9,11 +9,11 @@ no error line, after every file is written), 2 usage or validation error.
 ``simulate`` runs the scenario into ``store.attempt_log``'s sink, which
 decodes the run's blocks of one integer an attempt by the scenario's
 ``billing_order`` and writes each attempt as one row of ``cdrs.csv`` and one
-of ``decisions.csv``, a block of rows at a time (the run still holds every
-arrival, 8 bytes each). Every other file a command writes is rendered to
-text first (by ``simulate`` while its writer process may still be writing
-rows) and written by ``_write_files``. ``HISTORY_FILES`` names each file
-rendered from an interval history (the acd_vendors file,
+of ``decisions.csv``, a block rendered and written as one text per file (the
+run still holds every arrival, 8 bytes each). Every other file a command
+writes is rendered to text first (by ``simulate`` while its writer process
+may still be writing rows) and written by ``_write_files``. ``HISTORY_FILES``
+names each file rendered from an interval history (the acd_vendors file,
 ``interval_history.json`` and the interval tables) with its renderer;
 ``simulate`` and ``aggregate`` write them all, ``report`` the tables it is
 asked for, and ``simulate`` removes them and ``SUMMARY_FILE`` before its run.

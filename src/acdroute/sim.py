@@ -31,7 +31,8 @@ caller's sink and the list to the aggregator's ``add_ended``, once a block holds
 by its vendor's sampler (``_leg_sampler``), built once per run, which computes
 the stdlib's exponential and uniform draws on the run's generator. No
 ``datetime`` is built per attempt or per tick, and the run keeps no CDR: the
-CLI's sink, ``store.attempt_log``, writes a CDR row and a decision row for each.
+CLI's sink, ``store.attempt_log``, writes a CDR row and a decision row for each,
+a block rendered and written as one text per file.
 The run's memory still grows with its length: it draws every arrival time
 first, 8 bytes a call. Of each close the result keeps the ``ClosedInterval``
 in its interval history; the acd_vendors rows and the interval tables are
@@ -205,12 +206,12 @@ class ScenarioConfig:
         if len(self.vendors) != 2:
             raise ValueError("a scenario routes between exactly two vendors")
         self.group  # validates the route pair
-        if self.arrival_rate_per_min <= 0:
+        if not self.arrival_rate_per_min > 0:
             raise ValueError("arrival rate must be positive")
         # the run draws its gaps at the rate a second, where a subnormal rate is 0
         if self.arrival_rate_per_min / 60.0 == 0:
             raise ValueError(f"arrival rate {self.arrival_rate_per_min!r} a minute is 0 a second")
-        if self.duration_min <= 0:
+        if not self.duration_min > 0:
             raise ValueError("scenario duration must be positive")
         # every tick and connect time falls in [start, start + duration]
         try:

@@ -15,8 +15,8 @@ leg's disconnect from its connect second and duration.
 ``attempt_log`` is ``simulate``'s sink and the one CDR writer. ``run_scenario``
 hands it packed blocks of one integer an attempt, each once it holds
 ``SEND_BLOCK`` attempts (up to one more with two vendors), before every tick
-and at the end. It writes each attempt's CDR row and decision row, decoding
-and rendering a block in one loop and writing ``ROW_BLOCK`` rows at a time.
+and at the end. It writes each attempt's CDR row and decision row: a block is
+rendered in one loop and written as one text per file.
 Where ``os.fork`` exists and the process may run on two or more CPUs, a
 forked writer process off the run's CPU renders the rows: the sink sends a
 block's arrays as raw bytes, and only a writer's exception, raised again on
@@ -91,13 +91,9 @@ def cdr_row(call_text: str, vendor: object, connect_text: str, disconnect_text: 
             f"{cause},{'1' if rejected else '0'}\n")
 
 
-# rows a streamed file holds back before writing them as one text: enough to
-# spread a write's cost over many rows, few enough that the pending rows
-# (~90 bytes an attempt over both files, ~0.2 MB in all) do not show in a
-# run's memory
-ROW_BLOCK = 1024
 # attempts ``run_scenario`` hands its sink at once, sent to the writer process
-# as one message of ~3 KB (8 bytes a call and an attempt)
+# as one message of ~3 KB (8 bytes a call and an attempt) and written to each
+# file as one text
 SEND_BLOCK = 256
 
 if TYPE_CHECKING:  # built at run time, it would cost every import
@@ -105,61 +101,51 @@ if TYPE_CHECKING:  # built at run time, it would cost every import
     Sink = Callable[[int, array, array], object]
 
 
-@contextmanager
 def _row_renderer(cdr_file: TextIO, decision_file: TextIO, start: datetime,
-                  vendors: List[int]) -> Iterator[Sink]:
-    """Write both headers, and yield the sink that renders a block's rows in
-    one loop; on exit, write the rows still pending."""
+                  vendors: List[int]) -> Sink:
+    """Write both headers, and return the sink that renders a block's rows in
+    one loop and writes them as one text per file, also if a row fails."""
     cdr_file.write(",".join(CDR_CSV_HEADER) + "\n")
     decision_file.write(",".join(DECISION_CSV_HEADER) + "\n")
-    cdr_rows: List[str] = []
-    decision_rows: List[str] = []
     refused = f"0,{REJECTION_CODE}"
     normal, no_answer, other = (cause.value for cause in (
         DisconnectCause.NORMAL_CLEARING, DisconnectCause.NO_USER_RESPONDING, DisconnectCause.OTHER))
     ts_text = second_texts(start)
     vendor_texts, last = [str(vendor) for vendor in vendors], len(vendors) - 1
     seq = 0
-    connect_key = connect_text = None
-
-    def write_pending() -> None:
-        # each list is emptied before its text is written, so a failed
-        # write is never repeated
-        for handle, rows in ((cdr_file, cdr_rows), (decision_file, decision_rows)):
-            text = "".join(rows)
-            rows.clear()
-            handle.write(text)
 
     def on_attempts(first: int, times: array, codes: array) -> None:
-        nonlocal seq, connect_key, connect_text
+        nonlocal seq
+        cdr_rows: List[str] = []
+        decision_rows: List[str] = []
         # each call's id text, time text and connect second, made in C loops
         calls = zip(map(call_id, range(first, first + len(times))),
                     map("{:.3f}".format, times), map(int, times))
+        connect_key = None
         place = 0  # the attempt's place in billing's order; 0 starts a call
-        for code in codes:
-            if not place:
-                call_text, t_text, second = next(calls)
-                if second != connect_key:
-                    connect_key = second
-                    connect_text = ts_text(second)
-            vendor = vendor_texts[place]
-            answered, rejected = code > 0, code < 0
-            cdr_rows.append(cdr_row(
-                call_text, vendor, connect_text,
-                ts_text(second + code) if answered else connect_text, code if answered else 0,
-                normal if answered else other if rejected else no_answer, rejected))
-            decision_rows.append(f"{seq},{t_text},{call_text},{vendor},"
-                                 f"{refused if rejected else '1,'}\n")
-            seq += 1
-            if len(cdr_rows) == ROW_BLOCK:
-                write_pending()
-            # an answer ends the call, as does billing's last vendor
-            place = 0 if answered or place == last else place + 1
+        try:
+            for code in codes:
+                if not place:
+                    call_text, t_text, second = next(calls)
+                    if second != connect_key:
+                        connect_key = second
+                        connect_text = ts_text(second)
+                vendor = vendor_texts[place]
+                answered, rejected = code > 0, code < 0
+                cdr_rows.append(cdr_row(
+                    call_text, vendor, connect_text,
+                    ts_text(second + code) if answered else connect_text, code if answered else 0,
+                    normal if answered else other if rejected else no_answer, rejected))
+                decision_rows.append(f"{seq},{t_text},{call_text},{vendor},"
+                                     f"{refused if rejected else '1,'}\n")
+                seq += 1
+                # an answer ends the call, as does billing's last vendor
+                place = 0 if answered or place == last else place + 1
+        finally:
+            cdr_file.write("".join(cdr_rows))
+            decision_file.write("".join(decision_rows))
 
-    try:
-        yield on_attempts
-    finally:
-        write_pending()
+    return on_attempts
 
 
 def _write_rows(blocks_fd: int, error_fd: int, cdr_file: TextIO, decision_file: TextIO,
@@ -171,9 +157,8 @@ def _write_rows(blocks_fd: int, error_fd: int, cdr_file: TextIO, decision_file: 
                 signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C ends the run, so the blocks
                 with suppress(OSError):  # a refused move leaves the writer where it is
                     os.sched_setaffinity(0, cpus)
-                with cdr_file, decision_file, open(blocks_fd, "rb") as blocks, \
-                        _row_renderer(cdr_file, decision_file, start, vendors) as on_attempts, \
-                        suppress(EOFError):
+                with cdr_file, decision_file, open(blocks_fd, "rb") as blocks, suppress(EOFError):
+                    on_attempts = _row_renderer(cdr_file, decision_file, start, vendors)
                     # until the parent closes its end, or ends while it sends a block
                     while True:
                         head, times, codes = array("q"), array("d"), array("q")
@@ -207,23 +192,24 @@ def attempt_log(cdr_path: Path, decision_path: Path, start: datetime,
     answered, which ends the call; 0 when the leg failed; -1 when the clone
     refused it.
 
-    The rows are written ``ROW_BLOCK`` at a time, each block as one text. On
-    exit, normal or by an exception, every row made so far is written and
-    both files are closed, so each file holds whole rows only. With two or
-    more CPUs, a forked writer process renders them, each block sent to it
-    as one message (see the module); on every exit the writer is reaped.
+    A block is rendered and written as one text per file, the rows made
+    before an exception in it included. On exit, normal or by an exception,
+    every row made so far is written and both files are closed, so each file
+    holds whole rows only. With two or more CPUs, a forked writer process
+    renders them, each block sent to it as one message (see the module); on
+    every exit the writer is reaped.
 
-    The connect text is built once a second: every time is rendered from the
-    one ``start``, so equal seconds have one text. A zero-length leg's
-    disconnect text is its connect text; an answered leg's is that of its
-    connect second plus its duration, an ``OverflowError`` past the year 9999.
+    A block builds each second's connect text once: every time is rendered
+    from the one ``start``, so equal seconds have one text. A zero-length
+    leg's disconnect text is its connect text; an answered leg's is that of
+    its connect second plus its duration, an ``OverflowError`` past the year
+    9999.
     """
     with open(cdr_path, "w", newline="", encoding="utf-8") as cdr_file, \
             open(decision_path, "w", newline="", encoding="utf-8") as decision_file:
         cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
         if not (hasattr(os, "fork") and len(cpus) >= 2):
-            with _row_renderer(cdr_file, decision_file, start, vendors) as on_attempts:
-                yield on_attempts
+            yield _row_renderer(cdr_file, decision_file, start, vendors)
             return
         # the writer keeps off the run's CPU (field 39 of /proc/self/stat): the
         # kernel can leave a new process beside its parent for a second or more
@@ -240,9 +226,11 @@ def attempt_log(cdr_path: Path, decision_path: Path, start: datetime,
 
     with open(error_fd, "rb") as errors, open(send_fd, "wb") as sender:
         def on_attempts(first: int, times: array, codes: array) -> None:
-            # one write, so a block that cannot be sent is not begun; a
+            # one write, so a block that cannot be sent is not begun, flushed
+            # so the writer has each block as it is handed, not one behind; a
             # BrokenPipeError, once the writer has ended, ends the run
             sender.write(b"".join((array("q", (first, len(times), len(codes))), times, codes)))
+            sender.flush()
 
         try:
             yield on_attempts

@@ -107,6 +107,20 @@ MUTANTS = [
     Mutant("first_call_off_by_one", "src/acdroute/store.py",
            "range(first, first + len(times))", "range(first + 1, first + len(times) + 1)",
            "a block's calls are numbered on from its first call number"),
+    Mutant("seq_restarts_every_block", "src/acdroute/store.py",
+           "        nonlocal seq\n", "        seq = 0\n",
+           "decision rows are numbered from 0 across the whole run, not per block",
+           first="tests/test_golden.py"),
+    Mutant("failing_block_rows_dropped", "src/acdroute/store.py",
+           '        finally:\n'
+           '            cdr_file.write("".join(cdr_rows))\n'
+           '            decision_file.write("".join(decision_rows))\n',
+           '        except BaseException:\n'
+           '            raise\n'
+           '        cdr_file.write("".join(cdr_rows))\n'
+           '        decision_file.write("".join(decision_rows))\n',
+           "the rows a block made before an error in it are written",
+           first="tests/test_cli.py::TestRowWriter::test_sink_error"),
     Mutant("writer_swallows_error", "src/acdroute/store.py",
            "                    errors.write(pickle.dumps(exc))\n",
            "                    pass\n",

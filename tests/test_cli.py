@@ -20,7 +20,7 @@ from acdroute.aggregate import ClosedInterval, Schedule
 from acdroute.cli import main
 from acdroute.codec import decode
 from acdroute.sim import ScenarioConfig, run_scenario
-from acdroute.store import (DECISION_CSV_HEADER, ROW_BLOCK, SEND_BLOCK, acd_csv_text, attempt_log,
+from acdroute.store import (DECISION_CSV_HEADER, SEND_BLOCK, acd_csv_text, attempt_log,
                             cdr_row, read_cdr_csv)
 from conftest import (T0, as_read, assert_rows_equal, make_cdr, read_acd_csv, record_sink,
                       use_row_writer)
@@ -950,11 +950,11 @@ class TestRowWriter:
         with pytest.raises(OSError, match="disk quota exceeded"):
             with attempt_log(tmp_path / "cdrs.csv", tmp_path / "decisions.csv", T0,
                              VENDORS) as on_attempts:
-                for made in range(SEND_BLOCK, 1000 * ROW_BLOCK + 1, SEND_BLOCK):
+                for made in range(SEND_BLOCK, 4000 * SEND_BLOCK + 1, SEND_BLOCK):
                     calls = SEND_BLOCK // 2
                     on_attempts(1 + (made - SEND_BLOCK) // 2, array("d", [0.0] * calls),
                                 array("q", [-1, 0] * calls))
-        assert made < 20 * ROW_BLOCK
+        assert made < 80 * SEND_BLOCK
         assert (tmp_path / "cdrs.csv").read_text(encoding="utf-8").count("\n") == 1
 
     def test_an_error_that_does_not_pickle(self, tmp_path, monkeypatch):
@@ -1026,8 +1026,8 @@ class TestRowWriter:
                         reason="needs the writer process and /proc")
     def test_a_killed_run_leaves_no_process(self, tmp_path):
         # SIGKILL a simulate that runs for seconds, once its writer process
-        # has written a block: the writer reads the end of its blocks, writes
-        # the rows it holds and ends, so the run's process group is gone
+        # has written four blocks: the writer reads the end of its blocks,
+        # writes the rows it holds and ends, so the run's process group is gone
         config = json.loads((SCENARIOS / "honest_vs_fas.json").read_text())
         config.update(arrival_rate_per_min=600, duration_min=600)
         long_run = tmp_path / "long.json"
@@ -1040,7 +1040,7 @@ class TestRowWriter:
         try:
             deadline = time.monotonic() + 60
             while len(_group_members(run.pid)) < 2 or not cdrs.exists() or (
-                    cdrs.read_bytes().count(b"\n") <= ROW_BLOCK):
+                    cdrs.read_bytes().count(b"\n") <= 4 * SEND_BLOCK):
                 assert run.poll() is None and time.monotonic() < deadline, "no block written"
                 time.sleep(0.01)
         finally:
@@ -1055,4 +1055,4 @@ class TestRowWriter:
             if _group_members(run.pid):
                 os.killpg(run.pid, signal.SIGKILL)
         rows = cdrs.read_bytes()
-        assert rows.endswith(b"\n") and rows.count(b"\n") > ROW_BLOCK
+        assert rows.endswith(b"\n") and rows.count(b"\n") > 4 * SEND_BLOCK

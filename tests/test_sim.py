@@ -417,6 +417,14 @@ class TestScenarioConfig:
                                              "the 10,000,000 a run holds$"):
             replace(config, arrival_rate_per_min=MAX_EXPECTED_CALLS / 1000.0 + 0.001)
 
+    @pytest.mark.parametrize("field, message", [
+        ("arrival_rate_per_min", "arrival rate must be positive"),
+        ("duration_min", "scenario duration must be positive")])
+    def test_nan_rate_and_duration_rejected(self, field, message):
+        # through the Python API: a scenario file's NaN is refused by decode
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(fas_preferred_config(), **{field: math.nan})
+
     def test_duration_past_year_9999_rejected(self):
         # the duration's timedelta itself overflows (test_cli covers a start
         # late in 9999); run, this would draw arrivals until memory ran out

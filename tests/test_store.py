@@ -15,7 +15,7 @@ from acdroute.store import (
     ACD_CSV_HEADER,
     CDR_CSV_HEADER,
     DECISION_CSV_HEADER,
-    ROW_BLOCK,
+    SEND_BLOCK,
     acd_csv_text,
     attempt_log,
     cdr_row,
@@ -530,13 +530,26 @@ def _attempts(n):
     return attempts
 
 
+def _blocks(attempts):
+    """``attempts`` cut into blocks as ``run_scenario`` cuts them: whole
+    calls, each block ending once it holds ``SEND_BLOCK`` attempts."""
+    blocks = [[]]
+    for attempt in attempts:
+        block = blocks[-1]
+        if len(block) >= SEND_BLOCK and attempt[0].call_id != block[-1][0].call_id:
+            blocks.append([])
+        blocks[-1].append(attempt)
+    return blocks
+
+
 def _log_attempts(tmp_path, attempts, start=T0):
     """The text of ``cdrs.csv`` and the rows of ``decisions.csv``, as ``csv``
     splits them, after ``attempt_log`` was given ``attempts`` of a run that
-    started at ``start`` as one block."""
+    started at ``start``, a block at a time."""
     cdrs, decisions = tmp_path / "cdrs.csv", tmp_path / "decisions.csv"
     with attempt_log(cdrs, decisions, start, VENDORS) as on_attempts:
-        on_attempts(*sink_block(attempts, start, VENDORS))
+        for block in _blocks(attempts):
+            on_attempts(*sink_block(block, start, VENDORS))
     with open(decisions, newline="", encoding="utf-8") as handle:
         decision_rows = list(csv.reader(handle))
     assert decision_rows[0] == DECISION_CSV_HEADER
@@ -552,9 +565,9 @@ def _decision_fields(seq, record, t_s):
 
 class TestAttemptLog:
     """``simulate``'s sink: one CDR row and one decision row per attempt,
-    written a block of rows at a time."""
+    a block written as one text per file."""
 
-    @pytest.mark.parametrize("n", [blocks * ROW_BLOCK + extra for blocks in (1, 2, 3)
+    @pytest.mark.parametrize("n", [blocks * 4 * SEND_BLOCK + extra for blocks in (1, 2, 3)
                                    for extra in (-1, 0, 1)])
     def test_every_row_is_written_in_order(self, tmp_path, n):
         attempts = _attempts(n)
@@ -637,43 +650,36 @@ class TestAttemptLog:
             ["86400.000", "c000010"]]
 
     def test_rows_made_before_an_error_are_written(self, tmp_path, monkeypatch):
-        # the first block is written as it fills, the rest as the error ends
-        # the run; a writer process writes the first block a little later,
-        # so this runs the rows in this process
+        # each block is on disk once its sink call returns; the error then
+        # ends the run with every row written
         use_row_writer(monkeypatch, False)
-        attempts = _attempts(ROW_BLOCK + 10)
-        rows = cdr_lines(record for record, _ in attempts)
-        cdrs, decisions = tmp_path / "cdrs.csv", tmp_path / "decisions.csv"
-        with pytest.raises(OSError, match="disk quota exceeded"):
-            with attempt_log(cdrs, decisions, T0, VENDORS) as on_attempts:
-                on_attempts(*sink_block(attempts, T0, VENDORS))
-                assert_rows_equal(
-                    cdrs.read_text(encoding="utf-8").splitlines(keepends=True)[1:],
-                    rows[:ROW_BLOCK])
-                raise OSError("disk quota exceeded")
-        assert_rows_equal(cdrs.read_text(encoding="utf-8").splitlines(keepends=True)[1:], rows)
-        assert_rows_equal(decisions.read_text(encoding="utf-8").splitlines(keepends=True)[1:], [
-            ",".join(_decision_fields(seq, record, t_s)) + "\n"
-            for seq, (record, t_s) in enumerate(attempts)])
+        self._check_rows_before_an_error(tmp_path, wait=False)
 
     def test_rows_made_before_an_error_are_written_by_the_writer_process(self, tmp_path,
                                                                          monkeypatch):
-        # the writer process writes the first block while the run goes on,
-        # and the rest as the error ends the run
+        # the writer process writes the first block while the run goes on
         use_row_writer(monkeypatch, True)
-        attempts = _attempts(ROW_BLOCK + 10)
+        self._check_rows_before_an_error(tmp_path, wait=True)
+
+    @staticmethod
+    def _check_rows_before_an_error(tmp_path, wait):
+        # two blocks, the first checked on disk (once written, if ``wait``)
+        # before the second is handed and the run fails
+        attempts = _attempts(2 * SEND_BLOCK)
+        first, second = _blocks(attempts)
         rows = cdr_lines(record for record, _ in attempts)
         cdrs, decisions = tmp_path / "cdrs.csv", tmp_path / "decisions.csv"
         with pytest.raises(OSError, match="disk quota exceeded"):
             with attempt_log(cdrs, decisions, T0, VENDORS) as on_attempts:
-                on_attempts(*sink_block(attempts, T0, VENDORS))
+                on_attempts(*sink_block(first, T0, VENDORS))
                 deadline = time.monotonic() + 10
-                while cdrs.read_bytes().count(b"\n") < 1 + ROW_BLOCK:  # whole lines
+                while wait and cdrs.read_bytes().count(b"\n") < 1 + len(first):  # whole lines
                     assert time.monotonic() < deadline, "the first block was not written"
                     time.sleep(0.01)
                 assert_rows_equal(
                     cdrs.read_text(encoding="utf-8").splitlines(keepends=True)[1:],
-                    rows[:ROW_BLOCK])
+                    rows[:len(first)])
+                on_attempts(*sink_block(second, T0, VENDORS))
                 raise OSError("disk quota exceeded")
         assert_rows_equal(cdrs.read_text(encoding="utf-8").splitlines(keepends=True)[1:], rows)
         assert_rows_equal(decisions.read_text(encoding="utf-8").splitlines(keepends=True)[1:], [
