@@ -5,8 +5,10 @@ bucket, toward the first tick after they ended, which adds the counts into the
 open interval's: the aggregator keeps no CDR. Its one ``datetime`` is its
 anchor; every other time is whole seconds after it. ``add_ended`` takes any
 number of legs, each as its vendor, its end, its duration and its rejected
-flag: the simulator hands it the legs of each block of attempts it hands its
-sink, a replay one generator over the CDRs ``store.read_cdr_csv`` reads. A
+flag: the simulator hands it, per block of attempts it hands its sink, the
+legs that reached a vendor (its refusals reach the aggregator only through
+the admission controller's counters, its ``counter_source``), a replay one
+generator over the CDRs ``store.read_cdr_csv`` reads, refusals included. A
 ``Schedule`` holds the tick period and the two minima, validated once. An
 interval only closes on a tick, once it is old enough *and* has seen enough
 ended calls; otherwise it stays open and is re-examined on the next tick, so
@@ -177,7 +179,10 @@ class IntervalAggregator:
         anchor, unless it ended before the open interval.
 
         The one place durations are bucketed. A router-rejected attempt never
-        reached the vendor, so it counts as a rejection only."""
+        reached the vendor, so it counts as a rejection only, which a close
+        reads only without a ``counter_source``. So ``run_scenario``, which
+        passes the controller's counters, hands it no refusal: its refusals
+        reach the aggregator only through those counters."""
         period_s, due = self._period_s, self._due
         open_tick = self.opened_s // period_s
         for vendor, end_s, duration_s, rejected in legs:

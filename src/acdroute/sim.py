@@ -21,13 +21,17 @@ failure both trigger failover (``VendorModel`` refuses a failure code that
 would not), so billing tries the next vendor until one answers.
 
 A call is its number in the run, from 1, which keys admission's ledger; only the
-sink makes its id text (``store.call_id``). Each attempt is one integer, its
-code: the leg's duration in seconds when the vendor answered, 0 when the leg
-failed, -1 when the clone refused it. The run builds no object per attempt only
-to move it: it appends the code to a packed array and the leg's end to a list,
-and hands the codes, with the block's slice of the arrival times, to the
-caller's sink and the list to the aggregator's ``add_ended``, once a block holds
-``store.SEND_BLOCK`` attempts, before every tick and at the end. A leg is drawn
+sink makes its id text (``store.call_id``). The run owns its
+``AdmissionController`` and shares it with no thread, so it decides through the
+unlocked rule, ``_decide``, and takes no lock per attempt. Each attempt is one
+integer, its code: the leg's duration in seconds when the vendor answered, 0
+when the leg failed, -1 when the clone refused it. The run builds no object per
+attempt only to move it: it appends the code to a packed array and, for each
+leg that reached its vendor, the leg's end to a list, and hands the codes, with
+the block's slice of the arrival times, to the caller's sink and the list to the
+aggregator's ``add_ended``, once a block holds ``store.SEND_BLOCK`` attempts,
+before every tick and at the end. A refusal reaches the aggregator only through
+the controller's counters, which each close snapshots. A leg is drawn
 by its vendor's sampler (``_leg_sampler``), built once per run, which computes
 the stdlib's exponential and uniform draws on the run's generator. No
 ``datetime`` is built per attempt or per tick, and the run keeps no CDR: the
@@ -337,10 +341,12 @@ def run_scenario(
               for spec in config.billing_order]
 
     abandoned = 0
-    decide = controller.decide
+    # no other thread sees the controller: decide without its lock
+    decide = controller._decide
     add_ended = aggregator.add_ended
     # the block not yet handed over: its first call number, each attempt's
-    # code, and each attempt's (vendor, end_s, duration_s, rejected)
+    # code, and the (vendor, end_s, duration_s, rejected) of each leg that
+    # reached its vendor; a refusal is counted by the controller alone
     first, codes = 1, array("q")
     ended: List[Tuple[int, int, int, bool]] = []
 
@@ -362,7 +368,7 @@ def run_scenario(
                 next_tick_s += tick_period_s
         # billing walks its order until a vendor answers; legs connect at the
         # call's second. A refusal by the clone and a failure at the vendor
-        # both fail over, and their zero-length leg ends at its connect time
+        # both fail over; a failed leg ends at its connect time
         second = int(t_s)
         for vendor, leg in routes:
             if decide(idx, vendor, t_s):
@@ -375,7 +381,6 @@ def run_scenario(
                     break
             else:
                 codes.append(-1)
-                ended.append((vendor, second, 0, True))
         else:
             abandoned += 1
     if codes:

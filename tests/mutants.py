@@ -125,6 +125,30 @@ MUTANTS = [
            "                    errors.write(pickle.dumps(exc))\n",
            "                    pass\n",
            "an error in the writer process is raised again in the run"),
+    Mutant("writer_keeps_write_end", "src/acdroute/store.py",
+           "            for fd in (send_fd, error_fd):\n",
+           "            for fd in (error_fd,):\n",
+           "the writer closes its copy of the pipe's write end, so it reads the end "
+           "of the blocks when the run's process closes or loses its own",
+           # every run on the writer path then waits for its writer forever;
+           # this test kills a run and gives its writer 10 s to end
+           first="tests/test_cli.py::TestRowWriter::test_a_killed_run_leaves_no_process"),
+    Mutant("writer_not_reaped", "src/acdroute/store.py",
+           "status = os.waitpid(pid, 0)[1]", "status = 0",
+           "attempt_log reaps its writer process on every exit",
+           # no_child_process_left fails the test's writer_process case
+           first="tests/test_cli.py::TestRowWriter::test_sink_error"),
+    Mutant("run_takes_the_lock", "src/acdroute/sim.py",
+           "decide = controller._decide", "decide = controller.decide",
+           "the run, which owns its controller, decides without taking its lock",
+           first="tests/test_sim.py::TestTraceInvariants::"
+                 "test_the_run_takes_no_lock_and_hands_the_aggregator_no_refusal"),
+    Mutant("refusal_handed_to_aggregator", "src/acdroute/sim.py",
+           "                codes.append(-1)\n",
+           "                codes.append(-1)\n                ended.append((vendor, second, 0, True))\n",
+           "the run's refusals reach the aggregator only through the controller's counters",
+           first="tests/test_sim.py::TestTraceInvariants::"
+                 "test_the_run_takes_no_lock_and_hands_the_aggregator_no_refusal"),
 ]
 
 

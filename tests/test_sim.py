@@ -534,15 +534,16 @@ class TestTraceInvariants:
                 assert interval.rejected[vendor] == rejected
 
     def test_decide_is_keyed_by_the_call_number(self, monkeypatch):
-        # every attempt of call n hands the ledger the int n, at the call's time
+        # every attempt of call n hands the ledger the int n, at the call's
+        # time, through the unlocked rule the run decides by
         seen = []
-        decide = AdmissionController.decide
+        decide = AdmissionController._decide
 
         def spy(self, call_id, vendor, now):
             seen.append((call_id, vendor, now))
             return decide(self, call_id, vendor, now)
 
-        monkeypatch.setattr(AdmissionController, "decide", spy)
+        monkeypatch.setattr(AdmissionController, "_decide", spy)
         config = fas_preferred_config(duration=120.0)
         attempts = []
         result = run_scenario(config, on_attempts=attempt_sink(attempts, config))
@@ -552,6 +553,34 @@ class TestTraceInvariants:
         assert sorted({call_id for call_id, _, _ in seen}) == list(
             range(1, result.total_calls + 1))
         assert any(rejected for *_, rejected, _ in attempts)
+
+    def test_the_run_takes_no_lock_and_hands_the_aggregator_no_refusal(self, monkeypatch):
+        # the run owns its controller, so it never calls the locked decide;
+        # its refusals reach the aggregator only through the controller's
+        # counters, so each leg add_ended gets is one that reached its vendor
+        def locked_decide(self, call_id, vendor, now):
+            raise AssertionError("run_scenario called the locked decide")
+
+        legs = []
+        add_ended = IntervalAggregator.add_ended
+
+        def spy(self, block):
+            block = list(block)
+            legs.extend(block)
+            add_ended(self, block)
+
+        monkeypatch.setattr(AdmissionController, "decide", locked_decide)
+        monkeypatch.setattr(IntervalAggregator, "add_ended", spy)
+        config = fas_preferred_config(duration=120.0)
+        attempts = []
+        result = run_scenario(config, on_attempts=attempt_sink(attempts, config))
+        assert not any(rejected for *_, rejected in legs)
+        assert legs == [(vendor, connect_s + duration_s, duration_s, False)
+                        for _, vendor, connect_s, duration_s, _, rejected, _ in attempts
+                        if not rejected]
+        # the run refused attempts, and its intervals count them
+        assert any(rejected for *_, rejected, _ in attempts)
+        assert sum(sum(iv.rejected.values()) for iv in result.interval_history) > 0
 
     def test_replaying_decision_log_reproduces_outcomes(self):
         result, attempts = run_collecting(fas_preferred_config(duration=120.0))
